@@ -20,7 +20,7 @@ from .kb import (
     KnowledgeBase,
     SparseMatrix,
     Triple,
-    kb_fingerprint,
+    kb_fingerprint,  # noqa: F401  re-exported
     sparse_hadamard,
     sparse_mul,
     sparse_transpose,
@@ -168,7 +168,7 @@ def witness_paths(
 
 def _cache_key(kb: KnowledgeBase, rule: Rule) -> str:
     h = hashlib.sha256()
-    h.update(kb_fingerprint(kb).encode())
+    h.update(kb.fingerprint.encode())
     h.update(b"|")
     h.update(format_rule(rule, kb).encode())
     return h.hexdigest()
@@ -181,12 +181,28 @@ def _cache_load(cache_dir: str, kb: KnowledgeBase, rule: Rule) -> Optional[Groun
     try:
         with np.load(path) as z:
             n = int(z["dim"])
-            c = SparseMatrix.from_coords(n, z["c_rows"], z["c_cols"], z["c_vals"])
-            a = SparseMatrix.from_coords(n, z["a_rows"], z["a_cols"], z["a_vals"])
+            arrays = {k: z[k] for k in ("c_rows", "c_cols", "c_vals", "a_rows", "a_cols", "a_vals")}
+        problem = _cache_entry_problem(n, kb.num_entities, arrays)
+        if problem is None:
+            c = SparseMatrix.from_coords(n, arrays["c_rows"], arrays["c_cols"], arrays["c_vals"])
+            a = SparseMatrix.from_coords(n, arrays["a_rows"], arrays["a_cols"], arrays["a_vals"])
+            return Grounding(rule=rule, body_count=c, joint_count=a)
     except Exception as exc:
         logger.warning("discarding unreadable cache entry %s: %s", path, exc)
         return None
-    return Grounding(rule=rule, body_count=c, joint_count=a)
+    logger.warning("discarding invalid cache entry %s: %s", path, problem)
+    return None
+
+
+def _cache_entry_problem(dim: int, num_entities: int, arrays: Dict[str, np.ndarray]) -> Optional[str]:
+    """Why a stored grounding cannot belong to this KB, or None if it can."""
+    if dim != num_entities:
+        return "dimension %d, KB has %d entities" % (dim, num_entities)
+    for key in ("c_rows", "c_cols", "a_rows", "a_cols"):
+        idx = arrays[key]
+        if idx.size and (idx.min() < 0 or idx.max() >= dim):
+            return "%s index out of range [0, %d)" % (key, dim)
+    return None
 
 
 def _cache_store(cache_dir: str, kb: KnowledgeBase, g: Grounding) -> None:

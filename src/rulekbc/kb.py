@@ -1,5 +1,6 @@
 """Triple store: TSV loading, id vocabularies, per-relation adjacency matrices."""
 
+import functools
 import hashlib
 import logging
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
@@ -24,9 +25,13 @@ class Triple(NamedTuple):
 
 
 class Vocab:
-    """Bidirectional name <-> integer id map, ids assigned by first appearance."""
+    """Bidirectional name <-> integer id map, ids assigned by first appearance.
 
-    def __init__(self) -> None:
+    `kind` ("entity", "relation") only words the error for an unknown name.
+    """
+
+    def __init__(self, kind: str = "name") -> None:
+        self.kind = kind
         self.names: List[str] = []
         self.index: Dict[str, int] = {}
 
@@ -40,7 +45,10 @@ class Vocab:
         return new_id
 
     def id(self, name: str) -> int:
-        return self.index[name]
+        try:
+            return self.index[name]
+        except KeyError:
+            raise KBError("unknown %s %r" % (self.kind, name)) from None
 
     def name(self, ident: int) -> str:
         return self.names[ident]
@@ -157,12 +165,14 @@ class KnowledgeBase:
         self.test = test
         self.matrices: Dict[int, SparseMatrix] = {}
         n = len(entities)
-        by_rel: Dict[int, Tuple[List[int], List[int]]] = {r: ([], []) for r in range(len(relations))}
-        for h, r, t in train:
-            by_rel[r][0].append(h)
-            by_rel[r][1].append(t)
-        for r, (rows, cols) in by_rel.items():
-            self.matrices[r] = SparseMatrix.from_coords(n, rows, cols)
+        # relation -> its train triples, in train order
+        self._train_by_rel: Dict[int, List[Triple]] = {r: [] for r in range(len(relations))}
+        for tr in train:
+            self._train_by_rel[tr.relation].append(tr)
+        for r, triples in self._train_by_rel.items():
+            self.matrices[r] = SparseMatrix.from_coords(
+                n, [t.head for t in triples], [t.tail for t in triples]
+            )
         # entity -> incident train triples, both directions, insertion order
         self.incident: Dict[int, List[Triple]] = {}
         for tr in train:
@@ -175,6 +185,12 @@ class KnowledgeBase:
             for h, r, t in split:
                 self.true_tails.setdefault((h, r), set()).add(t)
         self._train_set = set(train)
+
+    @functools.cached_property
+    def fingerprint(self) -> str:
+        """`kb_fingerprint` of this KB, hashed on first use only: the KB never
+        changes after construction."""
+        return kb_fingerprint(self)
 
     @property
     def num_entities(self) -> int:
@@ -194,7 +210,7 @@ class KnowledgeBase:
         return triple in self._train_set
 
     def train_by_relation(self, relation: int) -> List[Triple]:
-        return [t for t in self.train if t.relation == relation]
+        return list(self._train_by_rel.get(relation, ()))
 
     def split(self, name: str) -> List[Triple]:
         try:
@@ -240,8 +256,8 @@ def load_kb(train_path: str, valid_path: Optional[str] = None, test_path: Option
     Ids are assigned by first appearance, train split first, so the same files
     always produce the same vocabulary. Missing valid/test paths yield empty splits.
     """
-    entities = Vocab()
-    relations = Vocab()
+    entities = Vocab("entity")
+    relations = Vocab("relation")
     train = _read_split(train_path, entities, relations)
     if not train:
         raise KBError("train split %s contains no triples" % train_path)

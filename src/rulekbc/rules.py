@@ -150,30 +150,36 @@ class SimilarityProvider:
 
 
 class TrigramSimilarity(SimilarityProvider):
-    """Cosine over character-trigram counts of lowercased, underscore-split names."""
+    """Cosine over character-trigram counts of lowercased, underscore-split names.
+
+    Each instance keeps every name it has scored as (normalised form, trigram
+    counts, norm), so a vocabulary is tokenised once, not once per pair.
+    """
 
     name = "trigram"
 
-    @staticmethod
-    def _normalize(s: str) -> str:
-        return " ".join(s.lower().replace("_", " ").split())
+    def __init__(self) -> None:
+        self._profiles: Dict[str, Tuple[str, Counter, float]] = {}
 
-    @classmethod
-    def _grams(cls, s: str) -> Counter:
-        padded = " %s " % s
-        return Counter(padded[i : i + 3] for i in range(len(padded) - 2))
+    def _profile(self, s: str) -> Tuple[str, Counter, float]:
+        got = self._profiles.get(s)
+        if got is None:
+            norm = " ".join(s.lower().replace("_", " ").split())
+            padded = " %s " % norm
+            grams = Counter(padded[i : i + 3] for i in range(len(padded) - 2))
+            got = (norm, grams, math.sqrt(sum(c * c for c in grams.values())))
+            self._profiles[s] = got
+        return got
 
     def score(self, a: str, b: str) -> float:
-        na, nb = self._normalize(a), self._normalize(b)
+        na, ga, norm_a = self._profile(a)
+        nb, gb, norm_b = self._profile(b)
         if na == nb:
             return 1.0
-        ga, gb = self._grams(na), self._grams(nb)
         if not ga or not gb:
             return 0.0
         dot = sum(c * gb[g] for g, c in ga.items())
-        norm = math.sqrt(sum(c * c for c in ga.values())) * math.sqrt(
-            sum(c * c for c in gb.values())
-        )
+        norm = norm_a * norm_b
         return dot / norm if norm else 0.0
 
 

@@ -3,6 +3,7 @@
 import configparser
 import json
 import re
+import shutil
 
 import pytest
 
@@ -261,6 +262,24 @@ class TestExplainAndResume:
         err = capsys.readouterr().err
         assert "unknown relation 'grandma'" in err
         assert "grandparent" in err
+
+    def test_unknown_relation_in_checkpoint_exits_cleanly(self, cli_pipeline, tmp_path, capsys):
+        # a private copy of the built run: the session's run must stay intact
+        config = tmp_path / "pipeline.ini"
+        config.write_text(
+            cli_pipeline["config"].read_text().replace(str(cli_pipeline["base"] / "runs"), str(tmp_path))
+        )
+        run = tmp_path / cli.load_config(str(config)).hash()
+        shutil.copytree(str(cli_pipeline["run_dir"]), str(run))
+        params = run / "checkpoints" / "params.json"
+        doc = json.loads(params.read_text())
+        doc["no_such_rel"] = doc.pop("grandparent")
+        params.write_text(json.dumps(doc))
+        code = cli.main(["--config", str(config), "explain", "e00", "grandparent"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: unknown relation 'no_such_rel'" in err
+        assert "Traceback" not in err
 
     def test_resume_after_checkpoint_succeeds(self, cli_pipeline):
         code, out = run_cli(

@@ -6,9 +6,11 @@ import os
 import numpy as np
 import pytest
 
+import rulekbc.kb
 import synthetic
 from rulekbc.grounding import (
     GroundingError,
+    _cache_key,
     ground,
     ground_all,
     score,
@@ -280,3 +282,63 @@ class TestCache:
         g = ground(kb, rule, cache_dir=str(tmp_path))
         anna, charlie = kb.entities.id("Anna"), kb.entities.id("Charlie")
         assert g.joint_count.get(anna, charlie) == 1
+
+    def test_ground_all_hashes_the_kb_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = rulekbc.kb.kb_fingerprint
+        monkeypatch.setattr(rulekbc.kb, "kb_fingerprint", lambda kb: calls.append(1) or real(kb))
+        kb = synthetic.family_kb()
+        rules = [
+            classified(kb, synthetic.PLANTED_RULE_TEXT),
+            classified(kb, "IF (A, parent, B) THEN (A, grandparent, B)"),
+            classified(kb, "IF (B, parent, A) THEN (A, grandparent, B)"),
+        ]
+        cache = str(tmp_path)
+        ground_all(kb, rules, cache_dir=cache)  # misses: load and store per rule
+        ground_all(kb, rules, cache_dir=cache)  # hits
+        assert len(os.listdir(cache)) == 3
+        assert len(calls) == 1
+
+    def test_kbs_with_different_train_never_share_entries(self, tmp_path):
+        kb_a = synthetic.family_kb(with_head=True)
+        kb_b = synthetic.family_kb(with_head=False)
+        assert kb_a.num_entities == kb_b.num_entities
+        cache = str(tmp_path)
+        for kb in (kb_a, kb_b, kb_a, kb_b):
+            rule = classified(kb, synthetic.PLANTED_RULE_TEXT)
+            got = ground(kb, rule, cache_dir=cache)
+            want = ground(kb, rule)
+            assert got.body_count.equals(want.body_count)
+            assert got.joint_count.equals(want.joint_count)
+        assert len(os.listdir(cache)) == 2
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda n, e: dict(e, dim=n + 1),  # shape of another KB, indices in range
+            lambda n, e: dict(
+                e,
+                a_rows=np.append(e["a_rows"], n),
+                a_cols=np.append(e["a_cols"], 0),
+                a_vals=np.append(e["a_vals"], 1),
+            ),
+            lambda n, e: dict(e, c_cols=np.concatenate([[-1], e["c_cols"][1:]])),
+        ],
+        ids=["dim", "row-past-end", "negative-col"],
+    )
+    def test_invalid_entry_is_regrounded_and_overwritten(self, tmp_path, caplog, corrupt):
+        kb = synthetic.family_kb()
+        rule = classified(kb, synthetic.PLANTED_RULE_TEXT)
+        cache = str(tmp_path)
+        ground(kb, rule, cache_dir=cache)
+        path = os.path.join(cache, _cache_key(kb, rule) + ".npz")
+        with np.load(path) as z:
+            entry = {k: z[k] for k in z.files}
+        np.savez(path, **corrupt(kb.num_entities, entry))
+        got = ground(kb, rule, cache_dir=cache)
+        want = ground(kb, rule)
+        assert got.body_count.equals(want.body_count)
+        assert got.joint_count.equals(want.joint_count)
+        assert "discarding invalid cache entry" in caplog.text
+        with np.load(path) as z:
+            assert {k: z[k].tolist() for k in z.files} == {k: v.tolist() for k, v in entry.items()}

@@ -11,6 +11,7 @@ from rulekbc.kb import (
     KBError,
     SparseMatrix,
     Triple,
+    Vocab,
     kb_fingerprint,
     load_kb,
     sparse_hadamard,
@@ -77,6 +78,34 @@ class TestLoading:
         kb2 = load_kb(paths["train"])
         # valid split adds no new names here, so the train structure matches
         assert kb_fingerprint(kb1) == kb_fingerprint(kb2)
+
+    def test_fingerprint_digest_is_pinned(self):
+        # the grounding cache is keyed by this digest: a change to it orphans
+        # every cache written before
+        kb = synthetic.build_kb("abc", "rs", [("a", "r", "b"), ("b", "s", "c"), ("a", "s", "c")])
+        expected = "9dd19f650a65ee9aa29ca1cadd7d3d6a11fed6aee1df259e2eb5753c25320437"
+        assert kb_fingerprint(kb) == expected
+        assert kb.fingerprint == expected
+
+    def test_train_by_relation_matches_scan(self):
+        rng = np.random.default_rng(3)
+        kb = synthetic.random_kb(rng)
+        for r in range(kb.num_relations):
+            got = kb.train_by_relation(r)
+            assert got == [t for t in kb.train if t.relation == r]
+            got.clear()  # a fresh list: the KB's index is untouched
+            assert kb.train_by_relation(r) == [t for t in kb.train if t.relation == r]
+        assert kb.train_by_relation(kb.num_relations) == []
+
+    def test_unknown_name_raises_kb_error(self, tmp_path):
+        paths = synthetic.write_kb_files(str(tmp_path), triples={"train": [("a", "r", "b")]})
+        kb = load_kb(paths["train"])
+        with pytest.raises(KBError, match="unknown relation 'no_such_rel'"):
+            kb.relations.id("no_such_rel")
+        with pytest.raises(KBError, match="unknown entity 'z'"):
+            kb.entities.id("z")
+        with pytest.raises(KBError, match="unknown name 'z'"):
+            Vocab().id("z")
 
 
 def random_sparse(rng, dim, density=0.3, max_val=3):

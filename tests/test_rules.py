@@ -1,7 +1,12 @@
 """Rule grammar, filtering, relation mapping and shape classification."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import synthetic
 from rulekbc.kb import KBError
@@ -140,6 +145,27 @@ class TestStage1Filter:
             filter_stage1(rule, "grandparent")
 
 
+def reference_trigram_score(a, b):
+    """TrigramSimilarity.score recomputed from scratch for every pair."""
+
+    def normalize(s):
+        return " ".join(s.lower().replace("_", " ").split())
+
+    def grams(s):
+        padded = " %s " % s
+        return Counter(padded[i : i + 3] for i in range(len(padded) - 2))
+
+    na, nb = normalize(a), normalize(b)
+    if na == nb:
+        return 1.0
+    ga, gb = grams(na), grams(nb)
+    if not ga or not gb:
+        return 0.0
+    dot = sum(c * gb[g] for g, c in ga.items())
+    norm = math.sqrt(sum(c * c for c in ga.values())) * math.sqrt(sum(c * c for c in gb.values()))
+    return dot / norm if norm else 0.0
+
+
 class TestTrigramSimilarity:
     provider = TrigramSimilarity()
 
@@ -157,6 +183,21 @@ class TestTrigramSimilarity:
             s = self.provider.score(a, b)
             assert 0.0 <= s <= 1.0
             assert s == pytest.approx(self.provider.score(b, a))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.text(alphabet="abcAB_ -", max_size=10), min_size=1, max_size=6))
+    def test_warmed_scores_are_bit_equal_to_fresh(self, names):
+        warmed = TrigramSimilarity()
+        for a in names:
+            for b in names:
+                warmed.score(a, b)
+        for a in names:
+            for b in names:
+                got = warmed.score(a, b)
+                assert got.hex() == TrigramSimilarity().score(a, b).hex()
+                assert got.hex() == reference_trigram_score(a, b).hex()
+                assert got.hex() == warmed.score(b, a).hex()
+                assert 0.0 <= got <= 1.0
 
     def test_near_match_beats_unrelated(self):
         near = self.provider.score("shares border", "shares border with")
