@@ -14,7 +14,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -24,60 +24,125 @@ from .kb import KBError, KnowledgeBase, load_kb
 
 logger = logging.getLogger(__name__)
 
-_STAGE_EXTRACT, _STAGE_ROTATE, _STAGE_TRAIN = 1, 2, 3
-
-CONFIG_EXAMPLE = """\
-# rulekbc pipeline configuration; every value below is the default.
-
-[run]
-seed = 0                  ; master seed; per-stage seeds are derived from it
-output_dir = runs         ; artifacts land in <output_dir>/<config-hash>/
-
-[kb]
-train = data/train.txt    ; required; TSV head<TAB>relation<TAB>tail
-valid = data/valid.txt    ; optional; empty value for no validation split
-test = data/test.txt      ; optional
-
-[extract]
-max_hops = 3                    ; BFS depth around each target triple
-max_neighbors_per_entity = 3    ; incident-triple cap per pivot entity per hop
-max_subgraphs_per_relation = 30 ; sampled target triples per relation
-
-[similarity]
-provider = trigram        ; relation-name matcher for mapping raw rule text
-
-[proposer]
-backend = offline-miner   ; offline-miner | remote-chat
-endpoint =                ; chat-completions URL (remote-chat only)
-model = offline           ; model name sent to the remote endpoint
-request_timeout = 30.0    ; seconds per HTTP attempt
-max_retries = 2           ; retries after the first failed attempt
-retry_backoff = 0.5       ; seconds, multiplied by the attempt number
-temperature = 0.0         ; sampling temperature for the remote model
-api_key_env = RULEKBC_API_KEY ; env var holding the bearer token
-
-[rotate]
-enabled = true            ; disable to rank with rule evidence alone
-dim = 64                  ; complex embedding dimensions
-margin = 6.0              ; score offset gamma
-negatives = 64            ; corrupted tails per positive
-epochs = 100
-lr = 0.001
-batch_size = 256
-
-[trainer]
-lr = 0.001
-weight_decay = 0.1        ; decoupled (AdamW style)
-step_size = 100           ; epochs between learning-rate decays
-step_gamma = 0.01         ; decay factor
-patience = 30             ; early-stopping epochs on validation MRR
-max_epochs = 500
-uniform_weights = false   ; ablation: freeze all weights equal
-"""
-
 
 class CLIError(Exception):
     pass
+
+
+# [run], [kb], [similarity] and rotate.enabled feed no stage's settings
+# dataclass, so these private ones hold their defaults.
+@dataclass(frozen=True)
+class _Run:
+    seed: int = 0
+    output_dir: str = "runs"
+
+
+@dataclass(frozen=True)
+class _Paths:
+    train: str = ""
+    valid: str = ""  # empty: no such split
+    test: str = ""
+
+    def __post_init__(self):
+        if not self.train:
+            raise CLIError("config [kb] train path is required")
+
+
+@dataclass(frozen=True)
+class _Similarity:
+    provider: str = "trigram"
+
+    def __post_init__(self):
+        if self.provider != "trigram":
+            raise CLIError("unknown similarity provider %r (available: trigram)" % self.provider)
+
+
+@dataclass(frozen=True)
+class _RotateSwitch:
+    enabled: bool = True
+
+
+# The one source of every setting and its default, in load order:
+# (section, settings dataclass, {INI key: field name} where the two differ).
+_SECTIONS = (
+    ("run", _Run, {}),
+    ("kb", _Paths, {}),
+    ("extract", subgraph.ExtractorConfig, {}),
+    ("similarity", _Similarity, {}),
+    ("proposer", proposer.ProposerBackend, {"backend": "kind", "model": "model_name"}),
+    ("rotate", rotate.RotateConfig, {}),
+    ("trainer", trainer.TrainerConfig, {}),
+    ("rotate", _RotateSwitch, {}),
+)
+
+# per-stage seed field and stage number; derived from [run] seed, not INI keys
+_STAGE_SEEDS = {
+    subgraph.ExtractorConfig: ("rng_seed", 1),
+    rotate.RotateConfig: ("seed", 2),
+    trainer.TrainerConfig: ("seed", 3),
+}
+
+# "section.key" -> comment in CONFIG_EXAMPLE
+_COMMENTS = {
+    "run.seed": "master seed; per-stage seeds are derived from it",
+    "run.output_dir": "artifacts land in <output_dir>/<config-hash>/",
+    "kb.train": "required; TSV head<TAB>relation<TAB>tail",
+    "kb.valid": "optional; empty value for no validation split",
+    "kb.test": "optional",
+    "extract.max_hops": "BFS depth around each target triple",
+    "extract.max_neighbors_per_entity": "incident-triple cap per pivot entity per hop",
+    "extract.max_subgraphs_per_relation": "sampled target triples per relation",
+    "similarity.provider": "relation-name matcher for mapping raw rule text",
+    "proposer.backend": "offline-miner | remote-chat",
+    "proposer.endpoint": "chat-completions URL (remote-chat only)",
+    "proposer.model": "model name sent to the remote endpoint",
+    "proposer.request_timeout": "seconds per HTTP attempt",
+    "proposer.max_retries": "retries after the first failed attempt",
+    "proposer.retry_backoff": "seconds, multiplied by the attempt number",
+    "proposer.temperature": "sampling temperature for the remote model",
+    "proposer.api_key_env": "env var holding the bearer token",
+    "rotate.enabled": "disable to rank with rule evidence alone",
+    "rotate.dim": "complex embedding dimensions",
+    "rotate.margin": "score offset gamma",
+    "rotate.negatives": "corrupted tails per positive",
+    "trainer.weight_decay": "decoupled (AdamW style)",
+    "trainer.step_size": "epochs between learning-rate decays",
+    "trainer.step_gamma": "decay factor",
+    "trainer.patience": "early-stopping epochs on validation MRR",
+    "trainer.uniform_weights": "ablation: freeze all weights equal",
+}
+# [kb] paths have no default; the example shows these
+_EXAMPLE_PATHS = {"kb.train": "data/train.txt", "kb.valid": "data/valid.txt", "kb.test": "data/test.txt"}
+
+
+def _keys(cls, renamed: Dict[str, str]) -> List[Tuple[str, Field]]:
+    """(INI key, dataclass field) for each setting of one `_SECTIONS` row."""
+    key_of = {name: key for key, name in renamed.items()}
+    derived = _STAGE_SEEDS.get(cls, ("",))[0]
+    return [(key_of.get(f.name, f.name), f) for f in fields(cls) if f.name != derived]
+
+
+_ROWS = [(section, cls, _keys(cls, renamed)) for section, cls, renamed in _SECTIONS]
+# section -> its (INI key, field) pairs; sections in first-row order
+_KEYS = {s: [k for row, _, keys in _ROWS if row == s for k in keys] for s, _, _ in _ROWS}
+
+
+def _example() -> str:
+    lines = ["# rulekbc pipeline configuration; every value below is the default."]
+    for section, keys in _KEYS.items():
+        entries = []
+        for key, f in keys:
+            name = "%s.%s" % (section, key)
+            value = _EXAMPLE_PATHS.get(name, f.default)
+            text = "%s = %s" % (key, str(value).lower() if isinstance(value, bool) else value)
+            entries.append((text, _COMMENTS.get(name)))
+        width = max([25] + [len(text) for text, comment in entries if comment]) + 1
+        lines += ["", "[%s]" % section]
+        lines += [text.ljust(width) + "; " + comment if comment else text for text, comment in entries]
+    return "\n".join(lines) + "\n"
+
+
+CONFIG_EXAMPLE = _example()
 
 
 @dataclass
@@ -109,32 +174,20 @@ def _stage_seed(seed: int, stage: int) -> int:
     return int(np.random.SeedSequence([seed, stage]).generate_state(1)[0])
 
 
-_KNOWN_KEYS = {
-    "run": {"seed", "output_dir"},
-    "kb": {"train", "valid", "test"},
-    "extract": {"max_hops", "max_neighbors_per_entity", "max_subgraphs_per_relation"},
-    "similarity": {"provider"},
-    "proposer": {
-        "backend",
-        "endpoint",
-        "model",
-        "request_timeout",
-        "max_retries",
-        "retry_backoff",
-        "temperature",
-        "api_key_env",
-    },
-    "rotate": {"enabled", "dim", "margin", "negatives", "epochs", "lr", "batch_size"},
-    "trainer": {
-        "lr",
-        "weight_decay",
-        "step_size",
-        "step_gamma",
-        "patience",
-        "max_epochs",
-        "uniform_weights",
-    },
-}
+def _read(parser: configparser.ConfigParser, section: str, key: str, f: Field):
+    """One setting cast to its field's type; absent, or empty for a
+    non-string setting, keeps the default."""
+    if not parser.has_option(section, key):
+        return f.default
+    raw = parser.get(section, key).strip()
+    if raw == "" and f.type is not str:
+        return f.default
+    try:
+        if f.type is bool:
+            return parser.getboolean(section, key)
+        return f.type(raw)
+    except ValueError as exc:
+        raise CLIError("config %s.%s: %s" % (section, key, exc)) from exc
 
 
 def load_config(
@@ -148,121 +201,42 @@ def load_config(
     except configparser.Error as exc:
         raise CLIError("cannot parse %s: %s" % (path, exc)) from exc
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _KEYS:
             raise CLIError("unknown config section [%s]" % section)
+        known = {key for key, _ in _KEYS[section]}
         for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
+            if key not in known:
                 raise CLIError("unknown key %r in section [%s]" % (key, section))
 
-    def get(section: str, key: str, fallback, cast):
-        if not parser.has_option(section, key):
-            return fallback
-        raw = parser.get(section, key).strip()
-        if raw == "" and cast is not str:
-            return fallback
-        try:
-            if cast is bool:
-                return parser.getboolean(section, key)
-            return cast(raw)
-        except ValueError as exc:
-            raise CLIError("config %s.%s: %s" % (section, key, exc)) from exc
-
-    run_seed = seed if seed is not None else get("run", "seed", 0, int)
-    out_dir = output_dir if output_dir is not None else get("run", "output_dir", "runs", str)
-    train_path = get("kb", "train", "", str)
-    if not train_path:
-        raise CLIError("config [kb] train path is required")
-    valid_path = get("kb", "valid", "", str) or None
-    test_path = get("kb", "test", "", str) or None
-
-    extract_cfg = subgraph.ExtractorConfig(
-        max_hops=get("extract", "max_hops", 3, int),
-        max_neighbors_per_entity=get("extract", "max_neighbors_per_entity", 3, int),
-        max_subgraphs_per_relation=get("extract", "max_subgraphs_per_relation", 30, int),
-        rng_seed=_stage_seed(run_seed, _STAGE_EXTRACT),
-    )
-    provider = get("similarity", "provider", "trigram", str)
-    if provider != "trigram":
-        raise CLIError("unknown similarity provider %r (available: trigram)" % provider)
-    backend = proposer.ProposerBackend(
-        kind=get("proposer", "backend", proposer.OFFLINE, str),
-        endpoint=get("proposer", "endpoint", "", str),
-        model_name=get("proposer", "model", "offline", str),
-        request_timeout=get("proposer", "request_timeout", 30.0, float),
-        max_retries=get("proposer", "max_retries", 2, int),
-        retry_backoff=get("proposer", "retry_backoff", 0.5, float),
-        temperature=get("proposer", "temperature", 0.0, float),
-        api_key_env=get("proposer", "api_key_env", "RULEKBC_API_KEY", str),
-    )
-    rotate_cfg = rotate.RotateConfig(
-        dim=get("rotate", "dim", 64, int),
-        margin=get("rotate", "margin", 6.0, float),
-        negatives=get("rotate", "negatives", 64, int),
-        epochs=get("rotate", "epochs", 100, int),
-        lr=get("rotate", "lr", 1e-3, float),
-        batch_size=get("rotate", "batch_size", 256, int),
-        seed=_stage_seed(run_seed, _STAGE_ROTATE),
-    )
-    trainer_cfg = trainer.TrainerConfig(
-        lr=get("trainer", "lr", 1e-3, float),
-        weight_decay=get("trainer", "weight_decay", 0.1, float),
-        step_size=get("trainer", "step_size", 100, int),
-        step_gamma=get("trainer", "step_gamma", 0.01, float),
-        patience=get("trainer", "patience", 30, int),
-        max_epochs=get("trainer", "max_epochs", 500, int),
-        seed=_stage_seed(run_seed, _STAGE_TRAIN),
-        uniform_weights=get("trainer", "uniform_weights", False, bool),
-    )
-    rotate_enabled = get("rotate", "enabled", True, bool)
-
-    items = sorted(
-        [
-            ("run.seed", str(run_seed)),
-            ("run.output_dir", out_dir),
-            ("kb.train", train_path),
-            ("kb.valid", valid_path or ""),
-            ("kb.test", test_path or ""),
-            ("extract.max_hops", str(extract_cfg.max_hops)),
-            ("extract.max_neighbors_per_entity", str(extract_cfg.max_neighbors_per_entity)),
-            ("extract.max_subgraphs_per_relation", str(extract_cfg.max_subgraphs_per_relation)),
-            ("similarity.provider", provider),
-            ("proposer.backend", backend.kind),
-            ("proposer.endpoint", backend.endpoint),
-            ("proposer.model", backend.model_name),
-            ("proposer.request_timeout", repr(backend.request_timeout)),
-            ("proposer.max_retries", str(backend.max_retries)),
-            ("proposer.retry_backoff", repr(backend.retry_backoff)),
-            ("proposer.temperature", repr(backend.temperature)),
-            ("proposer.api_key_env", backend.api_key_env),
-            ("rotate.enabled", str(rotate_enabled)),
-            ("rotate.dim", str(rotate_cfg.dim)),
-            ("rotate.margin", repr(rotate_cfg.margin)),
-            ("rotate.negatives", str(rotate_cfg.negatives)),
-            ("rotate.epochs", str(rotate_cfg.epochs)),
-            ("rotate.lr", repr(rotate_cfg.lr)),
-            ("rotate.batch_size", str(rotate_cfg.batch_size)),
-            ("trainer.lr", repr(trainer_cfg.lr)),
-            ("trainer.weight_decay", repr(trainer_cfg.weight_decay)),
-            ("trainer.step_size", str(trainer_cfg.step_size)),
-            ("trainer.step_gamma", repr(trainer_cfg.step_gamma)),
-            ("trainer.patience", str(trainer_cfg.patience)),
-            ("trainer.max_epochs", str(trainer_cfg.max_epochs)),
-            ("trainer.uniform_weights", str(trainer_cfg.uniform_weights)),
-        ]
-    )
+    overrides = {"run.seed": seed, "run.output_dir": output_dir}
+    built = {}  # settings dataclass -> its instance
+    items = []
+    for section, cls, keys in _ROWS:
+        values = {}
+        for key, f in keys:
+            name = "%s.%s" % (section, key)
+            value = overrides.get(name)
+            values[f.name] = _read(parser, section, key, f) if value is None else value
+            # str(float) is its repr, so the resolved text round-trips
+            items.append((name, str(values[f.name])))
+        if cls in _STAGE_SEEDS:
+            field_name, stage = _STAGE_SEEDS[cls]
+            values[field_name] = _stage_seed(built[_Run].seed, stage)
+        built[cls] = cls(**values)
+    paths = built[_Paths]
     return PipelineConfig(
-        seed=run_seed,
-        output_dir=out_dir,
-        train_path=train_path,
-        valid_path=valid_path,
-        test_path=test_path,
-        extract=extract_cfg,
-        similarity_provider=provider,
-        backend=backend,
-        rotate_enabled=rotate_enabled,
-        rotate=rotate_cfg,
-        trainer=trainer_cfg,
-        items=items,
+        seed=built[_Run].seed,
+        output_dir=built[_Run].output_dir,
+        train_path=paths.train,
+        valid_path=paths.valid or None,
+        test_path=paths.test or None,
+        extract=built[subgraph.ExtractorConfig],
+        similarity_provider=built[_Similarity].provider,
+        backend=built[proposer.ProposerBackend],
+        rotate_enabled=built[_RotateSwitch].enabled,
+        rotate=built[rotate.RotateConfig],
+        trainer=built[trainer.TrainerConfig],
+        items=sorted(items),
     )
 
 

@@ -11,6 +11,7 @@ from .kb import KBError, KnowledgeBase
 from .proposer import ProposerBackend, ProposerError, direct_infer_candidates
 from .rotate import RotateModel
 from .rules import Rule, format_rule
+from .rules import normalize_name as normalize_entity_name
 from .subgraph import ExtractorConfig
 from .trainer import ReasonerParams, rank
 
@@ -157,10 +158,6 @@ def evaluate_model(
         res = rank(params, kb, groundings, rotate_model, t.head, t.relation, gold=t.tail, top_k=0)
         ranks.append(res.gold_rank)
     return compute_metrics(ranks)
-
-
-def normalize_entity_name(s: str) -> str:
-    return " ".join(s.lower().replace("_", " ").split())
 
 
 @dataclass

@@ -11,7 +11,7 @@ import logging
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .kb import (
     kb_fingerprint,  # noqa: F401  re-exported
     sparse_hadamard,
     sparse_mul,
-    sparse_transpose,
 )
 from .rules import CASE_FLAGS, UNCLASSIFIED, Rule, format_rule
 
@@ -52,6 +51,15 @@ def _chain(factors: List[SparseMatrix]) -> SparseMatrix:
     return sparse_mul(factors[0], sparse_mul(factors[1], factors[2]))
 
 
+def _oriented_factors(kb: KnowledgeBase, rule: Rule, flags: Tuple[bool, ...]) -> List[SparseMatrix]:
+    """Body matrices along the head path: row i of factor k lists the path
+    nodes one step on from node i. Reversed atoms are transposed."""
+    return [
+        kb.transposed(a.relation) if rev else kb.matrices[a.relation]
+        for a, rev in zip(rule.body, flags)
+    ]
+
+
 def ground(kb: KnowledgeBase, rule: Rule, cache_dir: Optional[str] = None) -> Grounding:
     """Ground one classified, relation-mapped rule; optionally disk-cached."""
     if rule.case == UNCLASSIFIED or rule.case not in CASE_FLAGS:
@@ -62,12 +70,7 @@ def ground(kb: KnowledgeBase, rule: Rule, cache_dir: Optional[str] = None) -> Gr
         cached = _cache_load(cache_dir, kb, rule)
         if cached is not None:
             return cached
-    flags = CASE_FLAGS[rule.case]
-    factors = []
-    for atom, rev in zip(rule.body, flags):
-        m = kb.matrices[atom.relation]
-        factors.append(sparse_transpose(m) if rev else m)
-    body_count = _chain(factors)
+    body_count = _chain(_oriented_factors(kb, rule, CASE_FLAGS[rule.case]))
     joint_count = sparse_hadamard(body_count, kb.matrices[rule.head.relation])
     g = Grounding(rule=rule, body_count=body_count, joint_count=joint_count)
     if cache_dir is not None:
@@ -129,40 +132,27 @@ def witness_paths(
     flags = CASE_FLAGS.get(rule.case)
     if flags is None:
         return []
-    last = len(flags)
+    factors = _oriented_factors(kb, rule, flags)
+    last = len(factors) - 1
     paths: List[List[Triple]] = []
 
-    def extend(idx: int, binding: Dict[int, int], acc: List[Triple]) -> bool:
-        if idx == len(rule.body):
-            paths.append(list(acc))
-            return len(paths) >= limit
-        atom, rev = rule.body[idx], flags[idx]
-        # atom idx connects path positions idx and idx+1; at least one of the
-        # two is already bound because atoms run along the path
-        s_pos, o_pos = (idx + 1, idx) if rev else (idx, idx + 1)
-        m = kb.matrices[atom.relation]
-        subj, obj = binding.get(s_pos), binding.get(o_pos)
-        if subj is not None and obj is not None:
-            if m.get(subj, obj) > 0:
-                return extend(idx + 1, binding, acc + [Triple(subj, atom.relation, obj)])
-            return False
-        if subj is not None:
-            cols, _ = m.row(subj)
-            for t in cols:
-                binding[o_pos] = int(t)
-                if extend(idx + 1, binding, acc + [Triple(subj, atom.relation, int(t))]):
+    def extend(idx: int, node: int, acc: List[Triple]) -> bool:
+        # path node idx is bound to `node`; atom idx steps to node idx + 1
+        cols, _ = factors[idx].row(node)
+        if idx == last:
+            cols = cols[cols == tail]
+        rel = rule.body[idx].relation
+        for nxt in cols.tolist():
+            step = acc + [Triple(nxt, rel, node) if flags[idx] else Triple(node, rel, nxt)]
+            if idx == last:
+                paths.append(step)
+                if len(paths) >= limit:
                     return True
-                del binding[o_pos]
-            return False
-        cols, _ = sparse_transpose(m).row(obj)
-        for s in cols:
-            binding[s_pos] = int(s)
-            if extend(idx + 1, binding, acc + [Triple(int(s), atom.relation, obj)]):
+            elif extend(idx + 1, nxt, step):
                 return True
-            del binding[s_pos]
         return False
 
-    extend(0, {0: head, last: tail}, [])
+    extend(0, head, [])
     return paths
 
 

@@ -185,12 +185,20 @@ class KnowledgeBase:
             for h, r, t in split:
                 self.true_tails.setdefault((h, r), set()).add(t)
         self._train_set = set(train)
+        self._transposed: Dict[int, SparseMatrix] = {}
 
     @functools.cached_property
     def fingerprint(self) -> str:
         """`kb_fingerprint` of this KB, hashed on first use only: the KB never
         changes after construction."""
         return kb_fingerprint(self)
+
+    def transposed(self, relation: int) -> SparseMatrix:
+        """Transpose of `matrices[relation]`, built on first use and kept."""
+        got = self._transposed.get(relation)
+        if got is None:
+            got = self._transposed[relation] = sparse_transpose(self.matrices[relation])
+        return got
 
     @property
     def num_entities(self) -> int:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 import requests
 
 from .kb import KnowledgeBase, Triple
-from .rules import Rule, RuleParseError, format_rule, parse_rule
+from .rules import _PATH_LETTERS, Rule, RuleParseError, format_rule, parse_rule
 from .subgraph import (
     ExtractorConfig,
     Subgraph,
@@ -51,8 +51,6 @@ Please generate 10 most likely OBJ candidates to complete {query}. Return only t
 
 OFFLINE = "offline-miner"
 REMOTE = "remote-chat"
-
-_PATH_LETTERS = "ABCD"
 
 
 class ProposerError(Exception):

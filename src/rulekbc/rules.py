@@ -112,6 +112,8 @@ def format_rule(rule: Rule, kb: Optional[KnowledgeBase] = None) -> str:
 
 
 def _norm_relation_name(s: str) -> str:
+    # unlike normalize_name, "_" stays: stage 1 accepts heads that differ
+    # from the target only in case and spacing
     return " ".join(s.lower().split())
 
 
@@ -136,27 +138,20 @@ def filter_stage1(rule: Rule, target_relation: str) -> Optional[str]:
     return None
 
 
-class SimilarityProvider:
+def normalize_name(s: str) -> str:
+    """Lowercased, underscores as spaces, whitespace runs collapsed:
+    "New_York" -> "new york"."""
+    return " ".join(s.lower().replace("_", " ").split())
+
+
+class TrigramSimilarity:
     """Scores how well a raw relation string names a vocabulary relation.
 
-    Implementations must be symmetric, return values in [0, 1], and score
-    identical strings as 1.0.
+    Cosine over character-trigram counts of `normalize_name` forms. Symmetric,
+    in [0, 1], and 1.0 for identical names. Each instance keeps every name it
+    has scored as (normalised form, trigram counts, norm), so a vocabulary is
+    tokenised once, not once per pair.
     """
-
-    name = "abstract"
-
-    def score(self, a: str, b: str) -> float:
-        raise NotImplementedError
-
-
-class TrigramSimilarity(SimilarityProvider):
-    """Cosine over character-trigram counts of lowercased, underscore-split names.
-
-    Each instance keeps every name it has scored as (normalised form, trigram
-    counts, norm), so a vocabulary is tokenised once, not once per pair.
-    """
-
-    name = "trigram"
 
     def __init__(self) -> None:
         self._profiles: Dict[str, Tuple[str, Counter, float]] = {}
@@ -164,7 +159,7 @@ class TrigramSimilarity(SimilarityProvider):
     def _profile(self, s: str) -> Tuple[str, Counter, float]:
         got = self._profiles.get(s)
         if got is None:
-            norm = " ".join(s.lower().replace("_", " ").split())
+            norm = normalize_name(s)
             padded = " %s " % norm
             grams = Counter(padded[i : i + 3] for i in range(len(padded) - 2))
             got = (norm, grams, math.sqrt(sum(c * c for c in grams.values())))
@@ -183,7 +178,7 @@ class TrigramSimilarity(SimilarityProvider):
         return dot / norm if norm else 0.0
 
 
-def map_relations(rule: Rule, kb: KnowledgeBase, provider: SimilarityProvider) -> Rule:
+def map_relations(rule: Rule, kb: KnowledgeBase, provider: TrigramSimilarity) -> Rule:
     """Replace raw relation strings with the best-scoring vocabulary relation id.
 
     Ties break toward the lower id; the chosen score per atom (body order, head
@@ -321,6 +316,40 @@ def save_rules(path: str, rules: Sequence[Rule], kb: KnowledgeBase) -> None:
             fh.write("\n")
 
 
+def _record_rule(rec, kb: KnowledgeBase) -> Rule:
+    """Rebuild one `_rule_record`; raises ValueError naming what is wrong."""
+    if not isinstance(rec, dict):
+        raise ValueError("expected a JSON object, got %s" % type(rec).__name__)
+    for key in ("text", "relations", "case"):
+        if key not in rec:
+            raise ValueError("missing key %r" % key)
+    if not isinstance(rec["text"], str):
+        raise ValueError("text must be a string")
+    parsed = parse_rule(rec["text"])
+    rel_ids = rec["relations"]
+    atoms = parsed.body + (parsed.head,)
+    if not isinstance(rel_ids, list) or len(rel_ids) != len(atoms):
+        raise ValueError("relation ids do not match rule text")
+    for rid in rel_ids:
+        if type(rid) is not int or not 0 <= rid < kb.num_relations:
+            raise ValueError("relation id %r outside [0, %d)" % (rid, kb.num_relations))
+    case = rec["case"]
+    if case != UNCLASSIFIED:
+        if case not in CASE_FLAGS:
+            raise ValueError("unknown case %r" % (case,))
+        if len(CASE_FLAGS[case]) != len(parsed.body):
+            raise ValueError("case %s does not fit a %d-atom body" % (case, len(parsed.body)))
+    mapped = [replace(a, relation=rid) for a, rid in zip(atoms, rel_ids)]
+    similarity = rec.get("similarity")
+    return Rule(
+        body=tuple(mapped[:-1]),
+        head=mapped[-1],
+        case=case,
+        provenance=tuple(rec.get("provenance", ())),
+        similarity=None if similarity is None else tuple(similarity),
+    )
+
+
 def load_rules(path: str, kb: KnowledgeBase) -> List[Rule]:
     out: List[Rule] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -328,24 +357,7 @@ def load_rules(path: str, kb: KnowledgeBase) -> List[Rule]:
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+                out.append(_record_rule(json.loads(line), kb))
+            except (TypeError, ValueError) as exc:
                 raise KBError("%s:%d: bad rule record: %s" % (path, lineno, exc)) from exc
-            parsed = parse_rule(rec["text"])
-            rel_ids = rec["relations"]
-            atoms = parsed.body + (parsed.head,)
-            if len(rel_ids) != len(atoms):
-                raise KBError("%s:%d: relation ids do not match rule text" % (path, lineno))
-            mapped = [replace(a, relation=int(rid)) for a, rid in zip(atoms, rel_ids)]
-            out.append(
-                Rule(
-                    body=tuple(mapped[:-1]),
-                    head=mapped[-1],
-                    case=rec["case"],
-                    provenance=tuple(rec.get("provenance", ())),
-                    similarity=None
-                    if rec.get("similarity") is None
-                    else tuple(rec["similarity"]),
-                )
-            )
     return out

@@ -135,6 +135,22 @@ def _densify(rule_rows: Sequence, num_entities: int) -> np.ndarray:
     return rows
 
 
+def _blend(params: RelationParams, rule_rows: Sequence, emb_row: np.ndarray):
+    """`combined_score` plus the pieces of its attributions: the dense rule
+    rows, the full weight vector (0 for inactive rules, embedding last) and
+    alpha."""
+    emb_row = np.asarray(emb_row, dtype=float)
+    rows = _densify(rule_rows, emb_row.shape[0])
+    idx = np.flatnonzero((rows != 0).any(axis=1))
+    sub = softmax(np.concatenate([params.logits[idx], params.logits[-1:]]))
+    alpha = sigmoid(params.mix_logit)
+    scores = alpha * (sub[:-1] @ rows[idx]) + (1.0 - alpha) * sub[-1] * emb_row
+    w = np.zeros(params.logits.shape[0])
+    w[idx] = sub[:-1]
+    w[-1] = sub[-1]
+    return scores, rows, w, alpha
+
+
 def combined_score(
     params: RelationParams, rule_rows: Sequence, emb_row: np.ndarray
 ) -> np.ndarray:
@@ -145,13 +161,7 @@ def combined_score(
     dropped before any arithmetic, so deleting such a rule cannot change the
     result even in the last bit.
     """
-    emb_row = np.asarray(emb_row, dtype=float)
-    rows = _densify(rule_rows, emb_row.shape[0])
-    active = (rows != 0).any(axis=1)
-    idx = np.flatnonzero(active)
-    w = softmax(np.concatenate([params.logits[idx], params.logits[-1:]]))
-    alpha = sigmoid(params.mix_logit)
-    return alpha * (w[:-1] @ rows[idx]) + (1.0 - alpha) * w[-1] * emb_row
+    return _blend(params, rule_rows, emb_row)[0]
 
 
 def _forward(
@@ -384,7 +394,8 @@ def rank(
         emb = normalize_embedding_row(score_tails(rotate_model, head, relation))
     else:
         emb = np.zeros(kb.num_entities)
-    scores = combined_score(rp, rows, emb)
+    # attributions reuse the blend's own pieces, so entries sum to the score
+    scores, dense, w, alpha = _blend(rp, rows, emb)
 
     keep = np.ones(kb.num_entities, dtype=bool)
     gold_rank = None
@@ -394,15 +405,6 @@ def rank(
                 keep[known] = False
         gold_rank = _rank_of_gold(scores, gold, keep)
 
-    # attribution pieces mirror combined_score exactly so entries sum to score
-    dense = _densify(rows, kb.num_entities)
-    active = (dense != 0).any(axis=1)
-    idx = np.flatnonzero(active)
-    sub = softmax(np.concatenate([rp.logits[idx], rp.logits[-1:]]))
-    w = np.zeros(rp.logits.shape[0])
-    w[idx] = sub[:-1]
-    w[-1] = sub[-1]
-    alpha = sigmoid(rp.mix_logit)
     labels = rp.rule_keys if rp.rule_keys else [format_rule(g.rule, kb) for g in glist]
 
     kept_ids = np.flatnonzero(keep)

@@ -2,6 +2,7 @@
 
 import configparser
 import json
+import os
 import re
 import shutil
 
@@ -83,6 +84,36 @@ class TestConfig:
     def test_hash_stable_across_loads(self, tmp_path):
         path = minimal_config(tmp_path)
         assert cli.load_config(str(path)).hash() == cli.load_config(str(path)).hash()
+
+    @pytest.mark.parametrize(
+        "text, digest",
+        [(cli.CONFIG_EXAMPLE, "ddd85b4c6d85"), ("[kb]\ntrain = t.txt\n", "628f3e07b743")],
+        ids=["example", "train-only"],
+    )
+    def test_hash_is_pinned(self, tmp_path, text, digest):
+        # the hash names the run directory, so a change to the resolved text
+        # would orphan every existing run
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        assert cli.load_config(str(path)).hash() == digest
+
+    def test_empty_values(self, tmp_path):
+        path = minimal_config(tmp_path, extra="[rotate]\ndim =\n[proposer]\nendpoint =\nmodel =\n")
+        path.write_text(path.read_text().replace("valid = %s" % (tmp_path / "data" / "valid.txt"), "valid ="))
+        cfg = cli.load_config(str(path))
+        assert cfg.rotate.dim == 64  # a non-string setting keeps its default
+        assert cfg.backend.endpoint == ""
+        assert cfg.backend.model_name == ""  # a string setting takes the empty value
+        assert cfg.valid_path is None
+        assert ("kb.valid", "") in cfg.items and ("rotate.dim", "64") in cfg.items
+
+    def test_readme_default_block_is_the_example(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        block = re.search(r"## Default configuration\n\n```ini\n(.*?)```", text, re.S)
+        assert block is not None
+        assert block.group(1) == cli.CONFIG_EXAMPLE
 
 
 class TestArgumentErrors:
@@ -279,6 +310,18 @@ class TestExplainAndResume:
         assert code == 2
         err = capsys.readouterr().err
         assert "error: unknown relation 'no_such_rel'" in err
+        assert "Traceback" not in err
+
+    def test_rule_file_with_unknown_relation_id_exits_cleanly(self, tmp_path, capsys):
+        path = minimal_config(tmp_path)
+        rules_dir = tmp_path / cli.load_config(str(path)).run_dir() / "rules"
+        rules_dir.mkdir(parents=True)
+        record = {"text": "IF (A, parent, B) THEN (A, parent, B)", "relations": [0, 99], "case": "0-1"}
+        (rules_dir / "rules.jsonl").write_text(json.dumps(record) + "\n")
+        code = cli.main(["--config", str(path), "train"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "rules.jsonl:1: bad rule record: relation id 99" in err
         assert "Traceback" not in err
 
     def test_resume_after_checkpoint_succeeds(self, cli_pipeline):

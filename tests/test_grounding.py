@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rulekbc.kb
 import synthetic
@@ -250,6 +252,47 @@ class TestWitnesses:
         paths = witness_paths(kb, rule, 0, 3, limit=10)
         assert len(paths) == 2
         assert witness_paths(kb, rule, 0, 3, limit=1) == paths[:1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_entities=st.integers(2, 6),
+        edges=st.sets(st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 5)), max_size=30),
+        rel_picks=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+    )
+    def test_paths_enumerate_every_body_binding(self, n_entities, edges, rel_picks):
+        names = ["e%d" % i for i in range(n_entities)]
+        rels = ["r%d" % i for i in range(3)]
+        train = [(names[h], rels[r], names[t]) for h, r, t in edges if max(h, t) < n_entities]
+        kb = synthetic.build_kb(names, rels, train)
+        body_rels = [rels[i] for i in rel_picks[:3]]
+        for case, flags in CASE_FLAGS.items():
+            text = synthetic.case_rule_text(case, *body_rels, rh=rels[rel_picks[3]])
+            rule = classified(kb, text)
+            assert rule.case == case
+            g = ground(kb, rule)
+            for h in range(n_entities):
+                for t in range(n_entities):
+                    paths = witness_paths(kb, rule, h, t, limit=10**6)
+                    assert len(paths) == g.body_count.get(h, t)
+                    assert len(set(map(tuple, paths))) == len(paths)
+                    for path in paths:  # a chain of train triples from h to t
+                        assert len(path) == len(rule.body)
+                        node = h
+                        for triple, atom, rev in zip(path, rule.body, flags):
+                            assert kb.in_train(triple) and triple.relation == atom.relation
+                            src, dst = (triple.tail, triple.head) if rev else (triple.head, triple.tail)
+                            assert src == node
+                            node = dst
+                        assert node == t
+
+    def test_reversed_atoms_reuse_one_transpose(self):
+        kb = synthetic.family_kb()
+        rule = classified(kb, "IF (B, parent, A) THEN (A, grandparent, B)")
+        assert kb.transposed(rule.body[0].relation) is kb.transposed(rule.body[0].relation)
+        g = ground(kb, rule)
+        np.testing.assert_array_equal(
+            g.body_count.to_dense(), kb.matrices[rule.body[0].relation].to_dense().T
+        )
 
 
 class TestCache:

@@ -1,6 +1,8 @@
 """Rule grammar, filtering, relation mapping and shape classification."""
 
+import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -427,4 +429,26 @@ class TestPersistence:
         p = tmp_path / "rules.jsonl"
         p.write_text("{not json\n")
         with pytest.raises(KBError, match="bad rule record"):
+            load_rules(str(p), kb)
+
+    GOOD_RECORD = {"text": "IF (A, r, B) THEN (A, r, B)", "relations": [0, 0], "case": "0-1"}
+
+    @pytest.mark.parametrize(
+        "record, reason",
+        [
+            (dict(GOOD_RECORD, relations=[5, 0]), r"relation id 5 outside \[0, 1\)"),
+            (dict(GOOD_RECORD, relations=[0, -1]), r"relation id -1 outside \[0, 1\)"),
+            ({k: v for k, v in GOOD_RECORD.items() if k != "text"}, "missing key 'text'"),
+            ({k: v for k, v in GOOD_RECORD.items() if k != "case"}, "missing key 'case'"),
+            (list(GOOD_RECORD.items()), "expected a JSON object, got list"),
+            (dict(GOOD_RECORD, case="9-9"), "unknown case '9-9'"),
+            (dict(GOOD_RECORD, case="1-1"), "case 1-1 does not fit a 1-atom body"),
+        ],
+        ids=["id-past-end", "negative-id", "no-text", "no-case", "list", "unknown-case", "case-length"],
+    )
+    def test_malformed_record_names_file_and_line(self, tmp_path, record, reason):
+        kb = synthetic.build_kb(["a", "b"], ["r"], [("a", "r", "b")])
+        p = tmp_path / "rules.jsonl"
+        p.write_text(json.dumps(self.GOOD_RECORD) + "\n\n" + json.dumps(record) + "\n")
+        with pytest.raises(KBError, match=re.escape("%s:3: bad rule record: " % p) + reason):
             load_rules(str(p), kb)
