@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 from dataclasses import Field, dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
@@ -279,6 +280,10 @@ def cmd_extract(cfg: PipelineConfig) -> int:
     return 0
 
 
+# per-relation and total counters that `propose` prints, in print order
+_PROPOSE_COUNTERS = ("lines", "parse_rejected", "stage1_rejected", "mapped", "unclassified")
+
+
 def cmd_propose(cfg: PipelineConfig) -> int:
     run = _prepare_run_dir(cfg)
     kb = _load_kb(cfg)
@@ -287,7 +292,7 @@ def cmd_propose(cfg: PipelineConfig) -> int:
     os.makedirs(os.path.join(run, "proposals"), exist_ok=True)
     all_records: List[proposer.ProposalRecord] = []
     kept: List[rules.Rule] = []
-    totals = {"lines": 0, "parse_rejected": 0, "stage1_rejected": 0, "mapped": 0, "unclassified": 0}
+    totals: Counter = Counter()
     for rel in range(kb.num_relations):
         path = _subgraph_path(run, rel)
         if not os.path.exists(path):
@@ -297,7 +302,7 @@ def cmd_propose(cfg: PipelineConfig) -> int:
         records = proposer.propose(cfg.backend, kb, sgs)
         all_records.extend(records)
         target_name = kb.relation_name(rel)
-        stats = dict.fromkeys(("lines", "parse_rejected", "stage1_rejected", "mapped", "unclassified"), 0)
+        stats: Counter = Counter()
         for rec in records:
             stats["lines"] += len(rec.parsed_rules) + len(rec.rejected)
             stats["parse_rejected"] += len(rec.rejected)
@@ -312,36 +317,16 @@ def cmd_propose(cfg: PipelineConfig) -> int:
                 if classified.case == rules.UNCLASSIFIED:
                     stats["unclassified"] += 1
                 kept.append(classified)
-        for key in totals:
-            totals[key] += stats[key]
+        totals.update(stats)
         if stats["lines"]:
-            print(
-                "relation %-30s lines=%-4d parse_rejected=%-4d stage1_rejected=%-4d "
-                "mapped=%-4d unclassified=%d"
-                % (
-                    target_name,
-                    stats["lines"],
-                    stats["parse_rejected"],
-                    stats["stage1_rejected"],
-                    stats["mapped"],
-                    stats["unclassified"],
-                )
-            )
+            # the last counter is printed unpadded
+            shown = " ".join("%s=%-4d" % (key, stats[key]) for key in _PROPOSE_COUNTERS)
+            print(("relation %-30s %s" % (target_name, shown)).rstrip())
     unique = rules.dedup(kept)
     proposer.save_proposals(os.path.join(run, "proposals", "records.jsonl"), all_records, kb)
     rules.save_rules(os.path.join(run, "rules", "rules.jsonl"), unique, kb)
-    print(
-        "totals: lines=%d parse_rejected=%d stage1_rejected=%d mapped=%d "
-        "unclassified=%d unique=%d"
-        % (
-            totals["lines"],
-            totals["parse_rejected"],
-            totals["stage1_rejected"],
-            totals["mapped"],
-            totals["unclassified"],
-            len(unique),
-        )
-    )
+    shown = " ".join("%s=%d" % (key, totals[key]) for key in _PROPOSE_COUNTERS)
+    print("totals: %s unique=%d" % (shown, len(unique)))
     return 0
 
 
@@ -382,6 +367,25 @@ def _load_rule_file(run: str, kb: KnowledgeBase) -> List[rules.Rule]:
     return rules.load_rules(path, kb)
 
 
+def _ground_rule_file(
+    run: str, kb: KnowledgeBase
+) -> Tuple[List[rules.Rule], Dict[int, List[grounding.Grounding]]]:
+    """The run's rule file and its groundings, through the run's cache."""
+    learned = _load_rule_file(run, kb)
+    return learned, grounding.ground_all(kb, learned, cache_dir=os.path.join(run, "groundings"))
+
+
+def _load_trained(cfg: PipelineConfig, run: str, kb: KnowledgeBase) -> Tuple:
+    """(rules, groundings, embedding model or None, `trainer.ReasonerParams`)
+    of a trained run, loaded in this order."""
+    learned, groundings = _ground_rule_file(run, kb)
+    rotate_model = _ensure_rotate(cfg, run, kb, train_if_missing=False)
+    params_path = os.path.join(run, "checkpoints", "params.json")
+    if not os.path.exists(params_path):
+        raise CLIError("no parameter checkpoint at %s; run train first" % params_path)
+    return learned, groundings, rotate_model, trainer.load_params(params_path, kb)
+
+
 def cmd_rotate_train(cfg: PipelineConfig) -> int:
     run = _prepare_run_dir(cfg)
     if not cfg.rotate_enabled:
@@ -398,8 +402,7 @@ def cmd_rotate_train(cfg: PipelineConfig) -> int:
 def cmd_train(cfg: PipelineConfig, resume: bool = False) -> int:
     run = _prepare_run_dir(cfg)
     kb = _load_kb(cfg)
-    learned = _load_rule_file(run, kb)
-    groundings = grounding.ground_all(kb, learned, cache_dir=os.path.join(run, "groundings"))
+    _, groundings = _ground_rule_file(run, kb)
     total_grounded = sum(len(v) for v in groundings.values())
     if total_grounded == 0 and not cfg.rotate_enabled:
         raise CLIError("no classifiable rules and embeddings are disabled; nothing to train")
@@ -430,13 +433,7 @@ def cmd_eval(
 ) -> int:
     run = _prepare_run_dir(cfg)
     kb = _load_kb(cfg)
-    learned = _load_rule_file(run, kb)
-    groundings = grounding.ground_all(kb, learned, cache_dir=os.path.join(run, "groundings"))
-    rotate_model = _ensure_rotate(cfg, run, kb, train_if_missing=False)
-    params_path = os.path.join(run, "checkpoints", "params.json")
-    if not os.path.exists(params_path):
-        raise CLIError("no parameter checkpoint at %s; run train first" % params_path)
-    params = trainer.load_params(params_path, kb)
+    learned, groundings, rotate_model, params = _load_trained(cfg, run, kb)
     report = evaluation.evaluate_model(params, kb, groundings, rotate_model, split=split)
     print(report.render_text())
     _write_json(os.path.join(run, "reports", "metrics_%s.json" % split), report.to_dict())
@@ -485,13 +482,7 @@ def cmd_explain(cfg: PipelineConfig, head_name: str, relation_name: str, top_k: 
         return 2
     head = kb.entities.id(head_name)
     relation = kb.relations.id(relation_name)
-    learned = _load_rule_file(run, kb)
-    groundings = grounding.ground_all(kb, learned, cache_dir=os.path.join(run, "groundings"))
-    rotate_model = _ensure_rotate(cfg, run, kb, train_if_missing=False)
-    params_path = os.path.join(run, "checkpoints", "params.json")
-    if not os.path.exists(params_path):
-        raise CLIError("no parameter checkpoint at %s; run train first" % params_path)
-    params = trainer.load_params(params_path, kb)
+    learned, groundings, rotate_model, params = _load_trained(cfg, run, kb)
     result = trainer.rank(params, kb, groundings, rotate_model, head, relation, top_k=top_k)
     print("query: (%s, %s, ?)" % (head_name, relation_name))
     for pos, entry in enumerate(result.entries, start=1):

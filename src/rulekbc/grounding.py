@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .kb import (
     KBError,
@@ -66,16 +67,14 @@ def ground(kb: KnowledgeBase, rule: Rule, cache_dir: Optional[str] = None) -> Gr
         raise GroundingError("rule %r has no groundable case" % format_rule(rule))
     if not rule.mapped:
         raise GroundingError("rule %r must be relation-mapped first" % format_rule(rule))
-    if cache_dir is not None:
-        cached = _cache_load(cache_dir, kb, rule)
-        if cached is not None:
-            return cached
-    body_count = _chain(_oriented_factors(kb, rule, CASE_FLAGS[rule.case]))
+    path = None if cache_dir is None else os.path.join(cache_dir, _cache_key(kb, rule) + ".npz")
+    body_count = None if path is None else _cache_load(path, kb.num_entities)
+    if body_count is None:
+        body_count = _chain(_oriented_factors(kb, rule, CASE_FLAGS[rule.case]))
+        if path is not None:
+            _cache_store(path, body_count)
     joint_count = sparse_hadamard(body_count, kb.matrices[rule.head.relation])
-    g = Grounding(rule=rule, body_count=body_count, joint_count=joint_count)
-    if cache_dir is not None:
-        _cache_store(cache_dir, kb, g)
-    return g
+    return Grounding(rule=rule, body_count=body_count, joint_count=joint_count)
 
 
 def score(g: Grounding, head: int, tail: int) -> int:
@@ -164,55 +163,29 @@ def _cache_key(kb: KnowledgeBase, rule: Rule) -> str:
     return h.hexdigest()
 
 
-def _cache_load(cache_dir: str, kb: KnowledgeBase, rule: Rule) -> Optional[Grounding]:
-    path = os.path.join(cache_dir, _cache_key(kb, rule) + ".npz")
+def _cache_load(path: str, n: int) -> Optional[SparseMatrix]:
+    """C from a cache entry (the indptr/indices/data arrays of its canonical
+    n x n CSR matrix), or None when there is no entry or it fails a check."""
     if not os.path.exists(path):
         return None
     try:
         with np.load(path) as z:
-            n = int(z["dim"])
-            arrays = {k: z[k] for k in ("c_rows", "c_cols", "c_vals", "a_rows", "a_cols", "a_vals")}
-        problem = _cache_entry_problem(n, kb.num_entities, arrays)
-        if problem is None:
-            c = SparseMatrix.from_coords(n, arrays["c_rows"], arrays["c_cols"], arrays["c_vals"])
-            a = SparseMatrix.from_coords(n, arrays["a_rows"], arrays["a_cols"], arrays["a_vals"])
-            return Grounding(rule=rule, body_count=c, joint_count=a)
+            csr = sp.csr_matrix((z["data"], z["indices"], z["indptr"]), shape=(n, n))
+        csr.check_format(full_check=True)
+        return SparseMatrix(csr)
     except Exception as exc:
-        logger.warning("discarding unreadable cache entry %s: %s", path, exc)
+        logger.warning("discarding invalid cache entry %s: %r", path, exc)
         return None
-    logger.warning("discarding invalid cache entry %s: %s", path, problem)
-    return None
 
 
-def _cache_entry_problem(dim: int, num_entities: int, arrays: Dict[str, np.ndarray]) -> Optional[str]:
-    """Why a stored grounding cannot belong to this KB, or None if it can."""
-    if dim != num_entities:
-        return "dimension %d, KB has %d entities" % (dim, num_entities)
-    for key in ("c_rows", "c_cols", "a_rows", "a_cols"):
-        idx = arrays[key]
-        if idx.size and (idx.min() < 0 or idx.max() >= dim):
-            return "%s index out of range [0, %d)" % (key, dim)
-    return None
-
-
-def _cache_store(cache_dir: str, kb: KnowledgeBase, g: Grounding) -> None:
+def _cache_store(path: str, body_count: SparseMatrix) -> None:
+    cache_dir = os.path.dirname(path)
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, _cache_key(kb, g.rule) + ".npz")
-    c_rows, c_cols, c_vals = g.body_count.coords()
-    a_rows, a_cols, a_vals = g.joint_count.coords()
+    csr = body_count.csr
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez(
-                fh,
-                dim=g.body_count.dim,
-                c_rows=c_rows,
-                c_cols=c_cols,
-                c_vals=c_vals,
-                a_rows=a_rows,
-                a_cols=a_cols,
-                a_vals=a_vals,
-            )
+            np.savez(fh, indptr=csr.indptr, indices=csr.indices, data=csr.data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

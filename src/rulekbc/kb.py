@@ -106,9 +106,10 @@ class SparseMatrix:
         lo, hi = self._m.indptr[i], self._m.indptr[i + 1]
         return self._m.indices[lo:hi], self._m.data[lo:hi]
 
-    def coords(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        coo = self._m.tocoo()
-        return coo.row, coo.col, coo.data
+    @property
+    def csr(self) -> sp.csr_matrix:
+        """The canonical CSR storage; read only, shared with this matrix."""
+        return self._m
 
     def to_dense(self) -> np.ndarray:
         return np.asarray(self._m.todense(), dtype=np.int64)

@@ -408,7 +408,8 @@ def rank(
     labels = rp.rule_keys if rp.rule_keys else [format_rule(g.rule, kb) for g in glist]
 
     kept_ids = np.flatnonzero(keep)
-    order = kept_ids[np.lexsort((kept_ids, -scores[kept_ids]))]
+    # evaluation asks for no entries (top_k=0), only for the gold's rank
+    order = kept_ids[np.lexsort((kept_ids, -scores[kept_ids]))] if top_k else []
     entries = []
     for tail in order[:top_k]:
         contribs = []

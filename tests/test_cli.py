@@ -6,10 +6,13 @@ import os
 import re
 import shutil
 
+import numpy as np
 import pytest
 
 from conftest import run_cli, write_toy_dataset
-from rulekbc import cli
+from rulekbc import cli, rules
+from rulekbc.grounding import _cache_key
+from rulekbc.kb import load_kb
 
 
 def minimal_config(tmp_path, extra=""):
@@ -210,6 +213,21 @@ class TestPipelineArtifacts:
         assert set(block) >= {"alpha", "logits", "mix_logit", "rules", "w_emb"}
         weights = [r["weight"] for r in block["rules"]] + [block["w_emb"]]
         assert sum(weights) == pytest.approx(1.0, abs=1e-9)
+
+    def test_grounding_cache_holds_c_of_each_grounded_rule(self, cli_pipeline):
+        # the benchmark counts these entries after every build
+        run = cli_pipeline["run_dir"]
+        grounded = re.search(r"\((\d+) grounded rules\)", cli_pipeline["outputs"][0]["train"])
+        data = cli_pipeline["data"]
+        kb = load_kb(*(str(data / ("%s.txt" % split)) for split in ("train", "valid", "test")))
+        learned = rules.load_rules(str(run / "rules" / "rules.jsonl"), kb)
+        keys = [_cache_key(kb, r) + ".npz" for r in learned if r.case != rules.UNCLASSIFIED]
+        assert len(set(keys)) == len(keys) == int(grounded.group(1)) > 0
+        entries = sorted(p.name for p in (run / "groundings").iterdir())
+        assert entries == sorted(keys)
+        for name in entries:
+            with np.load(str(run / "groundings" / name)) as z:
+                assert sorted(z.files) == ["data", "indices", "indptr"]
 
     def test_metrics_reports_written(self, cli_pipeline):
         run = cli_pipeline["run_dir"]

@@ -219,7 +219,7 @@ class TestWitnesses:
             rels = [kb.relation_name(int(rng.integers(3))) for _ in range(3)]
             rule = classified(kb, synthetic.case_rule_text(case, *rels, rh=rels[0]))
             g = ground(kb, rule)
-            rows, cols, _ = g.body_count.coords()
+            rows, cols = g.body_count.csr.nonzero()
             for h, t in list(zip(rows, cols))[:5]:
                 paths = witness_paths(kb, rule, int(h), int(t), limit=3)
                 assert 1 <= len(paths) <= 3
@@ -295,6 +295,15 @@ class TestWitnesses:
         )
 
 
+def _parent_entry(g):
+    """A cache entry as written before entries held C alone: the dimension
+    and the coordinates of both C and A."""
+    c, a = g.body_count.csr.tocoo(), g.joint_count.csr.tocoo()
+    return dict(
+        dim=c.shape[0], c_rows=c.row, c_cols=c.col, c_vals=c.data, a_rows=a.row, a_cols=a.col, a_vals=a.data
+    )
+
+
 class TestCache:
     def test_cache_round_trip(self, tmp_path):
         kb = synthetic.family_kb()
@@ -358,30 +367,31 @@ class TestCache:
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda n, e: dict(e, dim=n + 1),  # shape of another KB, indices in range
-            lambda n, e: dict(
-                e,
-                a_rows=np.append(e["a_rows"], n),
-                a_cols=np.append(e["a_cols"], 0),
-                a_vals=np.append(e["a_vals"], 1),
+            lambda g, e: dict(e, indptr=np.append(e["indptr"], e["indptr"][-1])),  # KB of n + 1
+            lambda g, e: dict(e, indices=np.append(e["indices"][:-1], g.body_count.dim)),
+            lambda g, e: dict(e, indices=np.concatenate([[-1], e["indices"][1:]])),
+            lambda g, e: dict(e, data=np.concatenate([[-1], e["data"][1:]])),
+            lambda g, e: dict(  # starts at 0 and ends at nnz, but drops after row 0
+                e, indptr=np.array([0, e["indptr"][-1]] + [0] * (g.body_count.dim - 2) + [e["indptr"][-1]])
             ),
-            lambda n, e: dict(e, c_cols=np.concatenate([[-1], e["c_cols"][1:]])),
+            lambda g, e: _parent_entry(g),
         ],
-        ids=["dim", "row-past-end", "negative-col"],
+        ids=["dim", "col-past-end", "negative-col", "negative-count", "decreasing-indptr", "parent-format"],
     )
     def test_invalid_entry_is_regrounded_and_overwritten(self, tmp_path, caplog, corrupt):
         kb = synthetic.family_kb()
         rule = classified(kb, synthetic.PLANTED_RULE_TEXT)
         cache = str(tmp_path)
+        want = ground(kb, rule)
+        assert want.body_count.nnz > 0 and kb.num_entities > 2
         ground(kb, rule, cache_dir=cache)
         path = os.path.join(cache, _cache_key(kb, rule) + ".npz")
         with np.load(path) as z:
             entry = {k: z[k] for k in z.files}
-        np.savez(path, **corrupt(kb.num_entities, entry))
+        np.savez(path, **corrupt(want, entry))
         got = ground(kb, rule, cache_dir=cache)
-        want = ground(kb, rule)
         assert got.body_count.equals(want.body_count)
         assert got.joint_count.equals(want.joint_count)
-        assert "discarding invalid cache entry" in caplog.text
+        assert caplog.text.count("discarding invalid cache entry") == 1
         with np.load(path) as z:
             assert {k: z[k].tolist() for k in z.files} == {k: v.tolist() for k, v in entry.items()}

@@ -293,6 +293,18 @@ class TestRanking:
         assert res.entries == []
         assert res.gold_rank is not None
 
+    def test_top_k_zero_ranks_like_top_k_ten(self):
+        kb, pool, _ = synthetic.planted_kb(2)
+        groundings = ground_all(kb, pool)
+        params, _ = train(kb, groundings, None, TrainerConfig(lr=0.1, max_epochs=10, patience=5))
+        queries = kb.valid + kb.test
+        assert queries
+        for h, r, t in queries:
+            bare = rank(params, kb, groundings, None, h, r, gold=t, top_k=0)
+            full = rank(params, kb, groundings, None, h, r, gold=t, top_k=10)
+            assert bare.entries == [] and full.entries
+            assert (bare.gold_rank, bare.candidate_count) == (full.gold_rank, full.candidate_count)
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
