@@ -383,7 +383,9 @@ def _load_trained(cfg: PipelineConfig, run: str, kb: KnowledgeBase) -> Tuple:
     params_path = os.path.join(run, "checkpoints", "params.json")
     if not os.path.exists(params_path):
         raise CLIError("no parameter checkpoint at %s; run train first" % params_path)
-    return learned, groundings, rotate_model, trainer.load_params(params_path, kb)
+    params = trainer.load_params(params_path, kb)
+    trainer.check_checkpoint_rules(params, kb, groundings)
+    return learned, groundings, rotate_model, params
 
 
 def cmd_rotate_train(cfg: PipelineConfig) -> int:

@@ -87,22 +87,9 @@ def score(g: Grounding, head: int, tail: int) -> int:
     return -c if c > 0 else 0
 
 
-def score_row(g: Grounding, head: int) -> Dict[int, int]:
-    """Sparse signed score vector over tails for one head (zeros omitted)."""
-    out: Dict[int, int] = {}
-    cols, vals = g.body_count.row(head)
-    for t, c in zip(cols, vals):
-        out[int(t)] = -int(c)
-    cols, vals = g.joint_count.row(head)
-    for t, a in zip(cols, vals):
-        out[int(t)] = int(a)
-    return out
-
-
-def support_row(g: Grounding, head: int) -> Dict[int, int]:
-    """Body-support counts C(head, .); the rule evidence used when ranking."""
-    cols, vals = g.body_count.row(head)
-    return {int(t): int(c) for t, c in zip(cols, vals)}
+def support_row(g: Grounding, head: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Body-support counts C(head, .) as (tails, counts), stored entries only."""
+    return g.body_count.row(head)
 
 
 def ground_all(

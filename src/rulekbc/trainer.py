@@ -9,9 +9,9 @@ if it were absent.
 
 Training minimizes per-query softmax cross-entropy over all entities of the
 combined score, one full-batch AdamW step per epoch, with step-decay learning
-rate and early stopping on validation MRR. Ranking feeds body-support counts
-through the same combined score; training additionally sees the signed rows
-that penalize body support contradicted by the train KB.
+rate and early stopping on validation MRR. `_evidence` builds the rule rows:
+body-support counts for validation and ranking, and for training the signed
+rows that penalize body support contradicted by the train KB.
 """
 
 import json
@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .grounding import Grounding, score_row, support_row
+from .grounding import Grounding, support_row
 from .kb import KBError, KnowledgeBase
 from .rotate import RotateModel, score_tails
 from .rules import format_rule
@@ -122,17 +122,38 @@ def normalize_embedding_row(row: np.ndarray) -> np.ndarray:
     return (row - lo) / (hi - lo)
 
 
-def _densify(rule_rows: Sequence, num_entities: int) -> np.ndarray:
-    rows = np.zeros((len(rule_rows), num_entities))
-    for i, r in enumerate(rule_rows):
-        if isinstance(r, dict):
-            if r:
-                idx = np.fromiter(r.keys(), dtype=np.int64, count=len(r))
-                vals = np.fromiter(r.values(), dtype=np.float64, count=len(r))
-                rows[i, idx] = vals
-        else:
-            rows[i] = r
-    return rows
+def _evidence(
+    kb: KnowledgeBase,
+    relation: int,
+    groundings: List[Grounding],
+    rotate_model: Optional[RotateModel],
+    heads: List[int],
+    signed: bool,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S (heads, rules, entities), its active mask and the normalized
+    embedding rows F (zeros without a model) for `heads` of one relation.
+    S is C(h, .), or with `signed` `grounding.score`: -C, then +A over it.
+    Only stored entries are written, so no -0.0 appears."""
+    S = np.zeros((len(heads), len(groundings), kb.num_entities))
+    F = np.zeros((len(heads), kb.num_entities))
+    for hi, h in enumerate(heads):
+        for gi, g in enumerate(groundings):
+            tails, counts = support_row(g, h)
+            if signed:
+                S[hi, gi, tails] = -counts
+                tails, counts = g.joint_count.row(h)
+            S[hi, gi, tails] = counts
+        if rotate_model is not None:
+            F[hi] = normalize_embedding_row(score_tails(rotate_model, h, relation))
+    return S, (S != 0).any(axis=2), F
+
+
+def _filtered(kb: KnowledgeBase, head: int, relation: int, gold: int) -> np.ndarray:
+    """Filtered-protocol candidates: every entity but the other tails known
+    true for (head, relation) in any split; the gold is kept."""
+    keep = np.ones(kb.num_entities, dtype=bool)
+    keep[[t for t in kb.true_tails.get((head, relation), ()) if t != gold]] = False
+    return keep
 
 
 def _blend(params: RelationParams, rule_rows: Sequence, emb_row: np.ndarray):
@@ -140,7 +161,7 @@ def _blend(params: RelationParams, rule_rows: Sequence, emb_row: np.ndarray):
     rows, the full weight vector (0 for inactive rules, embedding last) and
     alpha."""
     emb_row = np.asarray(emb_row, dtype=float)
-    rows = _densify(rule_rows, emb_row.shape[0])
+    rows = np.asarray(rule_rows, dtype=float).reshape(-1, emb_row.shape[0])
     idx = np.flatnonzero((rows != 0).any(axis=1))
     sub = softmax(np.concatenate([params.logits[idx], params.logits[-1:]]))
     alpha = sigmoid(params.mix_logit)
@@ -156,8 +177,8 @@ def combined_score(
 ) -> np.ndarray:
     """Blend rule score rows with the normalized embedding row for one query.
 
-    rule_rows may be sparse dicts (tail -> value) or dense vectors, one per
-    rule, aligned with params.logits[:-1]. Rules with an all-zero row are
+    rule_rows holds one dense row per rule, aligned with params.logits[:-1]
+    (a 2-D array or a sequence of 1-D rows). Rules with an all-zero row are
     dropped before any arithmetic, so deleting such a rule cannot change the
     result even in the last bit.
     """
@@ -253,41 +274,25 @@ class _RelationData:
         rotate_model: Optional[RotateModel],
     ):
         self.relation = relation
-        n_e = kb.num_entities
-        n_rules = len(groundings)
-
-        def pack(heads: List[int], rows_fn) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-            S = np.zeros((len(heads), n_rules, n_e))
-            for hi, h in enumerate(heads):
-                for gi, g in enumerate(groundings):
-                    for t, v in rows_fn(g, h).items():
-                        S[hi, gi, t] = v
-            active = (S != 0).any(axis=2)
-            F = np.zeros((len(heads), n_e))
-            if rotate_model is not None:
-                for hi, h in enumerate(heads):
-                    F[hi] = normalize_embedding_row(score_tails(rotate_model, h, relation))
-            return S, active, F
-
         train = kb.train_by_relation(relation)
         self.train_heads = sorted({t.head for t in train})
         head_index = {h: i for i, h in enumerate(self.train_heads)}
-        self.S, self.active, self.F = pack(self.train_heads, score_row)
-        self.Y = np.zeros((len(self.train_heads), n_e))
+        self.S, self.active, self.F = _evidence(
+            kb, relation, groundings, rotate_model, self.train_heads, signed=True
+        )
+        self.Y = np.zeros((len(self.train_heads), kb.num_entities))
         for t in train:
             self.Y[head_index[t.head], t.tail] = 1.0
 
         valid = [t for t in kb.valid if t.relation == relation]
         self.valid_heads = sorted({t.head for t in valid})
         vindex = {h: i for i, h in enumerate(self.valid_heads)}
-        self.Sv, self.activev, self.Fv = pack(self.valid_heads, support_row)
-        self.valid_queries = []  # (head row, gold, keep mask)
-        for t in valid:
-            keep = np.ones(n_e, dtype=bool)
-            for known in kb.true_tails.get((t.head, relation), ()):
-                if known != t.tail:
-                    keep[known] = False
-            self.valid_queries.append((vindex[t.head], t.tail, keep))
+        self.Sv, self.activev, self.Fv = _evidence(
+            kb, relation, groundings, rotate_model, self.valid_heads, signed=False
+        )
+        self.valid_queries = [  # (head row, gold, keep mask)
+            (vindex[t.head], t.tail, _filtered(kb, t.head, relation, t.tail)) for t in valid
+        ]
 
     def valid_mrr(self, logits: np.ndarray, mix_logit: float) -> float:
         if not self.valid_queries:
@@ -351,24 +356,33 @@ def train(
     Pass `initial` (a loaded checkpoint) to resume: epoch counters continue
     and early-stopped relations stay untouched. Deterministic given the config.
     """
+    if initial is not None:
+        check_checkpoint_rules(initial, kb, groundings)
     params = ReasonerParams()
     traces: Dict[str, Dict[str, List[float]]] = {}
     for relation in range(kb.num_relations):
         glist = groundings.get(relation, [])
-        keys = [format_rule(g.rule, kb) for g in glist]
         if initial is not None and relation in initial.per_relation:
             rp = initial.per_relation[relation].copy()
-            if rp.rule_keys != keys:
-                raise KBError(
-                    "checkpoint rules for %r do not match the rule file"
-                    % kb.relation_name(relation)
-                )
         else:
+            keys = [format_rule(g.rule, kb) for g in glist]
             rp = RelationParams(logits=np.zeros(len(glist) + 1), rule_keys=keys)
         data = _RelationData(kb, relation, glist, rotate_model)
         traces[kb.relation_name(relation)] = _train_relation(data, rp, cfg)
         params.per_relation[relation] = rp
     return params, traces
+
+
+def check_checkpoint_rules(
+    params: ReasonerParams, kb: KnowledgeBase, groundings: Dict[int, List[Grounding]]
+) -> None:
+    """Raise KBError for the first checkpointed relation whose rule texts are
+    not those of its grounded rules, in relation order."""
+    for relation, rp in sorted(params.per_relation.items()):
+        if rp.rule_keys != [format_rule(g.rule, kb) for g in groundings.get(relation, [])]:
+            raise KBError(
+                "checkpoint rules for %r do not match the rule file" % kb.relation_name(relation)
+            )
 
 
 def rank(
@@ -386,29 +400,26 @@ def rank(
     With a gold tail the filtered protocol applies: other tails known true in
     any split are removed before ranking and the gold's mean-of-ties rank is
     reported. Without a gold nothing is filtered (exploratory queries).
+    `top_k` entries are returned; evaluation asks for none (top_k=0).
     """
+    if top_k < 0:
+        raise ValueError("top_k must be >= 0, got %d" % top_k)
     glist = groundings.get(relation, [])
     rp = params.relation(relation, num_rules=len(glist))
-    rows = [support_row(g, head) for g in glist]
-    if rotate_model is not None:
-        emb = normalize_embedding_row(score_tails(rotate_model, head, relation))
-    else:
-        emb = np.zeros(kb.num_entities)
+    S, _, F = _evidence(kb, relation, glist, rotate_model, [head], signed=False)
+    emb = F[0]
     # attributions reuse the blend's own pieces, so entries sum to the score
-    scores, dense, w, alpha = _blend(rp, rows, emb)
+    scores, dense, w, alpha = _blend(rp, S[0], emb)
 
-    keep = np.ones(kb.num_entities, dtype=bool)
-    gold_rank = None
-    if gold is not None:
-        for known in kb.true_tails.get((head, relation), ()):
-            if known != gold:
-                keep[known] = False
+    if gold is None:
+        keep, gold_rank = np.ones(kb.num_entities, dtype=bool), None
+    else:
+        keep = _filtered(kb, head, relation, gold)
         gold_rank = _rank_of_gold(scores, gold, keep)
 
     labels = rp.rule_keys if rp.rule_keys else [format_rule(g.rule, kb) for g in glist]
 
     kept_ids = np.flatnonzero(keep)
-    # evaluation asks for no entries (top_k=0), only for the gold's rank
     order = kept_ids[np.lexsort((kept_ids, -scores[kept_ids]))] if top_k else []
     entries = []
     for tail in order[:top_k]:
@@ -456,12 +467,54 @@ def save_params(path: str, params: ReasonerParams, kb: KnowledgeBase) -> None:
         fh.write("\n")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# what `load_params` reads of a relation block: key -> (what it must be, test)
+_BLOCK_KEYS = {
+    "epochs_trained": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "logits": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "mix_logit": ("a number", _is_number),
+    "rules": (
+        "a list of objects with a string text",
+        lambda v: isinstance(v, list)
+        and all(isinstance(r, dict) and isinstance(r.get("text"), str) for r in v),
+    ),
+    "stopped": ("a boolean", lambda v: isinstance(v, bool)),
+}
+
+
+def _block_problem(block) -> Optional[str]:
+    if not isinstance(block, dict):
+        return "block is not an object"
+    for key, (what, ok) in _BLOCK_KEYS.items():
+        if key not in block:
+            return "missing key %r" % key
+        if not ok(block[key]):
+            return "%r must be %s" % (key, what)
+    if len(block["logits"]) != len(block["rules"]) + 1:
+        return "%d logits for %d rules; need one per rule plus the embedding's" % (
+            len(block["logits"]),
+            len(block["rules"]),
+        )
+    return None
+
+
 def load_params(path: str, kb: KnowledgeBase) -> ReasonerParams:
+    """Read a `save_params` checkpoint. A relation block with a missing key,
+    a value of the wrong type, or not one logit per rule plus the embedding's
+    raises KBError("<path>: ...")."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise KBError("%s: not an object of relation blocks" % path)
     params = ReasonerParams()
     for rel_name, block in doc.items():
         rel = kb.relations.id(rel_name)
+        problem = _block_problem(block)
+        if problem is not None:
+            raise KBError("%s: relation %r: %s" % (path, rel_name, problem))
         params.per_relation[rel] = RelationParams(
             logits=np.asarray(block["logits"], dtype=float),
             mix_logit=float(block["mix_logit"]),

@@ -31,6 +31,18 @@ def minimal_config(tmp_path, extra=""):
     return path
 
 
+def private_run(cli_pipeline, tmp_path):
+    """(config, run dir) of a copy of the built run: the session's run must
+    stay intact."""
+    config = tmp_path / "pipeline.ini"
+    config.write_text(
+        cli_pipeline["config"].read_text().replace(str(cli_pipeline["base"] / "runs"), str(tmp_path))
+    )
+    run = tmp_path / cli.load_config(str(config)).hash()
+    shutil.copytree(str(cli_pipeline["run_dir"]), str(run))
+    return config, run
+
+
 class TestConfig:
     def test_example_config_is_loadable(self, tmp_path):
         path = tmp_path / "example.ini"
@@ -313,13 +325,7 @@ class TestExplainAndResume:
         assert "grandparent" in err
 
     def test_unknown_relation_in_checkpoint_exits_cleanly(self, cli_pipeline, tmp_path, capsys):
-        # a private copy of the built run: the session's run must stay intact
-        config = tmp_path / "pipeline.ini"
-        config.write_text(
-            cli_pipeline["config"].read_text().replace(str(cli_pipeline["base"] / "runs"), str(tmp_path))
-        )
-        run = tmp_path / cli.load_config(str(config)).hash()
-        shutil.copytree(str(cli_pipeline["run_dir"]), str(run))
+        config, run = private_run(cli_pipeline, tmp_path)
         params = run / "checkpoints" / "params.json"
         doc = json.loads(params.read_text())
         doc["no_such_rel"] = doc.pop("grandparent")
@@ -328,6 +334,43 @@ class TestExplainAndResume:
         assert code == 2
         err = capsys.readouterr().err
         assert "error: unknown relation 'no_such_rel'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda b: b.pop("logits"), "relation 'grandparent': missing key 'logits'"),
+            (lambda b: b.update(mix_logit=None), "relation 'grandparent': 'mix_logit' must be a number"),
+            (lambda b: b["logits"].pop(), "relation 'grandparent': %d logits for %d rules"),
+            (lambda b: b["rules"][0].update(text="IF (A, parent, B) THEN (A, grandparent, B)"),
+             "checkpoint rules for 'grandparent' do not match the rule file"),
+        ],
+        ids=["missing-key", "wrong-type", "short-logits", "changed-rule-text"],
+    )
+    @pytest.mark.parametrize("command", [["eval"], ["explain", "e00", "grandparent"]], ids=["eval", "explain"])
+    def test_bad_checkpoint_exits_cleanly(self, cli_pipeline, tmp_path, capsys, command, edit, message):
+        config, run = private_run(cli_pipeline, tmp_path)
+        params = run / "checkpoints" / "params.json"
+        doc = json.loads(params.read_text())
+        block = doc["grandparent"]
+        n_rules = len(block["rules"])
+        edit(block)
+        params.write_text(json.dumps(doc))
+        code = cli.main(["--config", str(config)] + command)
+        assert code == 2
+        err = capsys.readouterr().err
+        if "logits for" in message:
+            message = message % (n_rules, n_rules)
+        assert "error: " in err and message in err
+        assert "Traceback" not in err
+
+    def test_explain_negative_top_exits_cleanly(self, cli_pipeline, capsys):
+        code = cli.main(
+            ["--config", str(cli_pipeline["config"]), "explain", "e00", "grandparent", "--top=-1"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: top_k must be >= 0, got -1" in err
         assert "Traceback" not in err
 
     def test_rule_file_with_unknown_relation_id_exits_cleanly(self, tmp_path, capsys):

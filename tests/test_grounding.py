@@ -16,8 +16,6 @@ from rulekbc.grounding import (
     ground,
     ground_all,
     score,
-    score_row,
-    support_row,
     witness_paths,
 )
 from rulekbc.kb import Triple
@@ -28,6 +26,7 @@ from rulekbc.rules import (
     map_relations,
     parse_rule,
 )
+from rulekbc.trainer import _evidence
 
 
 def oracle_ground(kb, rule):
@@ -66,6 +65,26 @@ def oracle_ground(kb, rule):
 def classified(kb, text):
     rule = map_relations(parse_rule(text), kb, TrigramSimilarity())
     return classify_case(rule)
+
+
+# a small random KB over three relations, and four relation picks
+RANDOM_KB = dict(
+    n_entities=st.integers(2, 6),
+    edges=st.sets(st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 5)), max_size=30),
+    rel_picks=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+)
+
+
+def kb_and_case_rules(n_entities, edges, rel_picks):
+    """The KB drawn from `RANDOM_KB` and one classified rule per case: the
+    first three picks are the body relations, the last the head's."""
+    names = ["e%d" % i for i in range(n_entities)]
+    rels = ["r%d" % i for i in range(3)]
+    train = [(names[h], rels[r], names[t]) for h, r, t in edges if max(h, t) < n_entities]
+    kb = synthetic.build_kb(names, rels, train)
+    body_rels = [rels[i] for i in rel_picks[:3]]
+    texts = [synthetic.case_rule_text(case, *body_rels, rh=rels[rel_picks[3]]) for case in CASE_FLAGS]
+    return kb, [classified(kb, text) for text in texts]
 
 
 class TestFamilyToy:
@@ -143,19 +162,27 @@ class TestScoreAccess:
         )
         self.g = ground(self.kb, self.rule)
 
-    def test_score_row_agrees_with_pointwise_score(self):
-        for h in range(self.kb.num_entities):
-            row = score_row(self.g, h)
-            for t in range(self.kb.num_entities):
-                assert row.get(t, 0) == score(self.g, h, t)
-
-    def test_support_row_is_body_count(self):
-        c = self.g.body_count.to_dense()
-        for h in range(self.kb.num_entities):
-            row = support_row(self.g, h)
-            for t in range(self.kb.num_entities):
-                assert row.get(t, 0) == c[h, t]
-            assert all(v > 0 for v in row.values())
+    @settings(max_examples=60, deadline=None)
+    @given(heads=st.lists(st.integers(0, 5), max_size=8), **RANDOM_KB)
+    def test_evidence_blocks_are_pointwise_score_and_body_count(
+        self, n_entities, edges, rel_picks, heads
+    ):
+        kb, case_rules = kb_and_case_rules(n_entities, edges, rel_picks)
+        gs = [ground(kb, rule) for rule in case_rules]
+        heads = [h for h in heads if h < n_entities]
+        rel = gs[0].rule.head.relation
+        signed, active, f = _evidence(kb, rel, gs, None, heads, signed=True)
+        support, activev, fv = _evidence(kb, rel, gs, None, heads, signed=False)
+        assert signed.shape == support.shape == (len(heads), len(gs), n_entities)
+        for gi, g in enumerate(gs):
+            c = g.body_count.to_dense()
+            for hi, h in enumerate(heads):
+                assert signed[hi, gi].tolist() == [score(g, h, t) for t in range(n_entities)]
+                assert support[hi, gi].tolist() == c[h].tolist()
+        assert not np.signbit(signed[signed == 0]).any()  # no -0.0
+        np.testing.assert_array_equal(active, (signed != 0).any(axis=2))
+        np.testing.assert_array_equal(activev, (support != 0).any(axis=2))
+        assert not f.any() and not fv.any()
 
     def test_signed_branches(self):
         a = self.g.joint_count.to_dense()
@@ -254,20 +281,10 @@ class TestWitnesses:
         assert witness_paths(kb, rule, 0, 3, limit=1) == paths[:1]
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        n_entities=st.integers(2, 6),
-        edges=st.sets(st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 5)), max_size=30),
-        rel_picks=st.lists(st.integers(0, 2), min_size=4, max_size=4),
-    )
+    @given(**RANDOM_KB)
     def test_paths_enumerate_every_body_binding(self, n_entities, edges, rel_picks):
-        names = ["e%d" % i for i in range(n_entities)]
-        rels = ["r%d" % i for i in range(3)]
-        train = [(names[h], rels[r], names[t]) for h, r, t in edges if max(h, t) < n_entities]
-        kb = synthetic.build_kb(names, rels, train)
-        body_rels = [rels[i] for i in rel_picks[:3]]
-        for case, flags in CASE_FLAGS.items():
-            text = synthetic.case_rule_text(case, *body_rels, rh=rels[rel_picks[3]])
-            rule = classified(kb, text)
+        kb, case_rules = kb_and_case_rules(n_entities, edges, rel_picks)
+        for (case, flags), rule in zip(CASE_FLAGS.items(), case_rules):
             assert rule.case == case
             g = ground(kb, rule)
             for h in range(n_entities):

@@ -107,6 +107,23 @@ class TestParsing:
             assert format_rule(rule) == text
             assert parse_rule(format_rule(rule)) == rule
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), body_len=st.integers(1, 3))
+    def test_format_parse_round_trip_property(self, data, body_len):
+        # any name without parentheses, commas or outer whitespace survives
+        name = st.text(st.sampled_from("AbZ09_- .:'"), min_size=1, max_size=8).filter(
+            lambda x: x == x.strip()
+        )
+
+        def atom():
+            subject, obj = data.draw(st.lists(name, min_size=2, max_size=2, unique=True))
+            return RuleAtom(subject, data.draw(name), obj)
+
+        rule = Rule(body=tuple(atom() for _ in range(body_len)), head=atom())
+        text = format_rule(rule)
+        assert parse_rule(text) == rule
+        assert format_rule(parse_rule(text)) == text
+
     def test_format_renders_ids_via_kb(self):
         kb = synthetic.family_kb()
         rule = Rule(body=(RuleAtom("A", 0, "B"),), head=RuleAtom("A", 1, "B"))

@@ -1,7 +1,11 @@
 """Combined scoring, masked softmax weighting, training loop, ranking."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gradcheck
 import synthetic
@@ -12,6 +16,7 @@ from rulekbc.trainer import (
     RelationParams,
     TrainerConfig,
     _rank_of_gold,
+    check_checkpoint_rules,
     combined_score,
     load_params,
     masked_weights,
@@ -90,7 +95,7 @@ class TestCombinedScore:
 
     def test_rule_dominates_when_mix_saturated(self):
         rp = RelationParams(logits=np.zeros(2), mix_logit=50.0)
-        row = {0: 3.0, 2: 1.0}
+        row = np.array([3.0, 0.0, 1.0])
         got = combined_score(rp, [row], np.array([0.0, 1.0, 0.0]))
         np.testing.assert_allclose(got, 0.5 * np.array([3.0, 0.0, 1.0]), atol=1e-12)
 
@@ -102,15 +107,6 @@ class TestCombinedScore:
         got = combined_score(rp, [r1, r2], emb)
         expected = 0.5 * (0.5 * r1 + 0.25 * r2) + 0.5 * 0.25 * emb
         np.testing.assert_allclose(got, expected, atol=1e-12)
-
-    def test_sparse_and_dense_rows_agree(self):
-        rp = RelationParams(logits=np.array([0.2, -0.4, 0.1]), mix_logit=0.3)
-        dense = np.array([[0.0, 2.0, 0.0, 1.0], [3.0, 0.0, 0.0, 0.0]])
-        sparse = [{1: 2.0, 3: 1.0}, {0: 3.0}]
-        emb = np.array([0.1, 0.2, 0.3, 0.4])
-        np.testing.assert_array_equal(
-            combined_score(rp, dense, emb), combined_score(rp, sparse, emb)
-        )
 
     def test_zero_row_rule_removal_is_exact(self):
         # a rule with an all-zero row must leave the score vector bit-identical
@@ -232,6 +228,22 @@ class TestRanking:
         assert _rank_of_gold(scores, 0, keep) == 1.5
         assert _rank_of_gold(scores, 1, keep) == 1.5
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scores=st.lists(st.sampled_from([-1.5, 0.0, 0.25, 0.25 + 1e-12, 3.0]), min_size=1, max_size=12),
+        data=st.data(),
+    )
+    def test_mean_of_ties_against_brute_force(self, scores, data):
+        n = len(scores)
+        gold = data.draw(st.integers(0, n - 1))
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        keep[gold] = True
+        # sorted by descending score, the gold may sit at any place of its
+        # tie block: average those places
+        kept = sorted(-scores[i] for i in range(n) if keep[i])
+        places = [pos for pos, s in enumerate(kept, start=1) if s == -scores[gold]]
+        assert _rank_of_gold(np.array(scores), gold, keep) == sum(places) / len(places)
+
     def test_shift_invariance(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
@@ -293,6 +305,12 @@ class TestRanking:
         assert res.entries == []
         assert res.gold_rank is not None
 
+    def test_negative_top_k_rejected(self):
+        kb, groundings = family_setup()
+        params, _ = train(kb, groundings, None, TrainerConfig(max_epochs=0))
+        with pytest.raises(ValueError, match="top_k"):
+            rank(params, kb, groundings, None, 0, 0, top_k=-1)
+
     def test_top_k_zero_ranks_like_top_k_ten(self):
         kb, pool, _ = synthetic.planted_kb(2)
         groundings = ground_all(kb, pool)
@@ -353,3 +371,30 @@ class TestCheckpoint:
         different = ground_all(kb, [other])
         with pytest.raises(KBError, match="do not match"):
             train(kb, different, None, TrainerConfig(max_epochs=1, patience=1), initial=loaded)
+        with pytest.raises(KBError, match="checkpoint rules for 'grandparent' do not match"):
+            check_checkpoint_rules(loaded, kb, different)
+        check_checkpoint_rules(loaded, kb, groundings)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda b: b.pop("logits"), "missing key 'logits'"),
+            (lambda b: b.update(mix_logit="0.5"), "'mix_logit' must be a number"),
+            (lambda b: b.update(stopped=0), "'stopped' must be a boolean"),
+            (lambda b: b.update(epochs_trained=True), "'epochs_trained' must be an integer"),
+            (lambda b: b["rules"][0].pop("text"), "'rules' must be a list of objects"),
+            (lambda b: b["logits"].pop(), "1 logits for 1 rules"),
+            (lambda b: b["logits"].append(0.0), "3 logits for 1 rules"),
+        ],
+    )
+    def test_malformed_block_names_file_and_relation(self, tmp_path, edit, message):
+        kb, groundings = family_setup()
+        params, _ = train(kb, groundings, None, TrainerConfig(max_epochs=1, patience=1))
+        path = tmp_path / "params.json"
+        save_params(str(path), params, kb)
+        doc = json.loads(path.read_text())
+        edit(doc["grandparent"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(KBError, match="relation 'grandparent': %s" % message) as err:
+            load_params(str(path), kb)
+        assert str(err.value).startswith(str(path) + ": ")
