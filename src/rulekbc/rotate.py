@@ -3,7 +3,8 @@
 score(h, r, t) = margin - || emb(h) * e^(i*phase(r)) - emb(t) ||_1 where the L1
 norm sums the complex moduli per dimension. Entity vectors store the real parts
 in the first half and the imaginary parts in the second half of each row.
-Training keeps the analytic gradients explicit so they can be checked against
+`score_tails` scores whole tail rows for a list of heads, a block of heads at a
+time; a head's row is the same bits whichever block it is scored in. Training keeps the analytic gradients explicit so they can be checked against
 finite differences.
 """
 
@@ -16,6 +17,7 @@ import numpy as np
 from .kb import KBError, KnowledgeBase
 
 _MAGIC = b"RKE1"
+_HEAD_BLOCK = 32  # heads per block in score_tails; (block, entities) buffers stay in cache
 
 
 @dataclass(frozen=True)
@@ -89,14 +91,37 @@ def score(model: RotateModel, head: int, relation: int, tail: int) -> float:
     return float(model.margin - np.hypot(u_re, u_im).sum())
 
 
-def score_tails(model: RotateModel, head: int, relation: int) -> np.ndarray:
-    """Scores for (head, relation, t) over every entity t, as one vector."""
-    _check_ids(model, head, relation, head)
-    hr_re, hr_im = _rotated_head(model, head, relation)
-    d = model.dim
-    u_re = hr_re[None, :] - model.entity[:, :d]
-    u_im = hr_im[None, :] - model.entity[:, d:]
-    return model.margin - np.hypot(u_re, u_im).sum(axis=1)
+def score_tails(model: RotateModel, heads, relation: int) -> np.ndarray:
+    """Scores for (h, relation, t) over every head h of `heads` and every
+    entity t, as a (len(heads), entities) array.
+
+    Heads are rotated and scored in blocks: per complex dimension, the moduli
+    sqrt(dre^2 + dim^2) against every entity are added into the block's rows,
+    so each element sums its dimensions in order and a row does not depend on
+    the other heads of its block. The result is within 1e-12 of summing
+    `np.hypot` over the dimensions, not bit-equal to it.
+    """
+    heads = np.asarray(heads, dtype=np.int64).reshape(-1)
+    _check_ids(model, heads, relation, heads)
+    d, n = model.dim, model.num_entities
+    out = np.empty((len(heads), n))
+    cols = np.ascontiguousarray(model.entity.T)  # one contiguous row per coordinate
+    re = np.empty((min(_HEAD_BLOCK, len(heads)), n))
+    im = np.empty_like(re)
+    for lo in range(0, len(heads), _HEAD_BLOCK):
+        block = heads[lo : lo + _HEAD_BLOCK]
+        hr_re, hr_im = _rotated_head(model, block, relation)
+        acc, dre, dim = out[lo : lo + len(block)], re[: len(block)], im[: len(block)]
+        acc.fill(0.0)
+        for k in range(d):
+            np.subtract(hr_re[:, k, None], cols[k], out=dre)
+            np.subtract(hr_im[:, k, None], cols[d + k], out=dim)
+            dre *= dre
+            dim *= dim
+            dre += dim
+            acc += np.sqrt(dre, out=dre)
+        np.subtract(model.margin, acc, out=acc)
+    return out
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:

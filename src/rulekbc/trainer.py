@@ -114,12 +114,15 @@ def masked_weights(logits: np.ndarray, active: np.ndarray) -> np.ndarray:
     return softmax(full, axis=-1)
 
 
-def normalize_embedding_row(row: np.ndarray) -> np.ndarray:
-    """Min-max to [0, 1]; a flat row collapses to zeros."""
-    lo, hi = row.min(), row.max()
-    if hi <= lo:
-        return np.zeros_like(row)
-    return (row - lo) / (hi - lo)
+def normalize_embedding_row(rows: np.ndarray) -> np.ndarray:
+    """Min-max each row (last axis) to [0, 1] in place and return it; a flat
+    row collapses to zeros."""
+    lo = rows.min(axis=-1, keepdims=True)
+    span = rows.max(axis=-1, keepdims=True) - lo
+    span[span <= 0] = 1.0  # a flat row minus its minimum is already zeros
+    rows -= lo
+    rows /= span
+    return rows
 
 
 def _evidence(
@@ -133,9 +136,10 @@ def _evidence(
     """S (heads, rules, entities), its active mask and the normalized
     embedding rows F (zeros without a model) for `heads` of one relation.
     S is C(h, .), or with `signed` `grounding.score`: -C, then +A over it.
-    Only stored entries are written, so no -0.0 appears."""
+    Only stored entries are written, so no -0.0 appears. F is one
+    `score_tails` call over all of `heads`, normalized in place; a head's row
+    is the same whatever other heads are asked for with it."""
     S = np.zeros((len(heads), len(groundings), kb.num_entities))
-    F = np.zeros((len(heads), kb.num_entities))
     for hi, h in enumerate(heads):
         for gi, g in enumerate(groundings):
             tails, counts = support_row(g, h)
@@ -143,8 +147,10 @@ def _evidence(
                 S[hi, gi, tails] = -counts
                 tails, counts = g.joint_count.row(h)
             S[hi, gi, tails] = counts
-        if rotate_model is not None:
-            F[hi] = normalize_embedding_row(score_tails(rotate_model, h, relation))
+    if rotate_model is None:
+        F = np.zeros((len(heads), kb.num_entities))
+    else:
+        F = normalize_embedding_row(score_tails(rotate_model, heads, relation))
     return S, (S != 0).any(axis=2), F
 
 

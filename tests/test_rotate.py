@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gradcheck
 import synthetic
@@ -67,11 +69,12 @@ class TestScore:
 
     def test_score_tails_matches_pointwise(self):
         model = random_model(4)
-        for h in range(6):
-            for r in range(3):
-                row = score_tails(model, h, r)
+        for r in range(3):
+            rows = score_tails(model, list(range(6)), r)
+            assert rows.shape == (6, 6)
+            for h in range(6):
                 for t in range(6):
-                    assert row[t] == pytest.approx(score(model, h, r, t), abs=1e-12)
+                    assert rows[h, t] == pytest.approx(score(model, h, r, t), abs=1e-12)
 
     def test_out_of_range_ids_rejected(self):
         model = random_model(5)
@@ -80,7 +83,49 @@ class TestScore:
         with pytest.raises(KBError):
             score(model, 0, 99, 0)
         with pytest.raises(KBError):
-            score_tails(model, 0, -1)
+            score_tails(model, [0], -1)
+        with pytest.raises(KBError):
+            score_tails(model, [0, 6], 0)
+
+
+# random models and head lists that cross the 32-head block edge with repeats
+HEAD_LISTS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n_e=st.integers(1, 8),
+    dim=st.integers(1, 6),
+    relation=st.integers(0, 2),
+    picks=st.lists(st.integers(0, 10**6), max_size=70),
+)
+
+
+class TestScoreTailsBlocks:
+    @settings(max_examples=50, deadline=None)
+    @given(**HEAD_LISTS)
+    def test_rows_match_pointwise_and_per_head_formula(self, seed, n_e, dim, relation, picks):
+        model = random_model(seed, n_e=n_e, dim=dim)
+        heads = [p % n_e for p in picks]
+        rows = score_tails(model, heads, relation)
+        assert rows.shape == (len(heads), n_e)
+        d = model.dim
+        cos, sin = np.cos(model.phase[relation]), np.sin(model.phase[relation])
+        for i, h in enumerate(heads):
+            # the former per-head kernel: one hypot over (entities, dim)
+            hre, him = model.entity[h, :d], model.entity[h, d:]
+            u_re = (hre * cos - him * sin)[None, :] - model.entity[:, :d]
+            u_im = (hre * sin + him * cos)[None, :] - model.entity[:, d:]
+            per_head = model.margin - np.hypot(u_re, u_im).sum(axis=1)
+            np.testing.assert_allclose(rows[i], per_head, rtol=0, atol=1e-12)
+            for t in range(n_e):
+                assert abs(rows[i, t] - score(model, h, relation, t)) <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(**HEAD_LISTS)
+    def test_row_is_bit_equal_to_head_scored_alone(self, seed, n_e, dim, relation, picks):
+        model = random_model(seed, n_e=n_e, dim=dim)
+        heads = [p % n_e for p in picks]
+        rows = score_tails(model, heads, relation)
+        for i, h in enumerate(heads):
+            assert rows[i].tobytes() == score_tails(model, [h], relation)[0].tobytes()
 
 
 class TestGradients:
