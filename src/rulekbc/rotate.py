@@ -200,20 +200,26 @@ def loss_and_grad(
     return float(loss), np.concatenate([g_Ere, g_Eim], axis=1), g_phase
 
 
-class _Adam:
-    def __init__(self, shape, lr: float):
-        self.lr = lr
+class AdamW:
+    """Adam with decoupled weight decay; lr = 0 leaves parameters untouched.
+    RotatE training uses it with weight_decay = 0, the trainer with its own."""
+
+    def __init__(self, shape, weight_decay: float = 0.0):
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.t = 0
+        self.weight_decay = weight_decay
 
-    def step(self, param: np.ndarray, grad: np.ndarray) -> None:
+    def step(self, param: np.ndarray, grad: np.ndarray, lr: float) -> None:
         self.t += 1
         self.m = 0.9 * self.m + 0.1 * grad
         self.v = 0.999 * self.v + 0.001 * grad * grad
         mhat = self.m / (1.0 - 0.9**self.t)
         vhat = self.v / (1.0 - 0.999**self.t)
-        param -= self.lr * mhat / (np.sqrt(vhat) + 1e-8)
+        update = mhat / (np.sqrt(vhat) + 1e-8)
+        if self.weight_decay:
+            update += self.weight_decay * param
+        param -= lr * update
 
 
 def train_embeddings(kb: KnowledgeBase, cfg: RotateConfig) -> Tuple[RotateModel, List[float]]:
@@ -229,8 +235,8 @@ def train_embeddings(kb: KnowledgeBase, cfg: RotateConfig) -> Tuple[RotateModel,
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     positives = np.asarray(kb.train, dtype=np.int64)
     n = len(positives)
-    opt_e = _Adam(model.entity.shape, cfg.lr)
-    opt_p = _Adam(model.phase.shape, cfg.lr)
+    opt_e = AdamW(model.entity.shape)
+    opt_p = AdamW(model.phase.shape)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_losses = []
@@ -238,8 +244,8 @@ def train_embeddings(kb: KnowledgeBase, cfg: RotateConfig) -> Tuple[RotateModel,
             batch = positives[order[lo : lo + cfg.batch_size]]
             negs = rng.integers(0, kb.num_entities, size=(len(batch), cfg.negatives))
             loss, g_entity, g_phase = loss_and_grad(model, batch, negs)
-            opt_e.step(model.entity, g_entity)
-            opt_p.step(model.phase, g_phase)
+            opt_e.step(model.entity, g_entity, cfg.lr)
+            opt_p.step(model.phase, g_phase, cfg.lr)
             epoch_losses.append(loss)
         trace.append(float(np.mean(epoch_losses)))
     return model, trace

@@ -23,7 +23,7 @@ import numpy as np
 
 from .grounding import Grounding, support_row
 from .kb import KBError, KnowledgeBase
-from .rotate import RotateModel, score_tails
+from .rotate import AdamW, RotateModel, score_tails
 from .rules import format_rule
 
 logger = logging.getLogger(__name__)
@@ -242,24 +242,6 @@ def relation_loss_and_grads(
     return loss, d_logits, d_mix
 
 
-class _AdamW:
-    """Adam with decoupled weight decay; lr = 0 leaves parameters untouched."""
-
-    def __init__(self, size: int, weight_decay: float):
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self.t = 0
-        self.wd = weight_decay
-
-    def step(self, param: np.ndarray, grad: np.ndarray, lr: float) -> None:
-        self.t += 1
-        self.m = 0.9 * self.m + 0.1 * grad
-        self.v = 0.999 * self.v + 0.001 * grad * grad
-        mhat = self.m / (1.0 - 0.9**self.t)
-        vhat = self.v / (1.0 - 0.999**self.t)
-        param -= lr * (mhat / (np.sqrt(vhat) + 1e-8) + self.wd * param)
-
-
 def _rank_of_gold(scores: np.ndarray, gold: int, keep: np.ndarray) -> float:
     """Mean-of-ties rank of the gold among kept candidates (gold always kept)."""
     gold_score = scores[gold]
@@ -315,8 +297,8 @@ def _train_relation(
     trace = {"loss": [], "metric": []}
     if len(data.train_heads) == 0 or params.stopped or params.epochs_trained >= cfg.max_epochs:
         return trace
-    opt_logits = _AdamW(len(params.logits), cfg.weight_decay)
-    opt_mix = _AdamW(1, cfg.weight_decay)
+    opt_logits = AdamW(len(params.logits), cfg.weight_decay)
+    opt_mix = AdamW(1, cfg.weight_decay)
     mix = np.array([params.mix_logit])
     use_valid = bool(data.valid_queries)
     best_metric = -np.inf
