@@ -265,6 +265,8 @@ def save_embeddings(path: str, model: RotateModel) -> None:
 
 
 def load_embeddings(path: str) -> RotateModel:
+    """Read a `save_embeddings` checkpoint; a bad magic, header or length, or
+    a non-finite margin, entity or phase value raises KBError("<path> ...")."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise KBError("%s is not an embedding checkpoint" % path)
@@ -282,4 +284,7 @@ def load_embeddings(path: str) -> RotateModel:
         phase = np.frombuffer(p_bytes, dtype="<f8").reshape(n_r, dim)
         if fh.read(1):
             raise KBError("%s has trailing bytes" % path)
+    for what, values in (("margin", margin), ("entity value", entity), ("phase value", phase)):
+        if not np.isfinite(values).all():
+            raise KBError("%s has a non-finite %s" % (path, what))
     return RotateModel(entity=entity.copy(), phase=phase.copy(), margin=margin)

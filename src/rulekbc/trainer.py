@@ -16,6 +16,7 @@ rows that penalize body support contradicted by the train KB.
 
 import json
 import logging
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -459,6 +460,11 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    """False for NaN, +-Infinity (which `json` reads) and ints beyond a float."""
+    return -sys.float_info.max <= v <= sys.float_info.max
+
+
 # what `load_params` reads of a relation block: key -> (what it must be, test)
 _BLOCK_KEYS = {
     "epochs_trained": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
@@ -481,6 +487,9 @@ def _block_problem(block) -> Optional[str]:
             return "missing key %r" % key
         if not ok(block[key]):
             return "%r must be %s" % (key, what)
+    for key, values in (("logits", block["logits"]), ("mix_logit", [block["mix_logit"]])):
+        if not all(map(_is_finite, values)):
+            return "%r must be finite" % key
     if len(block["logits"]) != len(block["rules"]) + 1:
         return "%d logits for %d rules; need one per rule plus the embedding's" % (
             len(block["logits"]),
@@ -491,8 +500,8 @@ def _block_problem(block) -> Optional[str]:
 
 def load_params(path: str, kb: KnowledgeBase) -> ReasonerParams:
     """Read a `save_params` checkpoint. A relation block with a missing key,
-    a value of the wrong type, or not one logit per rule plus the embedding's
-    raises KBError("<path>: ...")."""
+    a value of the wrong type, a non-finite logit or mix_logit, or not one
+    logit per rule plus the embedding's raises KBError("<path>: ...")."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):

@@ -344,8 +344,10 @@ class TestExplainAndResume:
             (lambda b: b["logits"].pop(), "relation 'grandparent': %d logits for %d rules"),
             (lambda b: b["rules"][0].update(text="IF (A, parent, B) THEN (A, grandparent, B)"),
              "checkpoint rules for 'grandparent' do not match the rule file"),
+            (lambda b: b["logits"].__setitem__(0, float("nan")), "relation 'grandparent': 'logits' must be finite"),
+            (lambda b: b.update(mix_logit=float("-inf")), "relation 'grandparent': 'mix_logit' must be finite"),
         ],
-        ids=["missing-key", "wrong-type", "short-logits", "changed-rule-text"],
+        ids=["missing-key", "wrong-type", "short-logits", "changed-rule-text", "nan-logit", "inf-mix"],
     )
     @pytest.mark.parametrize("command", [["eval"], ["explain", "e00", "grandparent"]], ids=["eval", "explain"])
     def test_bad_checkpoint_exits_cleanly(self, cli_pipeline, tmp_path, capsys, command, edit, message):
@@ -362,6 +364,18 @@ class TestExplainAndResume:
         if "logits for" in message:
             message = message % (n_rules, n_rules)
         assert "error: " in err and message in err
+        assert "Traceback" not in err
+
+    def test_non_finite_embedding_exits_cleanly(self, cli_pipeline, tmp_path, capsys):
+        config, run = private_run(cli_pipeline, tmp_path)
+        path = run / "checkpoints" / "rotate.bin"
+        data = bytearray(path.read_bytes())
+        data[36:44] = np.array([np.nan], dtype="<f8").tobytes()  # first entity value
+        path.write_bytes(bytes(data))
+        code = cli.main(["--config", str(config), "explain", "e00", "grandparent"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: %s has a non-finite entity value" % path in err
         assert "Traceback" not in err
 
     def test_explain_negative_top_exits_cleanly(self, cli_pipeline, capsys):

@@ -231,3 +231,16 @@ class TestCheckpoint:
             fh.write(data[:-16])
         with pytest.raises(KBError):
             load_embeddings(path)
+
+    @pytest.mark.parametrize("field", ["margin", "entity", "phase"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, tmp_path, field, bad):
+        model = random_model(14)
+        if field == "margin":
+            model.margin = bad
+        else:
+            getattr(model, field)[1, 0] = bad
+        path = str(tmp_path / "emb.bin")
+        save_embeddings(path, model)
+        with pytest.raises(KBError, match="non-finite %s" % field):
+            load_embeddings(path)
