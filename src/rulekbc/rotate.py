@@ -4,13 +4,14 @@ score(h, r, t) = margin - || emb(h) * e^(i*phase(r)) - emb(t) ||_1 where the L1
 norm sums the complex moduli per dimension. Entity vectors store the real parts
 in the first half and the imaginary parts in the second half of each row.
 `score_tails` scores whole tail rows for a list of heads, a block of heads at a
-time; a head's row is the same bits whichever block it is scored in. Training keeps the analytic gradients explicit so they can be checked against
-finite differences.
+time; a head's row is the same bits whichever block it is scored in. Training
+keeps the analytic gradients explicit so they can be checked against finite
+differences.
 """
 
 import struct
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -91,7 +92,7 @@ def score(model: RotateModel, head: int, relation: int, tail: int) -> float:
     return float(model.margin - np.hypot(u_re, u_im).sum())
 
 
-def score_tails(model: RotateModel, heads, relation: int) -> np.ndarray:
+def score_tails(model: RotateModel, heads: Sequence[int], relation: int) -> np.ndarray:
     """Scores for (h, relation, t) over every head h of `heads` and every
     entity t, as a (len(heads), entities) array.
 
