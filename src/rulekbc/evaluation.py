@@ -13,7 +13,7 @@ from .rotate import RotateModel
 from .rules import Rule, format_rule
 from .rules import normalize_name as normalize_entity_name
 from .subgraph import ExtractorConfig
-from .trainer import ReasonerParams, rank
+from .trainer import ReasonerParams, gold_ranks
 
 logger = logging.getLogger(__name__)
 
@@ -151,13 +151,9 @@ def evaluate_model(
     rotate_model: Optional[RotateModel],
     split: str = "test",
 ) -> MetricsReport:
-    """Filtered ranking of every (h, r, ?) -> t query in the split."""
-    triples = kb.split(split)
-    ranks: List[float] = []
-    for t in triples:
-        res = rank(params, kb, groundings, rotate_model, t.head, t.relation, gold=t.tail, top_k=0)
-        ranks.append(res.gold_rank)
-    return compute_metrics(ranks)
+    """Filtered ranking of every (h, r, ?) -> t query in the split; each
+    query's rank is the one `trainer.rank` reports for it."""
+    return compute_metrics(gold_ranks(params, kb, groundings, rotate_model, kb.split(split)))
 
 
 @dataclass

@@ -87,9 +87,22 @@ def score(g: Grounding, head: int, tail: int) -> int:
     return -c if c > 0 else 0
 
 
-def support_row(g: Grounding, head: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Body-support counts C(head, .) as (tails, counts), stored entries only."""
-    return g.body_count.row(head)
+def support_row(g: Grounding, heads) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Body-support counts C(h, .) of every h of `heads` as (position in
+    heads, tails, counts), stored entries only, row after row."""
+    return g.body_count.rows(heads)
+
+
+def signed_rows(g: Grounding, heads) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`score` over the stored entries of C(h, .) of every h of `heads`: +A
+    where the head triple is in train, -C elsewhere; laid out as `support_row`."""
+    rows, tails, counts = support_row(g, heads)
+    a_rows, a_tails, confirmed = g.joint_count.rows(heads)
+    values = -counts
+    # A's entries are a subset of C's, listed in the same row-major order
+    n = g.body_count.dim
+    values[np.isin(rows * n + tails, a_rows * n + a_tails, assume_unique=True)] = confirmed
+    return rows, tails, values
 
 
 def ground_all(

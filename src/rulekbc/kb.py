@@ -106,6 +106,18 @@ class SparseMatrix:
         lo, hi = self._m.indptr[i], self._m.indptr[i + 1]
         return self._m.indices[lo:hi], self._m.data[lo:hi]
 
+    def rows(self, heads) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stored entries of rows `heads` (repeats allowed) as (position in
+        heads, column, value) arrays, row after row, read straight from the
+        CSR arrays."""
+        heads = np.asarray(heads, dtype=np.int64)
+        starts = self._m.indptr[heads]
+        lens = self._m.indptr[heads + 1] - starts
+        row = np.arange(len(heads)).repeat(lens)
+        # output entry j, the k-th of row i, is stored at starts[i] + k
+        pos = np.arange(len(row)) + (starts - lens.cumsum() + lens)[row]
+        return row, self._m.indices[pos], self._m.data[pos]
+
     @property
     def csr(self) -> sp.csr_matrix:
         """The canonical CSR storage; read only, shared with this matrix."""

@@ -12,6 +12,12 @@ combined score, one full-batch AdamW step per epoch, with step-decay learning
 rate and early stopping on validation MRR. `_evidence` builds the rule rows:
 body-support counts for validation and ranking, and for training the signed
 rows that penalize body support contradicted by the train KB.
+
+Rule evidence is kept sparse, as the nonzeros of each (heads, rules,
+entities) block, and one kernel (`_scores`) scores it for training,
+validation, evaluation, `rank` and `combined_score` alike. Training memory is
+O(nonzeros + heads x entities): each relation allocates its (heads, entities)
+buffers once and every epoch reuses them.
 """
 
 import json
@@ -22,8 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .grounding import Grounding, support_row
-from .kb import KBError, KnowledgeBase
+from .grounding import Grounding, signed_rows, support_row
+from .kb import KBError, KnowledgeBase, Triple
 from .rotate import AdamW, RotateModel, score_tails
 from .rules import format_rule
 
@@ -108,11 +114,15 @@ def masked_weights(logits: np.ndarray, active: np.ndarray) -> np.ndarray:
 
     active: (..., n) boolean over rules. Inactive positions get exactly zero
     weight; the embedding slot is always active. Output shape (..., n + 1).
+    The normaliser is a running sum in rule order, so the zeros of inactive
+    rules leave every other weight bit-identical (a pairwise `.sum` would
+    group the terms differently once a zero is inserted).
     """
     n = active.shape[-1]
     full = np.broadcast_to(logits, active.shape[:-1] + (n + 1,)).copy()
     full[..., :n][~active] = -np.inf
-    return softmax(full, axis=-1)
+    e = np.exp(full - full.max(axis=-1, keepdims=True))
+    return e / np.cumsum(e, axis=-1)[..., -1:]
 
 
 def normalize_embedding_row(rows: np.ndarray) -> np.ndarray:
@@ -126,33 +136,75 @@ def normalize_embedding_row(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+class _Block:
+    """Rule evidence and embedding rows of one relation for a list of heads.
+
+    The evidence is kept as the nonzeros of the (heads, rules, entities)
+    tensor: `head`, `rule`, `value`, sorted by the cell `key` = head *
+    entities + tail and by rule within a cell. `starts` indexes the first
+    nonzero of each cell and `cells` holds that cell's key. F holds the
+    normalized embedding rows. Z and P are (heads, entities) buffers that
+    every `_scores` and `relation_loss_and_grads` call overwrites, so an
+    epoch allocates nothing of that size.
+    """
+
+    def __init__(self, head, rule, tail, value, n_rules: int, F: np.ndarray):
+        key = np.asarray(head, dtype=np.int64) * F.shape[1] + tail
+        order = np.argsort(key, kind="stable")  # stable: rule order within a cell
+        self.key = key[order]
+        self.head = np.asarray(head, dtype=np.int64)[order]
+        self.rule = np.asarray(rule, dtype=np.int64)[order]
+        self.value = np.asarray(value, dtype=float)[order]
+        self.widx = self.head * (n_rules + 1) + self.rule  # flat index into W
+        new_cell = np.concatenate(([self.key.size > 0], self.key[1:] != self.key[:-1]))
+        self.starts = np.flatnonzero(new_cell)
+        self.cells = self.key[self.starts]
+        self.active = np.zeros((F.shape[0], n_rules), dtype=bool)
+        self.active[self.head, self.rule] = True
+        self.F = F
+        self.Z = np.empty(F.shape)
+        self.P = np.empty(F.shape)
+
+
 def _evidence(
     kb: KnowledgeBase,
     relation: int,
     groundings: List[Grounding],
     rotate_model: Optional[RotateModel],
-    heads: List[int],
+    heads: Sequence[int],
     signed: bool,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S (heads, rules, entities), its active mask and the normalized
-    embedding rows F (zeros without a model) for `heads` of one relation.
-    S is C(h, .), or with `signed` `grounding.score`: -C, then +A over it.
-    Only stored entries are written, so no -0.0 appears. F is one
-    `score_tails` call over all of `heads`, normalized in place; a head's row
-    is the same whatever other heads are asked for with it."""
-    S = np.zeros((len(heads), len(groundings), kb.num_entities))
-    for hi, h in enumerate(heads):
-        for gi, g in enumerate(groundings):
-            tails, counts = support_row(g, h)
-            if signed:
-                S[hi, gi, tails] = -counts
-                tails, counts = g.joint_count.row(h)
-            S[hi, gi, tails] = counts
+) -> _Block:
+    """The block of `heads` (repeats allowed) of one relation: rule evidence
+    C(h, .), or with `signed` `grounding.score`, gathered per rule for all
+    heads at once from the CSR arrays, and the normalized embedding rows F
+    (zeros without a model) from one `score_tails` call. A head's evidence
+    and row are the same whatever other heads are asked for with it."""
+    heads = np.asarray(heads, dtype=np.int64)
+    rows = [signed_rows(g, heads) if signed else support_row(g, heads) for g in groundings]
+    head, tail, value = (
+        np.concatenate([np.zeros(0, np.int64)] + [r[k] for r in rows]) for k in range(3)
+    )
+    rule = np.repeat(np.arange(len(rows)), [len(r[0]) for r in rows])
     if rotate_model is None:
         F = np.zeros((len(heads), kb.num_entities))
     else:
         F = normalize_embedding_row(score_tails(rotate_model, heads, relation))
-    return S, (S != 0).any(axis=2), F
+    return _Block(head, rule, tail, value, len(groundings), F)
+
+
+def _scores(block: _Block, logits: np.ndarray, mix_logit: float):
+    """Combined scores of every head of the block, into block.Z.
+
+    Returns Z, the weights W (heads, rules + 1; embedding last), alpha, and
+    the rule part of each cell: its nonzeros' sum of value * weight.
+    """
+    W = masked_weights(logits, block.active)
+    alpha = sigmoid(mix_logit)
+    rule_part = np.add.reduceat(block.value * W.reshape(-1)[block.widx], block.starts)
+    Z = np.multiply(block.F, W[:, -1:], out=block.Z)
+    Z *= 1.0 - alpha
+    Z.reshape(-1)[block.cells] += alpha * rule_part
+    return Z, W, alpha, rule_part
 
 
 def _filtered(kb: KnowledgeBase, head: int, relation: int, gold: int) -> np.ndarray:
@@ -163,97 +215,90 @@ def _filtered(kb: KnowledgeBase, head: int, relation: int, gold: int) -> np.ndar
     return keep
 
 
-def _blend(params: RelationParams, rule_rows: Sequence, emb_row: np.ndarray):
-    """`combined_score` plus the pieces of its attributions: the dense rule
-    rows, the full weight vector (0 for inactive rules, embedding last) and
-    alpha."""
-    emb_row = np.asarray(emb_row, dtype=float)
-    rows = np.asarray(rule_rows, dtype=float).reshape(-1, emb_row.shape[0])
-    idx = np.flatnonzero((rows != 0).any(axis=1))
-    sub = softmax(np.concatenate([params.logits[idx], params.logits[-1:]]))
-    alpha = sigmoid(params.mix_logit)
-    scores = alpha * (sub[:-1] @ rows[idx]) + (1.0 - alpha) * sub[-1] * emb_row
-    w = np.zeros(params.logits.shape[0])
-    w[idx] = sub[:-1]
-    w[-1] = sub[-1]
-    return scores, rows, w, alpha
-
-
 def combined_score(
     params: RelationParams, rule_rows: Sequence, emb_row: np.ndarray
 ) -> np.ndarray:
     """Blend rule score rows with the normalized embedding row for one query.
 
     rule_rows holds one dense row per rule, aligned with params.logits[:-1]
-    (a 2-D array or a sequence of 1-D rows). Rules with an all-zero row are
-    dropped before any arithmetic, so deleting such a rule cannot change the
-    result even in the last bit.
+    (a 2-D array or a sequence of 1-D rows). It is scored as a block of one
+    head by the training kernel. Rules with an all-zero row get zero weight
+    and no term in any sum, so deleting such a rule cannot change the result
+    even in the last bit.
     """
-    return _blend(params, rule_rows, emb_row)[0]
-
-
-def _forward(
-    logits: np.ndarray, mix_logit: float, S: np.ndarray, F: np.ndarray, active: np.ndarray
-):
-    """Batched combined score for all heads of one relation.
-
-    S: (H, n, E) rule rows, F: (H, E) normalized embedding rows,
-    active: (H, n). Returns Z, W, rule part R and embedding part Emb.
-    """
-    W = masked_weights(logits, active)  # (H, n+1)
-    alpha = sigmoid(mix_logit)
-    R = np.einsum("hn,hne->he", W[:, :-1], S)
-    Emb = W[:, -1:] * F
-    Z = alpha * R + (1.0 - alpha) * Emb
-    return Z, W, R, Emb
+    emb_row = np.asarray(emb_row, dtype=float)
+    rows = np.asarray(rule_rows, dtype=float).reshape(-1, emb_row.shape[0])
+    rule, tail = np.nonzero(rows)
+    block = _Block(np.zeros_like(rule), rule, tail, rows[rule, tail], len(rows), emb_row[None])
+    return _scores(block, params.logits, params.mix_logit)[0][0]
 
 
 def relation_loss_and_grads(
     logits: np.ndarray,
     mix_logit: float,
-    S: np.ndarray,
-    F: np.ndarray,
-    Y: np.ndarray,
-    active: np.ndarray,
+    block: _Block,
+    golds: Tuple[np.ndarray, np.ndarray],
 ) -> Tuple[float, np.ndarray, float]:
     """Mean cross-entropy over one relation's train queries and its gradients.
 
-    Y: (H, E) 0/1 gold-tail indicators; a head with several gold tails counts
-    one query per gold. Returns (loss, d logits, d mix_logit).
+    golds: (cells, counts), the sorted flat indices head * entities + tail of
+    the gold cells of the block and how many queries each stands for.
+    Returns (loss, d logits, d mix_logit). Overwrites the block's buffers.
     """
-    Z, W, R, Emb = _forward(logits, mix_logit, S, F, active)
-    counts = Y.sum(axis=1)
-    total = counts.sum()
+    cells, weight = golds
+    total = weight.sum()
     if total == 0:
         return 0.0, np.zeros_like(logits), 0.0
+    Z, W, alpha, rule_part = _scores(block, logits, mix_logit)
+    H, E = Z.shape
+    rows = cells // E
+    counts = np.bincount(rows, weights=weight, minlength=H)
+    gold_z = np.bincount(rows, weights=weight * Z.reshape(-1)[cells], minlength=H)
     zmax = Z.max(axis=1, keepdims=True)
-    logsum = np.log(np.exp(Z - zmax).sum(axis=1)) + zmax[:, 0]
-    loss = float((counts * logsum - (Y * Z).sum(axis=1)).sum() / total)
-    P = softmax(Z, axis=1)
-    dZ = (counts[:, None] * P - Y) / total  # (H, E)
-    alpha = sigmoid(mix_logit)
-    d_alpha = float((dZ * (R - Emb)).sum())
+    P = np.exp(np.subtract(Z, zmax, out=block.P), out=block.P)
+    norm = P.sum(axis=1, keepdims=True)
+    logsum = np.log(norm[:, 0]) + zmax[:, 0]
+    loss = float((counts * logsum - gold_z).sum() / total)
+    P /= norm  # softmax of Z
+    P *= counts[:, None]
+    dZ = P.reshape(-1)
+    dZ[cells] -= weight
+    dZ /= total
+    g_emb = np.multiply(P, block.F, out=Z).sum(axis=1)  # Z is no longer needed
+    # d alpha = sum(dZ * (rule part - embedding part)); both parts are sparse
+    # or per-head, so no (heads, entities) difference is formed
+    d_alpha = float((dZ[block.cells] * rule_part).sum() - (W[:, -1] * g_emb).sum())
     d_mix = d_alpha * alpha * (1.0 - alpha)
     # gradient w.r.t. the per-head weights, then through the masked softmax
-    G = np.empty_like(W)
-    G[:, :-1] = alpha * np.einsum("he,hne->hn", dZ, S)
-    G[:, -1] = (1.0 - alpha) * (dZ * F).sum(axis=1)
-    inner = (W * G).sum(axis=1, keepdims=True)
+    G = alpha * np.bincount(
+        block.widx, weights=block.value * dZ[block.key], minlength=W.size
+    ).reshape(W.shape)
+    G[:, -1] = (1.0 - alpha) * g_emb
+    # running sum for the same reason as in masked_weights
+    inner = np.cumsum(W * G, axis=1)[:, -1:]
     d_logits = (W * (G - inner)).sum(axis=0)
     return loss, d_logits, d_mix
 
 
-def _rank_of_gold(scores: np.ndarray, gold: int, keep: np.ndarray) -> float:
-    """Mean-of-ties rank of the gold among kept candidates (gold always kept)."""
-    gold_score = scores[gold]
-    cand = scores[keep]
-    greater = int((cand > gold_score).sum())
-    ties = int((cand == gold_score).sum())
+def _gold_ranks(
+    Z: np.ndarray, golds: np.ndarray, keep: np.ndarray, hit: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Mean-of-ties rank of golds[i] among the candidates keep[i] of scores
+    Z[i] (the gold is kept), for every row i; `hit` is an optional boolean
+    buffer shaped like Z."""
+    g = Z[np.arange(len(golds)), golds][:, None]
+    hit = np.greater(Z, g, out=hit)
+    hit &= keep
+    greater = np.count_nonzero(hit, axis=1)
+    np.equal(Z, g, out=hit)
+    hit &= keep
+    ties = np.count_nonzero(hit, axis=1)
     return greater + (ties + 1) / 2.0
 
 
 class _RelationData:
-    """Precomputed dense tensors for one relation's training and validation."""
+    """One relation's train and validation blocks, gold cells and filtered
+    candidate masks, built once before its epochs."""
 
     def __init__(
         self,
@@ -266,29 +311,31 @@ class _RelationData:
         train = kb.train_by_relation(relation)
         self.train_heads = sorted({t.head for t in train})
         head_index = {h: i for i, h in enumerate(self.train_heads)}
-        self.S, self.active, self.F = _evidence(
+        self.train = _evidence(
             kb, relation, groundings, rotate_model, self.train_heads, signed=True
         )
-        self.Y = np.zeros((len(self.train_heads), kb.num_entities))
-        for t in train:
-            self.Y[head_index[t.head], t.tail] = 1.0
-
-        valid = [t for t in kb.valid if t.relation == relation]
-        self.valid_heads = sorted({t.head for t in valid})
-        vindex = {h: i for i, h in enumerate(self.valid_heads)}
-        self.Sv, self.activev, self.Fv = _evidence(
-            kb, relation, groundings, rotate_model, self.valid_heads, signed=False
+        # a (head, tail) pair is one query however often train lists it
+        cells = np.unique(
+            np.array([head_index[t.head] * kb.num_entities + t.tail for t in train], dtype=np.int64)
         )
-        self.valid_queries = [  # (head row, gold, keep mask)
-            (vindex[t.head], t.tail, _filtered(kb, t.head, relation, t.tail)) for t in valid
-        ]
+        self.golds = (cells, np.ones(len(cells)))
+
+        # one block row per validation query, in split order
+        valid = [t for t in kb.valid if t.relation == relation]
+        self.valid = _evidence(
+            kb, relation, groundings, rotate_model, [t.head for t in valid], signed=False
+        )
+        self.valid_golds = np.array([t.tail for t in valid], dtype=np.int64)
+        self.valid_keep = np.empty((len(valid), kb.num_entities), dtype=bool)
+        for i, t in enumerate(valid):
+            self.valid_keep[i] = _filtered(kb, t.head, relation, t.tail)
+        self.hit = np.empty_like(self.valid_keep)
 
     def valid_mrr(self, logits: np.ndarray, mix_logit: float) -> float:
-        if not self.valid_queries:
+        if not len(self.valid_golds):
             return float("nan")
-        Z, _, _, _ = _forward(logits, mix_logit, self.Sv, self.Fv, self.activev)
-        rr = [1.0 / _rank_of_gold(Z[hi], gold, keep) for hi, gold, keep in self.valid_queries]
-        return float(np.mean(rr))
+        Z = _scores(self.valid, logits, mix_logit)[0]
+        return float(np.mean(1.0 / _gold_ranks(Z, self.valid_golds, self.valid_keep, self.hit)))
 
 
 def _train_relation(
@@ -301,14 +348,14 @@ def _train_relation(
     opt_logits = AdamW(len(params.logits), cfg.weight_decay)
     opt_mix = AdamW(1, cfg.weight_decay)
     mix = np.array([params.mix_logit])
-    use_valid = bool(data.valid_queries)
+    use_valid = len(data.valid_golds) > 0
     best_metric = -np.inf
     best_state: Optional[RelationParams] = None
     stale = 0
     for epoch in range(params.epochs_trained, cfg.max_epochs):
         lr = cfg.lr * cfg.step_gamma ** (epoch // cfg.step_size)
         loss, d_logits, d_mix = relation_loss_and_grads(
-            params.logits, float(mix[0]), data.S, data.F, data.Y, data.active
+            params.logits, float(mix[0]), data.train, data.golds
         )
         if not cfg.uniform_weights:
             opt_logits.step(params.logits, d_logits, lr)
@@ -395,30 +442,32 @@ def rank(
         raise ValueError("top_k must be >= 0, got %d" % top_k)
     glist = groundings.get(relation, [])
     rp = params.relation(relation, num_rules=len(glist))
-    S, _, F = _evidence(kb, relation, glist, rotate_model, [head], signed=False)
-    emb = F[0]
-    # attributions reuse the blend's own pieces, so entries sum to the score
-    scores, dense, w, alpha = _blend(rp, S[0], emb)
+    block = _evidence(kb, relation, glist, rotate_model, [head], signed=False)
+    Z, W, alpha, _ = _scores(block, rp.logits, rp.mix_logit)
+    scores, w, emb = Z[0], W[0], block.F[0]
 
     if gold is None:
         keep, gold_rank = np.ones(kb.num_entities, dtype=bool), None
     else:
         keep = _filtered(kb, head, relation, gold)
-        gold_rank = _rank_of_gold(scores, gold, keep)
+        gold_rank = float(_gold_ranks(Z, np.array([gold]), keep[None])[0])
 
     labels = rp.rule_keys if rp.rule_keys else [format_rule(g.rule, kb) for g in glist]
 
     kept_ids = np.flatnonzero(keep)
-    order = kept_ids[np.lexsort((kept_ids, -scores[kept_ids]))] if top_k else []
+    top = kept_ids[np.lexsort((kept_ids, -scores[kept_ids]))][:top_k] if top_k else kept_ids[:0]
+    # attributions use the kernel's own weights, so entries sum to the score;
+    # in a block of one head a cell's key is its tail
+    los, his = np.searchsorted(block.key, top), np.searchsorted(block.key, top, side="right")
     entries = []
-    for tail in order[:top_k]:
+    for tail, lo, hi in zip(top.tolist(), los.tolist(), his.tolist()):
         contribs = []
-        for i in range(len(glist)):
-            v = float(alpha * w[i] * dense[i, tail])
+        for i, value in zip(block.rule[lo:hi].tolist(), block.value[lo:hi].tolist()):
+            v = float(alpha * w[i] * value)
             if v != 0.0:
                 contribs.append((labels[i], v))
         contribs.append(("embedding", float((1.0 - alpha) * w[-1] * emb[tail])))
-        entries.append(RankEntry(tail=int(tail), score=float(scores[tail]), contributions=contribs))
+        entries.append(RankEntry(tail=tail, score=float(scores[tail]), contributions=contribs))
     return RankingResult(
         head=head,
         relation=relation,
@@ -427,6 +476,34 @@ def rank(
         gold_rank=gold_rank,
         candidate_count=int(keep.sum()),
     )
+
+
+def gold_ranks(
+    params: ReasonerParams,
+    kb: KnowledgeBase,
+    groundings: Dict[int, List[Grounding]],
+    rotate_model: Optional[RotateModel],
+    triples: Sequence[Triple],
+) -> np.ndarray:
+    """Filtered gold ranks of (head, relation, tail) queries, in order: the
+    `gold_rank` that `rank` gives each, with every relation's distinct heads
+    scored as one block."""
+    ranks = np.empty(len(triples))
+    by_relation: Dict[int, List[int]] = {}
+    for i, t in enumerate(triples):
+        by_relation.setdefault(t.relation, []).append(i)
+    for relation, idx in sorted(by_relation.items()):
+        glist = groundings.get(relation, [])
+        rp = params.relation(relation, num_rules=len(glist))
+        heads = sorted({triples[i].head for i in idx})
+        row = {h: k for k, h in enumerate(heads)}
+        block = _evidence(kb, relation, glist, rotate_model, heads, signed=False)
+        Z = _scores(block, rp.logits, rp.mix_logit)[0]
+        queries = [triples[i] for i in idx]
+        keep = np.array([_filtered(kb, t.head, relation, t.tail) for t in queries])
+        golds = np.array([t.tail for t in queries], dtype=np.int64)
+        ranks[idx] = _gold_ranks(Z[[row[t.head] for t in queries]], golds, keep)
+    return ranks
 
 
 def reporting_weights(rp: RelationParams) -> np.ndarray:

@@ -4,6 +4,7 @@ from typing import Tuple
 
 import numpy as np
 
+import dense_oracle
 import synthetic
 from rulekbc import rotate, trainer
 
@@ -76,16 +77,17 @@ def _random_relation_batch(seed: int) -> Tuple[np.ndarray, ...]:
             Y[h, g] = int(rng.integers(1, 3))
     logits = rng.normal(scale=0.5, size=n + 1)
     mix = float(rng.normal(scale=0.5))
-    return logits, mix, S, F, Y, active
+    return logits, mix, S, F, Y
 
 
 def trainer_fd_check(seed: int) -> float:
     """Max relative error for the rule-weight loss gradients (logits and mix)."""
-    logits, mix, S, F, Y, active = _random_relation_batch(seed)
-    _, d_logits, d_mix = trainer.relation_loss_and_grads(logits, mix, S, F, Y, active)
+    logits, mix, S, F, Y = _random_relation_batch(seed)
+    block, golds = dense_oracle.block_from_dense(S, F), dense_oracle.gold_cells(Y)
+    _, d_logits, d_mix = trainer.relation_loss_and_grads(logits, mix, block, golds)
 
     def loss_at(lg, mx) -> float:
-        return trainer.relation_loss_and_grads(lg, mx, S, F, Y, active)[0]
+        return trainer.relation_loss_and_grads(lg, mx, block, golds)[0]
 
     worst = 0.0
     for j in range(len(logits)):

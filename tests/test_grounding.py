@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import rulekbc.kb
 import synthetic
+from dense_oracle import dense_evidence
 from rulekbc.grounding import (
     GroundingError,
     _cache_key,
@@ -171,18 +172,21 @@ class TestScoreAccess:
         gs = [ground(kb, rule) for rule in case_rules]
         heads = [h for h in heads if h < n_entities]
         rel = gs[0].rule.head.relation
-        signed, active, f = _evidence(kb, rel, gs, None, heads, signed=True)
-        support, activev, fv = _evidence(kb, rel, gs, None, heads, signed=False)
+        signed_block = _evidence(kb, rel, gs, None, heads, signed=True)
+        support_block = _evidence(kb, rel, gs, None, heads, signed=False)
+        signed, support = dense_evidence(signed_block), dense_evidence(support_block)
         assert signed.shape == support.shape == (len(heads), len(gs), n_entities)
         for gi, g in enumerate(gs):
             c = g.body_count.to_dense()
             for hi, h in enumerate(heads):
                 assert signed[hi, gi].tolist() == [score(g, h, t) for t in range(n_entities)]
                 assert support[hi, gi].tolist() == c[h].tolist()
-        assert not np.signbit(signed[signed == 0]).any()  # no -0.0
-        np.testing.assert_array_equal(active, (signed != 0).any(axis=2))
-        np.testing.assert_array_equal(activev, (support != 0).any(axis=2))
-        assert not f.any() and not fv.any()
+        for block in (signed_block, support_block):
+            assert (block.value != 0).all()  # nonzeros only, so no -0.0 either
+            # sorted by cell, by rule within a cell
+            assert (np.lexsort((block.rule, block.key)) == np.arange(len(block.key))).all()
+            np.testing.assert_array_equal(block.active, (dense_evidence(block) != 0).any(axis=2))
+            assert not block.F.any()
 
     def test_signed_branches(self):
         a = self.g.joint_count.to_dense()

@@ -7,17 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
 import gradcheck
 import synthetic
+from rulekbc import rotate
+from rulekbc.evaluation import evaluate_model
 from rulekbc.grounding import ground_all
 from rulekbc.kb import KBError
 from rulekbc.rules import TrigramSimilarity, classify_case, map_relations, parse_rule
 from rulekbc.trainer import (
     RelationParams,
     TrainerConfig,
-    _rank_of_gold,
+    _evidence,
+    _gold_ranks,
+    _scores,
     check_checkpoint_rules,
     combined_score,
+    gold_ranks,
     load_params,
     masked_weights,
     normalize_embedding_row,
@@ -29,6 +35,11 @@ from rulekbc.trainer import (
     softmax,
     train,
 )
+
+
+def _rank_of_gold(scores, gold, keep):
+    """`_gold_ranks` for one row."""
+    return _gold_ranks(np.asarray(scores)[None], np.array([gold]), np.asarray(keep)[None])[0]
 
 
 class TestSoftmaxInvariants:
@@ -136,26 +147,101 @@ class TestLossAndGrads:
 
     def test_hand_computed_multi_gold_loss(self):
         S = np.array([[[2.0, 0.0, 1.0]]])
-        active = np.array([[True]])
         F = np.array([[0.5, 0.0, 1.0]])
         Y = np.array([[1.0, 0.0, 1.0]])
         logits = np.zeros(2)
         z = 0.5 * (0.5 * S[0, 0]) + 0.5 * (0.5 * F[0])
         logsum = np.log(np.exp(z).sum())
         expected = (2 * logsum - z[0] - z[2]) / 2.0
-        loss, _, _ = relation_loss_and_grads(logits, 0.0, S, F, Y, active)
+        block = dense_oracle.block_from_dense(S, F)
+        loss, _, _ = relation_loss_and_grads(logits, 0.0, block, dense_oracle.gold_cells(Y))
         assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_no_golds_means_zero_loss_and_grads(self):
-        S = np.zeros((1, 1, 3))
+        block = dense_oracle.block_from_dense(np.zeros((1, 1, 3)), np.zeros((1, 3)))
         loss, d_logits, d_mix = relation_loss_and_grads(
-            np.zeros(2), 0.0, S, np.zeros((1, 3)), np.zeros((1, 3)), np.array([[False]])
+            np.zeros(2), 0.0, block, dense_oracle.gold_cells(np.zeros((1, 3)))
         )
         assert loss == 0.0
         assert (d_logits == 0).all()
         assert d_mix == 0.0
 
 
+def _dense_batch(draw, n_rules, dead=None):
+    """Random evidence S (H, n, E), embedding rows F, gold multiplicities Y,
+    logits and mix_logit; rule `dead` has no evidence at all."""
+    H, E = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.array([-3.0, -1.0, 1.0, 2.0, 7.0])
+    density = draw(st.floats(0, 1))
+    S = rng.choice(values, size=(H, n_rules, E)) * (rng.random((H, n_rules, E)) < density)
+    if dead is not None:
+        S[:, dead] = 0.0
+    F = rng.random((H, E))
+    Y = rng.choice([0.0, 0.0, 1.0, 2.0], size=(H, E))
+    logits = rng.uniform(-4.0, 4.0, size=n_rules + 1)
+    return S, F, Y, logits, float(rng.uniform(-4.0, 4.0))
+
+
+class TestSparseKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_oracle(self, data):
+        n = data.draw(st.integers(0, 6))
+        S, F, Y, logits, mix = _dense_batch(data.draw, n)
+        active = (S != 0).any(axis=2)
+        block = dense_oracle.block_from_dense(S, F)
+        want_z = dense_oracle.forward(logits, mix, S, F, active)[0]
+        np.testing.assert_allclose(_scores(block, logits, mix)[0], want_z, rtol=0, atol=1e-12)
+        want = dense_oracle.relation_loss_and_grads(logits, mix, S, F, Y, active)
+        got = relation_loss_and_grads(logits, mix, block, dense_oracle.gold_cells(Y))
+        assert got[0] == pytest.approx(want[0], rel=0, abs=1e-12)
+        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+        assert got[2] == pytest.approx(want[2], rel=0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_zero_evidence_rule_removal_is_exact(self, data):
+        # a rule without evidence must leave scores, loss and the other
+        # gradients bit-identical to the same model with the rule deleted
+        n = data.draw(st.integers(1, 40))
+        dead = data.draw(st.integers(0, n - 1))
+        S, F, Y, logits, mix = _dense_batch(data.draw, n, dead)
+        cut_S, cut_logits = np.delete(S, dead, axis=1), np.delete(logits, dead)
+        golds = dense_oracle.gold_cells(Y)
+        full = dense_oracle.block_from_dense(S, F)
+        cut = dense_oracle.block_from_dense(cut_S, F)
+        assert _scores(full, logits, mix)[0].tobytes() == _scores(cut, cut_logits, mix)[0].tobytes()
+        loss, d_logits, d_mix = relation_loss_and_grads(logits, mix, full, golds)
+        cut_loss, cut_d_logits, cut_d_mix = relation_loss_and_grads(cut_logits, mix, cut, golds)
+        assert (loss, d_mix) == (cut_loss, cut_d_mix)
+        assert np.delete(d_logits, dead).tobytes() == cut_d_logits.tobytes()
+        rp = RelationParams(logits=logits, mix_logit=mix)
+        cut_rp = RelationParams(logits=cut_logits, mix_logit=mix)
+        got = combined_score(rp, S[0], F[0])
+        assert got.tobytes() == combined_score(cut_rp, cut_S[0], F[0]).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        heads=st.lists(st.integers(0, 11), min_size=1, max_size=12),
+        seed=st.integers(0, 2**16),
+        signed=st.booleans(),
+    )
+    def test_row_is_bit_equal_to_head_scored_alone(self, heads, seed, signed):
+        kb, pool, _ = synthetic.planted_kb(seed % 4)
+        groundings = ground_all(kb, pool)
+        rel = kb.relations.id("grandparent")
+        model = rotate.init_model(
+            kb.num_entities, kb.num_relations, rotate.RotateConfig(dim=4, seed=seed)
+        )
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(size=len(groundings[rel]) + 1)
+        heads = [h % kb.num_entities for h in heads]
+        block = _evidence(kb, rel, groundings[rel], model, heads, signed)
+        Z = _scores(block, logits, 0.3)[0].copy()
+        for i, h in enumerate(heads):
+            alone = _evidence(kb, rel, groundings[rel], model, [h], signed)
+            assert Z[i].tobytes() == _scores(alone, logits, 0.3)[0][0].tobytes()
 def family_setup():
     kb = synthetic.family_kb()
     provider = TrigramSimilarity()
@@ -322,6 +408,29 @@ class TestRanking:
             full = rank(params, kb, groundings, None, h, r, gold=t, top_k=10)
             assert bare.entries == [] and full.entries
             assert (bare.gold_rank, bare.candidate_count) == (full.gold_rank, full.candidate_count)
+
+
+class TestEvaluateModel:
+    @pytest.mark.parametrize("embeddings", [False, True])
+    def test_ranks_equal_per_query_rank(self, embeddings):
+        kb, pool, _ = synthetic.planted_kb(1)
+        groundings = ground_all(kb, pool)
+        model = None
+        if embeddings:
+            cfg = rotate.RotateConfig(dim=8, epochs=2, seed=3)
+            model = rotate.train_embeddings(kb, cfg)[0]
+        params, _ = train(kb, groundings, model, TrainerConfig(lr=0.1, max_epochs=10, patience=5))
+
+        def per_query(queries):
+            return [
+                rank(params, kb, groundings, model, h, r, gold=t, top_k=0).gold_rank
+                for h, r, t in queries
+            ]
+
+        queries = kb.valid + kb.test
+        assert gold_ranks(params, kb, groundings, model, queries).tolist() == per_query(queries)
+        report = evaluate_model(params, kb, groundings, model, split="test")
+        assert report.mrr == float(np.mean(1.0 / np.array(per_query(kb.test))))
 
 
 class TestCheckpoint:
