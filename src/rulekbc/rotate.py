@@ -11,9 +11,10 @@ differences.
 
 import struct
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .kb import KBError, KnowledgeBase
 
@@ -138,67 +139,104 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scatter(targets: np.ndarray, n: int) -> sp.csr_matrix:
+    """(n, len(targets)) CSR matrix with a one at (targets[j], j).
+
+    Its product with a stack of gradient rows adds each row into its target.
+    A CSR row sums its columns in order from zero, so every target gets its
+    terms in stack order, as `np.add.at` would add them.
+    """
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(targets, minlength=n), out=indptr[1:])
+    order = np.argsort(targets, kind="stable")
+    return sp.csr_matrix((np.ones(len(targets)), order, indptr), shape=(n, len(targets)))
+
+
 def loss_and_grad(
-    model: RotateModel, positives: np.ndarray, neg_tails: np.ndarray
+    model: RotateModel,
+    positives: np.ndarray,
+    neg_tails: np.ndarray,
+    rows: Optional[np.ndarray] = None,
+    moduli: Optional[np.ndarray] = None,
 ) -> Tuple[float, np.ndarray, np.ndarray]:
     """Sigmoid margin loss and its gradients w.r.t. entity rows and phases.
 
     positives: (B, 3) int array of (head, relation, tail); neg_tails: (B, K)
     corrupted tails. Loss = mean over the batch of -log sigmoid(s_pos) plus the
     mean over negatives of -log sigmoid(-s_neg).
+
+    rows and moduli are work buffers of at least (B*(K+2), 2*dim) and
+    B*K*dim floats, overwritten by the call; a caller that runs many batches
+    passes the same ones to every call. By default fresh ones are allocated.
     """
     d = model.dim
-    E_re, E_im = model.entity[:, :d], model.entity[:, d:]
     h, r, t = positives[:, 0], positives[:, 1], positives[:, 2]
     B, K = neg_tails.shape
+    # the entity row each stacked gradient row is added into
+    targets = np.concatenate([t, neg_tails.ravel(), h])
+    _check_ids(model, h, r, targets)
+    if rows is None:
+        rows = np.empty((len(targets), 2 * d))
+    if moduli is None:
+        moduli = np.empty(B * K * d)
+    if rows.shape[0] < len(targets) or rows.shape[1] != 2 * d or moduli.size < B * K * d:
+        raise ValueError("work buffers too small for a batch of %d x %d" % (B, K))
+    if not rows.flags.c_contiguous:
+        raise ValueError("rows must be C-contiguous")  # the in-place steps reshape it
+    grads = rows[: len(targets)]
+    pos, neg, head = grads[:B], grads[B : B + B * K], grads[B + B * K :]
+    mn = moduli[: B * K * d].reshape(B, K, d)
+
+    E = model.entity
     cos, sin = np.cos(model.phase[r]), np.sin(model.phase[r])
-    hre, him = E_re[h], E_im[h]
+    hre, him = E[h, :d], E[h, d:]
     hr_re = hre * cos - him * sin
     hr_im = hre * sin + him * cos
 
-    g_Ere = np.zeros_like(E_re)
-    g_Eim = np.zeros_like(E_im)
-    g_phase = np.zeros_like(model.phase)
-    g_hr_re = np.zeros_like(hr_re)
-    g_hr_im = np.zeros_like(hr_im)
-
-    # positive part
-    u_re = hr_re - E_re[t]
-    u_im = hr_im - E_im[t]
+    # positive part; pos ends as the tails' rows -d loss / d u
+    np.take(E, t, axis=0, out=pos, mode="clip")  # ids checked above
+    u_re, u_im = pos[:, :d], pos[:, d:]
+    np.subtract(hr_re, u_re, out=u_re)
+    np.subtract(hr_im, u_im, out=u_im)
     m = np.hypot(u_re, u_im)
     s_pos = model.margin - m.sum(axis=1)
     loss = _softplus(-s_pos).mean()
     # d loss / d s_pos = -sigmoid(-s_pos) / B, then d s / d m = -1
     dldm = (_sigmoid(-s_pos) / B)[:, None]
-    safe = np.where(m > 0, m, 1.0)
-    gu_re = dldm * u_re / safe
-    gu_im = dldm * u_im / safe
-    g_hr_re += gu_re
-    g_hr_im += gu_im
-    np.add.at(g_Ere, t, -gu_re)
-    np.add.at(g_Eim, t, -gu_im)
+    np.copyto(m, 1.0, where=m == 0)  # a zero modulus has zero differences
+    pos *= -dldm
+    pos.reshape(B, 2, d)[:] /= m[:, None]
+    g_hr = -pos
 
-    # negative part: corrupted tails share the rotated head
-    un_re = hr_re[:, None, :] - E_re[neg_tails]
-    un_im = hr_im[:, None, :] - E_im[neg_tails]
-    mn = np.hypot(un_re, un_im)
+    # negative part: corrupted tails share the rotated head; neg ends as the
+    # corrupted tails' rows -d loss / d u
+    np.take(E, neg_tails.ravel(), axis=0, out=neg, mode="clip")
+    un = neg.reshape(B, K, 2 * d)
+    un_re, un_im = un[:, :, :d], un[:, :, d:]
+    np.subtract(hr_re[:, None, :], un_re, out=un_re)
+    np.subtract(hr_im[:, None, :], un_im, out=un_im)
+    np.hypot(un_re, un_im, out=mn)
     s_neg = model.margin - mn.sum(axis=2)
     loss += _softplus(s_neg).mean()
     dldmn = (_sigmoid(s_neg) / (B * K))[:, :, None]  # d s / d m = -1, sign folded
-    safe_n = np.where(mn > 0, mn, 1.0)
-    gun_re = -dldmn * un_re / safe_n
-    gun_im = -dldmn * un_im / safe_n
-    g_hr_re += gun_re.sum(axis=1)
-    g_hr_im += gun_im.sum(axis=1)
-    np.add.at(g_Ere, neg_tails.ravel(), -gun_re.reshape(-1, d))
-    np.add.at(g_Eim, neg_tails.ravel(), -gun_im.reshape(-1, d))
+    np.copyto(mn, 1.0, where=mn == 0)
+    un *= dldmn
+    un.reshape(B, K, 2, d)[:] /= mn[:, :, None]
+    g_hr -= un.sum(axis=1)
 
     # rotate the head gradient back and collect the phase gradient
-    np.add.at(g_Ere, h, g_hr_re * cos + g_hr_im * sin)
-    np.add.at(g_Eim, h, -g_hr_re * sin + g_hr_im * cos)
-    np.add.at(g_phase, r, -g_hr_re * hr_im + g_hr_im * hr_re)
+    g_re, g_im = g_hr[:, :d], g_hr[:, d:]
+    np.multiply(g_re, cos, out=head[:, :d])
+    head[:, :d] += g_im * sin
+    np.multiply(g_im, cos, out=head[:, d:])
+    head[:, d:] -= g_re * sin
+    hr_re *= g_im
+    hr_im *= g_re
+    hr_re -= hr_im  # the phase rows
 
-    return float(loss), np.concatenate([g_Ere, g_Eim], axis=1), g_phase
+    g_entity = _scatter(targets, model.num_entities) @ grads
+    g_phase = _scatter(r, model.num_relations) @ hr_re
+    return float(loss), g_entity, g_phase
 
 
 class AdamW:
@@ -238,13 +276,17 @@ def train_embeddings(kb: KnowledgeBase, cfg: RotateConfig) -> Tuple[RotateModel,
     n = len(positives)
     opt_e = AdamW(model.entity.shape)
     opt_p = AdamW(model.phase.shape)
+    # loss_and_grad's work buffers, sized for a full batch
+    full = min(cfg.batch_size, n)
+    rows = np.empty((full * (cfg.negatives + 2), 2 * cfg.dim))
+    moduli = np.empty(full * cfg.negatives * cfg.dim)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_losses = []
         for lo in range(0, n, cfg.batch_size):
             batch = positives[order[lo : lo + cfg.batch_size]]
             negs = rng.integers(0, kb.num_entities, size=(len(batch), cfg.negatives))
-            loss, g_entity, g_phase = loss_and_grad(model, batch, negs)
+            loss, g_entity, g_phase = loss_and_grad(model, batch, negs, rows, moduli)
             opt_e.step(model.entity, g_entity, cfg.lr)
             opt_p.step(model.phase, g_phase, cfg.lr)
             epoch_losses.append(loss)
