@@ -1,8 +1,9 @@
 """Rotation embeddings: complex entity vectors, unit-modulus relation rotations.
 
 score(h, r, t) = margin - || emb(h) * e^(i*phase(r)) - emb(t) ||_1 where the L1
-norm sums the complex moduli per dimension. Entity vectors store the real parts
-in the first half and the imaginary parts in the second half of each row.
+norm sums the complex moduli per dimension, each computed as sqrt(re^2 + im^2)
+everywhere in this module. Entity vectors store the real parts in the first
+half and the imaginary parts in the second half of each row.
 `score_tails` scores whole tail rows for a list of heads, a block of heads at a
 time; a head's row is the same bits whichever block it is scored in. Training
 keeps the analytic gradients explicit so they can be checked against finite
@@ -84,13 +85,22 @@ def _rotated_head(model: RotateModel, h, r) -> Tuple[np.ndarray, np.ndarray]:
     return hre * cos - him * sin, hre * sin + him * cos
 
 
+def _modulus(re: np.ndarray, im: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Complex moduli sqrt(re^2 + im^2), into `out` if given. Unlike np.hypot
+    it does not guard the squares against overflow, which embedding values
+    never come near, and it is several times faster."""
+    out = np.multiply(re, re, out=out)
+    out += im * im
+    return np.sqrt(out, out=out)
+
+
 def score(model: RotateModel, head: int, relation: int, tail: int) -> float:
     _check_ids(model, head, relation, tail)
     hr_re, hr_im = _rotated_head(model, head, relation)
     d = model.dim
     u_re = hr_re - model.entity[tail, :d]
     u_im = hr_im - model.entity[tail, d:]
-    return float(model.margin - np.hypot(u_re, u_im).sum())
+    return float(model.margin - _modulus(u_re, u_im).sum())
 
 
 def score_tails(model: RotateModel, heads: Sequence[int], relation: int) -> np.ndarray:
@@ -100,8 +110,8 @@ def score_tails(model: RotateModel, heads: Sequence[int], relation: int) -> np.n
     Heads are rotated and scored in blocks: per complex dimension, the moduli
     sqrt(dre^2 + dim^2) against every entity are added into the block's rows,
     so each element sums its dimensions in order and a row does not depend on
-    the other heads of its block. The result is within 1e-12 of summing
-    `np.hypot` over the dimensions, not bit-equal to it.
+    the other heads of its block. `score` sums the same moduli pairwise, so
+    the two agree within 1e-12 but are not bit-equal.
     """
     heads = np.asarray(heads, dtype=np.int64).reshape(-1)
     _check_ids(model, heads, relation, heads)
@@ -198,7 +208,7 @@ def loss_and_grad(
     u_re, u_im = pos[:, :d], pos[:, d:]
     np.subtract(hr_re, u_re, out=u_re)
     np.subtract(hr_im, u_im, out=u_im)
-    m = np.hypot(u_re, u_im)
+    m = _modulus(u_re, u_im)
     s_pos = model.margin - m.sum(axis=1)
     loss = _softplus(-s_pos).mean()
     # d loss / d s_pos = -sigmoid(-s_pos) / B, then d s / d m = -1
@@ -215,7 +225,7 @@ def loss_and_grad(
     un_re, un_im = un[:, :, :d], un[:, :, d:]
     np.subtract(hr_re[:, None, :], un_re, out=un_re)
     np.subtract(hr_im[:, None, :], un_im, out=un_im)
-    np.hypot(un_re, un_im, out=mn)
+    _modulus(un_re, un_im, out=mn)
     s_neg = model.margin - mn.sum(axis=2)
     loss += _softplus(s_neg).mean()
     dldmn = (_sigmoid(s_neg) / (B * K))[:, :, None]  # d s / d m = -1, sign folded

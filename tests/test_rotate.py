@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradcheck
+import rotate_oracle
 import synthetic
 from rulekbc.kb import KBError
 from rulekbc.rotate import (
@@ -143,6 +144,89 @@ class TestGradients:
         loss, _, _ = loss_and_grad(model, positives, negs)
         expected = np.logaddexp(0.0, -s) + np.logaddexp(0.0, s)
         assert loss == pytest.approx(expected, abs=1e-12)
+
+
+# small id ranges make repeated heads, tails, relations and negatives common
+BATCHES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n_e=st.integers(1, 6),
+    n_r=st.integers(1, 3),
+    dim=st.integers(1, 5),
+    B=st.integers(1, 6),
+    K=st.integers(1, 5),
+    tail_negatives=st.booleans(),
+    collapsed=st.booleans(),
+)
+
+
+def random_batch(seed, n_e, n_r, dim, B, K, tail_negatives, collapsed):
+    """(model, positives, negatives). tail_negatives puts each positive tail
+    among its own negatives; collapsed gives every entity the same vector and
+    every relation zero phase, so every modulus is exactly zero."""
+    model = random_model(seed, n_e=n_e, n_r=n_r, dim=dim)
+    if collapsed:
+        model.entity[:] = model.entity[0]
+        model.phase[:] = 0.0
+    rng = np.random.default_rng(seed)
+    positives = np.column_stack(
+        [rng.integers(0, n_e, B), rng.integers(0, n_r, B), rng.integers(0, n_e, B)]
+    )
+    negs = rng.integers(0, n_e, size=(B, K))
+    if tail_negatives:
+        negs[:, rng.integers(K)] = positives[:, 2]
+    return model, positives, negs
+
+
+class TestLossOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(**BATCHES)
+    def test_matches_former_kernel(self, **batch):
+        model, positives, negs = random_batch(**batch)
+        loss, g_entity, g_phase = loss_and_grad(model, positives, negs)
+        want_loss, want_entity, want_phase = rotate_oracle.loss_and_grad(model, positives, negs)
+        assert abs(loss - want_loss) <= 1e-12
+        np.testing.assert_allclose(g_entity, want_entity, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g_phase, want_phase, rtol=0, atol=1e-12)
+        if batch["collapsed"]:
+            assert not g_entity.any() and not g_phase.any()
+
+    @settings(max_examples=50, deadline=None)
+    @given(**BATCHES, extra_rows=st.integers(0, 4), extra_negatives=st.integers(0, 3))
+    def test_larger_used_buffers_are_bit_equal_to_fresh_ones(
+        self, extra_rows, extra_negatives, **batch
+    ):
+        model, positives, negs = random_batch(**batch)
+        B, K = negs.shape
+        rows = np.full(((B + extra_rows) * (K + extra_negatives + 2), 2 * model.dim), np.nan)
+        moduli = np.full((B + extra_rows) * (K + extra_negatives) * model.dim, np.nan)
+        fresh = loss_and_grad(model, positives, negs)
+        for _ in range(2):  # the second call starts from the first call's leftovers
+            got = loss_and_grad(model, positives, negs, rows, moduli)
+            assert got[0] == fresh[0]
+            assert got[1].tobytes() == fresh[1].tobytes()
+            assert got[2].tobytes() == fresh[2].tobytes()
+
+    def test_unusable_buffers_rejected(self):
+        model = random_model(7)
+        positives, negs = np.array([[0, 0, 1], [2, 1, 3]]), np.array([[1, 2], [3, 4]])
+        rows, moduli = np.empty((8, 2 * model.dim)), np.empty(16)
+        loss_and_grad(model, positives, negs, rows, moduli)
+        with pytest.raises(ValueError, match="too small"):
+            loss_and_grad(model, positives, negs, rows[:7], moduli)
+        with pytest.raises(ValueError, match="too small"):
+            loss_and_grad(model, positives, negs, rows, moduli[:15])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            loss_and_grad(model, positives, negs, np.empty((2 * model.dim, 8)).T, moduli)
+
+    @pytest.mark.parametrize("column, bad", [(0, 6), (1, 3), (2, -1)])
+    def test_out_of_range_ids_rejected(self, column, bad):
+        model = random_model(8)
+        positives, negs = np.array([[0, 0, 1]]), np.array([[2, 3]])
+        positives[0, column] = bad
+        with pytest.raises(KBError):
+            loss_and_grad(model, positives, negs)
+        with pytest.raises(KBError):
+            loss_and_grad(model, np.array([[0, 0, 1]]), np.array([[2, 6]]))
 
 
 class TestTraining:
