@@ -304,11 +304,11 @@ class _RelationData:
         self,
         kb: KnowledgeBase,
         relation: int,
+        train: List[Triple],
         groundings: List[Grounding],
         rotate_model: Optional[RotateModel],
     ):
         self.relation = relation
-        train = kb.train_by_relation(relation)
         self.train_heads = sorted({t.head for t in train})
         head_index = {h: i for i, h in enumerate(self.train_heads)}
         self.train = _evidence(
@@ -341,10 +341,9 @@ class _RelationData:
 def _train_relation(
     data: _RelationData, params: RelationParams, cfg: TrainerConfig
 ) -> Dict[str, List[float]]:
-    """Optimize one relation's block in place; returns its loss/metric trace."""
+    """Optimize one relation's block in place; returns its loss/metric trace.
+    The relation has train heads and epochs left to run (see `train`)."""
     trace = {"loss": [], "metric": []}
-    if len(data.train_heads) == 0 or params.stopped or params.epochs_trained >= cfg.max_epochs:
-        return trace
     opt_logits = AdamW(len(params.logits), cfg.weight_decay)
     opt_mix = AdamW(1, cfg.weight_decay)
     mix = np.array([params.mix_logit])
@@ -403,8 +402,12 @@ def train(
         else:
             keys = [format_rule(g.rule, kb) for g in glist]
             rp = RelationParams(logits=np.zeros(len(glist) + 1), rule_keys=keys)
-        data = _RelationData(kb, relation, glist, rotate_model)
-        traces[kb.relation_name(relation)] = _train_relation(data, rp, cfg)
+        train_triples = kb.train_by_relation(relation)
+        if train_triples and not rp.stopped and rp.epochs_trained < cfg.max_epochs:
+            data = _RelationData(kb, relation, train_triples, glist, rotate_model)
+            traces[kb.relation_name(relation)] = _train_relation(data, rp, cfg)
+        else:  # nothing to train: its evidence is not built
+            traces[kb.relation_name(relation)] = {"loss": [], "metric": []}
         params.per_relation[relation] = rp
     return params, traces
 

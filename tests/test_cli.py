@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import run_cli, write_toy_dataset
-from rulekbc import cli, rules
+from rulekbc import cli, rules, trainer
 from rulekbc.grounding import _cache_key
 from rulekbc.kb import load_kb
 
@@ -398,6 +398,19 @@ class TestExplainAndResume:
         err = capsys.readouterr().err
         assert "error: " in err and "rules.jsonl:1: bad rule record: relation id 99" in err
         assert "Traceback" not in err
+
+    def test_resume_of_finished_run_builds_no_evidence(self, cli_pipeline, tmp_path, monkeypatch):
+        config, run = private_run(cli_pipeline, tmp_path)
+        params = run / "checkpoints" / "params.json"
+        before = params.read_bytes()
+        calls = []
+        evidence = trainer._evidence
+        monkeypatch.setattr(trainer, "_evidence", lambda *a, **k: calls.append(a) or evidence(*a, **k))
+        code, out = run_cli(["--config", str(config), "train", "--resume"])
+        assert code == 0
+        assert "trained 0 relations" in out
+        assert calls == []
+        assert params.read_bytes() == before
 
     def test_resume_after_checkpoint_succeeds(self, cli_pipeline):
         code, out = run_cli(

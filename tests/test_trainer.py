@@ -290,7 +290,7 @@ class TestTrainLoop:
         assert rp.epochs_trained < 300
         from rulekbc.trainer import _RelationData
 
-        data = _RelationData(kb, rel, groundings[rel], None)
+        data = _RelationData(kb, rel, kb.train_by_relation(rel), groundings[rel], None)
         assert data.valid_mrr(rp.logits, rp.mix_logit) == pytest.approx(max(trace))
 
     def test_max_epochs_zero_trains_nothing(self):
