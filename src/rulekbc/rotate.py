@@ -10,6 +10,7 @@ keeps the analytic gradients explicit so they can be checked against finite
 differences.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -38,6 +39,9 @@ class RotateConfig:
             raise ValueError("dim, negatives and batch_size must be positive")
         if self.epochs < 0:
             raise ValueError("epochs cannot be negative")
+        for name in ("lr", "margin"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("rotate.%s must be finite, got %r" % (name, getattr(self, name)))
 
 
 @dataclass

@@ -22,6 +22,7 @@ buffers once and every epoch reuses them.
 
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -50,6 +51,9 @@ class TrainerConfig:
     def __post_init__(self):
         if self.step_size < 1 or self.patience < 1 or self.max_epochs < 0:
             raise ValueError("step_size and patience must be positive, max_epochs >= 0")
+        for name in ("lr", "weight_decay", "step_gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("trainer.%s must be finite, got %r" % (name, getattr(self, name)))
 
 
 @dataclass

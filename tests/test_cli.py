@@ -163,6 +163,24 @@ class TestArgumentErrors:
         assert code == 2
         assert "run propose first" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value, command",
+        [
+            ("rotate", "lr", "nan", "rotate-train"),
+            ("rotate", "margin", "inf", "rotate-train"),
+            ("trainer", "lr", "nan", "train"),
+            ("trainer", "weight_decay", "inf", "train"),
+            ("trainer", "step_gamma", "-inf", "train"),
+        ],
+    )
+    def test_non_finite_float_setting_exits_nonzero(self, tmp_path, capsys, section, key, value, command):
+        path = minimal_config(tmp_path, extra="[%s]\n%s = %s\n" % (section, key, value))
+        code = cli.main(["--config", str(path), command])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: %s.%s must be finite, got %s" % (section, key, value) in err
+        assert "Traceback" not in err
+
     def test_resume_without_checkpoint_exits_nonzero(self, tmp_path, capsys):
         path = minimal_config(tmp_path)
         code, _ = run_cli(["--config", str(path), "extract"])
