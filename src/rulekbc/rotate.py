@@ -1,9 +1,9 @@
 """Rotation embeddings: complex entity vectors, unit-modulus relation rotations.
 
 score(h, r, t) = margin - || emb(h) * e^(i*phase(r)) - emb(t) ||_1 where the L1
-norm sums the complex moduli per dimension, each computed as sqrt(re^2 + im^2)
-everywhere in this module. Entity vectors store the real parts in the first
-half and the imaginary parts in the second half of each row.
+norm sums the complex moduli sqrt(re^2 + im^2) over the dimensions. Entity
+vectors store the real parts in the first half and the imaginary parts in the
+second half of each row.
 `score_tails` scores whole tail rows for a list of heads, a block of heads at a
 time; a head's row is the same bits whichever block it is scored in. Training
 keeps the analytic gradients explicit so they can be checked against finite
@@ -207,7 +207,7 @@ def loss_and_grad(
     hr_re = hre * cos - him * sin
     hr_im = hre * sin + him * cos
 
-    # positive part; pos ends as the tails' rows -d loss / d u
+    # positive part; pos ends as the tails' gradient rows, -d loss / d u
     np.take(E, t, axis=0, out=pos, mode="clip")  # ids checked above
     u_re, u_im = pos[:, :d], pos[:, d:]
     np.subtract(hr_re, u_re, out=u_re)
@@ -222,8 +222,8 @@ def loss_and_grad(
     pos.reshape(B, 2, d)[:] /= m[:, None]
     g_hr = -pos
 
-    # negative part: corrupted tails share the rotated head; neg ends as the
-    # corrupted tails' rows -d loss / d u
+    # negative part: corrupted tails share the rotated head; neg ends as their
+    # gradient rows, -d loss / d un
     np.take(E, neg_tails.ravel(), axis=0, out=neg, mode="clip")
     un = neg.reshape(B, K, 2 * d)
     un_re, un_im = un[:, :, :d], un[:, :, d:]

@@ -177,7 +177,7 @@ def random_batch(seed, n_e, n_r, dim, B, K, tail_negatives, collapsed):
     return model, positives, negs
 
 
-class TestLossOracle:
+class TestLossKernel:
     @settings(max_examples=100, deadline=None)
     @given(**BATCHES)
     def test_matches_former_kernel(self, **batch):
