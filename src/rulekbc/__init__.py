@@ -1,82 +1,54 @@
-"""Knowledge-base completion from learned logic rules plus rotation embeddings."""
+"""Knowledge-base completion from learned logic rules plus rotation embeddings.
 
-from .evaluation import (
-    MetricsReport,
-    RuleQualityReport,
-    compute_metrics,
-    compute_rule_quality,
-    evaluate_model,
-    rule_quality_from_counts,
-)
-from .grounding import Grounding, GroundingError, ground, ground_all, score, witness_paths
-from .kb import KBError, KnowledgeBase, SparseMatrix, Triple, Vocab, load_kb
-from .proposer import ProposerBackend, ProposerError, build_rule_prompt, mine_rules_text, propose
-from .rotate import RotateConfig, RotateModel, load_embeddings, save_embeddings, train_embeddings
-from .rules import (
-    CASE_FLAGS,
-    Rule,
-    RuleAtom,
-    RuleParseError,
-    TrigramSimilarity,
-    classify_case,
-    dedup,
-    filter_stage1,
-    format_rule,
-    map_relations,
-    parse_rule,
-)
-from .subgraph import ExtractorConfig, Subgraph, extract_subgraph, sample_targets
-from .trainer import ReasonerParams, TrainerConfig, rank, train
+Each public name imports its submodule on first access (PEP 562), so a stage
+loads only what it uses: `extract` and `propose` load neither scipy nor
+requests.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CASE_FLAGS",
-    "ExtractorConfig",
-    "Grounding",
-    "GroundingError",
-    "KBError",
-    "KnowledgeBase",
-    "MetricsReport",
-    "ProposerBackend",
-    "ProposerError",
-    "ReasonerParams",
-    "RotateConfig",
-    "RotateModel",
-    "Rule",
-    "RuleAtom",
-    "RuleParseError",
-    "RuleQualityReport",
-    "SparseMatrix",
-    "Subgraph",
-    "TrainerConfig",
-    "TrigramSimilarity",
-    "Triple",
-    "Vocab",
-    "__version__",
-    "build_rule_prompt",
-    "classify_case",
-    "compute_metrics",
-    "compute_rule_quality",
-    "dedup",
-    "evaluate_model",
-    "extract_subgraph",
-    "filter_stage1",
-    "format_rule",
-    "ground",
-    "ground_all",
-    "load_embeddings",
-    "load_kb",
-    "map_relations",
-    "mine_rules_text",
-    "parse_rule",
-    "propose",
-    "rank",
-    "rule_quality_from_counts",
-    "sample_targets",
-    "save_embeddings",
-    "score",
-    "train",
-    "train_embeddings",
-    "witness_paths",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "evaluation": (
+        "MetricsReport",
+        "RuleQualityReport",
+        "compute_metrics",
+        "compute_rule_quality",
+        "evaluate_model",
+        "rule_quality_from_counts",
+    ),
+    "grounding": ("Grounding", "GroundingError", "ground", "ground_all", "score", "witness_paths"),
+    "kb": ("KBError", "KnowledgeBase", "SparseMatrix", "Triple", "Vocab", "load_kb"),
+    "proposer": ("ProposerBackend", "ProposerError", "build_rule_prompt", "mine_rules_text", "propose"),
+    "rotate": ("RotateModel", "load_embeddings", "save_embeddings", "train_embeddings"),
+    "rules": (
+        "CASE_FLAGS",
+        "Rule",
+        "RuleAtom",
+        "RuleParseError",
+        "TrigramSimilarity",
+        "classify_case",
+        "dedup",
+        "filter_stage1",
+        "format_rule",
+        "map_relations",
+        "parse_rule",
+    ),
+    "settings": ("RotateConfig", "TrainerConfig"),
+    "subgraph": ("ExtractorConfig", "Subgraph", "extract_subgraph", "sample_targets"),
+    "trainer": ("ReasonerParams", "rank", "train"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(["__version__", *_MODULE_OF])
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value

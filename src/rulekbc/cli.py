@@ -16,12 +16,18 @@ import os
 import sys
 from collections import Counter
 from dataclasses import Field, dataclass, fields
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import evaluation, grounding, proposer, rotate, rules, subgraph, trainer
+# `grounding`, `rotate`, `trainer` and `evaluation` load scipy, so the
+# commands that use them import them themselves and `extract` and `propose`
+# never load it
+from . import proposer, rules, settings, subgraph
 from .kb import KBError, KnowledgeBase, load_kb
+
+if TYPE_CHECKING:
+    from . import grounding
 
 logger = logging.getLogger(__name__)
 
@@ -71,16 +77,16 @@ _SECTIONS = (
     ("extract", subgraph.ExtractorConfig, {}),
     ("similarity", _Similarity, {}),
     ("proposer", proposer.ProposerBackend, {"backend": "kind", "model": "model_name"}),
-    ("rotate", rotate.RotateConfig, {}),
-    ("trainer", trainer.TrainerConfig, {}),
+    ("rotate", settings.RotateConfig, {}),
+    ("trainer", settings.TrainerConfig, {}),
     ("rotate", _RotateSwitch, {}),
 )
 
 # per-stage seed field and stage number; derived from [run] seed, not INI keys
 _STAGE_SEEDS = {
     subgraph.ExtractorConfig: ("rng_seed", 1),
-    rotate.RotateConfig: ("seed", 2),
-    trainer.TrainerConfig: ("seed", 3),
+    settings.RotateConfig: ("seed", 2),
+    settings.TrainerConfig: ("seed", 3),
 }
 
 # "section.key" -> comment in CONFIG_EXAMPLE
@@ -157,8 +163,8 @@ class PipelineConfig:
     similarity_provider: str
     backend: proposer.ProposerBackend
     rotate_enabled: bool
-    rotate: rotate.RotateConfig
-    trainer: trainer.TrainerConfig
+    rotate: settings.RotateConfig
+    trainer: settings.TrainerConfig
     items: List[Tuple[str, str]]  # canonical resolved settings, sorted
 
     def hash(self) -> str:
@@ -235,8 +241,8 @@ def load_config(
         similarity_provider=built[_Similarity].provider,
         backend=built[proposer.ProposerBackend],
         rotate_enabled=built[_RotateSwitch].enabled,
-        rotate=built[rotate.RotateConfig],
-        trainer=built[trainer.TrainerConfig],
+        rotate=built[settings.RotateConfig],
+        trainer=built[settings.TrainerConfig],
         items=sorted(items),
     )
 
@@ -335,6 +341,8 @@ def _rotate_checkpoint(run: str) -> str:
 
 
 def _ensure_rotate(cfg: PipelineConfig, run: str, kb: KnowledgeBase, train_if_missing: bool):
+    from . import rotate
+
     if not cfg.rotate_enabled:
         return None
     path = _rotate_checkpoint(run)
@@ -369,8 +377,10 @@ def _load_rule_file(run: str, kb: KnowledgeBase) -> List[rules.Rule]:
 
 def _ground_rule_file(
     run: str, kb: KnowledgeBase
-) -> Tuple[List[rules.Rule], Dict[int, List[grounding.Grounding]]]:
+) -> Tuple[List[rules.Rule], Dict[int, List["grounding.Grounding"]]]:
     """The run's rule file and its groundings, through the run's cache."""
+    from . import grounding
+
     learned = _load_rule_file(run, kb)
     return learned, grounding.ground_all(kb, learned, cache_dir=os.path.join(run, "groundings"))
 
@@ -378,6 +388,8 @@ def _ground_rule_file(
 def _load_trained(cfg: PipelineConfig, run: str, kb: KnowledgeBase) -> Tuple:
     """(rules, groundings, embedding model or None, `trainer.ReasonerParams`)
     of a trained run, loaded in this order."""
+    from . import trainer
+
     learned, groundings = _ground_rule_file(run, kb)
     rotate_model = _ensure_rotate(cfg, run, kb, train_if_missing=False)
     params_path = os.path.join(run, "checkpoints", "params.json")
@@ -402,6 +414,8 @@ def cmd_rotate_train(cfg: PipelineConfig) -> int:
 
 
 def cmd_train(cfg: PipelineConfig, resume: bool = False) -> int:
+    from . import trainer
+
     run = _prepare_run_dir(cfg)
     kb = _load_kb(cfg)
     _, groundings = _ground_rule_file(run, kb)
@@ -433,8 +447,12 @@ def cmd_eval(
     annotations_path: Optional[str] = None,
     emit_csv: bool = False,
 ) -> int:
+    from . import evaluation
+
     run = _prepare_run_dir(cfg)
     kb = _load_kb(cfg)
+    # read before evaluating, so a bad path fails before any report is written
+    annotations = evaluation.load_annotations(annotations_path) if annotations_path else None
     learned, groundings, rotate_model, params = _load_trained(cfg, run, kb)
     report = evaluation.evaluate_model(params, kb, groundings, rotate_model, split=split)
     print(report.render_text())
@@ -451,8 +469,7 @@ def cmd_eval(
             writer.writerow(["mrr", "%.6f" % report.mrr])
             for k in sorted(report.hits):
                 writer.writerow(["hits@%d" % k, "%.6f" % report.hits[k]])
-    if annotations_path:
-        annotations = evaluation.load_annotations(annotations_path)
+    if annotations is not None:
         quality = evaluation.compute_rule_quality(learned, annotations, kb)
         print(quality.render_text())
         _write_json(os.path.join(run, "reports", "rule_quality.json"), quality.to_dict())
@@ -466,6 +483,8 @@ def _nearest_names(name: str, candidates: List[str], limit: int = 5) -> List[str
 
 
 def cmd_explain(cfg: PipelineConfig, head_name: str, relation_name: str, top_k: int = 10) -> int:
+    from . import grounding, trainer
+
     run = _prepare_run_dir(cfg)
     kb = _load_kb(cfg)
     if head_name not in kb.entities:

@@ -103,7 +103,11 @@ _VALID_PATH_SCORES = (0.0, 0.5, 1.0)
 def load_annotations(path: str) -> Dict[str, List[float]]:
     """Annotation file: one line per rule, canonical text TAB comma-joined scores."""
     out: Dict[str, List[float]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise KBError("cannot open annotation file %s: %s" % (path, exc)) from exc
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
             if not line:

@@ -1,12 +1,18 @@
-"""Triple store: TSV loading, id vocabularies, per-relation adjacency matrices."""
+"""Triple store: TSV loading, id vocabularies, per-relation adjacency matrices.
+
+scipy is imported only where a CSR matrix is built, so the stages that never
+touch the adjacency matrices (`extract`, `propose`) do not load it.
+"""
 
 import functools
 import hashlib
 import logging
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -67,7 +73,7 @@ class SparseMatrix:
     saturates entries at SATURATION_CAP instead of overflowing.
     """
 
-    def __init__(self, csr: sp.csr_matrix):
+    def __init__(self, csr: "sp.csr_matrix"):
         if csr.shape[0] != csr.shape[1]:
             raise KBError("sparse matrix must be square, got %r" % (csr.shape,))
         csr = csr.astype(np.int64)
@@ -79,6 +85,8 @@ class SparseMatrix:
 
     @classmethod
     def from_coords(cls, dim: int, rows, cols, vals=None) -> "SparseMatrix":
+        import scipy.sparse as sp
+
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if vals is None:
@@ -88,6 +96,8 @@ class SparseMatrix:
 
     @classmethod
     def zeros(cls, dim: int) -> "SparseMatrix":
+        import scipy.sparse as sp
+
         return cls(sp.csr_matrix((dim, dim), dtype=np.int64))
 
     @property
@@ -119,7 +129,7 @@ class SparseMatrix:
         return row, self._m.indices[pos], self._m.data[pos]
 
     @property
-    def csr(self) -> sp.csr_matrix:
+    def csr(self) -> "sp.csr_matrix":
         """The canonical CSR storage; read only, shared with this matrix."""
         return self._m
 
@@ -130,7 +140,7 @@ class SparseMatrix:
         return self.dim == other.dim and (self._m != other._m).nnz == 0
 
 
-def _saturate(m: sp.csr_matrix) -> sp.csr_matrix:
+def _saturate(m: "sp.csr_matrix") -> "sp.csr_matrix":
     if m.nnz and m.data.max() > SATURATION_CAP:
         clipped = int((m.data > SATURATION_CAP).sum())
         logger.warning("saturating %d count entries at %d", clipped, SATURATION_CAP)
@@ -176,16 +186,10 @@ class KnowledgeBase:
         self.train = train
         self.valid = valid
         self.test = test
-        self.matrices: Dict[int, SparseMatrix] = {}
-        n = len(entities)
         # relation -> its train triples, in train order
         self._train_by_rel: Dict[int, List[Triple]] = {r: [] for r in range(len(relations))}
         for tr in train:
             self._train_by_rel[tr.relation].append(tr)
-        for r, triples in self._train_by_rel.items():
-            self.matrices[r] = SparseMatrix.from_coords(
-                n, [t.head for t in triples], [t.tail for t in triples]
-            )
         # entity -> incident train triples, both directions, insertion order
         self.incident: Dict[int, List[Triple]] = {}
         for tr in train:
@@ -199,6 +203,16 @@ class KnowledgeBase:
                 self.true_tails.setdefault((h, r), set()).add(t)
         self._train_set = set(train)
         self._transposed: Dict[int, SparseMatrix] = {}
+
+    @functools.cached_property
+    def matrices(self) -> Dict[int, SparseMatrix]:
+        """relation -> its train adjacency counts, built on first use: only
+        the reasoning stages read them."""
+        n = self.num_entities
+        return {
+            r: SparseMatrix.from_coords(n, [t.head for t in triples], [t.tail for t in triples])
+            for r, triples in self._train_by_rel.items()
+        }
 
     @functools.cached_property
     def fingerprint(self) -> str:

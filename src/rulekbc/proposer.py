@@ -13,8 +13,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-import requests
-
 from .kb import KnowledgeBase, Triple
 from .rules import _PATH_LETTERS, Rule, RuleParseError, format_rule, parse_rule
 from .subgraph import (
@@ -107,6 +105,8 @@ def build_infer_prompt(sg: Subgraph, head: int, relation: int, kb: KnowledgeBase
 
 
 def _post_chat(backend: ProposerBackend, prompt: str) -> str:
+    import requests  # only the remote backend needs it, and it is slow to import
+
     headers = {"Content-Type": "application/json"}
     key = os.environ.get(backend.api_key_env, "")
     if key:

@@ -10,7 +10,6 @@ keeps the analytic gradients explicit so they can be checked against finite
 differences.
 """
 
-import math
 import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -19,29 +18,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .kb import KBError, KnowledgeBase
+from .settings import RotateConfig
 
 _MAGIC = b"RKE1"
 _HEAD_BLOCK = 32  # heads per block in score_tails; (block, entities) buffers stay in cache
-
-
-@dataclass(frozen=True)
-class RotateConfig:
-    dim: int = 64  # complex dimensions; entity rows hold 2*dim reals
-    margin: float = 6.0
-    negatives: int = 64
-    epochs: int = 100
-    lr: float = 1e-3
-    batch_size: int = 256
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.dim < 1 or self.negatives < 1 or self.batch_size < 1:
-            raise ValueError("dim, negatives and batch_size must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs cannot be negative")
-        for name in ("lr", "margin"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError("rotate.%s must be finite, got %r" % (name, getattr(self, name)))
 
 
 @dataclass

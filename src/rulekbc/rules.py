@@ -150,11 +150,14 @@ class TrigramSimilarity:
     Cosine over character-trigram counts of `normalize_name` forms. Symmetric,
     in [0, 1], and 1.0 for identical names. Each instance keeps every name it
     has scored as (normalised form, trigram counts, norm), so a vocabulary is
-    tokenised once, not once per pair.
+    tokenised once, not once per pair, and every `best` answer, so a raw name
+    is scored against a vocabulary once, not once per atom.
     """
 
     def __init__(self) -> None:
         self._profiles: Dict[str, Tuple[str, Counter, float]] = {}
+        # vocabulary names -> raw name -> (best id, its score)
+        self._best: Dict[Tuple[str, ...], Dict[str, Tuple[int, float]]] = {}
 
     def _profile(self, s: str) -> Tuple[str, Counter, float]:
         got = self._profiles.get(s)
@@ -177,6 +180,21 @@ class TrigramSimilarity:
         norm = norm_a * norm_b
         return dot / norm if norm else 0.0
 
+    def best(self, raw: str, names: Tuple[str, ...]) -> Tuple[int, float]:
+        """(id, score) of the name in `names` that scores highest against
+        `raw`, ties to the lower id. Memoised on the names themselves, not on
+        the identity of a list that may be freed and its id reused."""
+        memo = self._best.setdefault(names, {})
+        got = memo.get(raw)
+        if got is None:
+            best_id, best_score = 0, -1.0
+            for rid, name in enumerate(names):
+                s = self.score(raw, name)
+                if s > best_score:
+                    best_id, best_score = rid, s
+            got = memo[raw] = (best_id, best_score)
+        return got
+
 
 def map_relations(rule: Rule, kb: KnowledgeBase, provider: TrigramSimilarity) -> Rule:
     """Replace raw relation strings with the best-scoring vocabulary relation id.
@@ -186,17 +204,14 @@ def map_relations(rule: Rule, kb: KnowledgeBase, provider: TrigramSimilarity) ->
     """
     if kb.num_relations == 0:
         raise KBError("cannot map relations against an empty vocabulary")
+    names = tuple(kb.relations.names)
     scores: List[float] = []
 
     def map_atom(a: RuleAtom) -> RuleAtom:
         if isinstance(a.relation, int):
             scores.append(1.0)
             return a
-        best_id, best_score = 0, -1.0
-        for rid in range(kb.num_relations):
-            s = provider.score(a.relation, kb.relation_name(rid))
-            if s > best_score:
-                best_id, best_score = rid, s
+        best_id, best_score = provider.best(a.relation, names)
         scores.append(best_score)
         return replace(a, relation=best_id)
 

@@ -22,7 +22,6 @@ buffers once and every epoch reuses them.
 
 import json
 import logging
-import math
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -33,27 +32,9 @@ from .grounding import Grounding, signed_rows, support_row
 from .kb import KBError, KnowledgeBase, Triple
 from .rotate import AdamW, RotateModel, score_tails
 from .rules import format_rule
+from .settings import TrainerConfig
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class TrainerConfig:
-    lr: float = 1e-3
-    weight_decay: float = 0.1
-    step_size: int = 100
-    step_gamma: float = 0.01
-    patience: int = 30
-    max_epochs: int = 500
-    seed: int = 0
-    uniform_weights: bool = False  # freeze logits equal; ablation mode
-
-    def __post_init__(self):
-        if self.step_size < 1 or self.patience < 1 or self.max_epochs < 0:
-            raise ValueError("step_size and patience must be positive, max_epochs >= 0")
-        for name in ("lr", "weight_decay", "step_gamma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError("trainer.%s must be finite, got %r" % (name, getattr(self, name)))
 
 
 @dataclass

@@ -396,6 +396,21 @@ class TestExplainAndResume:
         assert "error: %s has a non-finite entity value" % path in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_bad_annotations_path_exits_before_any_report(self, cli_pipeline, tmp_path, capsys, kind):
+        config, run = private_run(cli_pipeline, tmp_path)
+        for old in (run / "reports").glob("metrics_test.*"):
+            old.unlink()
+        path = tmp_path / "annotations"
+        if kind == "directory":
+            path.mkdir()
+        code = cli.main(["--config", str(config), "eval", "--rules-annotations", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: cannot open annotation file %s" % path in err
+        assert "Traceback" not in err
+        assert not list((run / "reports").glob("metrics_test.*"))
+
     def test_explain_negative_top_exits_cleanly(self, cli_pipeline, capsys):
         code = cli.main(
             ["--config", str(cli_pipeline["config"]), "explain", "e00", "grandparent", "--top=-1"]

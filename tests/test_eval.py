@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+import requests
 
 import synthetic
-from rulekbc import proposer
 from rulekbc.evaluation import (
     compute_metrics,
     compute_rule_quality,
@@ -208,7 +208,7 @@ class TestInferenceBaseline:
 
     def test_hits_by_normalized_name(self, monkeypatch):
         monkeypatch.setattr(
-            proposer.requests,
+            requests,
             "post",
             lambda *a, **kw: FakeResponse(chat_payload("charlie\nEVE\nBob")),
         )
@@ -221,9 +221,9 @@ class TestInferenceBaseline:
 
     def test_backend_failure_counts_as_miss(self, monkeypatch):
         def boom(*a, **kw):
-            raise proposer.requests.ConnectionError("down")
+            raise requests.ConnectionError("down")
 
-        monkeypatch.setattr(proposer.requests, "post", boom)
+        monkeypatch.setattr(requests, "post", boom)
         rep = evaluate_inference_baseline(
             remote_backend(max_retries=0), self.make_kb()
         )

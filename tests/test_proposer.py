@@ -229,7 +229,7 @@ class TestRemoteBackend:
             calls.update(url=url, json=json, headers=headers, timeout=timeout)
             return FakeResponse(chat_payload("IF (A, parent, B) THEN (A, grandparent, B)"))
 
-        monkeypatch.setattr(proposer.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         monkeypatch.setenv("RULEKBC_API_KEY", "sekrit")
         kb = synthetic.family_kb()
         sg = family_subgraph(kb)
@@ -247,7 +247,7 @@ class TestRemoteBackend:
             attempts.append(1)
             raise requests.ConnectionError("refused")
 
-        monkeypatch.setattr(proposer.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         backend = remote_backend(max_retries=2)
         with pytest.raises(ProposerError, match="after 3 attempts"):
             proposer._complete(backend, "prompt")
@@ -257,7 +257,7 @@ class TestRemoteBackend:
         sleeps = []
         monkeypatch.setattr(proposer.time, "sleep", sleeps.append)
         monkeypatch.setattr(
-            proposer.requests, "post", lambda *a, **kw: FakeResponse(status=500)
+            requests, "post", lambda *a, **kw: FakeResponse(status=500)
         )
         backend = remote_backend(max_retries=2, retry_backoff=0.3)
         with pytest.raises(ProposerError):
@@ -271,7 +271,7 @@ class TestRemoteBackend:
             attempts.append(1)
             return FakeResponse({"unexpected": True})
 
-        monkeypatch.setattr(proposer.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         with pytest.raises(ProposerError, match="malformed"):
             proposer._complete(remote_backend(max_retries=3), "prompt")
         assert len(attempts) == 1
@@ -280,7 +280,7 @@ class TestRemoteBackend:
         def fake_post(*a, **kw):
             raise requests.ConnectionError("down")
 
-        monkeypatch.setattr(proposer.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         kb = synthetic.family_kb()
         sg = family_subgraph(kb)
         records = propose(remote_backend(), kb, [sg])
@@ -297,7 +297,7 @@ class TestRemoteBackend:
                 rng.choice(list(pool), size=int(rng.integers(0, 120)))
             )
             monkeypatch.setattr(
-                proposer.requests, "post", lambda *a, junk=junk, **kw: FakeResponse(chat_payload(junk))
+                requests, "post", lambda *a, junk=junk, **kw: FakeResponse(chat_payload(junk))
             )
             records = propose(remote_backend(), kb, [sg])
             rec = records[0]
@@ -314,7 +314,7 @@ class TestDirectInference:
     def test_returns_at_most_ten_cleaned_names(self, monkeypatch):
         names = "\n".join("%d. cand_%02d" % (i + 1, i) for i in range(14))
         monkeypatch.setattr(
-            proposer.requests, "post", lambda *a, **kw: FakeResponse(chat_payload(names))
+            requests, "post", lambda *a, **kw: FakeResponse(chat_payload(names))
         )
         kb = synthetic.family_kb()
         got = direct_infer_candidates(remote_backend(), kb, 0, 1)

@@ -258,16 +258,26 @@ class TestMapRelations:
             "borders",
             "exports to",
         ]
+        raw_pool = vocab_pool + ["work", "head of", "zzz"]
+        oracle = TrigramSimilarity()
+        # one provider maps every rule: its memo must answer per vocabulary,
+        # here the same names in two id orders, and per raw name, here
+        # repeated within a rule
         for _ in range(60):
             names = list(rng.permutation(vocab_pool))[: int(rng.integers(2, 7))]
-            kb = synthetic.build_kb(["x", "y"], names, [("x", names[0], "y")])
-            raw = str(rng.choice(vocab_pool + ["work", "head of", "zzz"]))
-            rule = parse_rule("IF (A, %s, B) THEN (A, %s, B)" % (raw, names[0]))
-            mapped = map_relations(rule, kb, provider)
-            scores = [provider.score(raw, n) for n in names]
-            best = int(np.argmax(scores))  # argmax returns the first (lowest id) max
-            assert mapped.body[0].relation == best
-            assert mapped.similarity[0] == pytest.approx(scores[best])
+            raws = [str(r) for r in rng.choice(raw_pool, size=4)]
+            raws[int(rng.integers(1, 4))] = raws[0]
+            rule = parse_rule(
+                "IF (A, %s, B) AND (B, %s, C) AND (C, %s, D) THEN (A, %s, D)" % tuple(raws)
+            )
+            for order in (names, names[::-1]):
+                kb = synthetic.build_kb(["x", "y"], order, [("x", order[0], "y")])
+                mapped = map_relations(rule, kb, provider)
+                for atom, raw, sim in zip(mapped.body + (mapped.head,), raws, mapped.similarity):
+                    scores = [oracle.score(raw, n) for n in order]
+                    best = int(np.argmax(scores))  # argmax returns the first (lowest id) max
+                    assert atom.relation == best
+                    assert sim == scores[best]
 
     def test_empty_vocabulary_rejected(self):
         kb = synthetic.family_kb()
