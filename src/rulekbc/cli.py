@@ -24,7 +24,7 @@ import numpy as np
 # commands that use them import them themselves and `extract` and `propose`
 # never load it
 from . import proposer, rules, settings, subgraph
-from .kb import KBError, KnowledgeBase, load_kb
+from .kb import KBError, KnowledgeBase, load_kb, not_utf8
 
 if TYPE_CHECKING:
     from . import grounding
@@ -204,9 +204,11 @@ def load_config(
         raise CLIError("config file %s does not exist (see config.example)" % path)
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        parser.read(path)
+        parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise CLIError("cannot parse %s: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from exc
     for section in parser.sections():
         if section not in _KEYS:
             raise CLIError("unknown config section [%s]" % section)

@@ -7,7 +7,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from .grounding import Grounding
-from .kb import KBError, KnowledgeBase
+from .kb import KBError, KnowledgeBase, text_lines
 from .proposer import ProposerBackend, ProposerError, direct_infer_candidates
 from .rotate import RotateModel
 from .rules import Rule, format_rule
@@ -103,28 +103,21 @@ _VALID_PATH_SCORES = (0.0, 0.5, 1.0)
 def load_annotations(path: str) -> Dict[str, List[float]]:
     """Annotation file: one line per rule, canonical text TAB comma-joined scores."""
     out: Dict[str, List[float]] = {}
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise KBError("cannot open annotation file %s: %s" % (path, exc)) from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise KBError("%s:%d: expected <rule>TAB<scores>" % (path, lineno))
-            try:
-                scores = [float(s) for s in parts[1].split(",") if s.strip()]
-            except ValueError as exc:
-                raise KBError("%s:%d: bad score list" % (path, lineno)) from exc
-            for s in scores:
-                if s not in _VALID_PATH_SCORES:
-                    raise KBError(
-                        "%s:%d: path score %r not in {0, 0.5, 1}" % (path, lineno, s)
-                    )
-            out[parts[0]] = scores
+    for lineno, raw in text_lines(path, "annotation file"):
+        line = raw.rstrip("\r\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise KBError("%s:%d: expected <rule>TAB<scores>" % (path, lineno))
+        try:
+            scores = [float(s) for s in parts[1].split(",") if s.strip()]
+        except ValueError as exc:
+            raise KBError("%s:%d: bad score list" % (path, lineno)) from exc
+        for s in scores:
+            if s not in _VALID_PATH_SCORES:
+                raise KBError("%s:%d: path score %r not in {0, 0.5, 1}" % (path, lineno, s))
+        out[parts[0]] = scores
     return out
 
 

@@ -7,7 +7,7 @@ touch the adjacency matrices (`extract`, `propose`) do not load it.
 import functools
 import hashlib
 import logging
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -22,6 +22,34 @@ SATURATION_CAP = 2**31 - 1
 
 class KBError(Exception):
     """Raised for malformed input files or inconsistent KB state."""
+
+
+def not_utf8(path: str, exc: UnicodeDecodeError) -> KBError:
+    """The KBError for a text file that failed to decode, naming its first
+    line that is not UTF-8. A newline byte is never part of a multi-byte
+    UTF-8 sequence, so the lines decode alone as they do together."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as line_exc:
+                return KBError("%s:%d: not UTF-8 text: %s" % (path, lineno, line_exc))
+    return KBError("%s: not UTF-8 text: %s" % (path, exc))
+
+
+def text_lines(path: str, what: str) -> Iterator[Tuple[int, str]]:
+    """(line number, line) of the UTF-8 text file `path`. KBError names the
+    file, as `what`, when it cannot be opened, and the file and line where
+    it is not UTF-8."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise KBError("cannot open %s %s: %s" % (what, path, exc)) from exc
+    with fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise not_utf8(path, exc) from exc
 
 
 class Triple(NamedTuple):
@@ -258,28 +286,22 @@ def _read_split(path: str, entities: Vocab, relations: Vocab) -> List[Triple]:
     triples: List[Triple] = []
     seen: Set[Triple] = set()
     dups = 0
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise KBError("cannot open triple file %s: %s" % (path, exc)) from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or not all(parts):
-                raise KBError(
-                    "%s:%d: expected 3 tab-separated fields, got %d"
-                    % (path, lineno, len(parts))
-                )
-            h, r, t = parts
-            triple = Triple(entities.add(h), relations.add(r), entities.add(t))
-            if triple in seen:
-                dups += 1
-                continue
-            seen.add(triple)
-            triples.append(triple)
+    for lineno, raw in text_lines(path, "triple file"):
+        line = raw.rstrip("\r\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3 or not all(parts):
+            raise KBError(
+                "%s:%d: expected 3 tab-separated fields, got %d" % (path, lineno, len(parts))
+            )
+        h, r, t = parts
+        triple = Triple(entities.add(h), relations.add(r), entities.add(t))
+        if triple in seen:
+            dups += 1
+            continue
+        seen.add(triple)
+        triples.append(triple)
     if dups:
         logger.warning("%s: dropped %d duplicate triples", path, dups)
     return triples

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .kb import KBError, KnowledgeBase
+from .kb import KBError, KnowledgeBase, text_lines
 
 UNCLASSIFIED = "UNCLASSIFIED"
 
@@ -367,12 +367,11 @@ def _record_rule(rec, kb: KnowledgeBase) -> Rule:
 
 def load_rules(path: str, kb: KnowledgeBase) -> List[Rule]:
     out: List[Rule] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(_record_rule(json.loads(line), kb))
-            except (TypeError, ValueError) as exc:
-                raise KBError("%s:%d: bad rule record: %s" % (path, lineno, exc)) from exc
+    for lineno, line in text_lines(path, "rule file"):
+        if not line.strip():
+            continue
+        try:
+            out.append(_record_rule(json.loads(line), kb))
+        except (TypeError, ValueError) as exc:
+            raise KBError("%s:%d: bad rule record: %s" % (path, lineno, exc)) from exc
     return out

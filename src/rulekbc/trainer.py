@@ -14,10 +14,12 @@ body-support counts for validation and ranking, and for training the signed
 rows that penalize body support contradicted by the train KB.
 
 Rule evidence is kept sparse, as the nonzeros of each (heads, rules,
-entities) block, and one kernel (`_scores`) scores it for training,
-validation, evaluation, `rank` and `combined_score` alike. Training memory is
-O(nonzeros + heads x entities): each relation allocates its (heads, entities)
-buffers once and every epoch reuses them.
+entities) block, and one kernel (`_scores`) scores it for validation,
+evaluation, `rank` and `combined_score` alike. The training loss and its
+gradients need the scores only at the evidence and gold cells plus a few
+statistics per head row, so without embeddings (every row of F is zeros)
+training memory is O(nonzeros + heads x rules); with them each relation
+allocates one (heads, entities) score buffer once and every epoch reuses it.
 """
 
 import json
@@ -29,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .grounding import Grounding, signed_rows, support_row
-from .kb import KBError, KnowledgeBase, Triple
+from .kb import KBError, KnowledgeBase, Triple, not_utf8
 from .rotate import AdamW, RotateModel, score_tails
 from .rules import format_rule
 from .settings import TrainerConfig
@@ -121,34 +123,50 @@ def normalize_embedding_row(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _changes(sorted_keys: np.ndarray) -> np.ndarray:
+    """True where a sorted array starts a run of equal values."""
+    new = np.ones(sorted_keys.size, dtype=bool)
+    new[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return new
+
+
 class _Block:
     """Rule evidence and embedding rows of one relation for a list of heads.
 
     The evidence is kept as the nonzeros of the (heads, rules, entities)
     tensor: `head`, `rule`, `value`, sorted by the cell `key` = head *
     entities + tail and by rule within a cell. `starts` indexes the first
-    nonzero of each cell and `cells` holds that cell's key. F holds the
-    normalized embedding rows. Z and P are (heads, entities) buffers that
-    every `_scores` and `relation_loss_and_grads` call overwrites, so an
-    epoch allocates nothing of that size.
+    nonzero of each cell, `cells` holds that cell's key and `cell_row` its
+    head, `cell_of` is the cell of each nonzero, `row_starts` indexes the
+    first cell of each head that has one and `off_cells` counts each head's
+    entities that are no cell. F holds the normalized embedding rows, or is
+    None without an embedding model, where every row is zeros. Z is the
+    (heads, entities) score buffer that `_scores` overwrites, allocated on
+    first use, so an epoch allocates nothing of that size.
     """
 
-    def __init__(self, head, rule, tail, value, n_rules: int, F: np.ndarray):
-        key = np.asarray(head, dtype=np.int64) * F.shape[1] + tail
+    def __init__(
+        self, head, rule, tail, value, n_rules: int, shape: Tuple[int, int], F=None
+    ):
+        H, E = self.shape = shape
+        key = np.asarray(head, dtype=np.int64) * E + tail
         order = np.argsort(key, kind="stable")  # stable: rule order within a cell
         self.key = key[order]
         self.head = np.asarray(head, dtype=np.int64)[order]
         self.rule = np.asarray(rule, dtype=np.int64)[order]
         self.value = np.asarray(value, dtype=float)[order]
         self.widx = self.head * (n_rules + 1) + self.rule  # flat index into W
-        new_cell = np.concatenate(([self.key.size > 0], self.key[1:] != self.key[:-1]))
+        new_cell = _changes(self.key)
         self.starts = np.flatnonzero(new_cell)
         self.cells = self.key[self.starts]
-        self.active = np.zeros((F.shape[0], n_rules), dtype=bool)
+        self.cell_of = np.cumsum(new_cell) - 1
+        self.cell_row = self.cells // E
+        self.row_starts = np.flatnonzero(_changes(self.cell_row))
+        self.off_cells = E - np.bincount(self.cell_row, minlength=H)
+        self.active = np.zeros((H, n_rules), dtype=bool)
         self.active[self.head, self.rule] = True
         self.F = F
-        self.Z = np.empty(F.shape)
-        self.P = np.empty(F.shape)
+        self.Z: Optional[np.ndarray] = None
 
 
 def _evidence(
@@ -162,7 +180,7 @@ def _evidence(
     """The block of `heads` (repeats allowed) of one relation: rule evidence
     C(h, .), or with `signed` `grounding.score`, gathered per rule for all
     heads at once from the CSR arrays, and the normalized embedding rows F
-    (zeros without a model) from one `score_tails` call. A head's evidence
+    (None without a model) from one `score_tails` call. A head's evidence
     and row are the same whatever other heads are asked for with it."""
     heads = np.asarray(heads, dtype=np.int64)
     rows = [signed_rows(g, heads) if signed else support_row(g, heads) for g in groundings]
@@ -170,26 +188,42 @@ def _evidence(
         np.concatenate([np.zeros(0, np.int64)] + [r[k] for r in rows]) for k in range(3)
     )
     rule = np.repeat(np.arange(len(rows)), [len(r[0]) for r in rows])
-    if rotate_model is None:
-        F = np.zeros((len(heads), kb.num_entities))
-    else:
+    F = None
+    if rotate_model is not None:
         F = normalize_embedding_row(score_tails(rotate_model, heads, relation))
-    return _Block(head, rule, tail, value, len(groundings), F)
+    return _Block(head, rule, tail, value, len(groundings), (len(heads), kb.num_entities), F)
+
+
+def _weights(block: _Block, logits: np.ndarray, mix_logit: float):
+    """The weights W (heads, rules + 1; embedding last), alpha, and the rule
+    part of each cell: its nonzeros' sum of value * weight."""
+    W = masked_weights(logits, block.active)
+    alpha = sigmoid(mix_logit)
+    rule_part = np.add.reduceat(block.value * W.reshape(-1)[block.widx], block.starts)
+    return W, alpha, rule_part
+
+
+def _dense_scores(block: _Block, W: np.ndarray, alpha: float, rule_part: np.ndarray) -> np.ndarray:
+    """The combined scores of every head of the block, into block.Z."""
+    if block.Z is None:
+        block.Z = np.empty(block.shape)
+    Z = block.Z
+    if block.F is None:
+        Z.fill(0.0)
+    else:
+        np.multiply(block.F, W[:, -1:], out=Z)
+        Z *= 1.0 - alpha
+    Z.reshape(-1)[block.cells] += alpha * rule_part
+    return Z
 
 
 def _scores(block: _Block, logits: np.ndarray, mix_logit: float):
     """Combined scores of every head of the block, into block.Z.
 
-    Returns Z, the weights W (heads, rules + 1; embedding last), alpha, and
-    the rule part of each cell: its nonzeros' sum of value * weight.
+    Returns Z and `_weights`: W, alpha and the rule part of each cell.
     """
-    W = masked_weights(logits, block.active)
-    alpha = sigmoid(mix_logit)
-    rule_part = np.add.reduceat(block.value * W.reshape(-1)[block.widx], block.starts)
-    Z = np.multiply(block.F, W[:, -1:], out=block.Z)
-    Z *= 1.0 - alpha
-    Z.reshape(-1)[block.cells] += alpha * rule_part
-    return Z, W, alpha, rule_part
+    W, alpha, rule_part = _weights(block, logits, mix_logit)
+    return _dense_scores(block, W, alpha, rule_part), W, alpha, rule_part
 
 
 def _filtered(kb: KnowledgeBase, head: int, relation: int, gold: int) -> np.ndarray:
@@ -214,51 +248,88 @@ def combined_score(
     emb_row = np.asarray(emb_row, dtype=float)
     rows = np.asarray(rule_rows, dtype=float).reshape(-1, emb_row.shape[0])
     rule, tail = np.nonzero(rows)
-    block = _Block(np.zeros_like(rule), rule, tail, rows[rule, tail], len(rows), emb_row[None])
+    F = emb_row[None]
+    block = _Block(np.zeros_like(rule), rule, tail, rows[rule, tail], len(rows), F.shape, F)
     return _scores(block, params.logits, params.mix_logit)[0][0]
+
+
+def _golds(block: _Block, cells: np.ndarray, counts: np.ndarray):
+    """The `golds` of `relation_loss_and_grads` for `block`: the sorted flat
+    indices head * entities + tail of its gold cells, how many queries each
+    stands for, and each one's position in block.cells (-1 where the gold
+    has no evidence)."""
+    at = np.searchsorted(block.cells, cells)
+    hit = at < block.cells.size
+    hit[hit] = block.cells[at[hit]] == cells[hit]
+    return cells, counts, np.where(hit, at, -1)
 
 
 def relation_loss_and_grads(
     logits: np.ndarray,
     mix_logit: float,
     block: _Block,
-    golds: Tuple[np.ndarray, np.ndarray],
+    golds: Tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> Tuple[float, np.ndarray, float]:
     """Mean cross-entropy over one relation's train queries and its gradients.
 
-    golds: (cells, counts), the sorted flat indices head * entities + tail of
-    the gold cells of the block and how many queries each stands for.
-    Returns (loss, d logits, d mix_logit). Overwrites the block's buffers.
+    golds: (cells, counts, positions) from `_golds`. Returns (loss,
+    d logits, d mix_logit). The rule gradient reads dZ = (counts * softmax(Z)
+    - Y) / total only at the evidence cells, and the embedding gradient
+    sum(dZ * F) per head needs only the row sums of exp(Z - max) and of
+    exp(Z - max) * F, so no dense dZ is formed. Without embedding rows Z is
+    0 off the cells and no (heads, entities) array at all: a row's max and
+    normaliser come from its cells and its count of other entries. With
+    them the block's Z buffer is overwritten.
     """
-    cells, weight = golds
+    cells, weight, at = golds
     total = weight.sum()
     if total == 0:
         return 0.0, np.zeros_like(logits), 0.0
-    Z, W, alpha, rule_part = _scores(block, logits, mix_logit)
-    H, E = Z.shape
+    W, alpha, rule_part = _weights(block, logits, mix_logit)
+    H, E = block.shape
     rows = cells // E
+    hit = at >= 0
+    if block.F is None:
+        z = alpha * rule_part  # Z at the cells
+        zmax = np.where(block.off_cells > 0, 0.0, -np.inf)
+        with_cells = block.cell_row[block.row_starts]
+        zmax[with_cells] = np.maximum(zmax[with_cells], np.maximum.reduceat(z, block.row_starts))
+        e = np.exp(z - zmax[block.cell_row])  # exp(Z - max) at the cells
+        # each off-cell 0 adds exp(-max); where there is none, max may be
+        # below -709 and min(-max, 0) keeps 0 * exp(-max) from being 0 * inf
+        norm = block.off_cells * np.exp(np.minimum(-zmax, 0.0))
+        norm += np.bincount(block.cell_row, weights=e, minlength=H)
+        gold_z = np.zeros(len(cells))
+        gold_z[hit] = z[at[hit]]
+    else:
+        Z = _dense_scores(block, W, alpha, rule_part)
+        gold_z = Z.reshape(-1)[cells]
+        zmax = Z.max(axis=1)
+        ez = np.exp(np.subtract(Z, zmax[:, None], out=Z), out=Z)  # Z is no longer needed
+        norm = ez.sum(axis=1)
+        e = ez.reshape(-1)[block.cells]
+        eF = np.einsum("ij,ij->i", ez, block.F)
     counts = np.bincount(rows, weights=weight, minlength=H)
-    gold_z = np.bincount(rows, weights=weight * Z.reshape(-1)[cells], minlength=H)
-    zmax = Z.max(axis=1, keepdims=True)
-    P = np.exp(np.subtract(Z, zmax, out=block.P), out=block.P)
-    norm = P.sum(axis=1, keepdims=True)
-    logsum = np.log(norm[:, 0]) + zmax[:, 0]
-    loss = float((counts * logsum - gold_z).sum() / total)
-    P /= norm  # softmax of Z
-    P *= counts[:, None]
-    dZ = P.reshape(-1)
-    dZ[cells] -= weight
-    dZ /= total
-    g_emb = np.multiply(P, block.F, out=Z).sum(axis=1)  # Z is no longer needed
-    # d alpha = sum(dZ * (rule part - embedding part)); both parts are sparse
-    # or per-head, so no (heads, entities) difference is formed
-    d_alpha = float((dZ[block.cells] * rule_part).sum() - (W[:, -1] * g_emb).sum())
-    d_mix = d_alpha * alpha * (1.0 - alpha)
+    logsum = np.log(norm) + zmax
+    gold_sum = np.bincount(rows, weights=weight * gold_z, minlength=H)
+    loss = float((counts * logsum - gold_sum).sum() / total)
+    dz = e / norm[block.cell_row]  # dZ at the cells
+    dz *= counts[block.cell_row]
+    dz[at[hit]] -= weight[hit]
+    dz /= total
+    # d alpha = sum(dZ * (rule part - embedding part)); the rule part lives
+    # on the cells, the embedding part is W[:, -1] * F
+    d_alpha = float((dz * rule_part).sum())
     # gradient w.r.t. the per-head weights, then through the masked softmax
     G = alpha * np.bincount(
-        block.widx, weights=block.value * dZ[block.key], minlength=W.size
+        block.widx, weights=block.value * dz[block.cell_of], minlength=W.size
     ).reshape(W.shape)
-    G[:, -1] = (1.0 - alpha) * g_emb
+    if block.F is not None:
+        gold_F = np.bincount(rows, weights=weight * block.F.reshape(-1)[cells], minlength=H)
+        g_emb = (counts * eF / norm - gold_F) / total  # sum(dZ * F) per head
+        d_alpha -= float((W[:, -1] * g_emb).sum())
+        G[:, -1] = (1.0 - alpha) * g_emb
+    d_mix = d_alpha * alpha * (1.0 - alpha)
     # running sum for the same reason as in masked_weights
     inner = np.cumsum(W * G, axis=1)[:, -1:]
     d_logits = (W * (G - inner)).sum(axis=0)
@@ -303,7 +374,7 @@ class _RelationData:
         cells = np.unique(
             np.array([head_index[t.head] * kb.num_entities + t.tail for t in train], dtype=np.int64)
         )
-        self.golds = (cells, np.ones(len(cells)))
+        self.golds = _golds(self.train, cells, np.ones(len(cells)))
 
         # one block row per validation query, in split order
         valid = [t for t in kb.valid if t.relation == relation]
@@ -432,7 +503,7 @@ def rank(
     rp = params.relation(relation, num_rules=len(glist))
     block = _evidence(kb, relation, glist, rotate_model, [head], signed=False)
     Z, W, alpha, _ = _scores(block, rp.logits, rp.mix_logit)
-    scores, w, emb = Z[0], W[0], block.F[0]
+    scores, w = Z[0], W[0]
 
     if gold is None:
         keep, gold_rank = np.ones(kb.num_entities, dtype=bool), None
@@ -454,7 +525,8 @@ def rank(
             v = float(alpha * w[i] * value)
             if v != 0.0:
                 contribs.append((labels[i], v))
-        contribs.append(("embedding", float((1.0 - alpha) * w[-1] * emb[tail])))
+        emb = 0.0 if block.F is None else float((1.0 - alpha) * w[-1] * block.F[0, tail])
+        contribs.append(("embedding", emb))
         entries.append(RankEntry(tail=tail, score=float(scores[tail]), contributions=contribs))
     return RankingResult(
         head=head,
@@ -564,11 +636,15 @@ def _block_problem(block) -> Optional[str]:
 
 
 def load_params(path: str, kb: KnowledgeBase) -> ReasonerParams:
-    """Read a `save_params` checkpoint. A relation block with a missing key,
-    a value of the wrong type, a non-finite logit or mix_logit, or not one
-    logit per rule plus the embedding's raises KBError("<path>: ...")."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Read a `save_params` checkpoint. A file that is not UTF-8, or a
+    relation block with a missing key, a value of the wrong type, a
+    non-finite logit or mix_logit, or not one logit per rule plus the
+    embedding's raises KBError("<path>: ...")."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from exc
     if not isinstance(doc, dict):
         raise KBError("%s: not an object of relation blocks" % path)
     params = ReasonerParams()

@@ -2,7 +2,8 @@
 
 This is the trainer's former arithmetic, kept as the reference the sparse
 kernel is checked against, with converters from its dense inputs (S, Y) to
-the kernel's block and gold cells.
+the kernel's block and gold cells. A block without embedding rows is
+checked against the oracle at F = 0.
 """
 
 import numpy as np
@@ -50,21 +51,23 @@ def relation_loss_and_grads(logits, mix_logit, S, F, Y, active):
     return loss, d_logits, d_mix
 
 
-def block_from_dense(S: np.ndarray, F: np.ndarray):
-    """The kernel's block for evidence S (H, n, E) and embedding rows F."""
+def block_from_dense(S: np.ndarray, F):
+    """The kernel's block for evidence S (H, n, E) and embedding rows F, or
+    None for a block without them (rows of zeros)."""
     head, rule, tail = np.nonzero(S)
-    return trainer._Block(head, rule, tail, S[head, rule, tail], S.shape[1], F)
+    H, n, E = S.shape
+    return trainer._Block(head, rule, tail, S[head, rule, tail], n, (H, E), F)
 
 
-def gold_cells(Y: np.ndarray):
-    """The kernel's (cells, counts) for gold multiplicities Y (H, E)."""
+def gold_cells(Y: np.ndarray, block):
+    """The kernel's golds for gold multiplicities Y (H, E) of `block`."""
     cells = np.flatnonzero(Y)
-    return cells, Y.reshape(-1)[cells].astype(float)
+    return trainer._golds(block, cells, Y.reshape(-1)[cells].astype(float))
 
 
 def dense_evidence(block) -> np.ndarray:
     """The (H, n, E) tensor of a block's nonzeros."""
-    H, E = block.F.shape
+    H, E = block.shape
     S = np.zeros((H, block.active.shape[1], E))
     S[block.head, block.rule, block.key % E] = block.value
     return S

@@ -80,10 +80,12 @@ def _random_relation_batch(seed: int) -> Tuple[np.ndarray, ...]:
     return logits, mix, S, F, Y
 
 
-def trainer_fd_check(seed: int) -> float:
-    """Max relative error for the rule-weight loss gradients (logits and mix)."""
+def trainer_fd_check(seed: int, embedded: bool = True) -> float:
+    """Max relative error for the rule-weight loss gradients (logits and mix);
+    `embedded=False` checks a block without embedding rows."""
     logits, mix, S, F, Y = _random_relation_batch(seed)
-    block, golds = dense_oracle.block_from_dense(S, F), dense_oracle.gold_cells(Y)
+    block = dense_oracle.block_from_dense(S, F if embedded else None)
+    golds = dense_oracle.gold_cells(Y, block)
     _, d_logits, d_mix = trainer.relation_loss_and_grads(logits, mix, block, golds)
 
     def loss_at(lg, mx) -> float:

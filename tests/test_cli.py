@@ -58,6 +58,16 @@ class TestConfig:
         with pytest.raises(cli.CLIError, match="does not exist"):
             cli.load_config(str(tmp_path / "nope.ini"))
 
+    def test_non_utf8_config_names_file_and_line(self, tmp_path, capsys):
+        path = minimal_config(tmp_path)
+        path.write_bytes(path.read_bytes() + b"# caf\xe9\n")
+        line = len(path.read_bytes().splitlines())
+        code = cli.main(["--config", str(path), "extract"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: %s:%d: not UTF-8 text: " % (path, line) in err
+        assert "Traceback" not in err
+
     def test_unknown_section_rejected(self, tmp_path):
         path = minimal_config(tmp_path, extra="[bogus]\nx = 1\n")
         with pytest.raises(cli.CLIError, match=r"unknown config section \[bogus\]"):
@@ -179,6 +189,30 @@ class TestArgumentErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert "error: %s.%s must be finite, got %s" % (section, key, value) in err
+        assert "Traceback" not in err
+
+    def test_random_bytes_as_train_file_name_the_file(self, tmp_path, capsys):
+        path = minimal_config(tmp_path)
+        train = tmp_path / "data" / "train.txt"
+        noise = np.random.default_rng(0).integers(0, 256, size=300, dtype=np.uint8).tobytes()
+        train.write_bytes(b"\xeb" + noise[1:])
+        code = cli.main(["--config", str(path), "extract"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: %s:" % train in err and "not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("split", ["train", "valid", "test"])
+    def test_non_utf8_triple_line_is_named(self, tmp_path, capsys, split):
+        path = minimal_config(tmp_path)
+        data = tmp_path / "data" / ("%s.txt" % split)
+        lines = data.read_bytes().splitlines(keepends=True)
+        lines[1] = b"e00\tparent\t\xe9t\xe9\n"  # Latin-1, not UTF-8
+        data.write_bytes(b"".join(lines))
+        code = cli.main(["--config", str(path), "extract"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: %s:2: not UTF-8 text: " % data in err
         assert "Traceback" not in err
 
     def test_resume_without_checkpoint_exits_nonzero(self, tmp_path, capsys):
@@ -410,6 +444,41 @@ class TestExplainAndResume:
         assert "error: cannot open annotation file %s" % path in err
         assert "Traceback" not in err
         assert not list((run / "reports").glob("metrics_test.*"))
+
+    def test_non_utf8_annotations_exit_before_any_report(self, cli_pipeline, tmp_path, capsys):
+        config, run = private_run(cli_pipeline, tmp_path)
+        for old in (run / "reports").glob("metrics_test.*"):
+            old.unlink()
+        path = tmp_path / "annotations.tsv"
+        path.write_bytes(b"IF (A, parent, B) THEN (A, grandparent, B)\t1\n\xff\t0.5\n")
+        code = cli.main(["--config", str(config), "eval", "--rules-annotations", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: %s:2: not UTF-8 text: " % path in err
+        assert "Traceback" not in err
+        assert not list((run / "reports").glob("metrics_test.*"))
+
+    def test_non_utf8_rule_file_is_named(self, cli_pipeline, tmp_path, capsys):
+        config, run = private_run(cli_pipeline, tmp_path)
+        path = run / "rules" / "rules.jsonl"
+        path.write_bytes(path.read_bytes() + b'{"text": "\xc3("}\n')
+        line = len(path.read_bytes().splitlines())
+        code = cli.main(["--config", str(config), "train"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: %s:%d: not UTF-8 text: " % (path, line) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["eval"], ["explain", "e00", "grandparent"]], ids=["eval", "explain"])
+    def test_non_utf8_checkpoint_is_named(self, cli_pipeline, tmp_path, capsys, command):
+        config, run = private_run(cli_pipeline, tmp_path)
+        params = run / "checkpoints" / "params.json"
+        params.write_bytes(params.read_bytes().replace(b"grandparent", b"grandp\xe4rent", 1))
+        code = cli.main(["--config", str(config)] + command)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: %s:" % params in err and "not UTF-8 text" in err
+        assert "Traceback" not in err
 
     def test_explain_negative_top_exits_cleanly(self, cli_pipeline, capsys):
         code = cli.main(

@@ -186,7 +186,7 @@ class TestScoreAccess:
             # sorted by cell, by rule within a cell
             assert (np.lexsort((block.rule, block.key)) == np.arange(len(block.key))).all()
             np.testing.assert_array_equal(block.active, (dense_evidence(block) != 0).any(axis=2))
-            assert not block.F.any()
+            assert block.F is None  # no model: no embedding rows
 
     def test_signed_branches(self):
         a = self.g.joint_count.to_dense()

@@ -1,6 +1,7 @@
 """Combined scoring, masked softmax weighting, training loop, ranking."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from rulekbc.trainer import (
     TrainerConfig,
     _evidence,
     _gold_ranks,
+    _golds,
     _scores,
     check_checkpoint_rules,
     combined_score,
@@ -145,6 +147,10 @@ class TestLossAndGrads:
         for seed in range(3):
             assert gradcheck.trainer_fd_check(seed) < 1e-4
 
+    def test_matches_central_differences_without_embedding(self):
+        for seed in range(3):
+            assert gradcheck.trainer_fd_check(seed, embedded=False) < 1e-4
+
     def test_hand_computed_multi_gold_loss(self):
         S = np.array([[[2.0, 0.0, 1.0]]])
         F = np.array([[0.5, 0.0, 1.0]])
@@ -154,33 +160,59 @@ class TestLossAndGrads:
         logsum = np.log(np.exp(z).sum())
         expected = (2 * logsum - z[0] - z[2]) / 2.0
         block = dense_oracle.block_from_dense(S, F)
-        loss, _, _ = relation_loss_and_grads(logits, 0.0, block, dense_oracle.gold_cells(Y))
+        loss, _, _ = relation_loss_and_grads(logits, 0.0, block, dense_oracle.gold_cells(Y, block))
         assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_no_golds_means_zero_loss_and_grads(self):
-        block = dense_oracle.block_from_dense(np.zeros((1, 1, 3)), np.zeros((1, 3)))
-        loss, d_logits, d_mix = relation_loss_and_grads(
-            np.zeros(2), 0.0, block, dense_oracle.gold_cells(np.zeros((1, 3)))
+        for F in (np.zeros((1, 3)), None):
+            block = dense_oracle.block_from_dense(np.zeros((1, 1, 3)), F)
+            loss, d_logits, d_mix = relation_loss_and_grads(
+                np.zeros(2), 0.0, block, dense_oracle.gold_cells(np.zeros((1, 3)), block)
+            )
+            assert loss == 0.0
+            assert (d_logits == 0).all()
+            assert d_mix == 0.0
+
+    def test_no_embedding_full_rows_and_golds_without_evidence(self):
+        # row 0: every entity is a cell, so its max is over cells alone; row
+        # 1: one cell, far below the off-cell zeros; row 2: no evidence at
+        # all; row 3: every entity a cell, each score below -709, where
+        # exp(-max) overflows. Golds sit on cells and off them.
+        S = np.zeros((4, 2, 4))
+        S[0, 0] = [-3.0, -1.0, 2.0, 7.0]
+        S[0, 1, 1] = -3.0
+        S[1, 1, 2] = -900.0
+        S[3, 0] = -2200.0
+        Y = np.array([[0, 1, 0, 2], [1, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]], dtype=float)
+        logits, mix = np.array([0.4, -0.3, 0.2]), 0.7
+        block = dense_oracle.block_from_dense(S, None)
+        want = dense_oracle.relation_loss_and_grads(
+            logits, mix, S, np.zeros((4, 4)), Y, (S != 0).any(axis=2)
         )
-        assert loss == 0.0
-        assert (d_logits == 0).all()
-        assert d_mix == 0.0
+        got = relation_loss_and_grads(logits, mix, block, dense_oracle.gold_cells(Y, block))
+        assert got[0] == pytest.approx(want[0], rel=0, abs=1e-12)
+        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+        assert got[2] == pytest.approx(want[2], rel=0, abs=1e-12)
 
 
 def _dense_batch(draw, n_rules, dead=None):
     """Random evidence S (H, n, E), embedding rows F, gold multiplicities Y,
-    logits and mix_logit; rule `dead` has no evidence at all."""
+    logits and mix_logit; rule `dead` has no evidence at all. Half the
+    batches have no embedding: F is zeros and `block_F` None. A density of
+    1 makes every entity of a row a cell; below it golds fall off the cells
+    too. Returns (S, F, block_F, Y, logits, mix_logit)."""
     H, E = draw(st.integers(1, 4)), draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = np.array([-3.0, -1.0, 1.0, 2.0, 7.0])
-    density = draw(st.floats(0, 1))
+    density = draw(st.one_of(st.just(1.0), st.floats(0, 1)))
     S = rng.choice(values, size=(H, n_rules, E)) * (rng.random((H, n_rules, E)) < density)
     if dead is not None:
         S[:, dead] = 0.0
-    F = rng.random((H, E))
+    embedded = draw(st.booleans())
+    F = rng.random((H, E)) if embedded else np.zeros((H, E))
     Y = rng.choice([0.0, 0.0, 1.0, 2.0], size=(H, E))
     logits = rng.uniform(-4.0, 4.0, size=n_rules + 1)
-    return S, F, Y, logits, float(rng.uniform(-4.0, 4.0))
+    return S, F, F if embedded else None, Y, logits, float(rng.uniform(-4.0, 4.0))
 
 
 class TestSparseKernel:
@@ -188,13 +220,13 @@ class TestSparseKernel:
     @given(data=st.data())
     def test_matches_dense_oracle(self, data):
         n = data.draw(st.integers(0, 6))
-        S, F, Y, logits, mix = _dense_batch(data.draw, n)
+        S, F, block_F, Y, logits, mix = _dense_batch(data.draw, n)
         active = (S != 0).any(axis=2)
-        block = dense_oracle.block_from_dense(S, F)
+        block = dense_oracle.block_from_dense(S, block_F)
         want_z = dense_oracle.forward(logits, mix, S, F, active)[0]
         np.testing.assert_allclose(_scores(block, logits, mix)[0], want_z, rtol=0, atol=1e-12)
         want = dense_oracle.relation_loss_and_grads(logits, mix, S, F, Y, active)
-        got = relation_loss_and_grads(logits, mix, block, dense_oracle.gold_cells(Y))
+        got = relation_loss_and_grads(logits, mix, block, dense_oracle.gold_cells(Y, block))
         assert got[0] == pytest.approx(want[0], rel=0, abs=1e-12)
         np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
         assert got[2] == pytest.approx(want[2], rel=0, abs=1e-12)
@@ -206,14 +238,17 @@ class TestSparseKernel:
         # gradients bit-identical to the same model with the rule deleted
         n = data.draw(st.integers(1, 40))
         dead = data.draw(st.integers(0, n - 1))
-        S, F, Y, logits, mix = _dense_batch(data.draw, n, dead)
+        S, F, block_F, Y, logits, mix = _dense_batch(data.draw, n, dead)
         cut_S, cut_logits = np.delete(S, dead, axis=1), np.delete(logits, dead)
-        golds = dense_oracle.gold_cells(Y)
-        full = dense_oracle.block_from_dense(S, F)
-        cut = dense_oracle.block_from_dense(cut_S, F)
+        full = dense_oracle.block_from_dense(S, block_F)
+        cut = dense_oracle.block_from_dense(cut_S, block_F)
         assert _scores(full, logits, mix)[0].tobytes() == _scores(cut, cut_logits, mix)[0].tobytes()
-        loss, d_logits, d_mix = relation_loss_and_grads(logits, mix, full, golds)
-        cut_loss, cut_d_logits, cut_d_mix = relation_loss_and_grads(cut_logits, mix, cut, golds)
+        loss, d_logits, d_mix = relation_loss_and_grads(
+            logits, mix, full, dense_oracle.gold_cells(Y, full)
+        )
+        cut_loss, cut_d_logits, cut_d_mix = relation_loss_and_grads(
+            cut_logits, mix, cut, dense_oracle.gold_cells(Y, cut)
+        )
         assert (loss, d_mix) == (cut_loss, cut_d_mix)
         assert np.delete(d_logits, dead).tobytes() == cut_d_logits.tobytes()
         rp = RelationParams(logits=logits, mix_logit=mix)
@@ -242,6 +277,38 @@ class TestSparseKernel:
         for i, h in enumerate(heads):
             alone = _evidence(kb, rel, groundings[rel], model, [h], signed)
             assert Z[i].tobytes() == _scores(alone, logits, 0.3)[0][0].tobytes()
+class TestRulesOnlyMemory:
+    def test_training_block_allocates_no_heads_by_entities_array(self):
+        # without embeddings a training block and a kernel call hold the
+        # evidence and per-head statistics only: one (heads, entities)
+        # float array would be 48 MB here
+        n_heads, n_entities = 2000, 3000
+        rng = np.random.default_rng(0)
+        names = ["e%d" % i for i in range(n_entities)]
+        link = set(zip(rng.integers(0, n_heads, 300).tolist(), rng.integers(0, n_entities, 300).tolist()))
+        target = [(h, int(t)) for h, t in enumerate(rng.integers(0, n_entities, n_heads))]
+        kb = synthetic.build_kb(
+            names,
+            ["link", "target"],
+            [(names[h], "link", names[t]) for h, t in sorted(link)]
+            + [(names[h], "target", names[t]) for h, t in target],
+        )
+        rule = synthetic.classified_rule(kb, "IF (A, link, B) THEN (A, target, B)")
+        gs = ground_all(kb, [rule])[kb.relations.id("target")]
+        cells = np.array([h * n_entities + t for h, t in target], dtype=np.int64)
+        tracemalloc.start()
+        try:
+            block = _evidence(kb, kb.relations.id("target"), gs, None, range(n_heads), signed=True)
+            golds = _golds(block, cells, np.ones(len(cells)))
+            loss, _, _ = relation_loss_and_grads(np.zeros(2), 0.0, block, golds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(block.value) < 1000
+        assert np.isfinite(loss)
+        assert peak < 8 * n_heads * n_entities / 10
+
+
 def family_setup():
     kb = synthetic.family_kb()
     provider = TrigramSimilarity()
