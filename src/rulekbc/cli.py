@@ -86,7 +86,6 @@ _SECTIONS = (
 _STAGE_SEEDS = {
     subgraph.ExtractorConfig: ("rng_seed", 1),
     settings.RotateConfig: ("seed", 2),
-    settings.TrainerConfig: ("seed", 3),
 }
 
 # "section.key" -> comment in CONFIG_EXAMPLE

@@ -36,7 +36,6 @@ class TrainerConfig:
     step_gamma: float = 0.01
     patience: int = 30
     max_epochs: int = 500
-    seed: int = 0
     uniform_weights: bool = False  # freeze logits equal; ablation mode
 
     def __post_init__(self):

@@ -13,6 +13,10 @@ rate and early stopping on validation MRR. `_evidence` builds the rule rows:
 body-support counts for validation and ranking, and for training the signed
 rows that penalize body support contradicted by the train KB.
 
+Validation, evaluation and `rank` share one filtered rank, `_gold_ranks`: it
+counts the scores above and tied with the gold over the whole row, less those
+at the query's other known tails (`_filtered`); no candidate mask is built.
+
 Rule evidence is kept sparse, as the nonzeros of each (heads, rules,
 entities) block, and one kernel (`_scores`) scores it for validation,
 evaluation, `rank` and `combined_score` alike. The training loss and its
@@ -180,8 +184,8 @@ def _evidence(
     """The block of `heads` (repeats allowed) of one relation: rule evidence
     C(h, .), or with `signed` `grounding.score`, gathered per rule for all
     heads at once from the CSR arrays, and the normalized embedding rows F
-    (None without a model) from one `score_tails` call. A head's evidence
-    and row are the same whatever other heads are asked for with it."""
+    (None without a model), one `score_tails` row per distinct head. A
+    head's evidence and row are the same whatever heads come with it."""
     heads = np.asarray(heads, dtype=np.int64)
     rows = [signed_rows(g, heads) if signed else support_row(g, heads) for g in groundings]
     head, tail, value = (
@@ -190,7 +194,8 @@ def _evidence(
     rule = np.repeat(np.arange(len(rows)), [len(r[0]) for r in rows])
     F = None
     if rotate_model is not None:
-        F = normalize_embedding_row(score_tails(rotate_model, heads, relation))
+        distinct, inverse = np.unique(heads, return_inverse=True)
+        F = normalize_embedding_row(score_tails(rotate_model, distinct, relation))[inverse]
     return _Block(head, rule, tail, value, len(groundings), (len(heads), kb.num_entities), F)
 
 
@@ -226,12 +231,16 @@ def _scores(block: _Block, logits: np.ndarray, mix_logit: float):
     return _dense_scores(block, W, alpha, rule_part), W, alpha, rule_part
 
 
-def _filtered(kb: KnowledgeBase, head: int, relation: int, gold: int) -> np.ndarray:
-    """Filtered-protocol candidates: every entity but the other tails known
-    true for (head, relation) in any split; the gold is kept."""
-    keep = np.ones(kb.num_entities, dtype=bool)
-    keep[[t for t in kb.true_tails.get((head, relation), ()) if t != gold]] = False
-    return keep
+def _filtered(
+    kb: KnowledgeBase, relation: int, heads: Sequence[int], golds: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """What the filtered protocol removes: for each query i, the tails other
+    than golds[i] known true for (heads[i], relation) in any split, as
+    (query, tail) index arrays."""
+    known = kb.true_tails
+    others = [[t for t in known.get((h, relation), ()) if t != g] for h, g in zip(heads, golds)]
+    query = np.repeat(np.arange(len(others)), [len(o) for o in others])
+    return query, np.array([t for o in others for t in o], dtype=np.int64)
 
 
 def combined_score(
@@ -337,24 +346,23 @@ def relation_loss_and_grads(
 
 
 def _gold_ranks(
-    Z: np.ndarray, golds: np.ndarray, keep: np.ndarray, hit: Optional[np.ndarray] = None
+    Z: np.ndarray, golds: np.ndarray, filtered: Tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """Mean-of-ties rank of golds[i] among the candidates keep[i] of scores
-    Z[i] (the gold is kept), for every row i; `hit` is an optional boolean
-    buffer shaped like Z."""
-    g = Z[np.arange(len(golds)), golds][:, None]
-    hit = np.greater(Z, g, out=hit)
-    hit &= keep
-    greater = np.count_nonzero(hit, axis=1)
-    np.equal(Z, g, out=hit)
-    hit &= keep
-    ties = np.count_nonzero(hit, axis=1)
+    """Filtered mean-of-ties rank of golds[i] in the scores Z[i], for every
+    row i: the entities above the gold and those tied with it (the gold
+    among them) are counted over the row, less those among the excluded
+    (query, tail) pairs `filtered` from `_filtered`."""
+    g = Z[np.arange(len(golds)), golds]
+    query, tail = filtered
+    z, gq = Z[query, tail], g[query]
+    greater = np.count_nonzero(Z > g[:, None], axis=1) - np.bincount(query, z > gq, len(g))
+    ties = np.count_nonzero(Z == g[:, None], axis=1) - np.bincount(query, z == gq, len(g))
     return greater + (ties + 1) / 2.0
 
 
 class _RelationData:
-    """One relation's train and validation blocks, gold cells and filtered
-    candidate masks, built once before its epochs."""
+    """One relation's train block and gold cells, and its validation block of
+    one row per query with the golds and `_filtered` tails, built once."""
 
     def __init__(
         self,
@@ -378,20 +386,14 @@ class _RelationData:
 
         # one block row per validation query, in split order
         valid = [t for t in kb.valid if t.relation == relation]
-        self.valid = _evidence(
-            kb, relation, groundings, rotate_model, [t.head for t in valid], signed=False
-        )
+        heads = [t.head for t in valid]
+        self.valid = _evidence(kb, relation, groundings, rotate_model, heads, signed=False)
         self.valid_golds = np.array([t.tail for t in valid], dtype=np.int64)
-        self.valid_keep = np.empty((len(valid), kb.num_entities), dtype=bool)
-        for i, t in enumerate(valid):
-            self.valid_keep[i] = _filtered(kb, t.head, relation, t.tail)
-        self.hit = np.empty_like(self.valid_keep)
+        self.valid_filtered = _filtered(kb, relation, heads, self.valid_golds)
 
     def valid_mrr(self, logits: np.ndarray, mix_logit: float) -> float:
-        if not len(self.valid_golds):
-            return float("nan")
         Z = _scores(self.valid, logits, mix_logit)[0]
-        return float(np.mean(1.0 / _gold_ranks(Z, self.valid_golds, self.valid_keep, self.hit)))
+        return float(np.mean(1.0 / _gold_ranks(Z, self.valid_golds, self.valid_filtered)))
 
 
 def _train_relation(
@@ -506,15 +508,16 @@ def rank(
     scores, w = Z[0], W[0]
 
     if gold is None:
-        keep, gold_rank = np.ones(kb.num_entities, dtype=bool), None
+        excluded, gold_rank = np.zeros(0, dtype=np.int64), None
     else:
-        keep = _filtered(kb, head, relation, gold)
-        gold_rank = float(_gold_ranks(Z, np.array([gold]), keep[None])[0])
+        filtered = _filtered(kb, relation, [head], [gold])
+        excluded = filtered[1]
+        gold_rank = float(_gold_ranks(Z, np.array([gold]), filtered)[0])
 
     labels = rp.rule_keys if rp.rule_keys else [format_rule(g.rule, kb) for g in glist]
 
-    kept_ids = np.flatnonzero(keep)
-    top = kept_ids[np.lexsort((kept_ids, -scores[kept_ids]))][:top_k] if top_k else kept_ids[:0]
+    order = np.argsort(-scores, kind="stable")  # stable: ties in tail order
+    top = order[np.isin(order, excluded, invert=True)][:top_k]
     # attributions use the kernel's own weights, so entries sum to the score;
     # in a block of one head a cell's key is its tail
     los, his = np.searchsorted(block.key, top), np.searchsorted(block.key, top, side="right")
@@ -534,7 +537,7 @@ def rank(
         entries=entries,
         gold=gold,
         gold_rank=gold_rank,
-        candidate_count=int(keep.sum()),
+        candidate_count=kb.num_entities - len(excluded),
     )
 
 
@@ -546,8 +549,8 @@ def gold_ranks(
     triples: Sequence[Triple],
 ) -> np.ndarray:
     """Filtered gold ranks of (head, relation, tail) queries, in order: the
-    `gold_rank` that `rank` gives each, with every relation's distinct heads
-    scored as one block."""
+    `gold_rank` that `rank` gives each, with every relation's queries scored
+    as one block of one row per query."""
     ranks = np.empty(len(triples))
     by_relation: Dict[int, List[int]] = {}
     for i, t in enumerate(triples):
@@ -555,14 +558,11 @@ def gold_ranks(
     for relation, idx in sorted(by_relation.items()):
         glist = groundings.get(relation, [])
         rp = params.relation(relation, num_rules=len(glist))
-        heads = sorted({triples[i].head for i in idx})
-        row = {h: k for k, h in enumerate(heads)}
+        heads = [triples[i].head for i in idx]
+        golds = np.array([triples[i].tail for i in idx], dtype=np.int64)
         block = _evidence(kb, relation, glist, rotate_model, heads, signed=False)
         Z = _scores(block, rp.logits, rp.mix_logit)[0]
-        queries = [triples[i] for i in idx]
-        keep = np.array([_filtered(kb, t.head, relation, t.tail) for t in queries])
-        golds = np.array([t.tail for t in queries], dtype=np.int64)
-        ranks[idx] = _gold_ranks(Z[[row[t.head] for t in queries]], golds, keep)
+        ranks[idx] = _gold_ranks(Z, golds, _filtered(kb, relation, heads, golds))
     return ranks
 
 

@@ -28,10 +28,10 @@ def planted_results():
     for seed in PLANTED_SEEDS:
         kb, pool, planted_idx = synthetic.planted_kb(seed)
         groundings = grounding.ground_all(kb, pool)
-        cfg = trainer.TrainerConfig(seed=seed, lr=0.1, max_epochs=300, patience=30)
+        cfg = trainer.TrainerConfig(lr=0.1, max_epochs=300, patience=30)
         learned_params, _ = trainer.train(kb, groundings, None, cfg)
         uniform_cfg = trainer.TrainerConfig(
-            seed=seed, lr=0.1, max_epochs=300, patience=30, uniform_weights=True
+            lr=0.1, max_epochs=300, patience=30, uniform_weights=True
         )
         uniform_params, _ = trainer.train(kb, groundings, None, uniform_cfg)
         learned_report = evaluation.evaluate_model(learned_params, kb, groundings, None, split="valid")

