@@ -159,7 +159,6 @@ class PipelineConfig:
     valid_path: Optional[str]
     test_path: Optional[str]
     extract: subgraph.ExtractorConfig
-    similarity_provider: str
     backend: proposer.ProposerBackend
     rotate_enabled: bool
     rotate: settings.RotateConfig
@@ -239,7 +238,6 @@ def load_config(
         valid_path=paths.valid or None,
         test_path=paths.test or None,
         extract=built[subgraph.ExtractorConfig],
-        similarity_provider=built[_Similarity].provider,
         backend=built[proposer.ProposerBackend],
         rotate_enabled=built[_RotateSwitch].enabled,
         rotate=built[settings.RotateConfig],
@@ -304,8 +302,7 @@ def cmd_propose(cfg: PipelineConfig) -> int:
         path = _subgraph_path(run, rel)
         if not os.path.exists(path):
             raise CLIError("no subgraph dump for relation %r; run extract first" % kb.relation_name(rel))
-        with open(path, "r", encoding="utf-8") as fh:
-            sgs = list(subgraph.load_subgraphs(fh, kb))
+        sgs = list(subgraph.load_subgraphs(path, kb))
         records = proposer.propose(cfg.backend, kb, sgs)
         all_records.extend(records)
         target_name = kb.relation_name(rel)

@@ -4,8 +4,10 @@ For a classified rule, C counts the variable bindings that satisfy the body for
 every (head-subject, head-tail) pair: conjunction is matrix multiplication,
 reversed atoms are transposed factors. A = C * M_head (elementwise) keeps the
 bindings whose head triple is itself observed in train, so A <= C everywhere.
+Only `score` reads A, so a grounding computes it on first read.
 """
 
+import functools
 import hashlib
 import logging
 import os
@@ -38,7 +40,12 @@ class GroundingError(KBError):
 class Grounding:
     rule: Rule
     body_count: SparseMatrix  # C: body-satisfying binding counts per (h, t)
-    joint_count: SparseMatrix  # A: C restricted to pairs whose head is in train
+    head_matrix: SparseMatrix  # M: the head relation's train counts, shared
+
+    @functools.cached_property
+    def joint_count(self) -> SparseMatrix:
+        """A = C * M: C restricted to pairs whose head is in train."""
+        return sparse_hadamard(self.body_count, self.head_matrix)
 
 
 def _chain(factors: List[SparseMatrix]) -> SparseMatrix:
@@ -73,8 +80,7 @@ def ground(kb: KnowledgeBase, rule: Rule, cache_dir: Optional[str] = None) -> Gr
         body_count = _chain(_oriented_factors(kb, rule, CASE_FLAGS[rule.case]))
         if path is not None:
             _cache_store(path, body_count)
-    joint_count = sparse_hadamard(body_count, kb.matrices[rule.head.relation])
-    return Grounding(rule=rule, body_count=body_count, joint_count=joint_count)
+    return Grounding(rule=rule, body_count=body_count, head_matrix=kb.matrices[rule.head.relation])
 
 
 def score(g: Grounding, head: int, tail: int) -> int:
@@ -91,18 +97,6 @@ def support_row(g: Grounding, heads) -> Tuple[np.ndarray, np.ndarray, np.ndarray
     """Body-support counts C(h, .) of every h of `heads` as (position in
     heads, tails, counts), stored entries only, row after row."""
     return g.body_count.rows(heads)
-
-
-def signed_rows(g: Grounding, heads) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`score` over the stored entries of C(h, .) of every h of `heads`: +A
-    where the head triple is in train, -C elsewhere; laid out as `support_row`."""
-    rows, tails, counts = support_row(g, heads)
-    a_rows, a_tails, confirmed = g.joint_count.rows(heads)
-    values = -counts
-    # A's entries are a subset of C's, listed in the same row-major order
-    n = g.body_count.dim
-    values[np.isin(rows * n + tails, a_rows * n + a_tails, assume_unique=True)] = confirmed
-    return rows, tails, values
 
 
 def ground_all(

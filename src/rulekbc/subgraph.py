@@ -6,7 +6,7 @@ from typing import Dict, Iterator, List, Optional, TextIO, Tuple
 
 import numpy as np
 
-from .kb import KBError, KnowledgeBase, Triple
+from .kb import KBError, KnowledgeBase, Triple, text_lines
 
 logger = logging.getLogger(__name__)
 
@@ -152,10 +152,12 @@ def save_subgraphs(fh: TextIO, kb: KnowledgeBase, subgraphs: List[Subgraph]) -> 
         fh.write("\n")
 
 
-def load_subgraphs(fh: TextIO, kb: KnowledgeBase) -> Iterator[Subgraph]:
-    """Inverse of save_subgraphs; names are resolved against the KB vocabulary."""
+def load_subgraphs(path: str, kb: KnowledgeBase) -> Iterator[Subgraph]:
+    """Inverse of save_subgraphs, read from the file `path`; names are
+    resolved against the KB vocabulary. A bad line raises KBError naming the
+    file and line."""
     current: Optional[Subgraph] = None
-    for lineno, raw in enumerate(fh, start=1):
+    for lineno, raw in text_lines(path, "subgraph dump"):
         line = raw.rstrip("\r\n")
         if not line:
             if current is not None:
@@ -163,19 +165,20 @@ def load_subgraphs(fh: TextIO, kb: KnowledgeBase) -> Iterator[Subgraph]:
                 current = None
             continue
         parts = line.split("\t")
-        if parts[0] == "target" and len(parts) == 4:
+        is_target = parts[0] == "target" and len(parts) == 4
+        if not (is_target or (parts[0] == "triple" and len(parts) == 5 and current is not None)):
+            raise KBError("%s:%d: malformed subgraph dump line %r" % (path, lineno, line))
+        try:  # both kinds of line end with the triple's three names
+            tr = Triple(kb.entities.id(parts[-3]), kb.relations.id(parts[-2]), kb.entities.id(parts[-1]))
+            hop = None if is_target else int(parts[1])
+        except (KBError, ValueError) as exc:
+            raise KBError("%s:%d: %s" % (path, lineno, exc)) from None
+        if is_target:
             if current is not None:
                 yield current
-            current = Subgraph(
-                target=Triple(
-                    kb.entities.id(parts[1]), kb.relations.id(parts[2]), kb.entities.id(parts[3])
-                )
-            )
-        elif parts[0] == "triple" and len(parts) == 5 and current is not None:
-            tr = Triple(kb.entities.id(parts[2]), kb.relations.id(parts[3]), kb.entities.id(parts[4]))
-            current.triples.append(tr)
-            current.hop_of[tr] = int(parts[1])
+            current = Subgraph(target=tr)
         else:
-            raise KBError("subgraph dump line %d is malformed: %r" % (lineno, line))
+            current.triples.append(tr)
+            current.hop_of[tr] = hop
     if current is not None:
         yield current

@@ -9,9 +9,10 @@ if it were absent.
 
 Training minimizes per-query softmax cross-entropy over all entities of the
 combined score, one full-batch AdamW step per epoch, with step-decay learning
-rate and early stopping on validation MRR. `_evidence` builds the rule rows:
-body-support counts for validation and ranking, and for training the signed
-rows that penalize body support contradicted by the train KB.
+rate and early stopping on validation MRR. `_evidence` builds the rule rows
+as body-support counts C. Training signs them with the head relation's train
+matrix M (`_RelationData`): +C * M = +A where the head triple is in train,
+-C wherever the body fires without it (`grounding.score`).
 
 Validation, evaluation and `rank` share one filtered rank, `_gold_ranks`: it
 counts the scores above and tied with the gold over the whole row, less those
@@ -34,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .grounding import Grounding, signed_rows, support_row
+from .grounding import Grounding, support_row
 from .kb import KBError, KnowledgeBase, Triple, not_utf8
 from .rotate import AdamW, RotateModel, score_tails
 from .rules import format_rule
@@ -179,15 +180,14 @@ def _evidence(
     groundings: List[Grounding],
     rotate_model: Optional[RotateModel],
     heads: Sequence[int],
-    signed: bool,
 ) -> _Block:
-    """The block of `heads` (repeats allowed) of one relation: rule evidence
-    C(h, .), or with `signed` `grounding.score`, gathered per rule for all
-    heads at once from the CSR arrays, and the normalized embedding rows F
-    (None without a model), one `score_tails` row per distinct head. A
-    head's evidence and row are the same whatever heads come with it."""
+    """The block of `heads` (repeats allowed) of one relation: the body
+    counts C(h, .) of every rule, gathered for all heads at once from the
+    CSR arrays, and the normalized embedding rows F (None without a model),
+    one `score_tails` row per distinct head. A head's evidence and row are
+    the same whatever heads come with it."""
     heads = np.asarray(heads, dtype=np.int64)
-    rows = [signed_rows(g, heads) if signed else support_row(g, heads) for g in groundings]
+    rows = [support_row(g, heads) for g in groundings]
     head, tail, value = (
         np.concatenate([np.zeros(0, np.int64)] + [r[k] for r in rows]) for k in range(3)
     )
@@ -362,32 +362,36 @@ def _gold_ranks(
 
 class _RelationData:
     """One relation's train block and gold cells, and its validation block of
-    one row per query with the golds and `_filtered` tails, built once."""
+    one row per query with the golds and `_filtered` tails, built once.
+
+    The train block holds one row per head of the relation's train matrix M,
+    whose nonzeros are the gold cells; a (head, tail) pair is one query
+    however often train lists it. Its evidence is signed as `grounding.score`:
+    times M at a gold cell (+C * M = +A), negated at every other cell.
+    """
 
     def __init__(
         self,
         kb: KnowledgeBase,
         relation: int,
-        train: List[Triple],
         groundings: List[Grounding],
         rotate_model: Optional[RotateModel],
     ):
         self.relation = relation
-        self.train_heads = sorted({t.head for t in train})
-        head_index = {h: i for i, h in enumerate(self.train_heads)}
-        self.train = _evidence(
-            kb, relation, groundings, rotate_model, self.train_heads, signed=True
-        )
-        # a (head, tail) pair is one query however often train lists it
-        cells = np.unique(
-            np.array([head_index[t.head] * kb.num_entities + t.tail for t in train], dtype=np.int64)
-        )
-        self.golds = _golds(self.train, cells, np.ones(len(cells)))
+        M = kb.matrices[relation]
+        train_heads = np.flatnonzero(np.diff(M.csr.indptr))
+        self.train = _evidence(kb, relation, groundings, rotate_model, train_heads)
+        row, tail, multiplicity = M.rows(train_heads)
+        self.golds = _golds(self.train, row * kb.num_entities + tail, np.ones(len(row)))
+        at = self.golds[2]
+        sign = np.full(len(self.train.cells), -1.0)
+        sign[at[at >= 0]] = multiplicity[at >= 0]
+        self.train.value *= sign[self.train.cell_of]
 
         # one block row per validation query, in split order
         valid = [t for t in kb.valid if t.relation == relation]
         heads = [t.head for t in valid]
-        self.valid = _evidence(kb, relation, groundings, rotate_model, heads, signed=False)
+        self.valid = _evidence(kb, relation, groundings, rotate_model, heads)
         self.valid_golds = np.array([t.tail for t in valid], dtype=np.int64)
         self.valid_filtered = _filtered(kb, relation, heads, self.valid_golds)
 
@@ -460,9 +464,8 @@ def train(
         else:
             keys = [format_rule(g.rule, kb) for g in glist]
             rp = RelationParams(logits=np.zeros(len(glist) + 1), rule_keys=keys)
-        train_triples = kb.train_by_relation(relation)
-        if train_triples and not rp.stopped and rp.epochs_trained < cfg.max_epochs:
-            data = _RelationData(kb, relation, train_triples, glist, rotate_model)
+        if kb.matrices[relation].nnz and not rp.stopped and rp.epochs_trained < cfg.max_epochs:
+            data = _RelationData(kb, relation, glist, rotate_model)
             traces[kb.relation_name(relation)] = _train_relation(data, rp, cfg)
         else:  # nothing to train: its evidence is not built
             traces[kb.relation_name(relation)] = {"loss": [], "metric": []}
@@ -503,7 +506,7 @@ def rank(
         raise ValueError("top_k must be >= 0, got %d" % top_k)
     glist = groundings.get(relation, [])
     rp = params.relation(relation, num_rules=len(glist))
-    block = _evidence(kb, relation, glist, rotate_model, [head], signed=False)
+    block = _evidence(kb, relation, glist, rotate_model, [head])
     Z, W, alpha, _ = _scores(block, rp.logits, rp.mix_logit)
     scores, w = Z[0], W[0]
 
@@ -560,7 +563,7 @@ def gold_ranks(
         rp = params.relation(relation, num_rules=len(glist))
         heads = [triples[i].head for i in idx]
         golds = np.array([triples[i].tail for i in idx], dtype=np.int64)
-        block = _evidence(kb, relation, glist, rotate_model, heads, signed=False)
+        block = _evidence(kb, relation, glist, rotate_model, heads)
         Z = _scores(block, rp.logits, rp.mix_logit)[0]
         ranks[idx] = _gold_ranks(Z, golds, _filtered(kb, relation, heads, golds))
     return ranks

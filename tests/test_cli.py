@@ -214,6 +214,33 @@ class TestArgumentErrors:
         assert "error: %s:2: not UTF-8 text: " % data in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (1, b"x", "invalid literal for int() with base 10: 'x'"),
+            (2, b"nobody", "unknown entity 'nobody'"),
+            (5, b"junk", "malformed subgraph dump line "),
+            (2, b"\xff", "not UTF-8 text: "),
+        ],
+        ids=["hop", "entity", "malformed", "utf8"],
+    )
+    def test_bad_subgraph_dump_line_is_named(self, tmp_path, capsys, field, value, message):
+        path = minimal_config(tmp_path)
+        code, _ = run_cli(["--config", str(path), "extract"])
+        assert code == 0
+        dump = tmp_path / cli.load_config(str(path)).run_dir() / "subgraphs" / "relation_000.txt"
+        lines = dump.read_bytes().splitlines()
+        line = next(i for i, raw in enumerate(lines, start=1) if raw.startswith(b"triple\t"))
+        parts = lines[line - 1].split(b"\t")  # triple, hop, head, relation, tail
+        parts[field : field + 1] = [value]  # field 5 appends a sixth, one too many
+        lines[line - 1] = b"\t".join(parts)
+        dump.write_bytes(b"\n".join(lines) + b"\n")
+        code = cli.main(["--config", str(path), "propose"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: %s:%d: %s" % (dump, line, message) in err
+        assert "Traceback" not in err
+
     def test_resume_without_checkpoint_exits_nonzero(self, tmp_path, capsys):
         path = minimal_config(tmp_path)
         code, _ = run_cli(["--config", str(path), "extract"])

@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rulekbc.kb
@@ -19,7 +19,7 @@ from rulekbc.grounding import (
     score,
     witness_paths,
 )
-from rulekbc.kb import Triple
+from rulekbc.kb import KnowledgeBase, Triple
 from rulekbc.rules import (
     CASE_FLAGS,
     TrigramSimilarity,
@@ -27,7 +27,7 @@ from rulekbc.rules import (
     map_relations,
     parse_rule,
 )
-from rulekbc.trainer import _evidence
+from rulekbc.trainer import _evidence, _RelationData
 
 
 def oracle_ground(kb, rule):
@@ -164,24 +164,32 @@ class TestScoreAccess:
         self.g = ground(self.kb, self.rule)
 
     @settings(max_examples=60, deadline=None)
-    @given(heads=st.lists(st.integers(0, 5), max_size=8), **RANDOM_KB)
+    @given(heads=st.lists(st.integers(0, 5), max_size=8), twice=st.booleans(), **RANDOM_KB)
+    # (e0, r1, e1) listed twice and fired once by case 0-1: A = C * M = 2 there
+    @example(heads=[0], twice=True, n_entities=2, edges={(0, 0, 1), (0, 1, 1)}, rel_picks=[0, 0, 0, 1])
     def test_evidence_blocks_are_pointwise_score_and_body_count(
-        self, n_entities, edges, rel_picks, heads
+        self, n_entities, edges, rel_picks, heads, twice
     ):
         kb, case_rules = kb_and_case_rules(n_entities, edges, rel_picks)
+        rel = case_rules[0].head.relation
+        if twice:  # one head triple listed twice: M and A read 2 at its pair
+            train = kb.train + kb.train_by_relation(rel)[:1]
+            kb = KnowledgeBase(kb.entities, kb.relations, train, [], [])
         gs = [ground(kb, rule) for rule in case_rules]
         heads = [h for h in heads if h < n_entities]
-        rel = gs[0].rule.head.relation
-        signed_block = _evidence(kb, rel, gs, None, heads, signed=True)
-        support_block = _evidence(kb, rel, gs, None, heads, signed=False)
-        signed, support = dense_evidence(signed_block), dense_evidence(support_block)
-        assert signed.shape == support.shape == (len(heads), len(gs), n_entities)
+        train_heads = np.flatnonzero(kb.matrices[rel].to_dense().any(axis=1))
+        train_block = _RelationData(kb, rel, gs, None).train
+        support_block = _evidence(kb, rel, gs, None, heads)
+        signed, support = dense_evidence(train_block), dense_evidence(support_block)
+        assert signed.shape == (len(train_heads), len(gs), n_entities)
+        assert support.shape == (len(heads), len(gs), n_entities)
         for gi, g in enumerate(gs):
             c = g.body_count.to_dense()
-            for hi, h in enumerate(heads):
+            for hi, h in enumerate(train_heads):
                 assert signed[hi, gi].tolist() == [score(g, h, t) for t in range(n_entities)]
+            for hi, h in enumerate(heads):
                 assert support[hi, gi].tolist() == c[h].tolist()
-        for block in (signed_block, support_block):
+        for block in (train_block, support_block):
             assert (block.value != 0).all()  # nonzeros only, so no -0.0 either
             # sorted by cell, by rule within a cell
             assert (np.lexsort((block.rule, block.key)) == np.arange(len(block.key))).all()

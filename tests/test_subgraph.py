@@ -151,14 +151,14 @@ class TestSerialization:
         assert "(Bob, parent, Charlie)" in text
         assert "grandparent" not in text  # target edge excluded
 
-    def test_dump_round_trip(self):
+    def test_dump_round_trip(self, tmp_path):
         kb = random_kb(13)
         cfg = ExtractorConfig()
         sgs = [extract_subgraph(kb, t, cfg) for t in kb.train[:8]]
-        buf = io.StringIO()
-        save_subgraphs(buf, kb, sgs)
-        buf.seek(0)
-        loaded = list(load_subgraphs(buf, kb))
+        path = tmp_path / "dump.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            save_subgraphs(fh, kb, sgs)
+        loaded = list(load_subgraphs(str(path), kb))
         assert len(loaded) == len(sgs)
         for orig, back in zip(sgs, loaded):
             assert back.target == orig.target
@@ -171,8 +171,9 @@ class TestSerialization:
         with pytest.raises(KBError):
             save_subgraphs(io.StringIO(), kb, [sg])
 
-    def test_malformed_dump_line_raises(self):
+    def test_malformed_dump_line_raises(self, tmp_path):
         kb = synthetic.family_kb()
-        buf = io.StringIO("target\tAnna\tparent\tBob\njunk line\n")
-        with pytest.raises(KBError, match="line 2"):
-            list(load_subgraphs(buf, kb))
+        path = tmp_path / "dump.txt"
+        path.write_text("target\tAnna\tparent\tBob\njunk line\n")
+        with pytest.raises(KBError, match=":2: malformed"):
+            list(load_subgraphs(str(path), kb))

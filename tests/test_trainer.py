@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import dense_oracle
 import gradcheck
 import synthetic
-from rulekbc import rotate
+from rulekbc import grounding, rotate
 from rulekbc.evaluation import evaluate_model
 from rulekbc.grounding import ground_all
 from rulekbc.kb import KBError
@@ -21,7 +21,7 @@ from rulekbc.trainer import (
     TrainerConfig,
     _evidence,
     _gold_ranks,
-    _golds,
+    _RelationData,
     _scores,
     check_checkpoint_rules,
     combined_score,
@@ -262,9 +262,8 @@ class TestSparseKernel:
     @given(
         heads=st.lists(st.integers(0, 11), min_size=1, max_size=12),
         seed=st.integers(0, 2**16),
-        signed=st.booleans(),
     )
-    def test_row_is_bit_equal_to_head_scored_alone(self, heads, seed, signed):
+    def test_row_is_bit_equal_to_head_scored_alone(self, heads, seed):
         kb, pool, _ = synthetic.planted_kb(seed % 4)
         groundings = ground_all(kb, pool)
         rel = kb.relations.id("grandparent")
@@ -274,10 +273,10 @@ class TestSparseKernel:
         rng = np.random.default_rng(seed)
         logits = rng.normal(size=len(groundings[rel]) + 1)
         heads = [h % kb.num_entities for h in heads]
-        block = _evidence(kb, rel, groundings[rel], model, heads, signed)
+        block = _evidence(kb, rel, groundings[rel], model, heads)
         Z = _scores(block, logits, 0.3)[0].copy()
         for i, h in enumerate(heads):
-            alone = _evidence(kb, rel, groundings[rel], model, [h], signed)
+            alone = _evidence(kb, rel, groundings[rel], model, [h])
             assert Z[i].tobytes() == _scores(alone, logits, 0.3)[0][0].tobytes()
 class TestRulesOnlyMemory:
     def test_training_block_allocates_no_heads_by_entities_array(self):
@@ -297,18 +296,37 @@ class TestRulesOnlyMemory:
         )
         rule = synthetic.classified_rule(kb, "IF (A, link, B) THEN (A, target, B)")
         gs = ground_all(kb, [rule])[kb.relations.id("target")]
-        cells = np.array([h * n_entities + t for h, t in target], dtype=np.int64)
         tracemalloc.start()
         try:
-            block = _evidence(kb, kb.relations.id("target"), gs, None, range(n_heads), signed=True)
-            golds = _golds(block, cells, np.ones(len(cells)))
-            loss, _, _ = relation_loss_and_grads(np.zeros(2), 0.0, block, golds)
+            data = _RelationData(kb, kb.relations.id("target"), gs, None)
+            block = data.train
+            loss, _, _ = relation_loss_and_grads(np.zeros(2), 0.0, block, data.golds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert 0 < len(block.value) < 1000
         assert np.isfinite(loss)
         assert peak < 8 * n_heads * n_entities / 10
+
+
+class TestJointCountUnread:
+    def test_reasoning_stages_compute_no_hadamard_product(self, monkeypatch):
+        # training signs C with the head relation's train matrix itself, so
+        # only `grounding.score` computes A = C * M, once per grounding
+        calls = []
+        hadamard = grounding.sparse_hadamard
+        monkeypatch.setattr(grounding, "sparse_hadamard", lambda *a: calls.append(a) or hadamard(*a))
+        kb, pool, _ = synthetic.planted_kb(0)
+        groundings = ground_all(kb, pool)
+        model = rotate.init_model(kb.num_entities, kb.num_relations, rotate.RotateConfig(dim=4))
+        params, _ = train(kb, groundings, model, TrainerConfig(max_epochs=3))
+        gold_ranks(params, kb, groundings, model, kb.test)
+        t = kb.test[0]
+        rank(params, kb, groundings, model, t.head, t.relation, gold=t.tail)
+        assert calls == []
+        g = groundings[t.relation][0]
+        assert grounding.score(g, t.head, t.tail) == grounding.score(g, t.head, t.tail)
+        assert len(calls) == 1
 
 
 def family_setup():
@@ -357,9 +375,7 @@ class TestTrainLoop:
         trace = traces["grandparent"]["metric"]
         assert rp.stopped
         assert rp.epochs_trained < 300
-        from rulekbc.trainer import _RelationData
-
-        data = _RelationData(kb, rel, kb.train_by_relation(rel), groundings[rel], None)
+        data = _RelationData(kb, rel, groundings[rel], None)
         assert data.valid_mrr(rp.logits, rp.mix_logit) == pytest.approx(max(trace))
 
     def test_max_epochs_zero_trains_nothing(self):
