@@ -1,8 +1,8 @@
 """Knowledge-base completion from learned logic rules plus rotation embeddings.
 
 Each public name imports its submodule on first access (PEP 562), so a stage
-loads only what it uses: `extract` and `propose` load neither scipy nor
-requests.
+loads only what it uses: no stage loads requests unless it proposes through
+the `remote-chat` backend, and none loads scipy.
 """
 
 import importlib

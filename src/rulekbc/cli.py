@@ -20,9 +20,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-# `grounding`, `rotate`, `trainer` and `evaluation` load scipy, so the
-# commands that use them import them themselves and `extract` and `propose`
-# never load it
+# the commands that use `grounding`, `rotate`, `trainer` and `evaluation`
+# import them themselves, so `extract` and `propose` do not load them
 from . import proposer, rules, settings, subgraph
 from .kb import KBError, KnowledgeBase, load_kb, not_utf8
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .kb import (
     KBError,
@@ -164,9 +163,8 @@ def _cache_load(path: str, n: int) -> Optional[SparseMatrix]:
         return None
     try:
         with np.load(path) as z:
-            csr = sp.csr_matrix((z["data"], z["indices"], z["indptr"]), shape=(n, n))
-        csr.check_format(full_check=True)
-        return SparseMatrix(csr)
+            arrays = [z[name] for name in ("indptr", "indices", "data")]
+        return SparseMatrix.from_csr(n, *arrays)
     except Exception as exc:
         logger.warning("discarding invalid cache entry %s: %r", path, exc)
         return None
@@ -175,11 +173,10 @@ def _cache_load(path: str, n: int) -> Optional[SparseMatrix]:
 def _cache_store(path: str, body_count: SparseMatrix) -> None:
     cache_dir = os.path.dirname(path)
     os.makedirs(cache_dir, exist_ok=True)
-    csr = body_count.csr
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, indptr=csr.indptr, indices=csr.indices, data=csr.data)
+            np.savez(fh, indptr=body_count.indptr, indices=body_count.indices, data=body_count.data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

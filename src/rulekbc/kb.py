@@ -1,18 +1,16 @@
 """Triple store: TSV loading, id vocabularies, per-relation adjacency matrices.
 
-scipy is imported only where a CSR matrix is built, so the stages that never
-touch the adjacency matrices (`extract`, `propose`) do not load it.
+The adjacency and grounding counts are integer CSR matrices kept as plain
+numpy arrays; the products that ground a rule are computed here, so no stage
+loads scipy.
 """
 
 import functools
 import hashlib
 import logging
-from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -94,104 +92,232 @@ class Vocab:
         return name in self.index
 
 
-class SparseMatrix:
-    """Square nonnegative integer count matrix, no stored zeros.
+# Path pairs (a[i, k], b[k, j]) that `sparse_mul` expands at once. Its
+# temporaries are about ten int64 arrays of that length (~5 MB), however
+# many paths the whole product has.
+_PRODUCT_CHUNK = 1 << 16
 
-    Thin wrapper over CSR storage; every operation returns a new matrix and
-    saturates entries at SATURATION_CAP instead of overflowing.
+
+class SparseMatrix:
+    """Square nonnegative integer count matrix in canonical CSR form.
+
+    `indptr` (dim + 1 row offsets), `indices` (columns) and `data` (counts)
+    are int64 arrays; each row's columns strictly increase and no stored
+    count is zero. The arrays are read only and shared, never copied: the
+    constructor takes them as they are, so only `from_coords`, the product
+    kernels and a checked cache load build them. Every operation returns a
+    new matrix and saturates entries at SATURATION_CAP instead of
+    overflowing.
     """
 
-    def __init__(self, csr: "sp.csr_matrix"):
-        if csr.shape[0] != csr.shape[1]:
-            raise KBError("sparse matrix must be square, got %r" % (csr.shape,))
-        csr = csr.astype(np.int64)
-        csr.sum_duplicates()
-        csr.eliminate_zeros()
-        if csr.nnz and csr.data.min() < 0:
-            raise KBError("sparse count matrix cannot hold negative entries")
-        self._m = csr
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray):
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
 
     @classmethod
     def from_coords(cls, dim: int, rows, cols, vals=None) -> "SparseMatrix":
-        import scipy.sparse as sp
-
+        """Counts `vals` (default 1) at (rows, cols); repeated coordinates add
+        up and a zero sum stores nothing."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        if vals is None:
-            vals = np.ones(len(rows), dtype=np.int64)
-        m = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=np.int64)
-        return cls(m)
+        vals = np.ones(len(rows), dtype=np.int64) if vals is None else np.asarray(vals, dtype=np.int64)
+        if not len(rows) == len(cols) == len(vals):
+            raise KBError("coordinate arrays differ in length")
+        if len(rows) and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= dim):
+            raise KBError("coordinates must lie in the %d x %d square matrix" % (dim, dim))
+        return _from_keys(dim, *_sum_keys(rows * dim + cols, vals))
+
+    @classmethod
+    def from_csr(cls, dim: int, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> "SparseMatrix":
+        """The matrix of CSR arrays read from outside, which must already be
+        canonical: row offsets from 0 to the entry count, never decreasing;
+        columns in [0, dim), strictly increasing within a row; positive
+        counts. KBError names the first check that fails."""
+        for name, arr in (("indptr", indptr), ("indices", indices), ("data", data)):
+            if arr.ndim != 1 or arr.dtype.kind not in "iu":
+                raise KBError("CSR %s is not a 1-d integer array" % name)
+        indptr, indices, data = (arr.astype(np.int64, copy=False) for arr in (indptr, indices, data))
+        if len(indptr) != dim + 1 or indptr[0] != 0 or indptr[-1] != len(indices) or len(indices) != len(data):
+            raise KBError("CSR indptr does not span %d rows of %d entries" % (dim, len(data)))
+        if np.any(np.diff(indptr) < 0):
+            raise KBError("CSR indptr decreases")
+        if len(indices) and (indices.min() < 0 or indices.max() >= dim):
+            raise KBError("CSR column index outside the %d x %d square matrix" % (dim, dim))
+        if len(data) and data.min() < 0:
+            raise KBError("sparse count matrix cannot hold negative entries")
+        if len(data) and data.min() == 0:
+            raise KBError("CSR stores a zero count")
+        if np.any(np.diff(_row_ids(indptr) * dim + indices) <= 0):
+            raise KBError("CSR columns do not strictly increase within a row")
+        return cls(indptr, indices, data)
 
     @classmethod
     def zeros(cls, dim: int) -> "SparseMatrix":
-        import scipy.sparse as sp
-
-        return cls(sp.csr_matrix((dim, dim), dtype=np.int64))
+        return cls(np.zeros(dim + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
     @property
     def dim(self) -> int:
-        return self._m.shape[0]
+        return len(self.indptr) - 1
 
     @property
     def nnz(self) -> int:
-        return self._m.nnz
+        return len(self.data)
 
     def get(self, i: int, j: int) -> int:
-        return int(self._m[i, j])
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        at = lo + int(np.searchsorted(self.indices[lo:hi], j))
+        return int(self.data[at]) if at < hi and self.indices[at] == j else 0
 
     def row(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
         """Column indices and values of row i (only stored entries)."""
-        lo, hi = self._m.indptr[i], self._m.indptr[i + 1]
-        return self._m.indices[lo:hi], self._m.data[lo:hi]
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return self.indices[lo:hi], self.data[lo:hi]
 
     def rows(self, heads) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stored entries of rows `heads` (repeats allowed) as (position in
         heads, column, value) arrays, row after row, read straight from the
         CSR arrays."""
         heads = np.asarray(heads, dtype=np.int64)
-        starts = self._m.indptr[heads]
-        lens = self._m.indptr[heads + 1] - starts
+        starts = self.indptr[heads]
+        lens = self.indptr[heads + 1] - starts
         row = np.arange(len(heads)).repeat(lens)
         # output entry j, the k-th of row i, is stored at starts[i] + k
         pos = np.arange(len(row)) + (starts - lens.cumsum() + lens)[row]
-        return row, self._m.indices[pos], self._m.data[pos]
-
-    @property
-    def csr(self) -> "sp.csr_matrix":
-        """The canonical CSR storage; read only, shared with this matrix."""
-        return self._m
+        return row, self.indices[pos], self.data[pos]
 
     def to_dense(self) -> np.ndarray:
-        return np.asarray(self._m.todense(), dtype=np.int64)
+        dense = np.zeros((self.dim, self.dim), dtype=np.int64)
+        dense[_row_ids(self.indptr), self.indices] = self.data
+        return dense
 
     def equals(self, other: "SparseMatrix") -> bool:
-        return self.dim == other.dim and (self._m != other._m).nnz == 0
+        # the canonical form of a matrix is unique
+        return (
+            np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.data, other.data)
+        )
 
 
-def _saturate(m: "sp.csr_matrix") -> "sp.csr_matrix":
-    if m.nnz and m.data.max() > SATURATION_CAP:
-        clipped = int((m.data > SATURATION_CAP).sum())
-        logger.warning("saturating %d count entries at %d", clipped, SATURATION_CAP)
-        m.data = np.minimum(m.data, SATURATION_CAP)
+def _row_ids(indptr: np.ndarray) -> np.ndarray:
+    """The row of every stored entry."""
+    return np.arange(len(indptr) - 1).repeat(np.diff(indptr))
+
+
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    """Row offsets from per-row entry counts."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+def _sum_keys(keys: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct `keys` in increasing order with the exact int64 sums of their
+    `vals`, zero sums dropped."""
+    if not len(keys):
+        return keys, vals
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.add.reduceat(vals, first)
+    kept = sums != 0
+    return keys[first][kept], sums[kept]
+
+
+def _from_keys(dim: int, keys: np.ndarray, vals: np.ndarray) -> SparseMatrix:
+    """The matrix of distinct increasing keys row * dim + column and their
+    nonzero counts."""
+    rows = keys // dim
+    return _checked(SparseMatrix(_indptr(np.bincount(rows, minlength=dim)), keys - rows * dim, vals))
+
+
+def _checked(m: SparseMatrix) -> SparseMatrix:
+    if m.nnz and m.data.min() < 0:
+        raise KBError("sparse count matrix cannot hold negative entries")
     return m
 
 
+def _saturate(data: np.ndarray) -> np.ndarray:
+    if len(data) and data.max() > SATURATION_CAP:
+        clipped = int((data > SATURATION_CAP).sum())
+        logger.warning("saturating %d count entries at %d", clipped, SATURATION_CAP)
+        np.minimum(data, SATURATION_CAP, out=data)
+    return data
+
+
+def _product_rows(a: SparseMatrix, b: SparseMatrix, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows lo..hi-1 of a @ b as distinct increasing keys (row - lo) * dim +
+    column and their summed counts: every path a[i, k] * b[k, j] of those
+    rows is expanded, then paths with the same end points are added."""
+    p0, p1 = a.indptr[lo], a.indptr[hi]
+    mid = a.indices[p0:p1]
+    starts = b.indptr[mid]
+    lens = b.indptr[mid + 1] - starts
+    entry = np.arange(p1 - p0).repeat(lens)  # the entry of a each path leaves by
+    # path p, the k-th through its entry e, reads b's entry starts[e] + k
+    pos = np.arange(len(entry))
+    pos += (starts - lens.cumsum() + lens)[entry]
+    keys = (_row_ids(a.indptr[lo : hi + 1] - p0) * a.dim)[entry]
+    keys += b.indices[pos]
+    vals = a.data[p0:p1][entry]
+    vals *= b.data[pos]
+    del entry, pos
+    return _sum_keys(keys, vals)
+
+
 def sparse_mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    """Integer matrix product; counts compose (paths through shared middle index)."""
+    """Integer matrix product; counts compose (paths through shared middle index).
+
+    Rows of a are taken in chunks of at most _PRODUCT_CHUNK paths (or one
+    row that has more), so the temporaries are bounded by one chunk and the
+    output grows in place.
+    """
     if a.dim != b.dim:
         raise KBError("dimension mismatch in sparse_mul: %d vs %d" % (a.dim, b.dim))
-    return SparseMatrix(_saturate((a._m @ b._m).tocsr()))
+    n = a.dim
+    # paths before each row of a
+    before = _indptr(np.diff(b.indptr)[a.indices])[a.indptr]
+    counts = np.zeros(n, dtype=np.int64)
+    indices = np.zeros(0, dtype=np.int64)
+    data = np.zeros(0, dtype=np.int64)
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(before, before[lo] + _PRODUCT_CHUNK, side="right")) - 1
+        hi = max(hi, lo + 1)
+        keys, vals = _product_rows(a, b, lo, hi)
+        rows = keys // n
+        counts[lo:hi] = np.bincount(rows, minlength=hi - lo)
+        at = len(data)
+        # realloc in place: no second copy of the output so far
+        indices.resize(at + len(keys), refcheck=False)
+        data.resize(at + len(keys), refcheck=False)
+        np.subtract(keys, rows * n, out=indices[at:])
+        data[at:] = vals
+        lo = hi
+    return _checked(SparseMatrix(_indptr(counts), indices, _saturate(data)))
 
 
 def sparse_transpose(a: SparseMatrix) -> SparseMatrix:
-    return SparseMatrix(a._m.transpose().tocsr())
+    # a stable sort by column keeps each column's rows increasing
+    order = np.argsort(a.indices, kind="stable")
+    counts = np.bincount(a.indices, minlength=a.dim)
+    return SparseMatrix(_indptr(counts), _row_ids(a.indptr)[order], a.data[order])
 
 
 def sparse_hadamard(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """Elementwise product; used to intersect body support with head presence."""
     if a.dim != b.dim:
         raise KBError("dimension mismatch in sparse_hadamard: %d vs %d" % (a.dim, b.dim))
-    return SparseMatrix(_saturate(a._m.multiply(b._m).tocsr()))
+    n = a.dim
+    a_keys = _row_ids(a.indptr) * n + a.indices
+    b_keys = _row_ids(b.indptr) * n + b.indices
+    # both key lists increase, so a's keys are looked up in b's by bisection
+    at = np.minimum(np.searchsorted(b_keys, a_keys), max(b.nnz - 1, 0))
+    hit = b_keys[at] == a_keys if b.nnz else np.zeros(a.nnz, dtype=bool)
+    vals = a.data[hit] * b.data[at[hit]]
+    kept = vals != 0
+    return _from_keys(n, a_keys[hit][kept], _saturate(vals[kept]))
 
 
 class KnowledgeBase:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .kb import KBError, KnowledgeBase
 from .settings import RotateConfig
@@ -133,17 +132,16 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scatter(targets: np.ndarray, n: int) -> sp.csr_matrix:
-    """(n, len(targets)) CSR matrix with a one at (targets[j], j).
+def _scatter(targets: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """(n, row width) sums of `rows`, each added into row targets[j].
 
-    Its product with a stack of gradient rows adds each row into its target.
-    A CSR row sums its columns in order from zero, so every target gets its
-    terms in stack order, as `np.add.at` would add them.
+    One bincount over the flattened (target, column) cells: bincount adds its
+    weights one after another from zero, so every target gets its terms in
+    stack order and the sums are the bits `np.add.at` gives.
     """
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(targets, minlength=n), out=indptr[1:])
-    order = np.argsort(targets, kind="stable")
-    return sp.csr_matrix((np.ones(len(targets)), order, indptr), shape=(n, len(targets)))
+    width = rows.shape[1]
+    cells = targets[:, None] * width + np.arange(width)
+    return np.bincount(cells.ravel(), weights=rows.ravel(), minlength=n * width).reshape(n, width)
 
 
 def loss_and_grad(
@@ -228,8 +226,8 @@ def loss_and_grad(
     hr_im *= g_re
     hr_re -= hr_im  # the phase rows
 
-    g_entity = _scatter(targets, model.num_entities) @ grads
-    g_phase = _scatter(r, model.num_relations) @ hr_re
+    g_entity = _scatter(targets, grads, model.num_entities)
+    g_phase = _scatter(r, hr_re, model.num_relations)
     return float(loss), g_entity, g_phase
 
 

@@ -1,7 +1,7 @@
 """Settings of the embedding pretraining and the rule-weight trainer.
 
-They live apart from `rotate` and `trainer`, whose imports load scipy, so
-the CLI can read and hash a config without loading the reasoning stages.
+They live apart from `rotate` and `trainer`, so the CLI can read and hash a
+config without loading the reasoning stages.
 """
 
 import math

@@ -379,7 +379,7 @@ class _RelationData:
     ):
         self.relation = relation
         M = kb.matrices[relation]
-        train_heads = np.flatnonzero(np.diff(M.csr.indptr))
+        train_heads = np.flatnonzero(np.diff(M.indptr))
         self.train = _evidence(kb, relation, groundings, rotate_model, train_heads)
         row, tail, multiplicity = M.rows(train_heads)
         self.golds = _golds(self.train, row * kb.num_entities + tail, np.ones(len(row)))

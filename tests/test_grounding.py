@@ -258,7 +258,7 @@ class TestWitnesses:
             rels = [kb.relation_name(int(rng.integers(3))) for _ in range(3)]
             rule = classified(kb, synthetic.case_rule_text(case, *rels, rh=rels[0]))
             g = ground(kb, rule)
-            rows, cols = g.body_count.csr.nonzero()
+            rows, cols = np.nonzero(g.body_count.to_dense())
             for h, t in list(zip(rows, cols))[:5]:
                 paths = witness_paths(kb, rule, int(h), int(t), limit=3)
                 assert 1 <= len(paths) <= 3
@@ -327,10 +327,18 @@ class TestWitnesses:
 def _parent_entry(g):
     """A cache entry as written before entries held C alone: the dimension
     and the coordinates of both C and A."""
-    c, a = g.body_count.csr.tocoo(), g.joint_count.csr.tocoo()
+    c, a = g.body_count.to_dense(), g.joint_count.to_dense()
+    (c_rows, c_cols), (a_rows, a_cols) = np.nonzero(c), np.nonzero(a)
     return dict(
-        dim=c.shape[0], c_rows=c.row, c_cols=c.col, c_vals=c.data, a_rows=a.row, a_cols=a.col, a_vals=a.data
+        dim=len(c), c_rows=c_rows, c_cols=c_cols, c_vals=c[c_rows, c_cols],
+        a_rows=a_rows, a_cols=a_cols, a_vals=a[a_rows, a_cols],
     )
+
+
+def _two_in_row_0(g, cols):
+    """An entry with counts of 1 at columns `cols` of row 0 and no other."""
+    n = g.body_count.dim
+    return dict(indptr=np.array([0] + [len(cols)] * n), indices=np.array(cols), data=np.ones(len(cols), dtype=np.int64))
 
 
 class TestCache:
@@ -404,8 +412,20 @@ class TestCache:
                 e, indptr=np.array([0, e["indptr"][-1]] + [0] * (g.body_count.dim - 2) + [e["indptr"][-1]])
             ),
             lambda g, e: _parent_entry(g),
+            lambda g, e: dict(e, indptr=np.concatenate([[1], e["indptr"][1:]])),
+            lambda g, e: dict(e, indptr=np.append(e["indptr"][:-1], e["indptr"][-1] + 1)),
+            lambda g, e: dict(e, data=np.append(e["data"], 1)),
+            lambda g, e: _two_in_row_0(g, [3, 1]),
+            lambda g, e: _two_in_row_0(g, [2, 2]),
+            lambda g, e: dict(e, data=np.concatenate([[0], e["data"][1:]])),
+            lambda g, e: dict(e, data=e["data"].astype(float)),
+            lambda g, e: dict(e, indices=e["indices"].reshape(1, -1)),
         ],
-        ids=["dim", "col-past-end", "negative-col", "negative-count", "decreasing-indptr", "parent-format"],
+        ids=[
+            "dim", "col-past-end", "negative-col", "negative-count", "decreasing-indptr", "parent-format",
+            "indptr-start", "indptr-end", "data-length", "unsorted-cols", "duplicate-cols", "zero-count",
+            "float-data", "2d-indices",
+        ],
     )
     def test_invalid_entry_is_regrounded_and_overwritten(self, tmp_path, caplog, corrupt):
         kb = synthetic.family_kb()

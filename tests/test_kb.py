@@ -157,10 +157,11 @@ class TestSparseOps:
             SparseMatrix.from_coords(2, [0], [1], [-1])
 
     def test_rectangular_rejected(self):
-        import scipy.sparse as sp
-
+        # a 2 x 3 matrix with an entry in column 2, as CSR arrays and as coordinates
         with pytest.raises(KBError, match="square"):
-            SparseMatrix(sp.csr_matrix((2, 3), dtype=np.int64))
+            SparseMatrix.from_csr(2, np.array([0, 1, 1]), np.array([2]), np.array([1]))
+        with pytest.raises(KBError, match="square"):
+            SparseMatrix.from_coords(2, [0], [2])
 
     def test_saturation_clips_instead_of_wrapping(self):
         big = SATURATION_CAP

@@ -1,0 +1,150 @@
+"""The numpy CSR count kernels against scipy.sparse, used here as an oracle
+only, and the RotatE gradient scatter against np.add.at."""
+
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from rulekbc import kb as kbmod
+from rulekbc import rotate
+from rulekbc.kb import SATURATION_CAP, KBError, SparseMatrix, sparse_hadamard, sparse_mul, sparse_transpose
+
+
+@st.composite
+def coords(draw, dim, max_value=3, min_value=1):
+    """Coordinate entries of a dim x dim matrix, repeats allowed, and the
+    scipy CSR matrix they sum to."""
+    cells = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1), st.integers(min_value, max_value))
+    entries = draw(st.lists(cells, max_size=3 * dim * dim))
+    rows, cols, vals = (np.array([e[i] for e in entries], dtype=np.int64) for i in range(3))
+    oracle = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=np.int64)
+    oracle.sum_duplicates()
+    oracle.eliminate_zeros()
+    return rows, cols, vals, oracle
+
+
+@st.composite
+def matrices(draw, dim, max_value=3):
+    """A SparseMatrix and its scipy twin; empty rows and columns are common."""
+    rows, cols, vals, oracle = draw(coords(dim, max_value=max_value))
+    return SparseMatrix.from_coords(dim, rows, cols, vals), oracle
+
+
+def assert_same(m: SparseMatrix, oracle: sp.csr_matrix):
+    assert m.dim == oracle.shape[0]
+    for arr in (m.indptr, m.indices, m.data):
+        assert arr.dtype == np.int64
+    np.testing.assert_array_equal(m.indptr, oracle.indptr)
+    np.testing.assert_array_equal(m.indices, oracle.indices)
+    np.testing.assert_array_equal(m.data, oracle.data)
+
+
+def oracle_product(x: sp.csr_matrix, y: sp.csr_matrix) -> sp.csr_matrix:
+    out = (x @ y).tocsr()
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    out.data = np.minimum(out.data, SATURATION_CAP)
+    return out
+
+
+class TestFromCoords:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 6))
+    def test_duplicates_add_and_zero_sums_are_dropped(self, data, dim):
+        rows, cols, vals, oracle = data.draw(coords(dim, min_value=-3))
+        if oracle.nnz and oracle.data.min() < 0:
+            with pytest.raises(KBError, match="negative"):
+                SparseMatrix.from_coords(dim, rows, cols, vals)
+        else:
+            assert_same(SparseMatrix.from_coords(dim, rows, cols, vals), oracle)
+
+
+class TestProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 7), chunk=st.integers(1, 40))
+    def test_matches_scipy_in_any_chunking(self, data, dim, chunk):
+        # dims from 1, empty rows and empty operands, products over many chunks
+        a, sa = data.draw(matrices(dim))
+        b, sb = data.draw(matrices(dim))
+        with mock.patch.object(kbmod, "_PRODUCT_CHUNK", chunk):
+            got = sparse_mul(a, b)
+        assert_same(got, oracle_product(sa, sb))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 5), chunk=st.integers(1, 30))
+    def test_saturates_at_the_cap(self, data, dim, chunk):
+        # products up to 2^60 and sums of five of them stay below 2^63
+        a, sa = data.draw(matrices(dim, max_value=2**30))
+        b, sb = data.draw(matrices(dim, max_value=2**30))
+        want = oracle_product(sa, sb)
+        with mock.patch.object(kbmod, "_PRODUCT_CHUNK", chunk), mock.patch.object(kbmod.logger, "warning") as warn:
+            got = sparse_mul(a, b)
+        assert_same(got, want)
+        saturated = (sa @ sb).tocsr().data.max(initial=0) > SATURATION_CAP
+        assert warn.call_count == int(saturated)
+
+    def test_hub_product_allocates_the_output_and_one_chunk(self):
+        # k in-edges by k out-edges through node 0: k * k paths, each its own
+        # output entry. Expanding every path at once would hold several
+        # int64 arrays of k * k entries on top of the output.
+        k = 800
+        n = 2 * k + 1
+        into = SparseMatrix.from_coords(n, np.arange(1, k + 1), np.zeros(k, dtype=np.int64))
+        out_of = SparseMatrix.from_coords(n, np.zeros(k, dtype=np.int64), np.arange(k + 1, n))
+        tracemalloc.start()
+        try:
+            got = sparse_mul(into, out_of)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.nnz == k * k and set(got.data.tolist()) == {1}
+        output = got.indptr.nbytes + got.indices.nbytes + got.data.nbytes
+        chunk = 96 * kbmod._PRODUCT_CHUNK  # about ten int64 arrays of one chunk of paths
+        assert k * k > 4 * kbmod._PRODUCT_CHUNK
+        assert peak < output + chunk, (peak, output, chunk)
+
+
+class TestTransposeHadamardAccess:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 7))
+    def test_match_scipy(self, data, dim):
+        a, sa = data.draw(matrices(dim))
+        b, sb = data.draw(matrices(dim))
+        assert_same(sparse_transpose(a), sa.transpose().tocsr())
+        hadamard = sa.multiply(sb).tocsr()
+        hadamard.sum_duplicates()
+        hadamard.eliminate_zeros()
+        assert_same(sparse_hadamard(a, b), hadamard)
+
+        dense = sa.toarray()
+        np.testing.assert_array_equal(a.to_dense(), dense)
+        for i in range(dim):
+            cols, vals = a.row(i)
+            np.testing.assert_array_equal(cols, np.flatnonzero(dense[i]))
+            np.testing.assert_array_equal(vals, dense[i][cols])
+            for j in range(dim):
+                assert a.get(i, j) == dense[i, j]
+        heads = data.draw(st.lists(st.integers(0, dim - 1), max_size=2 * dim))
+        pos, cols, vals = a.rows(heads)
+        want = [(p, j, dense[h, j]) for p, h in enumerate(heads) for j in np.flatnonzero(dense[h])]
+        assert list(zip(pos.tolist(), cols.tolist(), vals.tolist())) == want
+
+
+class TestScatter:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), width=st.integers(1, 4), stack=st.integers(0, 30))
+    def test_bit_equal_to_add_at(self, data, n, width, stack):
+        targets = data.draw(hnp.arrays(np.int64, stack, elements=st.integers(0, n - 1)))
+        values = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1e-300, 0.1, 1 / 3])
+        rows = data.draw(hnp.arrays(np.float64, (stack, width), elements=values))
+        want = np.zeros((n, width))
+        np.add.at(want, targets, rows)
+        got = rotate._scatter(targets, rows, n)
+        assert got.shape == (n, width)
+        assert got.tobytes() == want.tobytes()
