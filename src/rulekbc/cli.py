@@ -431,10 +431,7 @@ def cmd_train(cfg: PipelineConfig, resume: bool = False) -> int:
     trainer.save_params(params_path, params, kb)
     _write_json(os.path.join(run, "reports", "train_trace.json"), traces)
     trained = sum(1 for t in traces.values() if t["loss"])
-    print(
-        "trained %d relations (%d grounded rules); checkpoint: %s"
-        % (trained, total_grounded, params_path)
-    )
+    print("trained %d relations (%d grounded rules); checkpoint: %s" % (trained, total_grounded, params_path))
     return 0
 
 
@@ -475,8 +472,7 @@ def cmd_eval(
 
 def _nearest_names(name: str, candidates: List[str], limit: int = 5) -> List[str]:
     provider = rules.TrigramSimilarity()
-    scored = sorted(candidates, key=lambda c: (-provider.score(name, c), c))
-    return scored[:limit]
+    return sorted(candidates, key=lambda c: (-provider.score(name, c), c))[:limit]
 
 
 def cmd_explain(cfg: PipelineConfig, head_name: str, relation_name: str, top_k: int = 10) -> int:
@@ -484,20 +480,11 @@ def cmd_explain(cfg: PipelineConfig, head_name: str, relation_name: str, top_k: 
 
     run = _prepare_run_dir(cfg)
     kb = _load_kb(cfg)
-    if head_name not in kb.entities:
-        print(
-            "unknown entity %r; nearest names: %s"
-            % (head_name, ", ".join(_nearest_names(head_name, kb.entities.names))),
-            file=sys.stderr,
-        )
-        return 2
-    if relation_name not in kb.relations:
-        print(
-            "unknown relation %r; nearest names: %s"
-            % (relation_name, ", ".join(_nearest_names(relation_name, kb.relations.names))),
-            file=sys.stderr,
-        )
-        return 2
+    for name, vocab in ((head_name, kb.entities), (relation_name, kb.relations)):
+        if name not in vocab:
+            shown = ", ".join(_nearest_names(name, vocab.names))
+            print("unknown %s %r; nearest names: %s" % (vocab.kind, name, shown), file=sys.stderr)
+            return 2
     head = kb.entities.id(head_name)
     relation = kb.relations.id(relation_name)
     learned, groundings, rotate_model, params = _load_trained(cfg, run, kb)
@@ -556,11 +543,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    level = logging.DEBUG if args.verbose else logging.INFO
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
         cfg = load_config(args.config, seed=args.seed, output_dir=args.output_dir)
         if args.command == "extract":
@@ -570,12 +554,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "train":
             return cmd_train(cfg, resume=args.resume)
         if args.command == "eval":
-            return cmd_eval(
-                cfg,
-                split=args.split,
-                annotations_path=args.rules_annotations,
-                emit_csv=args.emit_csv,
-            )
+            return cmd_eval(cfg, split=args.split, annotations_path=args.rules_annotations, emit_csv=args.emit_csv)
         if args.command == "explain":
             return cmd_explain(cfg, args.head, args.relation, top_k=args.top)
         if args.command == "rotate-train":

@@ -7,6 +7,7 @@ bindings whose head triple is itself observed in train, so A <= C everywhere.
 Only `score` reads A, so a grounding computes it on first read.
 """
 
+import contextlib
 import functools
 import hashlib
 import logging
@@ -22,6 +23,7 @@ from .kb import (
     KnowledgeBase,
     SparseMatrix,
     Triple,
+    _canonical_csr,
     kb_fingerprint,  # noqa: F401  re-exported
     sparse_hadamard,
     sparse_mul,
@@ -67,19 +69,18 @@ def _oriented_factors(kb: KnowledgeBase, rule: Rule, flags: Tuple[bool, ...]) ->
     ]
 
 
-def ground(kb: KnowledgeBase, rule: Rule, cache_dir: Optional[str] = None) -> Grounding:
-    """Ground one classified, relation-mapped rule; optionally disk-cached."""
+def _check_groundable(rule: Rule) -> None:
     if rule.case == UNCLASSIFIED or rule.case not in CASE_FLAGS:
         raise GroundingError("rule %r has no groundable case" % format_rule(rule))
     if not rule.mapped:
         raise GroundingError("rule %r must be relation-mapped first" % format_rule(rule))
-    path = None if cache_dir is None else os.path.join(cache_dir, _cache_key(kb, rule) + ".npz")
-    body_count = None if path is None else _cache_load(path, kb.num_entities)
-    if body_count is None:
-        body_count = _chain(_oriented_factors(kb, rule, CASE_FLAGS[rule.case]))
-        if path is not None:
-            _cache_store(path, body_count)
-    return Grounding(rule=rule, body_count=body_count, head_matrix=kb.matrices[rule.head.relation])
+
+
+def ground(kb: KnowledgeBase, rule: Rule) -> Grounding:
+    """Ground one classified, relation-mapped rule."""
+    _check_groundable(rule)
+    body_count = _chain(_oriented_factors(kb, rule, CASE_FLAGS[rule.case]))
+    return Grounding(rule, body_count, kb.matrices[rule.head.relation])
 
 
 def score(g: Grounding, head: int, tail: int) -> int:
@@ -102,17 +103,21 @@ def ground_all(
     kb: KnowledgeBase, rules: List[Rule], cache_dir: Optional[str] = None
 ) -> Dict[int, List[Grounding]]:
     """Ground every classifiable rule, grouped by head relation; skips and
-    counts UNCLASSIFIED entries."""
+    counts UNCLASSIFIED entries. The rule set is one entry of `cache_dir`."""
+    groundable = [rule for rule in rules if rule.case != UNCLASSIFIED]
+    if len(groundable) < len(rules):
+        logger.info("skipped %d unclassified rules during grounding", len(rules) - len(groundable))
+    for rule in groundable:
+        _check_groundable(rule)
+    path = None if cache_dir is None else os.path.join(cache_dir, _cache_key(kb, groundable) + ".npz")
+    counts = None if path is None else _cache_load(path, groundable, kb.num_entities)
+    if counts is None:
+        counts = [ground(kb, rule).body_count for rule in groundable]
+        if path is not None:
+            _cache_store(path, counts)
     grouped: Dict[int, List[Grounding]] = {}
-    skipped = 0
-    for rule in rules:
-        if rule.case == UNCLASSIFIED:
-            skipped += 1
-            continue
-        g = ground(kb, rule, cache_dir=cache_dir)
-        grouped.setdefault(rule.head.relation, []).append(g)
-    if skipped:
-        logger.info("skipped %d unclassified rules during grounding", skipped)
+    for rule, c in zip(groundable, counts):
+        grouped.setdefault(rule.head.relation, []).append(Grounding(rule, c, kb.matrices[rule.head.relation]))
     return grouped
 
 
@@ -148,37 +153,51 @@ def witness_paths(
     return paths
 
 
-def _cache_key(kb: KnowledgeBase, rule: Rule) -> str:
-    h = hashlib.sha256()
-    h.update(kb.fingerprint.encode())
-    h.update(b"|")
-    h.update(format_rule(rule, kb).encode())
+def _cache_key(kb: KnowledgeBase, rules: List[Rule]) -> str:
+    h = hashlib.sha256(kb.fingerprint.encode())
+    for rule in rules:
+        h.update(b"|" + format_rule(rule, kb).encode())
     return h.hexdigest()
 
 
-def _cache_load(path: str, n: int) -> Optional[SparseMatrix]:
-    """C from a cache entry (the indptr/indices/data arrays of its canonical
-    n x n CSR matrix), or None when there is no entry or it fails a check."""
+def _cache_load(path: str, rules: List[Rule], n: int) -> Optional[List[SparseMatrix]]:
+    """C of each rule, as views of a cache entry's rows (the indptr/indices/data
+    arrays of every n x n C stacked into one canonical len(rules) * n x n CSR
+    matrix), or None when there is no entry or it fails a check."""
     if not os.path.exists(path):
         return None
     try:
         with np.load(path) as z:
             arrays = [z[name] for name in ("indptr", "indices", "data")]
-        return SparseMatrix.from_csr(n, *arrays)
+        indptr, indices, data = _canonical_csr(len(rules) * n, n, *arrays)
     except Exception as exc:
         logger.warning("discarding invalid cache entry %s: %r", path, exc)
         return None
+    ends = indptr[::n]  # the first entry of each rule, then the entry count
+    return [
+        SparseMatrix(indptr[k * n : (k + 1) * n + 1] - lo, indices[lo:hi], data[lo:hi])
+        for k, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]))
+    ]
 
 
-def _cache_store(path: str, body_count: SparseMatrix) -> None:
+def _cache_store(path: str, body_counts: List[SparseMatrix]) -> None:
+    """Write the stacked entry, then remove every other entry of its
+    directory: those of other rule sets and per-rule ones of old versions."""
     cache_dir = os.path.dirname(path)
     os.makedirs(cache_dir, exist_ok=True)
+    ends = np.cumsum([0] + [c.nnz for c in body_counts])
+    stack = {k: np.concatenate([np.zeros(0, np.int64)] + [getattr(c, k) for c in body_counts]) for k in ("indices", "data")}
+    stack["indptr"] = np.concatenate([[0]] + [c.indptr[1:] + end for c, end in zip(body_counts, ends)])
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, indptr=body_count.indptr, indices=body_count.indices, data=body_count.data)
+            np.savez(fh, **stack)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    for name in os.listdir(cache_dir):
+        if name.endswith(".npz") and name != os.path.basename(path):
+            with contextlib.suppress(FileNotFoundError):  # another process pruned it first
+                os.unlink(os.path.join(cache_dir, name))

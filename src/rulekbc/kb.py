@@ -130,27 +130,8 @@ class SparseMatrix:
 
     @classmethod
     def from_csr(cls, dim: int, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> "SparseMatrix":
-        """The matrix of CSR arrays read from outside, which must already be
-        canonical: row offsets from 0 to the entry count, never decreasing;
-        columns in [0, dim), strictly increasing within a row; positive
-        counts. KBError names the first check that fails."""
-        for name, arr in (("indptr", indptr), ("indices", indices), ("data", data)):
-            if arr.ndim != 1 or arr.dtype.kind not in "iu":
-                raise KBError("CSR %s is not a 1-d integer array" % name)
-        indptr, indices, data = (arr.astype(np.int64, copy=False) for arr in (indptr, indices, data))
-        if len(indptr) != dim + 1 or indptr[0] != 0 or indptr[-1] != len(indices) or len(indices) != len(data):
-            raise KBError("CSR indptr does not span %d rows of %d entries" % (dim, len(data)))
-        if np.any(np.diff(indptr) < 0):
-            raise KBError("CSR indptr decreases")
-        if len(indices) and (indices.min() < 0 or indices.max() >= dim):
-            raise KBError("CSR column index outside the %d x %d square matrix" % (dim, dim))
-        if len(data) and data.min() < 0:
-            raise KBError("sparse count matrix cannot hold negative entries")
-        if len(data) and data.min() == 0:
-            raise KBError("CSR stores a zero count")
-        if np.any(np.diff(_row_ids(indptr) * dim + indices) <= 0):
-            raise KBError("CSR columns do not strictly increase within a row")
-        return cls(indptr, indices, data)
+        """The matrix of CSR arrays read from outside, checked by `_canonical_csr`."""
+        return cls(*_canonical_csr(dim, dim, indptr, indices, data))
 
     @classmethod
     def zeros(cls, dim: int) -> "SparseMatrix":
@@ -203,6 +184,30 @@ class SparseMatrix:
 def _row_ids(indptr: np.ndarray) -> np.ndarray:
     """The row of every stored entry."""
     return np.arange(len(indptr) - 1).repeat(np.diff(indptr))
+
+
+def _canonical_csr(rows: int, dim: int, indptr, indices, data) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The int64 CSR arrays of a `rows` x `dim` matrix, which must already be
+    canonical: row offsets from 0 to the entry count, never decreasing;
+    columns in [0, dim), strictly increasing within a row; positive counts.
+    KBError names the first check that fails."""
+    for name, arr in (("indptr", indptr), ("indices", indices), ("data", data)):
+        if arr.ndim != 1 or arr.dtype.kind not in "iu":
+            raise KBError("CSR %s is not a 1-d integer array" % name)
+    indptr, indices, data = (arr.astype(np.int64, copy=False) for arr in (indptr, indices, data))
+    if len(indptr) != rows + 1 or indptr[0] != 0 or indptr[-1] != len(indices) or len(indices) != len(data):
+        raise KBError("CSR indptr does not span %d rows of %d entries" % (rows, len(data)))
+    if np.any(np.diff(indptr) < 0):
+        raise KBError("CSR indptr decreases")
+    if len(indices) and (indices.min() < 0 or indices.max() >= dim):
+        raise KBError("CSR column index outside the %d x %d square matrix" % (dim, dim))
+    if len(data) and data.min() < 0:
+        raise KBError("sparse count matrix cannot hold negative entries")
+    if len(data) and data.min() == 0:
+        raise KBError("CSR stores a zero count")
+    if np.any(np.diff(_row_ids(indptr) * dim + indices) <= 0):
+        raise KBError("CSR columns do not strictly increase within a row")
+    return indptr, indices, data
 
 
 def _indptr(counts: np.ndarray) -> np.ndarray:
@@ -451,8 +456,5 @@ def load_kb(train_path: str, valid_path: Optional[str] = None, test_path: Option
 
 def kb_fingerprint(kb: KnowledgeBase) -> str:
     """Stable hex digest of the train structure; keys the grounding cache."""
-    h = hashlib.sha256()
-    h.update(("%d|%d" % (kb.num_entities, kb.num_relations)).encode())
-    for t in sorted(kb.train):
-        h.update(("%d,%d,%d;" % t).encode())
-    return h.hexdigest()
+    text = "%d|%d" % (kb.num_entities, kb.num_relations) + "".join("%d,%d,%d;" % t for t in sorted(kb.train))
+    return hashlib.sha256(text.encode()).hexdigest()

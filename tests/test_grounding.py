@@ -2,6 +2,9 @@
 
 import itertools
 import os
+import tempfile
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 import rulekbc.kb
 import synthetic
 from dense_oracle import dense_evidence
+from rulekbc import grounding
 from rulekbc.grounding import (
     GroundingError,
     _cache_key,
@@ -22,8 +26,10 @@ from rulekbc.grounding import (
 from rulekbc.kb import KnowledgeBase, Triple
 from rulekbc.rules import (
     CASE_FLAGS,
+    UNCLASSIFIED,
     TrigramSimilarity,
     classify_case,
+    format_rule,
     map_relations,
     parse_rule,
 )
@@ -335,57 +341,94 @@ def _parent_entry(g):
     )
 
 
-def _two_in_row_0(g, cols):
+def _two_in_row_0(stack, cols):
     """An entry with counts of 1 at columns `cols` of row 0 and no other."""
-    n = g.body_count.dim
-    return dict(indptr=np.array([0] + [len(cols)] * n), indices=np.array(cols), data=np.ones(len(cols), dtype=np.int64))
+    indptr = np.array([0] + [len(cols)] * stack.rows)
+    return dict(indptr=indptr, indices=np.array(cols), data=np.ones(len(cols), dtype=np.int64))
+
+
+# rules over family_kb with both of its relations as heads and one reversed atom
+FAMILY_RULES = (
+    synthetic.PLANTED_RULE_TEXT,
+    "IF (A, parent, B) THEN (A, grandparent, B)",
+    "IF (B, parent, A) THEN (A, grandparent, B)",
+    "IF (A, grandparent, B) THEN (A, parent, B)",
+)
+
+
+def family_rules(kb):
+    return [classified(kb, text) for text in FAMILY_RULES]
+
+
+def canonical(grouped):
+    """head relation -> (rule text, CSR arrays of C, of A, head matrix
+    identity) of each grounding, in order."""
+    def arrays(m):
+        return [m.indptr.tolist(), m.indices.tolist(), m.data.tolist()]
+
+    return {
+        rel: [(format_rule(g.rule), arrays(g.body_count), arrays(g.joint_count), id(g.head_matrix)) for g in gs]
+        for rel, gs in grouped.items()
+    }
+
+
+def entry_name(kb, rules):
+    return _cache_key(kb, [r for r in rules if r.case != UNCLASSIFIED]) + ".npz"
 
 
 class TestCache:
-    def test_cache_round_trip(self, tmp_path):
+    def test_cache_round_trip(self, tmp_path, monkeypatch):
         kb = synthetic.family_kb()
-        rule = classified(kb, synthetic.PLANTED_RULE_TEXT)
+        rules = family_rules(kb)
         cache = str(tmp_path)
-        first = ground(kb, rule, cache_dir=cache)
-        files = os.listdir(cache)
-        assert len(files) == 1
-        second = ground(kb, rule, cache_dir=cache)
-        assert first.body_count.equals(second.body_count)
-        assert first.joint_count.equals(second.joint_count)
+        want = canonical(ground_all(kb, rules))
+        first = ground_all(kb, rules, cache_dir=cache)
+        assert os.listdir(cache) == [entry_name(kb, rules)]
+        # a hit grounds nothing: every C is a view of the entry's rows
+        monkeypatch.setattr(grounding, "ground", None)
+        second = ground_all(kb, rules, cache_dir=cache)
+        assert canonical(first) == canonical(second) == want
+        for gs in second.values():
+            for g in gs:
+                assert g.head_matrix is kb.matrices[g.rule.head.relation]
+                assert g.body_count.indptr[0] == 0 and g.body_count.dim == kb.num_entities
+        assert os.listdir(cache) == [entry_name(kb, rules)]
 
     def test_distinct_rules_get_distinct_entries(self, tmp_path):
         kb = synthetic.family_kb()
-        r1 = classified(kb, synthetic.PLANTED_RULE_TEXT)
-        r2 = classified(kb, "IF (A, parent, B) THEN (A, grandparent, B)")
-        ground(kb, r1, cache_dir=str(tmp_path))
-        ground(kb, r2, cache_dir=str(tmp_path))
-        assert len(os.listdir(str(tmp_path))) == 2
+        rules = family_rules(kb)
+        cache = str(tmp_path)
+        # a rule set is keyed by its rules in order: a subset or a reordering is another set
+        sets = [rules, rules[:2], rules[::-1], rules]
+        assert len({entry_name(kb, s) for s in sets}) == 3
+        for s in sets:
+            got = ground_all(kb, s, cache_dir=cache)
+            assert canonical(got) == canonical(ground_all(kb, s))
+            assert os.listdir(cache) == [entry_name(kb, s)]
 
-    def test_unreadable_cache_entry_tolerated(self, tmp_path):
+    def test_unreadable_cache_entry_tolerated(self, tmp_path, caplog):
         kb = synthetic.family_kb()
-        rule = classified(kb, synthetic.PLANTED_RULE_TEXT)
-        ground(kb, rule, cache_dir=str(tmp_path))
-        entry = os.path.join(str(tmp_path), os.listdir(str(tmp_path))[0])
+        rules = family_rules(kb)
+        ground_all(kb, rules, cache_dir=str(tmp_path))
+        entry = os.path.join(str(tmp_path), entry_name(kb, rules))
         with open(entry, "wb") as fh:
             fh.write(b"garbage")
-        g = ground(kb, rule, cache_dir=str(tmp_path))
+        got = ground_all(kb, rules, cache_dir=str(tmp_path))
+        assert canonical(got) == canonical(ground_all(kb, rules))
+        assert caplog.text.count("discarding invalid cache entry") == 1
         anna, charlie = kb.entities.id("Anna"), kb.entities.id("Charlie")
-        assert g.joint_count.get(anna, charlie) == 1
+        assert got[kb.relations.id("grandparent")][0].joint_count.get(anna, charlie) == 1
 
     def test_ground_all_hashes_the_kb_once(self, tmp_path, monkeypatch):
         calls = []
         real = rulekbc.kb.kb_fingerprint
         monkeypatch.setattr(rulekbc.kb, "kb_fingerprint", lambda kb: calls.append(1) or real(kb))
         kb = synthetic.family_kb()
-        rules = [
-            classified(kb, synthetic.PLANTED_RULE_TEXT),
-            classified(kb, "IF (A, parent, B) THEN (A, grandparent, B)"),
-            classified(kb, "IF (B, parent, A) THEN (A, grandparent, B)"),
-        ]
+        rules = family_rules(kb)
         cache = str(tmp_path)
-        ground_all(kb, rules, cache_dir=cache)  # misses: load and store per rule
-        ground_all(kb, rules, cache_dir=cache)  # hits
-        assert len(os.listdir(cache)) == 3
+        ground_all(kb, rules, cache_dir=cache)  # a miss: load, then store
+        ground_all(kb, rules, cache_dir=cache)  # a hit
+        assert os.listdir(cache) == [entry_name(kb, rules)]
         assert len(calls) == 1
 
     def test_kbs_with_different_train_never_share_entries(self, tmp_path):
@@ -394,53 +437,109 @@ class TestCache:
         assert kb_a.num_entities == kb_b.num_entities
         cache = str(tmp_path)
         for kb in (kb_a, kb_b, kb_a, kb_b):
-            rule = classified(kb, synthetic.PLANTED_RULE_TEXT)
-            got = ground(kb, rule, cache_dir=cache)
-            want = ground(kb, rule)
-            assert got.body_count.equals(want.body_count)
-            assert got.joint_count.equals(want.joint_count)
-        assert len(os.listdir(cache)) == 2
+            rules = family_rules(kb)
+            got = ground_all(kb, rules, cache_dir=cache)
+            assert canonical(got) == canonical(ground_all(kb, rules))
+            assert os.listdir(cache) == [entry_name(kb, rules)]
+        assert entry_name(kb_a, family_rules(kb_a)) != entry_name(kb_b, family_rules(kb_b))
+
+    def test_store_prunes_every_other_entry(self, tmp_path):
+        kb = synthetic.family_kb()
+        rules = family_rules(kb)
+        cache = str(tmp_path)
+        ground_all(kb, rules[:2], cache_dir=cache)  # the entry of another rule set
+        for rule in rules:  # per-rule entries as older versions wrote them
+            c = ground(kb, rule).body_count
+            old = os.path.join(cache, _cache_key(kb, [rule]) + ".npz")
+            np.savez(old, indptr=c.indptr, indices=c.indices, data=c.data)
+        (tmp_path / "notes.txt").write_text("not an entry")
+        assert len(os.listdir(cache)) == 6
+        got = ground_all(kb, rules, cache_dir=cache)
+        assert canonical(got) == canonical(ground_all(kb, rules))
+        assert sorted(os.listdir(cache)) == sorted([entry_name(kb, rules), "notes.txt"])
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda kb, rule: replace(parse_rule(format_rule(rule, kb)), case=rule.case),  # names, not ids
+            lambda kb, rule: replace(rule, case="9-9"),
+        ],
+        ids=["unmapped", "unknown-case"],
+    )
+    def test_ungroundable_rule_raises_with_and_without_entry(self, tmp_path, spoil):
+        kb = synthetic.family_kb()
+        rules = family_rules(kb)
+        cache = str(tmp_path)
+        ground_all(kb, rules, cache_dir=cache)
+        spoilt = rules[:-1] + [spoil(kb, rules[-1])]
+        assert spoilt[-1].case != UNCLASSIFIED
+        # the rule text is unchanged, so the stored entry is the spoilt set's entry too
+        assert entry_name(kb, spoilt) == entry_name(kb, rules)
+        for cache_dir in (cache, None, str(tmp_path / "empty")):
+            with pytest.raises(GroundingError):
+                ground_all(kb, spoilt, cache_dir=cache_dir)
+        assert os.listdir(cache) == [entry_name(kb, rules)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(picks=st.lists(st.integers(0, len(CASE_FLAGS)), max_size=6), **RANDOM_KB)
+    def test_cached_groundings_equal_uncached(self, n_entities, edges, rel_picks, picks):
+        kb, case_rules = kb_and_case_rules(n_entities, edges, rel_picks)
+        unclassified = classified(kb, "IF (A, r0, B) AND (C, r1, D) THEN (A, r2, B)")
+        assert unclassified.case == UNCLASSIFIED
+        rules = [(case_rules + [unclassified])[i] for i in picks]
+        want = canonical(ground_all(kb, rules))
+        with tempfile.TemporaryDirectory() as cache:
+            cold = canonical(ground_all(kb, rules, cache_dir=cache))
+            warm = canonical(ground_all(kb, rules, cache_dir=cache))
+            assert os.listdir(cache) == [entry_name(kb, rules)]
+            with np.load(os.path.join(cache, entry_name(kb, rules))) as z:
+                assert len(z["indptr"]) == sum(r.case != UNCLASSIFIED for r in rules) * n_entities + 1
+        assert cold == warm == want
 
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda g, e: dict(e, indptr=np.append(e["indptr"], e["indptr"][-1])),  # KB of n + 1
-            lambda g, e: dict(e, indices=np.append(e["indices"][:-1], g.body_count.dim)),
-            lambda g, e: dict(e, indices=np.concatenate([[-1], e["indices"][1:]])),
-            lambda g, e: dict(e, data=np.concatenate([[-1], e["data"][1:]])),
-            lambda g, e: dict(  # starts at 0 and ends at nnz, but drops after row 0
-                e, indptr=np.array([0, e["indptr"][-1]] + [0] * (g.body_count.dim - 2) + [e["indptr"][-1]])
+            lambda s, e: dict(e, indptr=np.append(e["indptr"], [e["indptr"][-1]] * s.rules)),  # KB of n + 1
+            lambda s, e: dict(e, indices=np.append(e["indices"][:-1], s.n)),
+            lambda s, e: dict(e, indices=np.concatenate([[-1], e["indices"][1:]])),
+            lambda s, e: dict(e, data=np.concatenate([[-1], e["data"][1:]])),
+            lambda s, e: dict(  # starts at 0 and ends at nnz, but drops after row 0
+                e, indptr=np.array([0, e["indptr"][-1]] + [0] * (s.rows - 2) + [e["indptr"][-1]])
             ),
-            lambda g, e: _parent_entry(g),
-            lambda g, e: dict(e, indptr=np.concatenate([[1], e["indptr"][1:]])),
-            lambda g, e: dict(e, indptr=np.append(e["indptr"][:-1], e["indptr"][-1] + 1)),
-            lambda g, e: dict(e, data=np.append(e["data"], 1)),
-            lambda g, e: _two_in_row_0(g, [3, 1]),
-            lambda g, e: _two_in_row_0(g, [2, 2]),
-            lambda g, e: dict(e, data=np.concatenate([[0], e["data"][1:]])),
-            lambda g, e: dict(e, data=e["data"].astype(float)),
-            lambda g, e: dict(e, indices=e["indices"].reshape(1, -1)),
+            lambda s, e: _parent_entry(s.first),
+            lambda s, e: dict(e, indptr=np.concatenate([[1], e["indptr"][1:]])),
+            lambda s, e: dict(e, indptr=np.append(e["indptr"][:-1], e["indptr"][-1] + 1)),
+            lambda s, e: dict(e, data=np.append(e["data"], 1)),
+            lambda s, e: _two_in_row_0(s, [3, 1]),
+            lambda s, e: _two_in_row_0(s, [2, 2]),
+            lambda s, e: dict(e, data=np.concatenate([[0], e["data"][1:]])),
+            lambda s, e: dict(e, data=e["data"].astype(float)),
+            lambda s, e: dict(e, indices=e["indices"].reshape(1, -1)),
+            # canonical, but stacks one rule more than the set has
+            lambda s, e: dict(e, indptr=np.append(e["indptr"], [e["indptr"][-1]] * s.n)),
         ],
         ids=[
             "dim", "col-past-end", "negative-col", "negative-count", "decreasing-indptr", "parent-format",
             "indptr-start", "indptr-end", "data-length", "unsorted-cols", "duplicate-cols", "zero-count",
-            "float-data", "2d-indices",
+            "float-data", "2d-indices", "rows",
         ],
     )
     def test_invalid_entry_is_regrounded_and_overwritten(self, tmp_path, caplog, corrupt):
         kb = synthetic.family_kb()
-        rule = classified(kb, synthetic.PLANTED_RULE_TEXT)
+        rules = family_rules(kb)
         cache = str(tmp_path)
-        want = ground(kb, rule)
-        assert want.body_count.nnz > 0 and kb.num_entities > 2
-        ground(kb, rule, cache_dir=cache)
-        path = os.path.join(cache, _cache_key(kb, rule) + ".npz")
+        want = ground_all(kb, rules)
+        ground_all(kb, rules, cache_dir=cache)
+        path = os.path.join(cache, entry_name(kb, rules))
         with np.load(path) as z:
             entry = {k: z[k] for k in z.files}
-        np.savez(path, **corrupt(want, entry))
-        got = ground(kb, rule, cache_dir=cache)
-        assert got.body_count.equals(want.body_count)
-        assert got.joint_count.equals(want.joint_count)
+        n = kb.num_entities
+        stack = SimpleNamespace(n=n, rules=len(rules), rows=len(rules) * n, first=next(iter(want.values()))[0])
+        assert len(entry["indptr"]) == stack.rows + 1 and len(entry["data"]) > 0 and n > 3
+        np.savez(path, **corrupt(stack, entry))
+        got = ground_all(kb, rules, cache_dir=cache)
+        assert canonical(got) == canonical(want)
         assert caplog.text.count("discarding invalid cache entry") == 1
+        assert os.listdir(cache) == [entry_name(kb, rules)]
         with np.load(path) as z:
             assert {k: z[k].tolist() for k in z.files} == {k: v.tolist() for k, v in entry.items()}
