@@ -35,12 +35,16 @@ class CLIError(Exception):
     pass
 
 
-# [run], [kb], [similarity] and rotate.enabled feed no stage's settings
-# dataclass, so these private ones hold their defaults.
+# No stage module defines settings for [run], [kb] or [similarity], so these
+# private dataclasses hold them and their defaults.
 @dataclass(frozen=True)
 class _Run:
     seed: int = 0
     output_dir: str = "runs"
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise CLIError("run.seed must be a non-negative integer, got %d" % self.seed)
 
 
 @dataclass(frozen=True)
@@ -63,13 +67,10 @@ class _Similarity:
             raise CLIError("unknown similarity provider %r (available: trigram)" % self.provider)
 
 
-@dataclass(frozen=True)
-class _RotateSwitch:
-    enabled: bool = True
-
-
-# The one source of every setting and its default, in load order:
-# (section, settings dataclass, {INI key: field name} where the two differ).
+# The one source of every setting and its default, one row per INI section
+# in load order: (section, its settings dataclass, {INI key: field name}
+# where the two differ). `load_config` keeps each section's instance under
+# the section's name.
 _SECTIONS = (
     ("run", _Run, {}),
     ("kb", _Paths, {}),
@@ -78,7 +79,6 @@ _SECTIONS = (
     ("proposer", proposer.ProposerBackend, {"backend": "kind", "model": "model_name"}),
     ("rotate", settings.RotateConfig, {}),
     ("trainer", settings.TrainerConfig, {}),
-    ("rotate", _RotateSwitch, {}),
 )
 
 # per-stage seed field and stage number; derived from [run] seed, not INI keys
@@ -127,9 +127,8 @@ def _keys(cls, renamed: Dict[str, str]) -> List[Tuple[str, Field]]:
     return [(key_of.get(f.name, f.name), f) for f in fields(cls) if f.name != derived]
 
 
-_ROWS = [(section, cls, _keys(cls, renamed)) for section, cls, renamed in _SECTIONS]
-# section -> its (INI key, field) pairs; sections in first-row order
-_KEYS = {s: [k for row, _, keys in _ROWS if row == s for k in keys] for s, _, _ in _ROWS}
+# section -> its (INI key, field) pairs, in `_SECTIONS` order
+_KEYS = {section: _keys(cls, renamed) for section, cls, renamed in _SECTIONS}
 
 
 def _example() -> str:
@@ -152,14 +151,13 @@ CONFIG_EXAMPLE = _example()
 
 @dataclass
 class PipelineConfig:
-    seed: int
-    output_dir: str
-    train_path: str
-    valid_path: Optional[str]
-    test_path: Optional[str]
+    """Each INI section's settings under the section's name."""
+
+    run: _Run
+    kb: _Paths
     extract: subgraph.ExtractorConfig
-    backend: proposer.ProposerBackend
-    rotate_enabled: bool
+    similarity: _Similarity
+    proposer: proposer.ProposerBackend
     rotate: settings.RotateConfig
     trainer: settings.TrainerConfig
     items: List[Tuple[str, str]]  # canonical resolved settings, sorted
@@ -171,7 +169,7 @@ class PipelineConfig:
         return digest.hexdigest()[:12]
 
     def run_dir(self) -> str:
-        return os.path.join(self.output_dir, self.hash())
+        return os.path.join(self.run.output_dir, self.hash())
 
 
 def _stage_seed(seed: int, stage: int) -> int:
@@ -215,11 +213,11 @@ def load_config(
                 raise CLIError("unknown key %r in section [%s]" % (key, section))
 
     overrides = {"run.seed": seed, "run.output_dir": output_dir}
-    built = {}  # settings dataclass -> its instance
+    built = {}  # section -> its settings instance
     items = []
-    for section, cls, keys in _ROWS:
+    for section, cls, _ in _SECTIONS:
         values = {}
-        for key, f in keys:
+        for key, f in _KEYS[section]:
             name = "%s.%s" % (section, key)
             value = overrides.get(name)
             values[f.name] = _read(parser, section, key, f) if value is None else value
@@ -227,22 +225,9 @@ def load_config(
             items.append((name, str(values[f.name])))
         if cls in _STAGE_SEEDS:
             field_name, stage = _STAGE_SEEDS[cls]
-            values[field_name] = _stage_seed(built[_Run].seed, stage)
-        built[cls] = cls(**values)
-    paths = built[_Paths]
-    return PipelineConfig(
-        seed=built[_Run].seed,
-        output_dir=built[_Run].output_dir,
-        train_path=paths.train,
-        valid_path=paths.valid or None,
-        test_path=paths.test or None,
-        extract=built[subgraph.ExtractorConfig],
-        backend=built[proposer.ProposerBackend],
-        rotate_enabled=built[_RotateSwitch].enabled,
-        rotate=built[settings.RotateConfig],
-        trainer=built[settings.TrainerConfig],
-        items=sorted(items),
-    )
+            values[field_name] = _stage_seed(built["run"].seed, stage)
+        built[section] = cls(**values)
+    return PipelineConfig(items=sorted(items), **built)
 
 
 def _prepare_run_dir(cfg: PipelineConfig) -> str:
@@ -258,7 +243,7 @@ def _prepare_run_dir(cfg: PipelineConfig) -> str:
 
 
 def _load_kb(cfg: PipelineConfig) -> KnowledgeBase:
-    return load_kb(cfg.train_path, cfg.valid_path, cfg.test_path)
+    return load_kb(cfg.kb.train, cfg.kb.valid, cfg.kb.test)
 
 
 def _subgraph_path(run: str, relation: int) -> str:
@@ -302,7 +287,7 @@ def cmd_propose(cfg: PipelineConfig) -> int:
         if not os.path.exists(path):
             raise CLIError("no subgraph dump for relation %r; run extract first" % kb.relation_name(rel))
         sgs = list(subgraph.load_subgraphs(path, kb))
-        records = proposer.propose(cfg.backend, kb, sgs)
+        records = proposer.propose(cfg.proposer, kb, sgs)
         all_records.extend(records)
         target_name = kb.relation_name(rel)
         stats: Counter = Counter()
@@ -340,7 +325,7 @@ def _rotate_checkpoint(run: str) -> str:
 def _ensure_rotate(cfg: PipelineConfig, run: str, kb: KnowledgeBase, train_if_missing: bool):
     from . import rotate
 
-    if not cfg.rotate_enabled:
+    if not cfg.rotate.enabled:
         return None
     path = _rotate_checkpoint(run)
     if os.path.exists(path):
@@ -399,7 +384,7 @@ def _load_trained(cfg: PipelineConfig, run: str, kb: KnowledgeBase) -> Tuple:
 
 def cmd_rotate_train(cfg: PipelineConfig) -> int:
     run = _prepare_run_dir(cfg)
-    if not cfg.rotate_enabled:
+    if not cfg.rotate.enabled:
         raise CLIError("rotate.enabled is false; nothing to train")
     kb = _load_kb(cfg)
     path = _rotate_checkpoint(run)
@@ -417,7 +402,7 @@ def cmd_train(cfg: PipelineConfig, resume: bool = False) -> int:
     kb = _load_kb(cfg)
     _, groundings = _ground_rule_file(run, kb)
     total_grounded = sum(len(v) for v in groundings.values())
-    if total_grounded == 0 and not cfg.rotate_enabled:
+    if total_grounded == 0 and not cfg.rotate.enabled:
         raise CLIError("no classifiable rules and embeddings are disabled; nothing to train")
     rotate_model = _ensure_rotate(cfg, run, kb, train_if_missing=True)
     params_path = os.path.join(run, "checkpoints", "params.json")

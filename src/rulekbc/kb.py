@@ -133,10 +133,6 @@ class SparseMatrix:
         """The matrix of CSR arrays read from outside, checked by `_canonical_csr`."""
         return cls(*_canonical_csr(dim, dim, indptr, indices, data))
 
-    @classmethod
-    def zeros(cls, dim: int) -> "SparseMatrix":
-        return cls(np.zeros(dim + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-
     @property
     def dim(self) -> int:
         return len(self.indptr) - 1
@@ -171,14 +167,6 @@ class SparseMatrix:
         dense = np.zeros((self.dim, self.dim), dtype=np.int64)
         dense[_row_ids(self.indptr), self.indices] = self.data
         return dense
-
-    def equals(self, other: "SparseMatrix") -> bool:
-        # the canonical form of a matrix is unique
-        return (
-            np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.data, other.data)
-        )
 
 
 def _row_ids(indptr: np.ndarray) -> np.ndarray:
@@ -360,7 +348,6 @@ class KnowledgeBase:
         for split in (train, valid, test):
             for h, r, t in split:
                 self.true_tails.setdefault((h, r), set()).add(t)
-        self._train_set = set(train)
         self._transposed: Dict[int, SparseMatrix] = {}
 
     @functools.cached_property
@@ -399,9 +386,6 @@ class KnowledgeBase:
 
     def relation_name(self, ident: int) -> str:
         return self.relations.name(ident)
-
-    def in_train(self, triple: Triple) -> bool:
-        return triple in self._train_set
 
     def train_by_relation(self, relation: int) -> List[Triple]:
         return list(self._train_by_rel.get(relation, ()))

@@ -17,6 +17,7 @@ class RotateConfig:
     lr: float = 1e-3
     batch_size: int = 256
     seed: int = 0
+    enabled: bool = True  # off: rank with rule evidence alone
 
     def __post_init__(self):
         if self.dim < 1 or self.negatives < 1 or self.batch_size < 1:

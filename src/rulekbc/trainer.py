@@ -569,16 +569,11 @@ def gold_ranks(
     return ranks
 
 
-def reporting_weights(rp: RelationParams) -> np.ndarray:
-    """Unmasked softmax of the full logit vector; rule weights then embedding."""
-    return softmax(rp.logits)
-
-
 def save_params(path: str, params: ReasonerParams, kb: KnowledgeBase) -> None:
     """Human-readable JSON checkpoint with weights, alpha and epoch counters."""
     doc = {}
     for rel, rp in sorted(params.per_relation.items()):
-        w = reporting_weights(rp)
+        w = softmax(rp.logits)  # unmasked: rule weights, then the embedding's
         doc[kb.relation_name(rel)] = {
             "alpha": sigmoid(rp.mix_logit),
             "epochs_trained": rp.epochs_trained,
@@ -607,7 +602,7 @@ def _is_finite(v) -> bool:
 
 # what `load_params` reads of a relation block: key -> (what it must be, test)
 _BLOCK_KEYS = {
-    "epochs_trained": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "epochs_trained": ("an integer >= 0", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0),
     "logits": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
     "mix_logit": ("a number", _is_number),
     "rules": (
@@ -640,9 +635,9 @@ def _block_problem(block) -> Optional[str]:
 
 def load_params(path: str, kb: KnowledgeBase) -> ReasonerParams:
     """Read a `save_params` checkpoint. A file that is not UTF-8, or a
-    relation block with a missing key, a value of the wrong type, a
-    non-finite logit or mix_logit, or not one logit per rule plus the
-    embedding's raises KBError("<path>: ...")."""
+    relation not in the KB, or a relation block with a missing key, a value
+    of the wrong type, a non-finite logit or mix_logit, or not one logit per
+    rule plus the embedding's raises KBError("<path>: ...")."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -652,6 +647,8 @@ def load_params(path: str, kb: KnowledgeBase) -> ReasonerParams:
         raise KBError("%s: not an object of relation blocks" % path)
     params = ReasonerParams()
     for rel_name, block in doc.items():
+        if rel_name not in kb.relations:
+            raise KBError("%s: relation %r is not in the KB" % (path, rel_name))
         rel = kb.relations.id(rel_name)
         problem = _block_problem(block)
         if problem is not None:

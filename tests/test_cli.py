@@ -31,6 +31,49 @@ def minimal_config(tmp_path, extra=""):
     return path
 
 
+# every key of CONFIG_EXAMPLE, each set to a value other than its default
+NON_DEFAULT_CONFIG = """
+[run]
+seed = 7
+output_dir = elsewhere
+[kb]
+train = t.txt
+valid =
+test = s.txt
+[extract]
+max_hops = 2
+max_neighbors_per_entity = 5
+max_subgraphs_per_relation = 4
+[similarity]
+provider = trigram
+[proposer]
+backend = remote-chat
+endpoint = http://localhost:1/v1
+model = m
+request_timeout = 1.5
+max_retries = 0
+retry_backoff = 0.25
+temperature = 0.7
+api_key_env = KEY
+[rotate]
+dim = 8
+margin = 4.5
+negatives = 3
+epochs = 2
+lr = 0.01
+batch_size = 16
+enabled = false
+[trainer]
+lr = 0.05
+weight_decay = 0.0
+step_size = 7
+step_gamma = 0.5
+patience = 2
+max_epochs = 9
+uniform_weights = true
+"""
+
+
 def private_run(cli_pipeline, tmp_path):
     """(config, run dir) of a copy of the built run: the session's run must
     stay intact."""
@@ -48,11 +91,11 @@ class TestConfig:
         path = tmp_path / "example.ini"
         path.write_text(cli.CONFIG_EXAMPLE)
         cfg = cli.load_config(str(path))
-        assert cfg.seed == 0
+        assert cfg.run.seed == 0
         assert cfg.trainer.max_epochs == 500
         assert cfg.rotate.dim == 64
         assert cfg.extract.max_hops == 3
-        assert cfg.backend.kind == "offline-miner"
+        assert cfg.proposer.kind == "offline-miner"
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(cli.CLIError, match="does not exist"):
@@ -126,10 +169,41 @@ class TestConfig:
         path.write_text(path.read_text().replace("valid = %s" % (tmp_path / "data" / "valid.txt"), "valid ="))
         cfg = cli.load_config(str(path))
         assert cfg.rotate.dim == 64  # a non-string setting keeps its default
-        assert cfg.backend.endpoint == ""
-        assert cfg.backend.model_name == ""  # a string setting takes the empty value
-        assert cfg.valid_path is None
+        assert cfg.proposer.endpoint == ""
+        assert cfg.proposer.model_name == ""  # a string setting takes the empty value
+        assert cfg.kb.valid == ""
         assert ("kb.valid", "") in cfg.items and ("rotate.dim", "64") in cfg.items
+
+    @pytest.mark.parametrize("route", ["config", "flag"])
+    def test_negative_seed_names_the_setting(self, tmp_path, capsys, route):
+        path = minimal_config(tmp_path)
+        flags = ["--seed", "-1"] if route == "flag" else []
+        if route == "config":
+            path.write_text(path.read_text().replace("[run]\n", "[run]\nseed = -1\n"))
+        code = cli.main(["--config", str(path)] + flags + ["extract"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: run.seed must be a non-negative integer, got -1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [cli.CONFIG_EXAMPLE, NON_DEFAULT_CONFIG], ids=["example", "non-default"])
+    def test_items_are_the_section_settings(self, tmp_path, text):
+        # one name per setting: cfg.<section>.<field> holds what
+        # config.resolved and the run hash read
+        def load(text):
+            path = tmp_path / "cfg.ini"
+            path.write_text(text)
+            return cli.load_config(str(path))
+
+        cfg = load(text)
+        renamed = {"proposer.backend": "kind", "proposer.model": "model_name"}
+        for name, value in cfg.items:
+            section, key = name.split(".")
+            assert value == str(getattr(getattr(cfg, section), renamed.get(name, key))), name
+        defaults = dict(load(cli.CONFIG_EXAMPLE).items)
+        same = {name for name, value in cfg.items if defaults[name] == value}
+        # the one similarity provider can only be set to its default
+        assert same == (set(defaults) if text == cli.CONFIG_EXAMPLE else {"similarity.provider"})
 
     def test_readme_default_block_is_the_example(self):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -409,10 +483,24 @@ class TestExplainAndResume:
         doc = json.loads(params.read_text())
         doc["no_such_rel"] = doc.pop("grandparent")
         params.write_text(json.dumps(doc))
-        code = cli.main(["--config", str(config), "explain", "e00", "grandparent"])
+        for command in (["eval"], ["explain", "e00", "grandparent"]):
+            code = cli.main(["--config", str(config)] + command)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "error: %s: relation 'no_such_rel' is not in the KB" % params in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["eval"], ["train", "--resume"]], ids=["eval", "resume"])
+    def test_negative_epoch_count_in_checkpoint_exits_cleanly(self, cli_pipeline, tmp_path, capsys, command):
+        config, run = private_run(cli_pipeline, tmp_path)
+        params = run / "checkpoints" / "params.json"
+        doc = json.loads(params.read_text())
+        doc["grandparent"]["epochs_trained"] = -7
+        params.write_text(json.dumps(doc))
+        code = cli.main(["--config", str(config)] + command)
         assert code == 2
         err = capsys.readouterr().err
-        assert "error: unknown relation 'no_such_rel'" in err
+        assert "error: %s: relation 'grandparent': 'epochs_trained' must be an integer >= 0" % params in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

@@ -249,7 +249,7 @@ class TestWitnesses:
         assert len(path) == len(rule.body)
         env = {rule.head.subject: head, rule.head.object: tail}
         for atom, triple in zip(rule.body, path):
-            assert kb.in_train(triple)
+            assert triple in kb.train
             assert triple.relation == atom.relation
             for var, val in ((atom.subject, triple.head), (atom.object, triple.tail)):
                 assert env.setdefault(var, val) == val
@@ -314,7 +314,7 @@ class TestWitnesses:
                         assert len(path) == len(rule.body)
                         node = h
                         for triple, atom, rev in zip(path, rule.body, flags):
-                            assert kb.in_train(triple) and triple.relation == atom.relation
+                            assert triple in kb.train and triple.relation == atom.relation
                             src, dst = (triple.tail, triple.head) if rev else (triple.head, triple.tail)
                             assert src == node
                             node = dst

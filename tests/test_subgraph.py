@@ -68,7 +68,7 @@ class TestExtraction:
         for target in kb.train[:30]:
             sg = extract_subgraph(kb, target, cfg)
             for t in sg.triples:
-                assert kb.in_train(t)
+                assert t in kb.train
 
     def test_size_bound(self):
         # each hop expands at most cap triples per frontier entity, and each
@@ -130,7 +130,7 @@ class TestExtraction:
         kb = random_kb(12)
         sg = extract_entity_neighborhood(kb, 0, ExtractorConfig())
         assert sg.target is None
-        assert all(kb.in_train(t) for t in sg.triples)
+        assert all(t in kb.train for t in sg.triples)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

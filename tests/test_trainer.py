@@ -31,7 +31,6 @@ from rulekbc.trainer import (
     normalize_embedding_row,
     rank,
     relation_loss_and_grads,
-    reporting_weights,
     save_params,
     sigmoid,
     softmax,
@@ -356,7 +355,7 @@ class TestTrainLoop:
         rel = kb.relations.id("grandparent")
         rp = params.per_relation[rel]
         assert (rp.logits == 0).all()
-        w = reporting_weights(rp)
+        w = softmax(rp.logits)
         np.testing.assert_allclose(w, np.full(len(pool) + 1, 1.0 / (len(pool) + 1)))
 
     def test_all_relations_get_blocks(self):
@@ -603,6 +602,7 @@ class TestCheckpoint:
             (lambda b: b.update(mix_logit="0.5"), "'mix_logit' must be a number"),
             (lambda b: b.update(stopped=0), "'stopped' must be a boolean"),
             (lambda b: b.update(epochs_trained=True), "'epochs_trained' must be an integer"),
+            (lambda b: b.update(epochs_trained=-7), "'epochs_trained' must be an integer >= 0"),
             (lambda b: b["rules"][0].pop("text"), "'rules' must be a list of objects"),
             (lambda b: b["logits"].pop(), "1 logits for 1 rules"),
             (lambda b: b["logits"].append(0.0), "3 logits for 1 rules"),
