@@ -7,6 +7,7 @@ and raw response is kept in a ProposalRecord for audit.
 
 import json
 import logging
+import math
 import os
 import re
 import time
@@ -71,6 +72,15 @@ class ProposerBackend:
             raise ValueError("unknown backend kind %r" % self.kind)
         if self.kind == REMOTE and not self.endpoint:
             raise ValueError("remote backend needs an endpoint")
+        if self.max_retries < 0:
+            raise ValueError("proposer.max_retries must be >= 0, got %r" % self.max_retries)
+        for name in ("request_timeout", "retry_backoff", "temperature"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("proposer.%s must be finite, got %r" % (name, getattr(self, name)))
+        if self.request_timeout <= 0:
+            raise ValueError("proposer.request_timeout must be > 0, got %r" % self.request_timeout)
+        if self.retry_backoff < 0:
+            raise ValueError("proposer.retry_backoff must be >= 0, got %r" % self.retry_backoff)
 
 
 @dataclass

@@ -10,6 +10,7 @@ keeps the analytic gradients explicit so they can be checked against finite
 differences.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -311,14 +312,12 @@ def load_embeddings(path: str) -> RotateModel:
         dim, n_e, n_r, margin = struct.unpack("<qqqd", header)
         if dim < 1 or n_e < 1 or n_r < 1:
             raise KBError("%s has an invalid header" % path)
-        e_bytes = fh.read(n_e * 2 * dim * 8)
-        p_bytes = fh.read(n_r * dim * 8)
-        if len(e_bytes) != n_e * 2 * dim * 8 or len(p_bytes) != n_r * dim * 8:
-            raise KBError("%s is truncated" % path)
-        entity = np.frombuffer(e_bytes, dtype="<f8").reshape(n_e, 2 * dim)
-        phase = np.frombuffer(p_bytes, dtype="<f8").reshape(n_r, dim)
-        if fh.read(1):
-            raise KBError("%s has trailing bytes" % path)
+        # checked before any read, so a corrupt header allocates nothing
+        size, expected = os.fstat(fh.fileno()).st_size, fh.tell() + 8 * dim * (2 * n_e + n_r)
+        if size != expected:
+            raise KBError("%s %s" % (path, "is truncated" if size < expected else "has trailing bytes"))
+        entity = np.frombuffer(fh.read(n_e * 2 * dim * 8), dtype="<f8").reshape(n_e, 2 * dim)
+        phase = np.frombuffer(fh.read(n_r * dim * 8), dtype="<f8").reshape(n_r, dim)
     for what, values in (("margin", margin), ("entity value", entity), ("phase value", phase)):
         if not np.isfinite(values).all():
             raise KBError("%s has a non-finite %s" % (path, what))

@@ -6,7 +6,6 @@ grounded with matrix algebra; those shapes get a case label in CASE_FLAGS, the
 rest are kept as UNCLASSIFIED and skipped downstream.
 """
 
-import itertools
 import json
 import math
 import re
@@ -199,8 +198,9 @@ class TrigramSimilarity:
 def map_relations(rule: Rule, kb: KnowledgeBase, provider: TrigramSimilarity) -> Rule:
     """Replace raw relation strings with the best-scoring vocabulary relation id.
 
-    Ties break toward the lower id; the chosen score per atom (body order, head
-    last) is recorded on the rule for audit.
+    A name in the vocabulary maps to itself; any other to the best trigram
+    score, ties toward the lower id. The chosen score per atom (body order,
+    head last) is recorded on the rule for audit.
     """
     if kb.num_relations == 0:
         raise KBError("cannot map relations against an empty vocabulary")
@@ -211,7 +211,8 @@ def map_relations(rule: Rule, kb: KnowledgeBase, provider: TrigramSimilarity) ->
         if isinstance(a.relation, int):
             scores.append(1.0)
             return a
-        best_id, best_score = provider.best(a.relation, names)
+        exact = kb.relations.index.get(a.relation)
+        best_id, best_score = provider.best(a.relation, names) if exact is None else (exact, 1.0)
         scores.append(best_score)
         return replace(a, relation=best_id)
 
@@ -220,74 +221,50 @@ def map_relations(rule: Rule, kb: KnowledgeBase, provider: TrigramSimilarity) ->
     return replace(rule, body=body, head=head, similarity=tuple(scores))
 
 
-def _match_case(body: Sequence[RuleAtom], head: RuleAtom, flags: Tuple[bool, ...]):
-    """Try to unify body atoms (in the given order) with the flagged path shape.
-
-    Returns the variable -> path-index binding, or None. Path index 0 is the
-    head subject, index len(flags) the head object.
-    """
-    last = len(flags)
-    binding: Dict[str, int] = {}
-    bound: Dict[int, str] = {}
-
-    def bind(var: str, idx: int) -> bool:
-        if binding.get(var, idx) != idx or bound.get(idx, var) != var:
-            return False
-        binding[var] = idx
-        bound[idx] = var
-        return True
-
-    if not (bind(head.subject, 0) and bind(head.object, last)):
-        return None
-    for i, (atom, rev) in enumerate(zip(body, flags)):
-        s_idx, o_idx = (i + 1, i) if rev else (i, i + 1)
-        if not (bind(atom.subject, s_idx) and bind(atom.object, o_idx)):
-            return None
-    return binding
+# per-body-atom direction flags along the head path -> case
+_CASE_OF = {flags: case for case, flags in CASE_FLAGS.items()}
 
 
 def classify_case(rule: Rule) -> Rule:
     """Assign one of the 14 groundable path shapes, or UNCLASSIFIED.
 
-    On a match the body is reordered along the head path and variables are
+    The body is walked from the head subject: each step takes the one unused
+    atom that holds the current variable and moves to its other variable. The
+    walk must use every atom, visit each variable once and end on the head
+    object; the atoms' directions along it, looked up in CASE_FLAGS, name the
+    case. On a match the body is reordered along the path and variables are
     renamed to A (head subject) through B/C/D, so structurally equal rules
-    share one canonical form. Cases are tried in a fixed order and the first
-    unifying body permutation wins.
+    share one canonical form.
     """
-    for case, flags in CASE_FLAGS.items():
-        if len(flags) != len(rule.body):
-            continue
-        for perm in itertools.permutations(rule.body):
-            binding = _match_case(perm, rule.head, flags)
-            if binding is None:
-                continue
-            rename = {v: _PATH_LETTERS[i] for v, i in binding.items()}
-            body = tuple(
-                replace(a, subject=rename[a.subject], object=rename[a.object]) for a in perm
-            )
-            head = replace(rule.head, subject=rename[rule.head.subject], object=rename[rule.head.object])
-            return replace(rule, body=body, head=head, case=case)
-    return replace(rule, case=UNCLASSIFIED)
-
-
-def _canonical_pattern(rule: Rule) -> Tuple:
-    """Structure key with variables renamed by first appearance (body then head)."""
-    rename: Dict[str, str] = {}
-    out = []
-    for a in rule.body + (rule.head,):
-        pair = []
-        for v in (a.subject, a.object):
-            rename.setdefault(v, _PATH_LETTERS[len(rename)] if len(rename) < 4 else "V%d" % len(rename))
-            pair.append(rename[v])
-        out.append((pair[0], a.relation, pair[1]))
-    return tuple(out)
+    path, flags, order, rest = [rule.head.subject], [], [], list(rule.body)
+    while rest:
+        here = [i for i, a in enumerate(rest) if path[-1] in (a.subject, a.object)]
+        if len(here) != 1:
+            break
+        atom = rest.pop(here[0])
+        flags.append(atom.object == path[-1])
+        path.append(atom.subject if flags[-1] else atom.object)
+        order.append(atom)
+    case = _CASE_OF.get(tuple(flags))
+    if rest or case is None or path[-1] != rule.head.object or len(set(path)) != len(path):
+        return replace(rule, case=UNCLASSIFIED)
+    name = dict(zip(path, _PATH_LETTERS))
+    body = tuple(RuleAtom(name[a.subject], a.relation, name[a.object]) for a in order)
+    head = RuleAtom("A", rule.head.relation, name[rule.head.object])
+    return Rule(body, head, case, rule.provenance, rule.similarity)
 
 
 def rule_key(rule: Rule) -> Tuple:
-    """Dedup identity: case plus the relation sequence in canonical order."""
-    if rule.case != UNCLASSIFIED:
-        return (rule.case, tuple(a.relation for a in rule.body), rule.head.relation)
-    return (UNCLASSIFIED, _canonical_pattern(rule))
+    """Dedup identity: the atoms, body then head, with variables numbered by
+    first appearance. `classify_case` writes every rule of one path shape in
+    one canonical order, so classified rules share a key exactly when they
+    share case and relations; unclassified ones when they match atom for
+    atom up to variable names."""
+    number: Dict[str, int] = {}
+    return tuple(
+        (number.setdefault(a.subject, len(number)), a.relation, number.setdefault(a.object, len(number)))
+        for a in rule.body + (rule.head,)
+    )
 
 
 def dedup(rules: Sequence[Rule]) -> List[Rule]:
@@ -332,7 +309,11 @@ def save_rules(path: str, rules: Sequence[Rule], kb: KnowledgeBase) -> None:
 
 
 def _record_rule(rec, kb: KnowledgeBase) -> Rule:
-    """Rebuild one `_rule_record`; raises ValueError naming what is wrong."""
+    """Rebuild one `_rule_record`; raises ValueError naming what is wrong.
+
+    A record must be what `save_rules` writes for its text: `classify_case`
+    leaves its rule unchanged (case, body order, variable names) and its
+    relation ids spell the text's relation names."""
     if not isinstance(rec, dict):
         raise ValueError("expected a JSON object, got %s" % type(rec).__name__)
     for key in ("text", "relations", "case"):
@@ -348,21 +329,19 @@ def _record_rule(rec, kb: KnowledgeBase) -> Rule:
     for rid in rel_ids:
         if type(rid) is not int or not 0 <= rid < kb.num_relations:
             raise ValueError("relation id %r outside [0, %d)" % (rid, kb.num_relations))
-    case = rec["case"]
-    if case != UNCLASSIFIED:
-        if case not in CASE_FLAGS:
-            raise ValueError("unknown case %r" % (case,))
-        if len(CASE_FLAGS[case]) != len(parsed.body):
-            raise ValueError("case %s does not fit a %d-atom body" % (case, len(parsed.body)))
-    mapped = [replace(a, relation=rid) for a, rid in zip(atoms, rel_ids)]
+    mapped = [RuleAtom(a.subject, rid, a.object) for a, rid in zip(atoms, rel_ids)]
     similarity = rec.get("similarity")
-    return Rule(
-        body=tuple(mapped[:-1]),
-        head=mapped[-1],
-        case=case,
-        provenance=tuple(rec.get("provenance", ())),
-        similarity=None if similarity is None else tuple(similarity),
-    )
+    similarity = None if similarity is None else tuple(similarity)
+    rule = Rule(tuple(mapped[:-1]), mapped[-1], rec["case"], tuple(rec.get("provenance", ())), similarity)
+    derived = classify_case(rule)
+    if derived != rule:
+        raise ValueError(
+            "not the canonical form of its text (case %r); expected case %s: %s"
+            % (rule.case, derived.case, format_rule(derived, kb))
+        )
+    if format_rule(rule, kb) != rec["text"]:
+        raise ValueError("relation ids %s spell %r, not the text" % (rel_ids, format_rule(rule, kb)))
+    return rule
 
 
 def load_rules(path: str, kb: KnowledgeBase) -> List[Rule]:

@@ -74,6 +74,10 @@ uniform_weights = true
 """
 
 
+# the toy KB's planted rule, as `propose` files it
+CHAIN_RULE = "IF (A, parent, B) AND (B, parent, C) THEN (A, grandparent, C)"
+
+
 def private_run(cli_pipeline, tmp_path):
     """(config, run dir) of a copy of the built run: the session's run must
     stay intact."""
@@ -262,6 +266,26 @@ class TestArgumentErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert "error: %s.%s must be finite, got %s" % (section, key, value) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("max_retries", "-1", "must be >= 0, got -1"),
+            ("request_timeout", "0", "must be > 0, got 0.0"),
+            ("request_timeout", "-1", "must be > 0, got -1.0"),
+            ("request_timeout", "inf", "must be finite, got inf"),
+            ("retry_backoff", "-0.5", "must be >= 0, got -0.5"),
+            ("retry_backoff", "nan", "must be finite, got nan"),
+            ("temperature", "-inf", "must be finite, got -inf"),
+        ],
+    )
+    def test_invalid_proposer_setting_exits_nonzero(self, tmp_path, capsys, key, value, message):
+        path = minimal_config(tmp_path, extra="[proposer]\n%s = %s\n" % (key, value))
+        code = cli.main(["--config", str(path), "propose"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: proposer.%s %s" % (key, message) in err
         assert "Traceback" not in err
 
     def test_random_bytes_as_train_file_name_the_file(self, tmp_path, capsys):
@@ -543,6 +567,47 @@ class TestExplainAndResume:
         assert code == 2
         err = capsys.readouterr().err
         assert "error: %s has a non-finite entity value" % path in err
+        assert "Traceback" not in err
+
+    def test_corrupt_embedding_header_exits_cleanly(self, cli_pipeline, tmp_path, capsys):
+        config, run = private_run(cli_pipeline, tmp_path)
+        path = run / "checkpoints" / "rotate.bin"
+        data = bytearray(path.read_bytes())
+        data[4:28] = np.array([2**40, 2**20, 1], dtype="<i8").tobytes()  # dim, entities, relations
+        path.write_bytes(bytes(data))
+        code = cli.main(["--config", str(config), "eval"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: %s is truncated" % path in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rec: rec.update(case="1-4"),
+             "not the canonical form of its text (case '1-4'); expected case 1-1: " + CHAIN_RULE),
+            (lambda rec: rec.update(text="IF (B, parent, C) AND (A, parent, B) THEN (A, grandparent, C)"),
+             "not the canonical form of its text (case '1-1'); expected case 1-1: " + CHAIN_RULE),
+            (lambda rec: rec.update(relations=[0, 1, 1]),
+             "relation ids [0, 1, 1] spell 'IF (A, parent, B) AND (B, grandparent, C) THEN (A, grandparent, C)', "
+             "not the text"),
+        ],
+        ids=["other-case", "swapped-body", "relation-ids"],
+    )
+    def test_tampered_rule_record_is_named(self, cli_pipeline, tmp_path, capsys, edit, message):
+        # every record is re-derived from its text on load, so a warm
+        # grounding cache cannot hide an edited case, body order or id
+        config, run = private_run(cli_pipeline, tmp_path)
+        path = run / "rules" / "rules.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        line = next(i for i, rec in enumerate(records, start=1) if rec["text"] == CHAIN_RULE)
+        assert records[line - 1]["relations"] == [0, 0, 1]
+        edit(records[line - 1])
+        path.write_text("".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
+        code = cli.main(["--config", str(config), "train"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: %s:%d: bad rule record: %s" % (path, line, message) in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])

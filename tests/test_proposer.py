@@ -28,6 +28,7 @@ from rulekbc.rules import (
     TrigramSimilarity,
     classify_case,
     filter_stage1,
+    format_rule,
     map_relations,
     parse_rule,
 )
@@ -148,6 +149,24 @@ class TestMiner:
                     assert g.body_count.get(target.head, target.tail) >= 1
                     checked += 1
         assert checked > 30
+
+    def test_mined_names_map_to_themselves_when_normalised_names_collide(self):
+        # the three names normalise alike; the miner writes exact names, so
+        # each atom must be filed under the relation it was mined from
+        names = ["part_of", "part of", "Part Of"]
+        kb = synthetic.build_kb(
+            ["a", "b", "c"], names, [("a", "part_of", "b"), ("b", "part of", "c"), ("a", "Part Of", "c")]
+        )
+        sg = Subgraph(target=kb.train[2], triples=kb.train[:2], hop_of={t: 1 for t in kb.train[:2]})
+        (record,) = propose(ProposerBackend(kind=OFFLINE), kb, [sg])
+        assert [format_rule(r) for r in record.parsed_rules] == [
+            "IF (A, part_of, B) AND (B, part of, C) THEN (A, Part Of, C)"
+        ]
+        provider = TrigramSimilarity()
+        for rule in record.parsed_rules:
+            mapped = map_relations(rule, kb, provider)
+            assert [a.relation for a in mapped.body + (mapped.head,)] == [0, 1, 2]
+            assert format_rule(mapped, kb) == format_rule(rule)
 
     def test_no_duplicate_lines(self):
         rng = np.random.default_rng(23)

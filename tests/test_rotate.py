@@ -1,5 +1,7 @@
 """Rotation-embedding scorer: scores, gradients, training, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -315,6 +317,23 @@ class TestCheckpoint:
             fh.write(data[:-16])
         with pytest.raises(KBError):
             load_embeddings(path)
+
+    @pytest.mark.parametrize(
+        "dim, entities, relations",
+        [(2**40, 2**20, 1), (2**62, 2**62, 1), (2**20, 2**20, 2**20)],
+        ids=["overflow", "int64-overflow", "huge"],
+    )
+    def test_corrupt_header_rejected_without_allocating(self, tmp_path, dim, entities, relations):
+        # a header's implied size is checked against the file's before any
+        # read; reading these sizes would overflow or exhaust memory
+        model = random_model(15)
+        path = tmp_path / "emb.bin"
+        save_embeddings(str(path), model)
+        data = bytearray(path.read_bytes())
+        data[4:28] = struct.pack("<qqq", dim, entities, relations)
+        path.write_bytes(bytes(data))
+        with pytest.raises(KBError, match="is truncated"):
+            load_embeddings(str(path))
 
     @pytest.mark.parametrize("field", ["margin", "entity", "phase"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
