@@ -128,11 +128,6 @@ class SparseMatrix:
             raise KBError("coordinates must lie in the %d x %d square matrix" % (dim, dim))
         return _from_keys(dim, *_sum_keys(rows * dim + cols, vals))
 
-    @classmethod
-    def from_csr(cls, dim: int, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> "SparseMatrix":
-        """The matrix of CSR arrays read from outside, checked by `_canonical_csr`."""
-        return cls(*_canonical_csr(dim, dim, indptr, indices, data))
-
     @property
     def dim(self) -> int:
         return len(self.indptr) - 1

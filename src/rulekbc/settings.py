@@ -27,6 +27,8 @@ class RotateConfig:
         for name in ("lr", "margin"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError("rotate.%s must be finite, got %r" % (name, getattr(self, name)))
+        if self.lr < 0:
+            raise ValueError("rotate.lr must be >= 0, got %r" % self.lr)
 
 
 @dataclass(frozen=True)
@@ -43,5 +45,8 @@ class TrainerConfig:
         if self.step_size < 1 or self.patience < 1 or self.max_epochs < 0:
             raise ValueError("step_size and patience must be positive, max_epochs >= 0")
         for name in ("lr", "weight_decay", "step_gamma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError("trainer.%s must be finite, got %r" % (name, getattr(self, name)))
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError("trainer.%s must be finite, got %r" % (name, value))
+            if value < 0:
+                raise ValueError("trainer.%s must be >= 0, got %r" % (name, value))

@@ -62,15 +62,8 @@ class RelationParams:
         )
 
 
-@dataclass
-class ReasonerParams:
-    per_relation: Dict[int, RelationParams] = field(default_factory=dict)
-
-    def relation(self, rel: int, num_rules: int = 0) -> RelationParams:
-        got = self.per_relation.get(rel)
-        if got is not None:
-            return got
-        return RelationParams(logits=np.zeros(num_rules + 1))
+# the parameter block of every KB relation, by relation id
+ReasonerParams = Dict[int, RelationParams]
 
 
 @dataclass
@@ -455,12 +448,12 @@ def train(
     """
     if initial is not None:
         check_checkpoint_rules(initial, kb, groundings)
-    params = ReasonerParams()
+    params: ReasonerParams = {}
     traces: Dict[str, Dict[str, List[float]]] = {}
     for relation in range(kb.num_relations):
         glist = groundings.get(relation, [])
-        if initial is not None and relation in initial.per_relation:
-            rp = initial.per_relation[relation].copy()
+        if initial is not None:
+            rp = initial[relation].copy()
         else:
             keys = [format_rule(g.rule, kb) for g in glist]
             rp = RelationParams(logits=np.zeros(len(glist) + 1), rule_keys=keys)
@@ -469,7 +462,7 @@ def train(
             traces[kb.relation_name(relation)] = _train_relation(data, rp, cfg)
         else:  # nothing to train: its evidence is not built
             traces[kb.relation_name(relation)] = {"loss": [], "metric": []}
-        params.per_relation[relation] = rp
+        params[relation] = rp
     return params, traces
 
 
@@ -478,7 +471,7 @@ def check_checkpoint_rules(
 ) -> None:
     """Raise KBError for the first checkpointed relation whose rule texts are
     not those of its grounded rules, in relation order."""
-    for relation, rp in sorted(params.per_relation.items()):
+    for relation, rp in sorted(params.items()):
         if rp.rule_keys != [format_rule(g.rule, kb) for g in groundings.get(relation, [])]:
             raise KBError(
                 "checkpoint rules for %r do not match the rule file" % kb.relation_name(relation)
@@ -500,13 +493,14 @@ def rank(
     With a gold tail the filtered protocol applies: other tails known true in
     any split are removed before ranking and the gold's mean-of-ties rank is
     reported. Without a gold nothing is filtered (exploratory queries).
-    `top_k` entries are returned; evaluation asks for none (top_k=0).
+    `top_k` entries are returned; evaluation asks for none (top_k=0). An
+    entry's contributions are its nonzero rule terms, labelled by rule text,
+    then the embedding's term if there is an embedding model.
     """
     if top_k < 0:
         raise ValueError("top_k must be >= 0, got %d" % top_k)
-    glist = groundings.get(relation, [])
-    rp = params.relation(relation, num_rules=len(glist))
-    block = _evidence(kb, relation, glist, rotate_model, [head])
+    rp = params[relation]
+    block = _evidence(kb, relation, groundings.get(relation, []), rotate_model, [head])
     Z, W, alpha, _ = _scores(block, rp.logits, rp.mix_logit)
     scores, w = Z[0], W[0]
 
@@ -516,8 +510,6 @@ def rank(
         filtered = _filtered(kb, relation, [head], [gold])
         excluded = filtered[1]
         gold_rank = float(_gold_ranks(Z, np.array([gold]), filtered)[0])
-
-    labels = rp.rule_keys if rp.rule_keys else [format_rule(g.rule, kb) for g in glist]
 
     order = np.argsort(-scores, kind="stable")  # stable: ties in tail order
     top = order[np.isin(order, excluded, invert=True)][:top_k]
@@ -530,9 +522,9 @@ def rank(
         for i, value in zip(block.rule[lo:hi].tolist(), block.value[lo:hi].tolist()):
             v = float(alpha * w[i] * value)
             if v != 0.0:
-                contribs.append((labels[i], v))
-        emb = 0.0 if block.F is None else float((1.0 - alpha) * w[-1] * block.F[0, tail])
-        contribs.append(("embedding", emb))
+                contribs.append((rp.rule_keys[i], v))
+        if block.F is not None:
+            contribs.append(("embedding", float((1.0 - alpha) * w[-1] * block.F[0, tail])))
         entries.append(RankEntry(tail=tail, score=float(scores[tail]), contributions=contribs))
     return RankingResult(
         head=head,
@@ -559,11 +551,10 @@ def gold_ranks(
     for i, t in enumerate(triples):
         by_relation.setdefault(t.relation, []).append(i)
     for relation, idx in sorted(by_relation.items()):
-        glist = groundings.get(relation, [])
-        rp = params.relation(relation, num_rules=len(glist))
+        rp = params[relation]
         heads = [triples[i].head for i in idx]
         golds = np.array([triples[i].tail for i in idx], dtype=np.int64)
-        block = _evidence(kb, relation, glist, rotate_model, heads)
+        block = _evidence(kb, relation, groundings.get(relation, []), rotate_model, heads)
         Z = _scores(block, rp.logits, rp.mix_logit)[0]
         ranks[idx] = _gold_ranks(Z, golds, _filtered(kb, relation, heads, golds))
     return ranks
@@ -572,7 +563,7 @@ def gold_ranks(
 def save_params(path: str, params: ReasonerParams, kb: KnowledgeBase) -> None:
     """Human-readable JSON checkpoint with weights, alpha and epoch counters."""
     doc = {}
-    for rel, rp in sorted(params.per_relation.items()):
+    for rel, rp in sorted(params.items()):
         w = softmax(rp.logits)  # unmasked: rule weights, then the embedding's
         doc[kb.relation_name(rel)] = {
             "alpha": sigmoid(rp.mix_logit),
@@ -637,7 +628,8 @@ def load_params(path: str, kb: KnowledgeBase) -> ReasonerParams:
     """Read a `save_params` checkpoint. A file that is not UTF-8, or a
     relation not in the KB, or a relation block with a missing key, a value
     of the wrong type, a non-finite logit or mix_logit, or not one logit per
-    rule plus the embedding's raises KBError("<path>: ...")."""
+    rule plus the embedding's raises KBError("<path>: ..."); so does, once
+    every block has passed, a KB relation without a block."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -645,7 +637,7 @@ def load_params(path: str, kb: KnowledgeBase) -> ReasonerParams:
         raise not_utf8(path, exc) from exc
     if not isinstance(doc, dict):
         raise KBError("%s: not an object of relation blocks" % path)
-    params = ReasonerParams()
+    params: ReasonerParams = {}
     for rel_name, block in doc.items():
         if rel_name not in kb.relations:
             raise KBError("%s: relation %r is not in the KB" % (path, rel_name))
@@ -653,11 +645,14 @@ def load_params(path: str, kb: KnowledgeBase) -> ReasonerParams:
         problem = _block_problem(block)
         if problem is not None:
             raise KBError("%s: relation %r: %s" % (path, rel_name, problem))
-        params.per_relation[rel] = RelationParams(
+        params[rel] = RelationParams(
             logits=np.asarray(block["logits"], dtype=float),
             mix_logit=float(block["mix_logit"]),
             rule_keys=[r["text"] for r in block["rules"]],
             epochs_trained=int(block["epochs_trained"]),
             stopped=bool(block["stopped"]),
         )
+    for rel in range(kb.num_relations):
+        if rel not in params:
+            raise KBError("%s: no block for relation %r" % (path, kb.relation_name(rel)))
     return params

@@ -37,7 +37,7 @@ def planted_results():
         learned_report = evaluation.evaluate_model(learned_params, kb, groundings, None, split="valid")
         uniform_report = evaluation.evaluate_model(uniform_params, kb, groundings, None, split="valid")
         rel = kb.relations.id("grandparent")
-        rp = learned_params.relation(rel)
+        rp = learned_params[rel]
         records.append(
             {
                 "seed": seed,

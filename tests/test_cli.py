@@ -269,6 +269,26 @@ class TestArgumentErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "section, key, command",
+        [
+            ("rotate", "lr", "rotate-train"),
+            ("trainer", "lr", "train"),
+            ("trainer", "weight_decay", "train"),
+            ("trainer", "step_gamma", "train"),
+        ],
+    )
+    def test_negative_learning_setting_exits_nonzero(self, tmp_path, capsys, section, key, command):
+        path = minimal_config(tmp_path, extra="[%s]\n%s = -0.5\n" % (section, key))
+        code = cli.main(["--config", str(path), command])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: %s.%s must be >= 0, got -0.5" % (section, key) in err
+        assert "Traceback" not in err
+        # zero is a legal value
+        path = minimal_config(tmp_path, extra="[%s]\n%s = 0\n" % (section, key))
+        assert getattr(getattr(cli.load_config(str(path)), section), key) == 0.0
+
+    @pytest.mark.parametrize(
         "key, value, message",
         [
             ("max_retries", "-1", "must be >= 0, got -1"),
@@ -513,6 +533,26 @@ class TestExplainAndResume:
             err = capsys.readouterr().err
             assert "error: %s: relation 'no_such_rel' is not in the KB" % params in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("relation", ["parent", "grandparent"])
+    @pytest.mark.parametrize(
+        "command",
+        [["eval"], ["explain", "e00", "grandparent"], ["train", "--resume"]],
+        ids=["eval", "explain", "resume"],
+    )
+    def test_checkpoint_without_a_relation_block_exits_cleanly(
+        self, cli_pipeline, tmp_path, capsys, command, relation
+    ):
+        config, run = private_run(cli_pipeline, tmp_path)
+        params = run / "checkpoints" / "params.json"
+        doc = json.loads(params.read_text())
+        del doc[relation]
+        params.write_text(json.dumps(doc))
+        code = cli.main(["--config", str(config)] + command)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: %s: no block for relation %r" % (params, relation) in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", [["eval"], ["train", "--resume"]], ids=["eval", "resume"])
     def test_negative_epoch_count_in_checkpoint_exits_cleanly(self, cli_pipeline, tmp_path, capsys, command):

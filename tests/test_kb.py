@@ -12,6 +12,7 @@ from rulekbc.kb import (
     SparseMatrix,
     Triple,
     Vocab,
+    _canonical_csr,
     kb_fingerprint,
     load_kb,
     sparse_hadamard,
@@ -160,7 +161,7 @@ class TestSparseOps:
     def test_rectangular_rejected(self):
         # a 2 x 3 matrix with an entry in column 2, as CSR arrays and as coordinates
         with pytest.raises(KBError, match="square"):
-            SparseMatrix.from_csr(2, np.array([0, 1, 1]), np.array([2]), np.array([1]))
+            _canonical_csr(2, 2, np.array([0, 1, 1]), np.array([2]), np.array([1]))
         with pytest.raises(KBError, match="square"):
             SparseMatrix.from_coords(2, [0], [2])
 

@@ -343,7 +343,7 @@ class TestTrainLoop:
         kb, groundings = family_setup()
         cfg = TrainerConfig(lr=0.0, max_epochs=5, patience=3)
         params, _ = train(kb, groundings, None, cfg)
-        for rp in params.per_relation.values():
+        for rp in params.values():
             assert (rp.logits == 0).all()
             assert rp.mix_logit == 0.0
 
@@ -353,7 +353,7 @@ class TestTrainLoop:
         cfg = TrainerConfig(lr=0.1, max_epochs=40, patience=10, uniform_weights=True)
         params, _ = train(kb, groundings, None, cfg)
         rel = kb.relations.id("grandparent")
-        rp = params.per_relation[rel]
+        rp = params[rel]
         assert (rp.logits == 0).all()
         w = softmax(rp.logits)
         np.testing.assert_allclose(w, np.full(len(pool) + 1, 1.0 / (len(pool) + 1)))
@@ -361,7 +361,7 @@ class TestTrainLoop:
     def test_all_relations_get_blocks(self):
         kb, groundings = family_setup()
         params, traces = train(kb, groundings, None, TrainerConfig(max_epochs=2, patience=1))
-        assert set(params.per_relation) == set(range(kb.num_relations))
+        assert set(params) == set(range(kb.num_relations))
         assert set(traces) == {kb.relation_name(r) for r in range(kb.num_relations)}
 
     def test_early_stopping_restores_best_epoch(self):
@@ -370,7 +370,7 @@ class TestTrainLoop:
         cfg = TrainerConfig(lr=0.1, max_epochs=300, patience=10)
         params, traces = train(kb, groundings, None, cfg)
         rel = kb.relations.id("grandparent")
-        rp = params.per_relation[rel]
+        rp = params[rel]
         trace = traces["grandparent"]["metric"]
         assert rp.stopped
         assert rp.epochs_trained < 300
@@ -381,7 +381,7 @@ class TestTrainLoop:
         kb, groundings = family_setup()
         params, traces = train(kb, groundings, None, TrainerConfig(max_epochs=0))
         assert all(not t["loss"] for t in traces.values())
-        for rp in params.per_relation.values():
+        for rp in params.values():
             assert rp.epochs_trained == 0
 
 
@@ -479,6 +479,21 @@ class TestRanking:
                 checked += 1
         assert checked > 50
 
+    @pytest.mark.parametrize("embeddings", [False, True])
+    def test_embedding_entry_only_with_a_model(self, embeddings):
+        kb, pool, _ = synthetic.planted_kb(1)
+        groundings = ground_all(kb, pool)
+        model = None
+        if embeddings:
+            model = rotate.train_embeddings(kb, rotate.RotateConfig(dim=8, epochs=2, seed=3))[0]
+        params, _ = train(kb, groundings, model, TrainerConfig(lr=0.1, max_epochs=10, patience=5))
+        rel = kb.relations.id("grandparent")
+        for head in range(20):
+            for e in rank(params, kb, groundings, model, head, rel, top_k=5).entries:
+                labels = [label for label, _ in e.contributions]
+                assert labels.count("embedding") == int(embeddings)
+                assert sum(v for _, v in e.contributions) == pytest.approx(e.score, abs=1e-12)
+
     def test_top_k_zero_still_ranks_gold(self):
         kb, groundings = family_setup()
         params, _ = train(kb, groundings, None, TrainerConfig(max_epochs=2, patience=1))
@@ -552,8 +567,8 @@ class TestCheckpoint:
         path = str(tmp_path / "params.json")
         save_params(path, params, kb)
         back = load_params(path, kb)
-        for rel, rp in params.per_relation.items():
-            brp = back.per_relation[rel]
+        for rel, rp in params.items():
+            brp = back[rel]
             np.testing.assert_array_equal(brp.logits, rp.logits)
             assert brp.mix_logit == rp.mix_logit
             assert brp.rule_keys == rp.rule_keys
@@ -567,13 +582,13 @@ class TestCheckpoint:
         first = TrainerConfig(lr=0.01, max_epochs=4, patience=100)
         params, _ = train(kb, groundings, None, first)
         rel = kb.relations.id("grandparent")
-        assert params.per_relation[rel].epochs_trained == 4
+        assert params[rel].epochs_trained == 4
         path = str(tmp_path / "params.json")
         save_params(path, params, kb)
         resumed = load_params(path, kb)
         second = TrainerConfig(lr=0.01, max_epochs=7, patience=100)
         params2, traces2 = train(kb, groundings, None, second, initial=resumed)
-        assert params2.per_relation[rel].epochs_trained == 7
+        assert params2[rel].epochs_trained == 7
         assert len(traces2["grandparent"]["loss"]) == 3
 
     def test_resume_with_mismatched_rules_raises(self, tmp_path):
