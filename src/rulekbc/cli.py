@@ -1,7 +1,8 @@
 """Pipeline driver: extract, propose, train, eval, explain, rotate-train.
 
-Every subcommand reads one INI config file, resolves overrides, and writes its
-artifacts under <output_dir>/<config-hash>/ so identical config+seed reruns are
+`main` is the one runner: it reads the INI config file, resolves overrides,
+prepares the run directory <output_dir>/<config-hash>/, loads the KB and calls
+the handler of the chosen subcommand, so identical config+seed reruns are
 byte-identical and different configs never collide. No artifact embeds a
 timestamp.
 """
@@ -232,12 +233,15 @@ def load_config(
 
 def _prepare_run_dir(cfg: PipelineConfig) -> str:
     run = cfg.run_dir()
-    os.makedirs(run, exist_ok=True)
-    with open(os.path.join(run, "config.example"), "w", encoding="utf-8") as fh:
-        fh.write(CONFIG_EXAMPLE)
-    with open(os.path.join(run, "config.resolved"), "w", encoding="utf-8") as fh:
-        for key, value in cfg.items:
-            fh.write("%s = %s\n" % (key, value))
+    try:
+        os.makedirs(run, exist_ok=True)
+        with open(os.path.join(run, "config.example"), "w", encoding="utf-8") as fh:
+            fh.write(CONFIG_EXAMPLE)
+        with open(os.path.join(run, "config.resolved"), "w", encoding="utf-8") as fh:
+            for key, value in cfg.items:
+                fh.write("%s = %s\n" % (key, value))
+    except OSError as exc:
+        raise CLIError("cannot write run directory %s: %s" % (run, exc)) from exc
     print("run artifacts: %s" % run)
     return run
 
@@ -250,9 +254,7 @@ def _subgraph_path(run: str, relation: int) -> str:
     return os.path.join(run, "subgraphs", "relation_%03d.txt" % relation)
 
 
-def cmd_extract(cfg: PipelineConfig) -> int:
-    run = _prepare_run_dir(cfg)
-    kb = _load_kb(cfg)
+def cmd_extract(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse.Namespace) -> int:
     os.makedirs(os.path.join(run, "subgraphs"), exist_ok=True)
     for rel in range(kb.num_relations):
         targets = subgraph.sample_targets(
@@ -273,9 +275,7 @@ def cmd_extract(cfg: PipelineConfig) -> int:
 _PROPOSE_COUNTERS = ("lines", "parse_rejected", "stage1_rejected", "mapped", "unclassified")
 
 
-def cmd_propose(cfg: PipelineConfig) -> int:
-    run = _prepare_run_dir(cfg)
-    kb = _load_kb(cfg)
+def cmd_propose(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse.Namespace) -> int:
     provider = rules.TrigramSimilarity()
     os.makedirs(os.path.join(run, "rules"), exist_ok=True)
     os.makedirs(os.path.join(run, "proposals"), exist_ok=True)
@@ -382,11 +382,9 @@ def _load_trained(cfg: PipelineConfig, run: str, kb: KnowledgeBase) -> Tuple:
     return learned, groundings, rotate_model, params
 
 
-def cmd_rotate_train(cfg: PipelineConfig) -> int:
-    run = _prepare_run_dir(cfg)
+def cmd_rotate_train(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse.Namespace) -> int:
     if not cfg.rotate.enabled:
         raise CLIError("rotate.enabled is false; nothing to train")
-    kb = _load_kb(cfg)
     path = _rotate_checkpoint(run)
     if os.path.exists(path):
         os.unlink(path)
@@ -395,11 +393,9 @@ def cmd_rotate_train(cfg: PipelineConfig) -> int:
     return 0
 
 
-def cmd_train(cfg: PipelineConfig, resume: bool = False) -> int:
+def cmd_train(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse.Namespace) -> int:
     from . import trainer
 
-    run = _prepare_run_dir(cfg)
-    kb = _load_kb(cfg)
     _, groundings = _ground_rule_file(run, kb)
     total_grounded = sum(len(v) for v in groundings.values())
     if total_grounded == 0 and not cfg.rotate.enabled:
@@ -407,7 +403,7 @@ def cmd_train(cfg: PipelineConfig, resume: bool = False) -> int:
     rotate_model = _ensure_rotate(cfg, run, kb, train_if_missing=True)
     params_path = os.path.join(run, "checkpoints", "params.json")
     initial = None
-    if resume:
+    if args.resume:
         if not os.path.exists(params_path):
             raise CLIError("cannot resume: no checkpoint at %s" % params_path)
         initial = trainer.load_params(params_path, kb)
@@ -420,26 +416,19 @@ def cmd_train(cfg: PipelineConfig, resume: bool = False) -> int:
     return 0
 
 
-def cmd_eval(
-    cfg: PipelineConfig,
-    split: str = "test",
-    annotations_path: Optional[str] = None,
-    emit_csv: bool = False,
-) -> int:
+def cmd_eval(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse.Namespace) -> int:
     from . import evaluation
 
-    run = _prepare_run_dir(cfg)
-    kb = _load_kb(cfg)
     # read before evaluating, so a bad path fails before any report is written
-    annotations = evaluation.load_annotations(annotations_path) if annotations_path else None
+    annotations = evaluation.load_annotations(args.rules_annotations) if args.rules_annotations else None
     learned, groundings, rotate_model, params = _load_trained(cfg, run, kb)
-    report = evaluation.evaluate_model(params, kb, groundings, rotate_model, split=split)
+    report = evaluation.evaluate_model(params, kb, groundings, rotate_model, split=args.split)
     print(report.render_text())
-    _write_json(os.path.join(run, "reports", "metrics_%s.json" % split), report.to_dict())
-    with open(os.path.join(run, "reports", "metrics_%s.txt" % split), "w", encoding="utf-8") as fh:
+    _write_json(os.path.join(run, "reports", "metrics_%s.json" % args.split), report.to_dict())
+    with open(os.path.join(run, "reports", "metrics_%s.txt" % args.split), "w", encoding="utf-8") as fh:
         fh.write(report.render_text() + "\n")
-    if emit_csv:
-        csv_path = os.path.join(run, "reports", "metrics_%s.csv" % split)
+    if args.emit_csv:
+        csv_path = os.path.join(run, "reports", "metrics_%s.csv" % args.split)
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["metric", "value"])
@@ -460,21 +449,19 @@ def _nearest_names(name: str, candidates: List[str], limit: int = 5) -> List[str
     return sorted(candidates, key=lambda c: (-provider.score(name, c), c))[:limit]
 
 
-def cmd_explain(cfg: PipelineConfig, head_name: str, relation_name: str, top_k: int = 10) -> int:
+def cmd_explain(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse.Namespace) -> int:
     from . import grounding, trainer
 
-    run = _prepare_run_dir(cfg)
-    kb = _load_kb(cfg)
-    for name, vocab in ((head_name, kb.entities), (relation_name, kb.relations)):
+    for name, vocab in ((args.head, kb.entities), (args.relation, kb.relations)):
         if name not in vocab:
             shown = ", ".join(_nearest_names(name, vocab.names))
             print("unknown %s %r; nearest names: %s" % (vocab.kind, name, shown), file=sys.stderr)
             return 2
-    head = kb.entities.id(head_name)
-    relation = kb.relations.id(relation_name)
+    head = kb.entities.id(args.head)
+    relation = kb.relations.id(args.relation)
     learned, groundings, rotate_model, params = _load_trained(cfg, run, kb)
-    result = trainer.rank(params, kb, groundings, rotate_model, head, relation, top_k=top_k)
-    print("query: (%s, %s, ?)" % (head_name, relation_name))
+    result = trainer.rank(params, kb, groundings, rotate_model, head, relation, top_k=args.top)
+    print("query: (%s, %s, ?)" % (args.head, args.relation))
     for pos, entry in enumerate(result.entries, start=1):
         print("%2d. %-30s score=%.6f" % (pos, kb.entity_name(entry.tail), entry.score))
         for label, value in sorted(entry.contributions, key=lambda lv: -abs(lv[1])):
@@ -510,19 +497,24 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output-dir", default=None, help="override [run] output_dir")
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("extract", help="sample targets and dump subgraphs per relation")
-    sub.add_parser("propose", help="generate, filter and classify candidate rules")
-    train_p = sub.add_parser("train", help="ground rules and fit significance weights")
-    train_p.add_argument("--resume", action="store_true", help="continue from the checkpoint")
-    eval_p = sub.add_parser("eval", help="filtered ranking metrics on a split")
+    # each subcommand carries the handler that `main` calls
+    for name, handler, text in (
+        ("extract", cmd_extract, "sample targets and dump subgraphs per relation"),
+        ("propose", cmd_propose, "generate, filter and classify candidate rules"),
+        ("train", cmd_train, "ground rules and fit significance weights"),
+        ("eval", cmd_eval, "filtered ranking metrics on a split"),
+        ("explain", cmd_explain, "rank tails for one query with attributions"),
+        ("rotate-train", cmd_rotate_train, "pretrain the frozen embedding model"),
+    ):
+        sub.add_parser(name, help=text).set_defaults(handler=handler)
+    sub.choices["train"].add_argument("--resume", action="store_true", help="continue from the checkpoint")
+    eval_p, explain_p = sub.choices["eval"], sub.choices["explain"]
     eval_p.add_argument("--split", choices=("valid", "test"), default="test")
     eval_p.add_argument("--rules-annotations", default=None, help="path score annotations file")
     eval_p.add_argument("--emit-csv", action="store_true")
-    explain_p = sub.add_parser("explain", help="rank tails for one query with attributions")
     explain_p.add_argument("head", help="entity name")
     explain_p.add_argument("relation", help="relation name")
     explain_p.add_argument("--top", type=int, default=10)
-    sub.add_parser("rotate-train", help="pretrain the frozen embedding model")
     return parser
 
 
@@ -532,19 +524,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
         cfg = load_config(args.config, seed=args.seed, output_dir=args.output_dir)
-        if args.command == "extract":
-            return cmd_extract(cfg)
-        if args.command == "propose":
-            return cmd_propose(cfg)
-        if args.command == "train":
-            return cmd_train(cfg, resume=args.resume)
-        if args.command == "eval":
-            return cmd_eval(cfg, split=args.split, annotations_path=args.rules_annotations, emit_csv=args.emit_csv)
-        if args.command == "explain":
-            return cmd_explain(cfg, args.head, args.relation, top_k=args.top)
-        if args.command == "rotate-train":
-            return cmd_rotate_train(cfg)
-        raise CLIError("unhandled command %r" % args.command)
+        run = _prepare_run_dir(cfg)
+        return args.handler(cfg, run, _load_kb(cfg), args)
     except (CLIError, KBError, proposer.ProposerError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

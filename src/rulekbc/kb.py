@@ -16,6 +16,10 @@ logger = logging.getLogger(__name__)
 
 # Counts saturate here instead of wrapping; large enough for any desk-scale KB.
 SATURATION_CAP = 2**31 - 1
+# The product kernels hold every factor and path count above the cap at this
+# value before adding, so a sum over fewer than 2^32 paths cannot wrap int64
+# and `_saturate` still sees every entry whose exact count is above the cap.
+_HELD = SATURATION_CAP + 1
 
 
 class KBError(Exception):
@@ -248,8 +252,9 @@ def _product_rows(a: SparseMatrix, b: SparseMatrix, lo: int, hi: int) -> Tuple[n
     pos += (starts - lens.cumsum() + lens)[entry]
     keys = (_row_ids(a.indptr[lo : hi + 1] - p0) * a.dim)[entry]
     keys += b.indices[pos]
-    vals = a.data[p0:p1][entry]
-    vals *= b.data[pos]
+    vals = np.minimum(a.data[p0:p1], _HELD)[entry]
+    vals *= np.minimum(b.data[pos], _HELD)
+    np.minimum(vals, _HELD, out=vals)
     del entry, pos
     return _sum_keys(keys, vals)
 
@@ -303,7 +308,7 @@ def sparse_hadamard(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     # both key lists increase, so a's keys are looked up in b's by bisection
     at = np.minimum(np.searchsorted(b_keys, a_keys), max(b.nnz - 1, 0))
     hit = b_keys[at] == a_keys if b.nnz else np.zeros(a.nnz, dtype=bool)
-    vals = a.data[hit] * b.data[at[hit]]
+    vals = np.minimum(a.data[hit], _HELD) * np.minimum(b.data[at[hit]], _HELD)
     kept = vals != 0
     return _from_keys(n, a_keys[hit][kept], _saturate(vals[kept]))
 

@@ -312,8 +312,9 @@ def _record_rule(rec, kb: KnowledgeBase) -> Rule:
     """Rebuild one `_rule_record`; raises ValueError naming what is wrong.
 
     A record must be what `save_rules` writes for its text: `classify_case`
-    leaves its rule unchanged (case, body order, variable names) and its
-    relation ids spell the text's relation names."""
+    leaves its rule unchanged (case, body order, variable names), its
+    relation ids spell the text's relation names, and each other key that is
+    present holds what `save_rules` writes there."""
     if not isinstance(rec, dict):
         raise ValueError("expected a JSON object, got %s" % type(rec).__name__)
     for key in ("text", "relations", "case"):
@@ -330,9 +331,16 @@ def _record_rule(rec, kb: KnowledgeBase) -> Rule:
         if type(rid) is not int or not 0 <= rid < kb.num_relations:
             raise ValueError("relation id %r outside [0, %d)" % (rid, kb.num_relations))
     mapped = [RuleAtom(a.subject, rid, a.object) for a, rid in zip(atoms, rel_ids)]
-    similarity = rec.get("similarity")
-    similarity = None if similarity is None else tuple(similarity)
-    rule = Rule(tuple(mapped[:-1]), mapped[-1], rec["case"], tuple(rec.get("provenance", ())), similarity)
+    similarity, provenance = rec.get("similarity"), rec.get("provenance", [])
+    if similarity is not None and not (
+        isinstance(similarity, list) and len(similarity) == len(atoms)
+        and all(type(s) in (int, float) and math.isfinite(s) for s in similarity)
+    ):
+        raise ValueError("similarity must be null or %d finite numbers" % len(atoms))
+    if not isinstance(provenance, list) or not all(isinstance(p, str) for p in provenance):
+        raise ValueError("provenance must be a list of strings")
+    similarity = None if similarity is None else tuple(map(float, similarity))
+    rule = Rule(tuple(mapped[:-1]), mapped[-1], rec["case"], tuple(provenance), similarity)
     derived = classify_case(rule)
     if derived != rule:
         raise ValueError(
@@ -341,16 +349,25 @@ def _record_rule(rec, kb: KnowledgeBase) -> Rule:
         )
     if format_rule(rule, kb) != rec["text"]:
         raise ValueError("relation ids %s spell %r, not the text" % (rel_ids, format_rule(rule, kb)))
+    head_name = kb.relation_name(rel_ids[-1])
+    if rec.get("target_relation", head_name) != head_name:
+        raise ValueError("target_relation %r is not the head relation %r" % (rec["target_relation"], head_name))
     return rule
 
 
 def load_rules(path: str, kb: KnowledgeBase) -> List[Rule]:
+    """The rules of a `save_rules` file; each rule may appear once."""
     out: List[Rule] = []
+    line_of: Dict[Tuple, int] = {}  # rule_key -> line of its first record
     for lineno, line in text_lines(path, "rule file"):
         if not line.strip():
             continue
         try:
-            out.append(_record_rule(json.loads(line), kb))
+            rule = _record_rule(json.loads(line), kb)
+            first = line_of.setdefault(rule_key(rule), lineno)
+            if first != lineno:
+                raise ValueError("repeats the rule of line %d" % first)
         except (TypeError, ValueError) as exc:
             raise KBError("%s:%d: bad rule record: %s" % (path, lineno, exc)) from exc
+        out.append(rule)
     return out

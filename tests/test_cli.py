@@ -238,6 +238,17 @@ class TestArgumentErrors:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["extract", "train"])
+    def test_run_dir_that_cannot_be_made_exits_2(self, tmp_path, capsys, command):
+        # output_dir names a file, so the run directory cannot be made under it
+        path = minimal_config(tmp_path)
+        path.write_text(path.read_text().replace(str(tmp_path / "runs"), str(tmp_path / "data" / "train.txt")))
+        code = cli.main(["--config", str(path), command])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert "error: cannot write run directory %s: " % cli.load_config(str(path)).run_dir() in err
+        assert "Traceback" not in err and out == ""
+
     def test_propose_before_extract_exits_nonzero(self, tmp_path, capsys):
         path = minimal_config(tmp_path)
         code = cli.main(["--config", str(path), "propose"])
@@ -368,6 +379,33 @@ class TestArgumentErrors:
         code = cli.main(["--config", str(path), "train", "--resume"])
         assert code == 2
         assert "cannot resume" in capsys.readouterr().err
+
+
+class TestRunner:
+    @pytest.mark.parametrize(
+        "command, handler, rotate, code, error",
+        [
+            (["extract"], cli.cmd_extract, "", 0, ""),
+            (["propose"], cli.cmd_propose, "", 0, ""),
+            (["rotate-train"], cli.cmd_rotate_train, "", 0, ""),
+            (["train"], cli.cmd_train, "", 0, ""),
+            (["eval"], cli.cmd_eval, "", 0, ""),
+            (["explain", "e00", "grandparent"], cli.cmd_explain, "", 0, ""),
+            (["rotate-train"], cli.cmd_rotate_train, "enabled = false\n", 2,
+             "error: rotate.enabled is false; nothing to train\n"),
+        ],
+        ids=["extract", "propose", "rotate-train", "train", "eval", "explain", "rotate-train-off"],
+    )
+    def test_main_prepares_the_run_then_calls_the_handler(
+        self, cli_pipeline, tmp_path, capsys, command, handler, rotate, code, error
+    ):
+        assert cli.build_arg_parser().parse_args(["--config", "cfg.ini"] + command).handler is handler
+        config, _ = private_run(cli_pipeline, tmp_path)
+        config.write_text(config.read_text().replace("[rotate]\n", "[rotate]\n" + rotate))
+        assert cli.main(["--config", str(config)] + command) == code
+        out, err = capsys.readouterr()
+        assert out.startswith("run artifacts: %s\n" % cli.load_config(str(config)).run_dir())
+        assert error in err and ("error:" in err) == bool(error)
 
 
 class TestPipelineArtifacts:
@@ -624,30 +662,38 @@ class TestExplainAndResume:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda rec: rec.update(case="1-4"),
+            (lambda rec: [dict(rec, case="1-4")],
              "not the canonical form of its text (case '1-4'); expected case 1-1: " + CHAIN_RULE),
-            (lambda rec: rec.update(text="IF (B, parent, C) AND (A, parent, B) THEN (A, grandparent, C)"),
+            (lambda rec: [dict(rec, text="IF (B, parent, C) AND (A, parent, B) THEN (A, grandparent, C)")],
              "not the canonical form of its text (case '1-1'); expected case 1-1: " + CHAIN_RULE),
-            (lambda rec: rec.update(relations=[0, 1, 1]),
+            (lambda rec: [dict(rec, relations=[0, 1, 1])],
              "relation ids [0, 1, 1] spell 'IF (A, parent, B) AND (B, grandparent, C) THEN (A, grandparent, C)', "
              "not the text"),
+            (lambda rec: [dict(rec, target_relation="parent")],
+             "target_relation 'parent' is not the head relation 'grandparent'"),
+            (lambda rec: [dict(rec, similarity="abc")], "similarity must be null or 3 finite numbers"),
+            (lambda rec: [dict(rec, provenance="xyz")], "provenance must be a list of strings"),
+            (lambda rec: [rec, rec], "repeats the rule of line {line}"),
         ],
-        ids=["other-case", "swapped-body", "relation-ids"],
+        ids=["other-case", "swapped-body", "relation-ids", "target-relation", "similarity", "provenance",
+             "repeated"],
     )
     def test_tampered_rule_record_is_named(self, cli_pipeline, tmp_path, capsys, edit, message):
         # every record is re-derived from its text on load, so a warm
-        # grounding cache cannot hide an edited case, body order or id
+        # grounding cache cannot hide an edited field or a second copy
         config, run = private_run(cli_pipeline, tmp_path)
         path = run / "rules" / "rules.jsonl"
         records = [json.loads(line) for line in path.read_text().splitlines()]
         line = next(i for i, rec in enumerate(records, start=1) if rec["text"] == CHAIN_RULE)
         assert records[line - 1]["relations"] == [0, 0, 1]
-        edit(records[line - 1])
+        # each edit gives the records that take the rule's place
+        records[line - 1 : line] = edited = edit(records[line - 1])
         path.write_text("".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
         code = cli.main(["--config", str(config), "train"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "error: %s:%d: bad rule record: %s" % (path, line, message) in err
+        bad = line + len(edited) - 1  # the last of them is the one named
+        assert "error: %s:%d: bad rule record: %s" % (path, bad, message.format(line=line)) in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])

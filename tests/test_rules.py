@@ -541,8 +541,17 @@ class TestPersistence:
             (list(GOOD_RECORD.items()), "expected a JSON object, got list"),
             (dict(GOOD_RECORD, case="9-9"), NOT_CANONICAL % "9-9"),
             (dict(GOOD_RECORD, case="1-1"), NOT_CANONICAL % "1-1"),
+            (dict(GOOD_RECORD, target_relation="s"), "target_relation 's' is not the head relation 'r'"),
+            (dict(GOOD_RECORD, similarity="abc"), "similarity must be null or 2 finite numbers"),
+            (dict(GOOD_RECORD, similarity=[1.0]), "similarity must be null or 2 finite numbers"),
+            (dict(GOOD_RECORD, similarity=[1.0, float("inf")]), "similarity must be null or 2 finite numbers"),
+            (dict(GOOD_RECORD, provenance="xyz"), "provenance must be a list of strings"),
+            (dict(GOOD_RECORD, provenance=[1]), "provenance must be a list of strings"),
+            (GOOD_RECORD, "repeats the rule of line 1"),
         ],
-        ids=["id-past-end", "negative-id", "no-text", "no-case", "list", "unknown-case", "case-length"],
+        ids=["id-past-end", "negative-id", "no-text", "no-case", "list", "unknown-case", "case-length",
+             "target-relation", "similarity-text", "similarity-length", "similarity-inf", "provenance-text",
+             "provenance-number", "repeated"],
     )
     def test_malformed_record_names_file_and_line(self, tmp_path, record, reason):
         kb = synthetic.build_kb(["a", "b"], ["r"], [("a", "r", "b")])

@@ -79,15 +79,27 @@ class TestProduct:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 5), chunk=st.integers(1, 30))
     def test_saturates_at_the_cap(self, data, dim, chunk):
-        # products up to 2^60 and sums of five of them stay below 2^63
+        # a cell drawn more than once sums past 2^31, so int64 products and
+        # their sums can wrap; the oracle multiplies Python integers, which
+        # never do
         a, sa = data.draw(matrices(dim, max_value=2**30))
         b, sb = data.draw(matrices(dim, max_value=2**30))
-        want = oracle_product(sa, sb)
+        exact = sa.toarray().astype(object) @ sb.toarray().astype(object)
         with mock.patch.object(kbmod, "_PRODUCT_CHUNK", chunk), mock.patch.object(kbmod.logger, "warning") as warn:
             got = sparse_mul(a, b)
-        assert_same(got, want)
-        saturated = (sa @ sb).tocsr().data.max(initial=0) > SATURATION_CAP
-        assert warn.call_count == int(saturated)
+        assert_same(got, sp.csr_matrix(np.minimum(exact, SATURATION_CAP).astype(np.int64)))
+        assert warn.call_count == int((exact > SATURATION_CAP).any())
+
+    def test_factor_above_the_cap_saturates(self):
+        m = SparseMatrix.from_coords(1, [0], [0], [3 * 2**30])
+        assert sparse_mul(m, m).data.tolist() == [SATURATION_CAP]
+        assert sparse_hadamard(m, m).data.tolist() == [SATURATION_CAP]
+
+    def test_paths_summing_past_int64_saturate(self):
+        # four paths of 2^62 each: their int64 sum wraps to 0
+        a = SparseMatrix.from_coords(5, [0] * 4, [1, 2, 3, 4], [2**31] * 4)
+        got = sparse_mul(a, sparse_transpose(a))
+        assert got.nnz == 1 and got.get(0, 0) == SATURATION_CAP
 
     def test_hub_product_allocates_the_output_and_one_chunk(self):
         # k in-edges by k out-edges through node 0: k * k paths, each its own
