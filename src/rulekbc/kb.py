@@ -16,9 +16,10 @@ logger = logging.getLogger(__name__)
 
 # Counts saturate here instead of wrapping; large enough for any desk-scale KB.
 SATURATION_CAP = 2**31 - 1
-# The product kernels hold every factor and path count above the cap at this
-# value before adding, so a sum over fewer than 2^32 paths cannot wrap int64
-# and `_saturate` still sees every entry whose exact count is above the cap.
+# `from_coords` and the product kernels hold every count, factor and path
+# count above the cap at this value before adding, so a sum of fewer than
+# 2^32 terms cannot wrap int64 and `_saturate` still sees every entry whose
+# exact count is above the cap.
 _HELD = SATURATION_CAP + 1
 
 
@@ -122,7 +123,8 @@ class SparseMatrix:
     @classmethod
     def from_coords(cls, dim: int, rows, cols, vals=None) -> "SparseMatrix":
         """Counts `vals` (default 1) at (rows, cols); repeated coordinates add
-        up and a zero sum stores nothing."""
+        up, each count held at `_HELD` first, a sum above SATURATION_CAP
+        saturates and a zero sum stores nothing."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.ones(len(rows), dtype=np.int64) if vals is None else np.asarray(vals, dtype=np.int64)
@@ -130,7 +132,8 @@ class SparseMatrix:
             raise KBError("coordinate arrays differ in length")
         if len(rows) and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= dim):
             raise KBError("coordinates must lie in the %d x %d square matrix" % (dim, dim))
-        return _from_keys(dim, *_sum_keys(rows * dim + cols, vals))
+        keys, sums = _sum_keys(rows * dim + cols, np.minimum(vals, _HELD))
+        return _from_keys(dim, keys, _saturate(sums))
 
     @property
     def dim(self) -> int:
@@ -176,8 +179,8 @@ def _row_ids(indptr: np.ndarray) -> np.ndarray:
 def _canonical_csr(rows: int, dim: int, indptr, indices, data) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The int64 CSR arrays of a `rows` x `dim` matrix, which must already be
     canonical: row offsets from 0 to the entry count, never decreasing;
-    columns in [0, dim), strictly increasing within a row; positive counts.
-    KBError names the first check that fails."""
+    columns in [0, dim), strictly increasing within a row; positive counts
+    no larger than SATURATION_CAP. KBError names the first check that fails."""
     for name, arr in (("indptr", indptr), ("indices", indices), ("data", data)):
         if arr.ndim != 1 or arr.dtype.kind not in "iu":
             raise KBError("CSR %s is not a 1-d integer array" % name)
@@ -192,6 +195,8 @@ def _canonical_csr(rows: int, dim: int, indptr, indices, data) -> Tuple[np.ndarr
         raise KBError("sparse count matrix cannot hold negative entries")
     if len(data) and data.min() == 0:
         raise KBError("CSR stores a zero count")
+    if len(data) and data.max() > SATURATION_CAP:
+        raise KBError("CSR stores a count above %d" % SATURATION_CAP)
     if np.any(np.diff(_row_ids(indptr) * dim + indices) <= 0):
         raise KBError("CSR columns do not strictly increase within a row")
     return indptr, indices, data

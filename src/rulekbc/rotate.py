@@ -7,7 +7,10 @@ second half of each row.
 `score_tails` scores whole tail rows for a list of heads, a block of heads at a
 time; a head's row is the same bits whichever block it is scored in. Training
 keeps the analytic gradients explicit so they can be checked against finite
-differences.
+differences. Besides its (B*(K+2), 2*dim) stack of gradient rows, a batch of
+B positives with K negatives each holds temporaries of fixed size: the
+negative part's moduli go through one buffer a block of positives at a time,
+and the scatter of the stack into entity rows a block of columns at a time.
 """
 
 import os
@@ -22,6 +25,12 @@ from .settings import RotateConfig
 
 _MAGIC = b"RKE1"
 _HEAD_BLOCK = 32  # heads per block in score_tails; (block, entities) buffers stay in cache
+# floats of loss_and_grad's default moduli buffer, which holds the negative
+# part's moduli for one block of positives (512 KiB)
+_NEGATIVE_BLOCK = 1 << 16
+# columns per bincount in _scatter: its cell index and the block's weights
+# are (rows, 16) arrays, a quarter of a dense-shaped batch's gradient stack
+_SCATTER_COLUMNS = 16
 
 
 @dataclass
@@ -136,13 +145,27 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def _scatter(targets: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """(n, row width) sums of `rows`, each added into row targets[j].
 
-    One bincount over the flattened (target, column) cells: bincount adds its
-    weights one after another from zero, so every target gets its terms in
-    stack order and the sums are the bits `np.add.at` gives.
+    One bincount per block of _SCATTER_COLUMNS columns, over the flattened
+    (target, column) cells of that block; every block reuses one cell index.
+    bincount adds its weights one after another from zero, so every target
+    gets its terms in stack order and the sums are the bits `np.add.at`
+    gives.
     """
     width = rows.shape[1]
-    cells = targets[:, None] * width + np.arange(width)
-    return np.bincount(cells.ravel(), weights=rows.ravel(), minlength=n * width).reshape(n, width)
+    step = min(width, _SCATTER_COLUMNS)
+    cells = targets[:, None] * step + np.arange(step)
+    out = np.empty((n, width))
+    for lo in range(0, width, step):
+        w = min(step, width - lo)
+        sums = np.bincount(cells[:, :w].ravel(), weights=rows[:, lo : lo + w].ravel(), minlength=n * step)
+        out[:, lo : lo + w] = sums.reshape(n, step)[:, :w]
+    return out
+
+
+def _moduli_buffer(B: int, K: int, d: int) -> np.ndarray:
+    """The default `moduli` of `loss_and_grad`: about _NEGATIVE_BLOCK floats,
+    and at least one positive's K * d."""
+    return np.empty(min(B, max(1, _NEGATIVE_BLOCK // (K * d))) * K * d)
 
 
 def loss_and_grad(
@@ -158,9 +181,12 @@ def loss_and_grad(
     corrupted tails. Loss = mean over the batch of -log sigmoid(s_pos) plus the
     mean over negatives of -log sigmoid(-s_neg).
 
-    rows and moduli are work buffers of at least (B*(K+2), 2*dim) and
-    B*K*dim floats, overwritten by the call; a caller that runs many batches
-    passes the same ones to every call. By default fresh ones are allocated.
+    rows and moduli are work buffers of at least (B*(K+2), 2*dim) and K*dim
+    floats, overwritten by the call; a caller that runs many batches passes
+    the same ones to every call. By default fresh ones are allocated, moduli
+    of about _NEGATIVE_BLOCK floats. The negative part runs a block of as
+    many positives as moduli holds at a time; every step of it is per
+    positive, so the result is the same bits whatever the block.
     """
     d = model.dim
     h, r, t = positives[:, 0], positives[:, 1], positives[:, 2]
@@ -171,14 +197,13 @@ def loss_and_grad(
     if rows is None:
         rows = np.empty((len(targets), 2 * d))
     if moduli is None:
-        moduli = np.empty(B * K * d)
-    if rows.shape[0] < len(targets) or rows.shape[1] != 2 * d or moduli.size < B * K * d:
+        moduli = _moduli_buffer(B, K, d)
+    if rows.shape[0] < len(targets) or rows.shape[1] != 2 * d or moduli.size < K * d:
         raise ValueError("work buffers too small for a batch of %d x %d" % (B, K))
     if not rows.flags.c_contiguous:
         raise ValueError("rows must be C-contiguous")  # the in-place steps reshape it
     grads = rows[: len(targets)]
     pos, neg, head = grads[:B], grads[B : B + B * K], grads[B + B * K :]
-    mn = moduli[: B * K * d].reshape(B, K, d)
 
     E = model.entity
     cos, sin = np.cos(model.phase[r]), np.sin(model.phase[r])
@@ -201,21 +226,26 @@ def loss_and_grad(
     pos.reshape(B, 2, d)[:] /= m[:, None]
     g_hr = -pos
 
-    # negative part: corrupted tails share the rotated head; neg ends as their
-    # gradient rows, -d loss / d un
+    # negative part, a block of positives at a time: corrupted tails share
+    # the rotated head; neg ends as their gradient rows, -d loss / d un
     np.take(E, neg_tails.ravel(), axis=0, out=neg, mode="clip")
-    un = neg.reshape(B, K, 2 * d)
-    un_re, un_im = un[:, :, :d], un[:, :, d:]
-    np.subtract(hr_re[:, None, :], un_re, out=un_re)
-    np.subtract(hr_im[:, None, :], un_im, out=un_im)
-    _modulus(un_re, un_im, out=mn)
-    s_neg = model.margin - mn.sum(axis=2)
+    un_all = neg.reshape(B, K, 2 * d)
+    s_neg = np.empty((B, K))
+    step = min(B, moduli.size // (K * d))
+    for lo in range(0, B, step):
+        hi = min(lo + step, B)
+        un, mn = un_all[lo:hi], moduli[: (hi - lo) * K * d].reshape(hi - lo, K, d)
+        un_re, un_im = un[:, :, :d], un[:, :, d:]
+        np.subtract(hr_re[lo:hi, None, :], un_re, out=un_re)
+        np.subtract(hr_im[lo:hi, None, :], un_im, out=un_im)
+        _modulus(un_re, un_im, out=mn)
+        s_neg[lo:hi] = model.margin - mn.sum(axis=2)
+        dldmn = (_sigmoid(s_neg[lo:hi]) / (B * K))[:, :, None]  # d s / d m = -1, sign folded
+        np.copyto(mn, 1.0, where=mn == 0)
+        un *= dldmn
+        un.reshape(hi - lo, K, 2, d)[:] /= mn[:, :, None]
+        g_hr[lo:hi] -= un.sum(axis=1)
     loss += _softplus(s_neg).mean()
-    dldmn = (_sigmoid(s_neg) / (B * K))[:, :, None]  # d s / d m = -1, sign folded
-    np.copyto(mn, 1.0, where=mn == 0)
-    un *= dldmn
-    un.reshape(B, K, 2, d)[:] /= mn[:, :, None]
-    g_hr -= un.sum(axis=1)
 
     # rotate the head gradient back and collect the phase gradient
     g_re, g_im = g_hr[:, :d], g_hr[:, d:]
@@ -272,7 +302,7 @@ def train_embeddings(kb: KnowledgeBase, cfg: RotateConfig) -> Tuple[RotateModel,
     # loss_and_grad's work buffers, sized for a full batch
     full = min(cfg.batch_size, n)
     rows = np.empty((full * (cfg.negatives + 2), 2 * cfg.dim))
-    moduli = np.empty(full * cfg.negatives * cfg.dim)
+    moduli = _moduli_buffer(full, cfg.negatives, cfg.dim)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_losses = []

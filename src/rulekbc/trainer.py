@@ -24,7 +24,8 @@ evaluation, `rank` and `combined_score` alike. The training loss and its
 gradients need the scores only at the evidence and gold cells plus a few
 statistics per head row, so without embeddings (every row of F is zeros)
 training memory is O(nonzeros + heads x rules); with them each relation
-allocates one (heads, entities) score buffer once and every epoch reuses it.
+allocates one (chunk, entities) buffer once, which every epoch fills a chunk
+of head rows at a time, besides F itself.
 """
 
 import json
@@ -42,6 +43,10 @@ from .rules import format_rule
 from .settings import TrainerConfig
 
 logger = logging.getLogger(__name__)
+
+# floats of the training loss's score buffer with embeddings: it holds the
+# scores of as many head rows as fit (at least one), 2 MiB
+_SCORE_CHUNK = 1 << 18
 
 
 @dataclass
@@ -139,8 +144,9 @@ class _Block:
     first cell of each head that has one and `off_cells` counts each head's
     entities that are no cell. F holds the normalized embedding rows, or is
     None without an embedding model, where every row is zeros. Z is the
-    (heads, entities) score buffer that `_scores` overwrites, allocated on
-    first use, so an epoch allocates nothing of that size.
+    score buffer that `_scores` and the training loss overwrite, allocated
+    on first use (see `_score_buffer`), so an epoch allocates nothing of its
+    size.
     """
 
     def __init__(
@@ -178,7 +184,8 @@ def _evidence(
     counts C(h, .) of every rule, gathered for all heads at once from the
     CSR arrays, and the normalized embedding rows F (None without a model),
     one `score_tails` row per distinct head. A head's evidence and row are
-    the same whatever heads come with it."""
+    the same whatever heads come with it, so distinct sorted heads (every
+    train block's) are scored in place and need no second copy of F."""
     heads = np.asarray(heads, dtype=np.int64)
     rows = [support_row(g, heads) for g in groundings]
     head, tail, value = (
@@ -186,7 +193,9 @@ def _evidence(
     )
     rule = np.repeat(np.arange(len(rows)), [len(r[0]) for r in rows])
     F = None
-    if rotate_model is not None:
+    if rotate_model is not None and np.all(heads[1:] > heads[:-1]):
+        F = normalize_embedding_row(score_tails(rotate_model, heads, relation))
+    elif rotate_model is not None:
         distinct, inverse = np.unique(heads, return_inverse=True)
         F = normalize_embedding_row(score_tails(rotate_model, distinct, relation))[inverse]
     return _Block(head, rule, tail, value, len(groundings), (len(heads), kb.num_entities), F)
@@ -201,17 +210,27 @@ def _weights(block: _Block, logits: np.ndarray, mix_logit: float):
     return W, alpha, rule_part
 
 
-def _dense_scores(block: _Block, W: np.ndarray, alpha: float, rule_part: np.ndarray) -> np.ndarray:
-    """The combined scores of every head of the block, into block.Z."""
-    if block.Z is None:
-        block.Z = np.empty(block.shape)
-    Z = block.Z
+def _score_buffer(block: _Block, rows: int) -> np.ndarray:
+    """The first `rows` rows of block.Z, which grows to the most rows asked
+    for: all heads for `_scores`, one chunk for the training loss."""
+    if block.Z is None or len(block.Z) < rows:
+        block.Z = np.empty((rows, block.shape[1]))
+    return block.Z[:rows]
+
+
+def _score_rows(
+    Z: np.ndarray, block: _Block, W: np.ndarray, alpha: float, lo: int, cells: np.ndarray, part: np.ndarray
+) -> np.ndarray:
+    """The combined scores of the block's heads lo .. lo + len(Z), into Z.
+    `cells` are the flat indices into Z of the cells in those rows and
+    `part` is alpha * the rule part of each."""
+    hi = lo + len(Z)
     if block.F is None:
         Z.fill(0.0)
     else:
-        np.multiply(block.F, W[:, -1:], out=Z)
+        np.multiply(block.F[lo:hi], W[lo:hi, -1:], out=Z)
         Z *= 1.0 - alpha
-    Z.reshape(-1)[block.cells] += alpha * rule_part
+    Z.reshape(-1)[cells] += part
     return Z
 
 
@@ -221,7 +240,8 @@ def _scores(block: _Block, logits: np.ndarray, mix_logit: float):
     Returns Z and `_weights`: W, alpha and the rule part of each cell.
     """
     W, alpha, rule_part = _weights(block, logits, mix_logit)
-    return _dense_scores(block, W, alpha, rule_part), W, alpha, rule_part
+    Z = _score_buffer(block, block.shape[0])
+    return _score_rows(Z, block, W, alpha, 0, block.cells, alpha * rule_part), W, alpha, rule_part
 
 
 def _filtered(
@@ -281,7 +301,9 @@ def relation_loss_and_grads(
     exp(Z - max) * F, so no dense dZ is formed. Without embedding rows Z is
     0 off the cells and no (heads, entities) array at all: a row's max and
     normaliser come from its cells and its count of other entries. With
-    them the block's Z buffer is overwritten.
+    them Z is formed a chunk of about _SCORE_CHUNK floats of head rows at a
+    time in the block's buffer; each row's statistics are the same bits
+    whatever the chunk, and the sums across heads run after the loop.
     """
     cells, weight, at = golds
     total = weight.sum()
@@ -304,13 +326,29 @@ def relation_loss_and_grads(
         gold_z = np.zeros(len(cells))
         gold_z[hit] = z[at[hit]]
     else:
-        Z = _dense_scores(block, W, alpha, rule_part)
-        gold_z = Z.reshape(-1)[cells]
-        zmax = Z.max(axis=1)
-        ez = np.exp(np.subtract(Z, zmax[:, None], out=Z), out=Z)  # Z is no longer needed
-        norm = ez.sum(axis=1)
-        e = ez.reshape(-1)[block.cells]
-        eF = np.einsum("ij,ij->i", ez, block.F)
+        step = min(H, max(1, _SCORE_CHUNK // E))
+        buffer = _score_buffer(block, step)
+        starts = np.arange(0, H + step, step).clip(max=H)
+        # the cells and the gold cells of each chunk of rows
+        cell_bounds = np.searchsorted(block.cell_row, starts)
+        gold_bounds = np.searchsorted(cells, starts * E)
+        part = alpha * rule_part
+        zmax, norm, eF = np.empty(H), np.empty(H), np.empty(H)
+        gold_z, e = np.empty(len(cells)), np.empty(len(block.cells))
+        for k, (lo, hi) in enumerate(zip(starts[:-1].tolist(), starts[1:].tolist())):
+            in_chunk, golds_in = slice(*cell_bounds[k : k + 2]), slice(*gold_bounds[k : k + 2])
+            # flat indices into the chunk; the first chunk's are the block's
+            local, gold_local = block.cells[in_chunk], cells[golds_in]
+            if lo:
+                local, gold_local = local - lo * E, gold_local - lo * E
+            Z = _score_rows(buffer[: hi - lo], block, W, alpha, lo, local, part[in_chunk])
+            flat = Z.reshape(-1)
+            gold_z[golds_in] = flat[gold_local]
+            zmax[lo:hi] = Z.max(axis=1)
+            ez = np.exp(np.subtract(Z, zmax[lo:hi, None], out=Z), out=Z)  # Z is no longer needed
+            norm[lo:hi] = ez.sum(axis=1)
+            e[in_chunk] = flat[local]
+            eF[lo:hi] = np.einsum("ij,ij->i", ez, block.F[lo:hi])
     counts = np.bincount(rows, weights=weight, minlength=H)
     logsum = np.log(norm) + zmax
     gold_sum = np.bincount(rows, weights=weight * gold_z, minlength=H)

@@ -513,6 +513,7 @@ class TestCache:
             lambda s, e: _two_in_row_0(s, [3, 1]),
             lambda s, e: _two_in_row_0(s, [2, 2]),
             lambda s, e: dict(e, data=np.concatenate([[0], e["data"][1:]])),
+            lambda s, e: dict(e, data=np.concatenate([[2**40], e["data"][1:]])),
             lambda s, e: dict(e, data=e["data"].astype(float)),
             lambda s, e: dict(e, indices=e["indices"].reshape(1, -1)),
             # canonical, but stacks one rule more than the set has
@@ -520,7 +521,7 @@ class TestCache:
         ],
         ids=[
             "dim", "col-past-end", "negative-col", "negative-count", "decreasing-indptr", "parent-format",
-            "indptr-start", "indptr-end", "data-length", "unsorted-cols", "duplicate-cols", "zero-count",
+            "indptr-start", "indptr-end", "data-length", "unsorted-cols", "duplicate-cols", "zero-count", "above-cap",
             "float-data", "2d-indices", "rows",
         ],
     )

@@ -172,6 +172,22 @@ class TestSparseOps:
         prod = sparse_mul(a, b)
         assert prod.get(0, 0) == SATURATION_CAP
 
+    def test_coordinate_sums_saturate(self, caplog):
+        m = SparseMatrix.from_coords(1, [0], [0], [3 * 2**30])
+        assert m.data.tolist() == [SATURATION_CAP]
+        assert "saturating 1 count entries" in caplog.text
+        # terms above the cap are held before adding, so no sum wraps int64
+        m = SparseMatrix.from_coords(2, [0] * 4 + [1], [1] * 4 + [0], [2**62] * 4 + [SATURATION_CAP])
+        assert (m.get(0, 1), m.get(1, 0)) == (SATURATION_CAP, SATURATION_CAP)
+        assert "saturating 1 count entries" in caplog.text.splitlines()[-1]
+
+    def test_counts_above_the_cap_rejected(self):
+        indptr, indices = np.array([0, 1, 1]), np.array([1])
+        assert _canonical_csr(2, 2, indptr, indices, np.array([SATURATION_CAP]))[2].tolist() == [SATURATION_CAP]
+        for count in (SATURATION_CAP + 1, 2**40):
+            with pytest.raises(KBError, match="above"):
+                _canonical_csr(2, 2, indptr, indices, np.array([count]))
+
     def test_row_access_matches_dense(self):
         rng = np.random.default_rng(14)
         a, da = random_sparse(rng, 9)

@@ -1,5 +1,6 @@
 """Rotation-embedding scorer: scores, gradients, training, checkpoints."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import gradcheck
 import rotate_oracle
 import synthetic
+from rulekbc import rotate
 from rulekbc.kb import KBError
 from rulekbc.rotate import (
     RotateConfig,
@@ -22,6 +24,9 @@ from rulekbc.rotate import (
     score_tails,
     train_embeddings,
 )
+
+# trains in a few ms on planted_kb(0)
+PINNED_CONFIG = RotateConfig(dim=16, negatives=64, epochs=3, batch_size=100, seed=3)
 
 
 def random_model(seed, n_e=6, n_r=3, dim=4, margin=5.0):
@@ -208,15 +213,58 @@ class TestLossKernel:
             assert got[1].tobytes() == fresh[1].tobytes()
             assert got[2].tobytes() == fresh[2].tobytes()
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        **dict(BATCHES, B=st.integers(1, 20)),
+        block=st.integers(1, 8),
+        spare=st.integers(0, 10**6),
+        dirty=st.sampled_from([np.nan, np.inf, 0.0, 1e300]),
+    )
+    def test_blocks_of_positives_are_bit_equal_to_the_whole_batch(self, block, spare, dirty, **batch):
+        # batches below, at, above and not a multiple of the block, in a
+        # moduli buffer with up to one positive's worth of floats to spare,
+        # and rows left dirty by other values and by the previous call
+        model, positives, negs = random_batch(**batch)
+        B, K = negs.shape
+        d = model.dim
+        want = rotate_oracle.whole_batch_loss_and_grad(model, positives, negs)
+        rows = np.full((B * (K + 2), 2 * d), dirty)
+        moduli = np.full(block * K * d + spare % (K * d), dirty)
+        for got in (
+            loss_and_grad(model, positives, negs),
+            loss_and_grad(model, positives, negs, rows, moduli),
+            loss_and_grad(model, positives, negs, rows, moduli),
+        ):
+            assert got[0] == want[0]
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2].tobytes() == want[2].tobytes()
+
+    def test_default_moduli_split_a_large_batch(self, monkeypatch):
+        # a 50-positive batch in blocks of 8, 3 and 1 positives and in one
+        calls = []
+        modulus = rotate._modulus
+        monkeypatch.setattr(rotate, "_modulus", lambda *a, **k: calls.append(1) or modulus(*a, **k))
+        model, positives, negs = random_batch(3, 6, 3, 4, 50, 5, True, False)
+        want = rotate_oracle.whole_batch_loss_and_grad(model, positives, negs)
+        for block, n_blocks in ((8 * 5 * 4, 7), (3 * 5 * 4 + 7, 17), (5 * 4, 50), (1 << 16, 1)):
+            monkeypatch.setattr(rotate, "_NEGATIVE_BLOCK", block)
+            calls.clear()
+            got = loss_and_grad(model, positives, negs)
+            assert len(calls) == 1 + n_blocks  # the positive part, then each block
+            assert got[0] == want[0]
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2].tobytes() == want[2].tobytes()
+
     def test_unusable_buffers_rejected(self):
         model = random_model(7)
         positives, negs = np.array([[0, 0, 1], [2, 1, 3]]), np.array([[1, 2], [3, 4]])
-        rows, moduli = np.empty((8, 2 * model.dim)), np.empty(16)
+        # moduli needs one positive's K * dim floats, not the batch's
+        rows, moduli = np.empty((8, 2 * model.dim)), np.empty(2 * model.dim)
         loss_and_grad(model, positives, negs, rows, moduli)
         with pytest.raises(ValueError, match="too small"):
             loss_and_grad(model, positives, negs, rows[:7], moduli)
         with pytest.raises(ValueError, match="too small"):
-            loss_and_grad(model, positives, negs, rows, moduli[:15])
+            loss_and_grad(model, positives, negs, rows, moduli[: 2 * model.dim - 1])
         with pytest.raises(ValueError, match="C-contiguous"):
             loss_and_grad(model, positives, negs, np.empty((2 * model.dim, 8)).T, moduli)
 
@@ -232,6 +280,17 @@ class TestLossKernel:
 
 
 class TestTraining:
+    def test_pinned_digest(self):
+        # batches of 100 positives with 64 negatives of dim 16: each runs its
+        # negative part in blocks of 64 and 36 positives; the digest was
+        # taken with the whole-batch kernel
+        kb = synthetic.planted_kb(0)[0]
+        model, trace = train_embeddings(kb, PINNED_CONFIG)
+        digest = hashlib.sha256()
+        for values in (model.entity, model.phase, np.array(trace)):
+            digest.update(values.tobytes())
+        assert digest.hexdigest() == "5085ea75a31e792006f9394abc8a1216170065c6fe7fb17209b20662f5ab555f"
+
     def test_zero_epochs_returns_seeded_init(self):
         kb = synthetic.family_kb()
         cfg = RotateConfig(dim=8, epochs=0, seed=42)

@@ -149,8 +149,10 @@ class TestTransposeHadamardAccess:
 
 
 class TestScatter:
+    # widths past the column block and not a multiple of it: several
+    # blocks, the last one narrower
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 6), width=st.integers(1, 4), stack=st.integers(0, 30))
+    @given(data=st.data(), n=st.integers(1, 6), width=st.integers(1, 40), stack=st.integers(0, 30))
     def test_bit_equal_to_add_at(self, data, n, width, stack):
         targets = data.draw(hnp.arrays(np.int64, stack, elements=st.integers(0, n - 1)))
         values = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1e-300, 0.1, 1 / 3])

@@ -1,7 +1,9 @@
 """Combined scoring, masked softmax weighting, training loop, ranking."""
 
+import hashlib
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 import dense_oracle
 import gradcheck
 import synthetic
-from rulekbc import grounding, rotate
+from rulekbc import grounding, rotate, trainer
 from rulekbc.evaluation import evaluate_model
 from rulekbc.grounding import ground_all
 from rulekbc.kb import KBError
@@ -277,24 +279,35 @@ class TestSparseKernel:
         for i, h in enumerate(heads):
             alone = _evidence(kb, rel, groundings[rel], model, [h])
             assert Z[i].tobytes() == _scores(alone, logits, 0.3)[0][0].tobytes()
+
+
+def _wide_target_kb(n_heads, n_entities):
+    """A KB whose `target` relation has one train tail for each of heads
+    0 .. n_heads - 1 among n_entities, its grounded `link` rule, and a
+    dim-4 embedding model."""
+    rng = np.random.default_rng(0)
+    names = ["e%d" % i for i in range(n_entities)]
+    link = set(zip(rng.integers(0, n_heads, 300).tolist(), rng.integers(0, n_entities, 300).tolist()))
+    target = [(h, int(t)) for h, t in enumerate(rng.integers(0, n_entities, n_heads))]
+    kb = synthetic.build_kb(
+        names,
+        ["link", "target"],
+        [(names[h], "link", names[t]) for h, t in sorted(link)]
+        + [(names[h], "target", names[t]) for h, t in target],
+    )
+    rule = synthetic.classified_rule(kb, "IF (A, link, B) THEN (A, target, B)")
+    gs = ground_all(kb, [rule])[kb.relations.id("target")]
+    model = rotate.init_model(n_entities, kb.num_relations, rotate.RotateConfig(dim=4))
+    return kb, gs, model
+
+
 class TestRulesOnlyMemory:
     def test_training_block_allocates_no_heads_by_entities_array(self):
         # without embeddings a training block and a kernel call hold the
         # evidence and per-head statistics only: one (heads, entities)
         # float array would be 48 MB here
         n_heads, n_entities = 2000, 3000
-        rng = np.random.default_rng(0)
-        names = ["e%d" % i for i in range(n_entities)]
-        link = set(zip(rng.integers(0, n_heads, 300).tolist(), rng.integers(0, n_entities, 300).tolist()))
-        target = [(h, int(t)) for h, t in enumerate(rng.integers(0, n_entities, n_heads))]
-        kb = synthetic.build_kb(
-            names,
-            ["link", "target"],
-            [(names[h], "link", names[t]) for h, t in sorted(link)]
-            + [(names[h], "target", names[t]) for h, t in target],
-        )
-        rule = synthetic.classified_rule(kb, "IF (A, link, B) THEN (A, target, B)")
-        gs = ground_all(kb, [rule])[kb.relations.id("target")]
+        kb, gs, _ = _wide_target_kb(n_heads, n_entities)
         tracemalloc.start()
         try:
             data = _RelationData(kb, kb.relations.id("target"), gs, None)
@@ -306,6 +319,102 @@ class TestRulesOnlyMemory:
         assert 0 < len(block.value) < 1000
         assert np.isfinite(loss)
         assert peak < 8 * n_heads * n_entities / 10
+
+
+def _peak_bytes(fn):
+    """fn's result and the peak bytes tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestEmbeddingMemory:
+    def test_rotate_batch_holds_no_whole_batch_moduli_or_cell_index(self):
+        # a dense-shaped batch: the whole batch's moduli were 4 MiB and the
+        # scatter's (rows, width) cell index 8.5 MiB
+        B, K, dim, n_entities = 512, 32, 32, 400
+        rng = np.random.default_rng(0)
+        model = rotate.init_model(n_entities, 8, rotate.RotateConfig(dim=dim))
+        positives = np.column_stack(
+            [rng.integers(0, n_entities, B), rng.integers(0, 8, B), rng.integers(0, n_entities, B)]
+        )
+        negs = rng.integers(0, n_entities, size=(B, K))
+        rows = np.empty((B * (K + 2), 2 * dim))
+        (loss, _, _), peak = _peak_bytes(lambda: rotate.loss_and_grad(model, positives, negs, rows))
+        assert np.isfinite(loss)
+        assert peak < 8 * 2**20
+
+    def test_training_loss_holds_one_chunk_of_scores(self):
+        kb, gs, model = _wide_target_kb(1500, 2000)
+        data = _RelationData(kb, kb.relations.id("target"), gs, model)
+        block = data.train
+        assert block.F.shape == (1500, 2000)
+        (loss, _, _), peak = _peak_bytes(
+            lambda: relation_loss_and_grads(np.zeros(2), 0.0, block, data.golds)
+        )
+        assert np.isfinite(loss)
+        assert peak < block.F.nbytes / 4
+
+    def test_distinct_heads_need_no_second_copy_of_F(self):
+        kb, gs, model = _wide_target_kb(1500, 2000)
+        heads = np.arange(1500)
+        block, peak = _peak_bytes(lambda: _evidence(kb, kb.relations.id("target"), gs, model, heads))
+        assert peak < 1.5 * block.F.nbytes
+        # the same rows as a block of repeated, unsorted heads gathers
+        mixed = _evidence(kb, kb.relations.id("target"), gs, model, np.concatenate([heads[::-1], heads]))
+        assert mixed.F[1500:].tobytes() == block.F.tobytes()
+        assert mixed.F[:1500].tobytes() == block.F[::-1].tobytes()
+
+
+class TestScoreChunks:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_loss_is_bit_equal_in_any_chunk(self, data):
+        # one row, a few rows and the whole block per chunk
+        n = data.draw(st.integers(0, 6))
+        S, F, _, Y, logits, mix = _dense_batch(data.draw, n)
+        H, E = F.shape
+        rows = data.draw(st.integers(1, H))
+        got = []
+        for chunk in (E, rows * E + data.draw(st.integers(0, E - 1)), H * E):
+            block = dense_oracle.block_from_dense(S, F)
+            with mock.patch.object(trainer, "_SCORE_CHUNK", chunk):
+                got.append(relation_loss_and_grads(logits, mix, block, dense_oracle.gold_cells(Y, block)))
+        for loss, d_logits, d_mix in got[:-1]:
+            assert (loss, d_mix) == got[-1][0::2]
+            assert d_logits.tobytes() == got[-1][1].tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_trained_relation_is_bit_equal_in_any_chunk(self, seed):
+        kb, pool, _ = synthetic.planted_kb(seed)
+        groundings = ground_all(kb, pool)
+        model = rotate.train_embeddings(kb, rotate.RotateConfig(dim=8, epochs=2, seed=seed))[0]
+        rel = kb.relations.id("grandparent")
+        data = _RelationData(kb, rel, groundings[rel], model)
+        H, E = data.train.shape
+        logits = np.random.default_rng(seed).normal(size=len(groundings[rel]) + 1)
+        got = []
+        for chunk in (E, 7 * E, H * E):
+            with mock.patch.object(trainer, "_SCORE_CHUNK", chunk):
+                got.append(relation_loss_and_grads(logits, 0.4, data.train, data.golds))
+        for loss, d_logits, d_mix in got[:-1]:
+            assert (loss, d_mix) == got[-1][0::2]
+            assert d_logits.tobytes() == got[-1][1].tobytes()
+
+    def test_pinned_params_digest(self, tmp_path):
+        # embeddings and params.json trained on planted_kb(0); the digest was
+        # taken when the loss formed every relation's whole score block
+        kb, pool, _ = synthetic.planted_kb(0)
+        cfg = rotate.RotateConfig(dim=16, negatives=64, epochs=3, batch_size=100, seed=3)
+        model = rotate.train_embeddings(kb, cfg)[0]
+        params, _ = train(kb, ground_all(kb, pool), model, TrainerConfig(max_epochs=20))
+        path = tmp_path / "params.json"
+        save_params(str(path), params, kb)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "3fde6b1f252c1535020eabbe876c75df9ce1df472180bdef284348a3d703fc0b"
 
 
 class TestJointCountUnread:
