@@ -21,7 +21,7 @@ _EXPORTS = {
     ),
     "grounding": ("Grounding", "GroundingError", "ground", "ground_all", "score", "witness_paths"),
     "kb": ("KBError", "KnowledgeBase", "SparseMatrix", "Triple", "Vocab", "load_kb"),
-    "proposer": ("ProposerBackend", "ProposerError", "build_rule_prompt", "mine_rules_text", "propose"),
+    "proposer": ("build_rule_prompt", "mine_rules_text", "propose"),
     "rotate": ("RotateModel", "load_embeddings", "save_embeddings", "train_embeddings"),
     "rules": (
         "CASE_FLAGS",
@@ -36,8 +36,8 @@ _EXPORTS = {
         "map_relations",
         "parse_rule",
     ),
-    "settings": ("RotateConfig", "TrainerConfig"),
-    "subgraph": ("ExtractorConfig", "Subgraph", "extract_subgraph", "sample_targets"),
+    "settings": ("ExtractorConfig", "ProposerBackend", "ProposerError", "RotateConfig", "TrainerConfig"),
+    "subgraph": ("Subgraph", "extract_subgraph", "sample_targets"),
     "trainer": ("ReasonerParams", "rank", "train"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -21,9 +21,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-# the commands that use `grounding`, `rotate`, `trainer` and `evaluation`
-# import them themselves, so `extract` and `propose` do not load them
-from . import proposer, rules, settings, subgraph
+# each command imports the stage modules it uses itself, so it loads no
+# other stage's module; every section's settings come from `settings`
+from . import rules, settings
 from .kb import KBError, KnowledgeBase, load_kb, not_utf8
 
 if TYPE_CHECKING:
@@ -75,16 +75,16 @@ class _Similarity:
 _SECTIONS = (
     ("run", _Run, {}),
     ("kb", _Paths, {}),
-    ("extract", subgraph.ExtractorConfig, {}),
+    ("extract", settings.ExtractorConfig, {}),
     ("similarity", _Similarity, {}),
-    ("proposer", proposer.ProposerBackend, {"backend": "kind", "model": "model_name"}),
+    ("proposer", settings.ProposerBackend, {"backend": "kind", "model": "model_name"}),
     ("rotate", settings.RotateConfig, {}),
     ("trainer", settings.TrainerConfig, {}),
 )
 
 # per-stage seed field and stage number; derived from [run] seed, not INI keys
 _STAGE_SEEDS = {
-    subgraph.ExtractorConfig: ("rng_seed", 1),
+    settings.ExtractorConfig: ("rng_seed", 1),
     settings.RotateConfig: ("seed", 2),
 }
 
@@ -156,9 +156,9 @@ class PipelineConfig:
 
     run: _Run
     kb: _Paths
-    extract: subgraph.ExtractorConfig
+    extract: settings.ExtractorConfig
     similarity: _Similarity
-    proposer: proposer.ProposerBackend
+    proposer: settings.ProposerBackend
     rotate: settings.RotateConfig
     trainer: settings.TrainerConfig
     items: List[Tuple[str, str]]  # canonical resolved settings, sorted
@@ -171,10 +171,6 @@ class PipelineConfig:
 
     def run_dir(self) -> str:
         return os.path.join(self.run.output_dir, self.hash())
-
-
-def _stage_seed(seed: int, stage: int) -> int:
-    return int(np.random.SeedSequence([seed, stage]).generate_state(1)[0])
 
 
 def _read(parser: configparser.ConfigParser, section: str, key: str, f: Field):
@@ -226,7 +222,7 @@ def load_config(
             items.append((name, str(values[f.name])))
         if cls in _STAGE_SEEDS:
             field_name, stage = _STAGE_SEEDS[cls]
-            values[field_name] = _stage_seed(built["run"].seed, stage)
+            values[field_name] = settings.stage_seed(built["run"].seed, stage)
         built[section] = cls(**values)
     return PipelineConfig(items=sorted(items), **built)
 
@@ -255,6 +251,8 @@ def _subgraph_path(run: str, relation: int) -> str:
 
 
 def cmd_extract(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse.Namespace) -> int:
+    from . import subgraph
+
     os.makedirs(os.path.join(run, "subgraphs"), exist_ok=True)
     for rel in range(kb.num_relations):
         targets = subgraph.sample_targets(
@@ -276,6 +274,8 @@ _PROPOSE_COUNTERS = ("lines", "parse_rejected", "stage1_rejected", "mapped", "un
 
 
 def cmd_propose(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse.Namespace) -> int:
+    from . import proposer, subgraph
+
     provider = rules.TrigramSimilarity()
     os.makedirs(os.path.join(run, "rules"), exist_ok=True)
     os.makedirs(os.path.join(run, "proposals"), exist_ok=True)
@@ -526,7 +526,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = load_config(args.config, seed=args.seed, output_dir=args.output_dir)
         run = _prepare_run_dir(cfg)
         return args.handler(cfg, run, _load_kb(cfg), args)
-    except (CLIError, KBError, proposer.ProposerError, ValueError) as exc:
+    except (CLIError, KBError, settings.ProposerError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

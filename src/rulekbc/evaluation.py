@@ -1,6 +1,5 @@
-"""Ranking metrics, rule-quality aggregates, and model/baseline evaluation."""
+"""Ranking metrics, rule-quality aggregates, and model evaluation."""
 
-import logging
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -8,14 +7,9 @@ import numpy as np
 
 from .grounding import Grounding
 from .kb import KBError, KnowledgeBase, text_lines
-from .proposer import ProposerBackend, ProposerError, direct_infer_candidates
 from .rotate import RotateModel
 from .rules import Rule, format_rule
-from .rules import normalize_name as normalize_entity_name
-from .subgraph import ExtractorConfig
 from .trainer import ReasonerParams, gold_ranks
-
-logger = logging.getLogger(__name__)
 
 HITS_AT = (1, 3, 10)
 
@@ -152,54 +146,3 @@ def evaluate_model(
     query's rank is the one `trainer.rank` reports for it."""
     return compute_metrics(gold_ranks(params, kb, groundings, rotate_model, kb.split(split)))
 
-
-@dataclass
-class InferenceBaselineReport:
-    """Hits-only report for the direct candidate-generation baseline; a backend
-    that names the gold within its first K candidates scores a hit at K."""
-
-    query_count: int
-    hits: Dict[int, float]
-    failures: int = 0
-
-    def to_dict(self) -> Dict:
-        return {
-            "queries": self.query_count,
-            "hits": {str(k): v for k, v in sorted(self.hits.items())},
-            "failures": self.failures,
-        }
-
-
-def evaluate_inference_baseline(
-    backend: ProposerBackend,
-    kb: KnowledgeBase,
-    split: str = "test",
-    cfg: Optional[ExtractorConfig] = None,
-) -> InferenceBaselineReport:
-    """Ask the backend directly for tails and measure hits@K by name match.
-
-    Candidate and gold names are compared case/underscore-insensitively.
-    Backend failures count as misses. MR/MRR are not defined for this baseline.
-    """
-    triples = kb.split(split)
-    if not triples:
-        raise KBError("split %r has no queries" % split)
-    hit_counts = {k: 0 for k in HITS_AT}
-    failures = 0
-    for t in triples:
-        try:
-            cands = direct_infer_candidates(backend, kb, t.head, t.relation, cfg)
-        except ProposerError as exc:
-            logger.warning("baseline query failed, counting a miss: %s", exc)
-            failures += 1
-            continue
-        gold = normalize_entity_name(kb.entity_name(t.tail))
-        norm = [normalize_entity_name(c) for c in cands]
-        for k in HITS_AT:
-            if gold in norm[:k]:
-                hit_counts[k] += 1
-    return InferenceBaselineReport(
-        query_count=len(triples),
-        hits={k: hit_counts[k] / len(triples) for k in HITS_AT},
-        failures=failures,
-    )

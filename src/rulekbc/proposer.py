@@ -7,7 +7,6 @@ and raw response is kept in a ProposalRecord for audit.
 
 import json
 import logging
-import math
 import os
 import re
 import time
@@ -16,12 +15,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .kb import KnowledgeBase, Triple
 from .rules import _PATH_LETTERS, Rule, RuleParseError, format_rule, parse_rule
-from .subgraph import (
-    ExtractorConfig,
-    Subgraph,
-    extract_entity_neighborhood,
-    linearize,
-)
+from .settings import OFFLINE, REMOTE, ProposerBackend, ProposerError  # noqa: F401
+from .subgraph import Subgraph, linearize
 
 logger = logging.getLogger(__name__)
 
@@ -39,49 +34,6 @@ Now we have the following triplets:
 {subgraph}
 
 Please generate as many of the most important logical rules based on the above knowledge subgraph to deduce triplet {target}. The rules provide general logic implications instead of using specific entities. Return the rules only without any explanations."""
-
-INFER_PROMPT_TEMPLATE = """A knowledge subgraph describes relationships between entities using a set of triplets. Each triplet is written in the form of triplet (SUBJ, REL, OBJ), which states that entity SUBJ is of relation REL to entity OBJ.
-
-Now we have the following triplets:
-
-{subgraph}
-
-Please generate 10 most likely OBJ candidates to complete {query}. Return only the entity candidates without any additional text."""
-
-OFFLINE = "offline-miner"
-REMOTE = "remote-chat"
-
-
-class ProposerError(Exception):
-    """Backend failure after retries, or an unsupported backend operation."""
-
-
-@dataclass(frozen=True)
-class ProposerBackend:
-    kind: str = OFFLINE
-    endpoint: str = ""
-    model_name: str = "offline"
-    request_timeout: float = 30.0
-    max_retries: int = 2
-    retry_backoff: float = 0.5
-    temperature: float = 0.0
-    api_key_env: str = "RULEKBC_API_KEY"
-
-    def __post_init__(self):
-        if self.kind not in (OFFLINE, REMOTE):
-            raise ValueError("unknown backend kind %r" % self.kind)
-        if self.kind == REMOTE and not self.endpoint:
-            raise ValueError("remote backend needs an endpoint")
-        if self.max_retries < 0:
-            raise ValueError("proposer.max_retries must be >= 0, got %r" % self.max_retries)
-        for name in ("request_timeout", "retry_backoff", "temperature"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError("proposer.%s must be finite, got %r" % (name, getattr(self, name)))
-        if self.request_timeout <= 0:
-            raise ValueError("proposer.request_timeout must be > 0, got %r" % self.request_timeout)
-        if self.retry_backoff < 0:
-            raise ValueError("proposer.retry_backoff must be >= 0, got %r" % self.retry_backoff)
-
 
 @dataclass
 class ProposalRecord:
@@ -107,11 +59,6 @@ def build_rule_prompt(sg: Subgraph, target: Triple, kb: KnowledgeBase) -> str:
     return RULE_PROMPT_TEMPLATE.format(
         subgraph=linearize(sg, kb), target=_triple_surface(kb, target)
     )
-
-
-def build_infer_prompt(sg: Subgraph, head: int, relation: int, kb: KnowledgeBase) -> str:
-    query = "(%s, %s, ?)" % (kb.entity_name(head), kb.relation_name(relation))
-    return INFER_PROMPT_TEMPLATE.format(subgraph=linearize(sg, kb), query=query)
 
 
 def _post_chat(backend: ProposerBackend, prompt: str) -> str:
@@ -256,22 +203,6 @@ def propose(backend: ProposerBackend, kb: KnowledgeBase, subgraphs: List[Subgrap
             )
         records.append(rec)
     return records
-
-
-def direct_infer_candidates(
-    backend: ProposerBackend,
-    kb: KnowledgeBase,
-    head: int,
-    relation: int,
-    cfg: Optional[ExtractorConfig] = None,
-) -> List[str]:
-    """Ask the backend for up to 10 tail names given a head-centered subgraph."""
-    if backend.kind != REMOTE:
-        raise ProposerError("backend %r cannot answer direct inference queries" % backend.kind)
-    sg = extract_entity_neighborhood(kb, head, cfg or ExtractorConfig())
-    prompt = build_infer_prompt(sg, head, relation, kb)
-    raw = _complete(backend, prompt)
-    return candidate_lines(raw)[:10]
 
 
 def record_to_dict(rec: ProposalRecord, kb: KnowledgeBase) -> Dict:

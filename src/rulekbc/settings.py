@@ -1,11 +1,68 @@
-"""Settings of the embedding pretraining and the rule-weight trainer.
+"""Settings of each pipeline stage, and the proposer backend's error.
 
-They live apart from `rotate` and `trainer`, so the CLI can read and hash a
-config without loading the reasoning stages.
+They live apart from the stage modules, so the CLI can read and hash a
+config, and report a stage's errors, without loading the stages; each
+command loads only the stages it runs.
 """
 
 import math
 from dataclasses import dataclass
+
+from numpy.random import SeedSequence
+
+
+def stage_seed(seed: int, stage: int) -> int:
+    """The seed of pipeline stage `stage`, derived from the [run] seed."""
+    return int(SeedSequence([seed, stage]).generate_state(1)[0])
+
+
+@dataclass(frozen=True)
+class ExtractorConfig:
+    max_hops: int = 3
+    max_neighbors_per_entity: int = 3
+    max_subgraphs_per_relation: int = 30
+    rng_seed: int = 0
+
+    def __post_init__(self):
+        if self.max_hops < 1 or self.max_neighbors_per_entity < 1:
+            raise ValueError("hop and neighbor caps must be positive")
+        if self.max_subgraphs_per_relation < 1:
+            raise ValueError("max_subgraphs_per_relation must be positive")
+
+
+OFFLINE = "offline-miner"
+REMOTE = "remote-chat"
+
+
+class ProposerError(Exception):
+    """Backend failure after retries, or a subgraph without a target to propose for."""
+
+
+@dataclass(frozen=True)
+class ProposerBackend:
+    kind: str = OFFLINE
+    endpoint: str = ""
+    model_name: str = "offline"
+    request_timeout: float = 30.0
+    max_retries: int = 2
+    retry_backoff: float = 0.5
+    temperature: float = 0.0
+    api_key_env: str = "RULEKBC_API_KEY"
+
+    def __post_init__(self):
+        if self.kind not in (OFFLINE, REMOTE):
+            raise ValueError("unknown backend kind %r" % self.kind)
+        if self.kind == REMOTE and not self.endpoint:
+            raise ValueError("remote backend needs an endpoint")
+        if self.max_retries < 0:
+            raise ValueError("proposer.max_retries must be >= 0, got %r" % self.max_retries)
+        for name in ("request_timeout", "retry_backoff", "temperature"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("proposer.%s must be finite, got %r" % (name, getattr(self, name)))
+        if self.request_timeout <= 0:
+            raise ValueError("proposer.request_timeout must be > 0, got %r" % self.request_timeout)
+        if self.retry_backoff < 0:
+            raise ValueError("proposer.retry_backoff must be >= 0, got %r" % self.retry_backoff)
 
 
 @dataclass(frozen=True)

@@ -1,37 +1,17 @@
 """Relation-centered subgraph sampling by capped breadth-first traversal."""
 
-import logging
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, TextIO, Tuple
+from typing import Dict, Iterator, List, Optional, TextIO
 
 import numpy as np
 
 from .kb import KBError, KnowledgeBase, Triple, text_lines
-
-logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class ExtractorConfig:
-    max_hops: int = 3
-    max_neighbors_per_entity: int = 3
-    max_subgraphs_per_relation: int = 30
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.max_hops < 1 or self.max_neighbors_per_entity < 1:
-            raise ValueError("hop and neighbor caps must be positive")
-        if self.max_subgraphs_per_relation < 1:
-            raise ValueError("max_subgraphs_per_relation must be positive")
+from .settings import ExtractorConfig
 
 
 @dataclass
 class Subgraph:
-    """Triples collected around a target, tagged with the hop that found them.
-
-    target is None for plain entity neighborhoods (query-time context for the
-    direct-inference baseline); those skip the closed-path constraint.
-    """
+    """Triples collected around a target, tagged with the hop that found them."""
 
     target: Optional[Triple]
     triples: List[Triple] = field(default_factory=list)
@@ -52,35 +32,33 @@ def sample_targets(kb: KnowledgeBase, relation: int, count: int, seed: int) -> L
     return [pool[i] for i in idx]
 
 
-def _seed_entropy(cfg: ExtractorConfig, seeds: Tuple[int, ...]) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, *seeds]))
+def extract_subgraph(kb: KnowledgeBase, target: Triple, cfg: ExtractorConfig) -> Subgraph:
+    """BFS outwards from the target's endpoints, excluding the target itself.
 
-
-def _expand(
-    kb: KnowledgeBase,
-    start_entities: List[int],
-    cfg: ExtractorConfig,
-    rng: np.random.Generator,
-    exclude: Optional[Triple],
-) -> Subgraph:
-    sg = Subgraph(target=exclude)
-    chosen = set()
-    seen_entities = set(start_entities)
-    frontier = sorted(set(start_entities))
+    Edges are traversed in both directions. Each frontier entity adds at most
+    `max_neighbors_per_entity` of its unchosen incident triples, drawn at
+    random when it has more. Triples found at the final hop must touch the
+    target head or tail (closed-path constraint); others are dropped.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, *target]))
+    sg = Subgraph(target=target)
+    anchors = {target.head, target.tail}
+    chosen = {target}
+    seen_entities = set(anchors)
+    frontier = sorted(anchors)
     cap = cfg.max_neighbors_per_entity
     for hop in range(1, cfg.max_hops + 1):
         new_entities = set()
         for pivot in frontier:
-            cands = [
-                t for t in kb.incident.get(pivot, [])
-                if t != exclude and t not in chosen
-            ]
+            cands = [t for t in kb.incident.get(pivot, []) if t not in chosen]
             if len(cands) > cap:
                 keep = rng.choice(len(cands), size=cap, replace=False)
                 keep.sort()
                 cands = [cands[i] for i in keep]
             for t in cands:
-                chosen.add(t)
+                chosen.add(t)  # a dropped triple too, so no later pivot draws it
+                if hop == cfg.max_hops and not (t.head in anchors or t.tail in anchors):
+                    continue
                 sg.triples.append(t)
                 sg.hop_of[t] = hop
                 for e in (t.head, t.tail):
@@ -91,31 +69,6 @@ def _expand(
         if not frontier:
             break
     return sg
-
-
-def extract_subgraph(kb: KnowledgeBase, target: Triple, cfg: ExtractorConfig) -> Subgraph:
-    """BFS outwards from the target's endpoints, excluding the target itself.
-
-    Edges are traversed in both directions. Triples found at the final hop must
-    touch the target head or tail (closed-path constraint); others are dropped.
-    """
-    rng = _seed_entropy(cfg, (target.head, target.relation, target.tail))
-    sg = _expand(kb, [target.head, target.tail], cfg, rng, exclude=target)
-    anchors = {target.head, target.tail}
-    kept: List[Triple] = []
-    for t in sg.triples:
-        if sg.hop_of[t] == cfg.max_hops and not (t.head in anchors or t.tail in anchors):
-            del sg.hop_of[t]
-            continue
-        kept.append(t)
-    sg.triples = kept
-    return sg
-
-
-def extract_entity_neighborhood(kb: KnowledgeBase, entity: int, cfg: ExtractorConfig) -> Subgraph:
-    """Context subgraph around a single entity; no target, no closed-path filter."""
-    rng = _seed_entropy(cfg, (entity,))
-    return _expand(kb, [entity], cfg, rng, exclude=None)
 
 
 def linearize(sg: Subgraph, kb: KnowledgeBase) -> str:

@@ -663,16 +663,18 @@ def _block_problem(block) -> Optional[str]:
 
 
 def load_params(path: str, kb: KnowledgeBase) -> ReasonerParams:
-    """Read a `save_params` checkpoint. A file that is not UTF-8, or a
-    relation not in the KB, or a relation block with a missing key, a value
-    of the wrong type, a non-finite logit or mix_logit, or not one logit per
-    rule plus the embedding's raises KBError("<path>: ..."); so does, once
-    every block has passed, a KB relation without a block."""
+    """Read a `save_params` checkpoint. A file that is not UTF-8 or not
+    JSON, or a relation not in the KB, or a relation block with a missing
+    key, a value of the wrong type, a non-finite logit or mix_logit, or not
+    one logit per rule plus the embedding's raises KBError("<path>: ...");
+    so does, once every block has passed, a KB relation without a block."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc) from exc
+    except json.JSONDecodeError as exc:
+        raise KBError("%s: not JSON: %s" % (path, exc)) from exc
     if not isinstance(doc, dict):
         raise KBError("%s: not an object of relation blocks" % path)
     params: ReasonerParams = {}

@@ -1,24 +1,20 @@
-"""Ranking metrics, rule-quality aggregates, model and baseline evaluation."""
+"""Ranking metrics, rule-quality aggregates and model evaluation."""
 
 import numpy as np
 import pytest
-import requests
 
 import synthetic
 from rulekbc.evaluation import (
     compute_metrics,
     compute_rule_quality,
-    evaluate_inference_baseline,
     evaluate_model,
     load_annotations,
-    normalize_entity_name,
     rule_quality_from_counts,
 )
 from rulekbc.grounding import ground_all
 from rulekbc.kb import KBError
 from rulekbc.rules import format_rule
 from rulekbc.trainer import TrainerConfig, rank, train
-from test_proposer import FakeResponse, chat_payload, remote_backend
 
 
 class TestComputeMetrics:
@@ -184,53 +180,3 @@ class TestEvaluateModel:
         params, _ = train(kb, {}, None, TrainerConfig(max_epochs=0))
         with pytest.raises(KBError, match="zero queries"):
             evaluate_model(params, kb, {}, None, split="test")
-
-
-class TestNameNormalization:
-    def test_underscores_case_and_spacing(self):
-        assert normalize_entity_name("New_York") == "new york"
-        assert normalize_entity_name("  NEW   york ") == "new york"
-        assert normalize_entity_name("a_b_c") == "a b c"
-
-
-class TestInferenceBaseline:
-    def make_kb(self):
-        return synthetic.build_kb(
-            ["Anna", "Bob", "Charlie", "Dana", "Eve"],
-            ["parent", "grandparent"],
-            [
-                ("Anna", "parent", "Bob"),
-                ("Bob", "parent", "Charlie"),
-                ("Dana", "parent", "Eve"),
-            ],
-            test=[("Anna", "grandparent", "Charlie"), ("Dana", "grandparent", "Eve")],
-        )
-
-    def test_hits_by_normalized_name(self, monkeypatch):
-        monkeypatch.setattr(
-            requests,
-            "post",
-            lambda *a, **kw: FakeResponse(chat_payload("charlie\nEVE\nBob")),
-        )
-        rep = evaluate_inference_baseline(remote_backend(), self.make_kb())
-        assert rep.query_count == 2
-        assert rep.failures == 0
-        assert rep.hits[1] == 0.5  # gold Charlie tops the list, Eve is second
-        assert rep.hits[3] == 1.0
-        assert rep.hits[10] == 1.0
-
-    def test_backend_failure_counts_as_miss(self, monkeypatch):
-        def boom(*a, **kw):
-            raise requests.ConnectionError("down")
-
-        monkeypatch.setattr(requests, "post", boom)
-        rep = evaluate_inference_baseline(
-            remote_backend(max_retries=0), self.make_kb()
-        )
-        assert rep.failures == 2
-        assert all(v == 0.0 for v in rep.hits.values())
-
-    def test_empty_split_rejected(self):
-        kb = synthetic.family_kb()
-        with pytest.raises(KBError, match="no queries"):
-            evaluate_inference_baseline(remote_backend(), kb)

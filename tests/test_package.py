@@ -10,7 +10,7 @@ import pytest
 
 import rulekbc
 from conftest import TOY_CONFIG, write_toy_dataset
-from rulekbc import rotate, settings, trainer
+from rulekbc import proposer, rotate, settings, subgraph, trainer
 
 
 class TestPublicNames:
@@ -34,6 +34,9 @@ class TestPublicNames:
     def test_configs_are_the_settings_classes(self):
         assert trainer.TrainerConfig is settings.TrainerConfig
         assert rotate.RotateConfig is settings.RotateConfig
+        assert subgraph.ExtractorConfig is settings.ExtractorConfig
+        assert proposer.ProposerBackend is settings.ProposerBackend
+        assert proposer.ProposerError is settings.ProposerError
 
 
 def test_no_stage_loads_scipy_or_requests(tmp_path):
@@ -65,3 +68,22 @@ def test_no_stage_loads_scipy_or_requests(tmp_path):
     assert lines[-1] == "[]", got.stdout
     assert any(line.startswith("totals: ") and " mapped=0 " not in line for line in lines), got.stdout
     assert any(line.startswith(" 1. ") for line in lines), got.stdout  # explain ranked a tail
+
+
+def test_reasoning_modules_load_no_proposer_or_subgraph():
+    """Training and evaluation read rules already on disk: importing them,
+    and the CLI that runs them, in a fresh process loads neither the rule
+    proposer nor the extractor."""
+    code = textwrap.dedent(
+        """
+        import sys
+        from rulekbc import cli, evaluation, grounding, rotate, trainer
+
+        print(sorted(m for m in ("rulekbc.proposer", "rulekbc.subgraph") if m in sys.modules))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(rulekbc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.splitlines()[-1] == "[]", got.stdout

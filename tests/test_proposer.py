@@ -15,10 +15,8 @@ from rulekbc.proposer import (
     REMOTE,
     ProposerBackend,
     ProposerError,
-    build_infer_prompt,
     build_rule_prompt,
     candidate_lines,
-    direct_infer_candidates,
     mine_rules_text,
     propose,
     save_proposals,
@@ -62,30 +60,11 @@ Now we have the following triplets:
 
 Please generate as many of the most important logical rules based on the above knowledge subgraph to deduce triplet (Anna, grandparent, Charlie). The rules provide general logic implications instead of using specific entities. Return the rules only without any explanations."""
 
-EXPECTED_INFER_PROMPT = """A knowledge subgraph describes relationships between entities using a set of triplets. Each triplet is written in the form of triplet (SUBJ, REL, OBJ), which states that entity SUBJ is of relation REL to entity OBJ.
-
-Now we have the following triplets:
-
-(Anna, parent, Bob)
-(Bob, parent, Charlie)
-
-Please generate 10 most likely OBJ candidates to complete (Anna, grandparent, ?). Return only the entity candidates without any additional text."""
-
-
 class TestPrompts:
     def test_rule_prompt_snapshot(self):
         kb = synthetic.family_kb()
         sg = family_subgraph(kb)
         assert build_rule_prompt(sg, sg.target, kb) == EXPECTED_RULE_PROMPT
-
-    def test_infer_prompt_snapshot(self):
-        kb = synthetic.family_kb()
-        sg = family_subgraph(kb)
-        got = build_infer_prompt(
-            sg, kb.entities.id("Anna"), kb.relations.id("grandparent"), kb
-        )
-        assert got == EXPECTED_INFER_PROMPT
-
 
 class TestCandidateLines:
     def test_list_markers_and_quotes_stripped(self):
@@ -322,19 +301,3 @@ class TestRemoteBackend:
             rec = records[0]
             assert rec.error is None
             assert len(candidate_lines(junk)) == len(rec.parsed_rules) + len(rec.rejected)
-
-
-class TestDirectInference:
-    def test_offline_backend_cannot_answer(self):
-        kb = synthetic.family_kb()
-        with pytest.raises(ProposerError, match="direct inference"):
-            direct_infer_candidates(ProposerBackend(kind=OFFLINE), kb, 0, 1)
-
-    def test_returns_at_most_ten_cleaned_names(self, monkeypatch):
-        names = "\n".join("%d. cand_%02d" % (i + 1, i) for i in range(14))
-        monkeypatch.setattr(
-            requests, "post", lambda *a, **kw: FakeResponse(chat_payload(names))
-        )
-        kb = synthetic.family_kb()
-        got = direct_infer_candidates(remote_backend(), kb, 0, 1)
-        assert got == ["cand_%02d" % i for i in range(10)]

@@ -27,6 +27,7 @@ from rulekbc.rules import (
     format_rule,
     load_rules,
     map_relations,
+    normalize_name,
     parse_rule,
     rule_key,
     save_rules,
@@ -185,6 +186,13 @@ def reference_trigram_score(a, b):
     dot = sum(c * gb[g] for g, c in ga.items())
     norm = math.sqrt(sum(c * c for c in ga.values())) * math.sqrt(sum(c * c for c in gb.values()))
     return dot / norm if norm else 0.0
+
+
+class TestNameNormalization:
+    def test_underscores_case_and_spacing(self):
+        assert normalize_name("New_York") == "new york"
+        assert normalize_name("  NEW   york ") == "new york"
+        assert normalize_name("a_b_c") == "a b c"
 
 
 class TestTrigramSimilarity:

@@ -1,5 +1,6 @@
 """Subgraph sampling: determinism, caps, the closed-path constraint, dumps."""
 
+import hashlib
 import io
 
 import numpy as np
@@ -9,7 +10,7 @@ import synthetic
 from rulekbc.kb import KBError, Triple
 from rulekbc.subgraph import (
     ExtractorConfig,
-    extract_entity_neighborhood,
+    Subgraph,
     extract_subgraph,
     linearize,
     load_subgraphs,
@@ -126,11 +127,23 @@ class TestExtraction:
             # two start pivots, each contributing at most the cap
             assert len(sg) <= 2 * cfg.max_neighbors_per_entity
 
-    def test_entity_neighborhood_has_no_target(self):
-        kb = random_kb(12)
-        sg = extract_entity_neighborhood(kb, 0, ExtractorConfig())
-        assert sg.target is None
-        assert all(t in kb.train for t in sg.triples)
+    def test_dump_digest_is_pinned(self):
+        # the `extract` stage's dumps for every relation at 1, 2 and 3 hops;
+        # cap 2 makes `rng.choice` thin most pivots' candidates, and at 2 and
+        # 3 hops the closed-path constraint drops triples. The digest was
+        # taken at commit 8c74a4c, whose extractor dropped those in a second
+        # pass over the walk; the walk must still draw and write these bytes
+        kb = random_kb(14, n_entities=30, n_triples=200)
+        out = io.StringIO()
+        for hops in (1, 2, 3):
+            cfg = ExtractorConfig(
+                max_hops=hops, max_neighbors_per_entity=2, max_subgraphs_per_relation=10, rng_seed=3
+            )
+            for rel in range(kb.num_relations):
+                targets = sample_targets(kb, rel, cfg.max_subgraphs_per_relation, cfg.rng_seed)
+                save_subgraphs(out, kb, [extract_subgraph(kb, t, cfg) for t in targets])
+        digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+        assert digest == "49e254397b9b870d86586ba91212f683f3debd8a129059d97b106926bea40d0f"
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -167,8 +180,8 @@ class TestSerialization:
 
     def test_dump_without_target_rejected(self):
         kb = synthetic.family_kb()
-        sg = extract_entity_neighborhood(kb, 0, ExtractorConfig())
-        with pytest.raises(KBError):
+        sg = Subgraph(target=None)
+        with pytest.raises(KBError, match="without a target"):
             save_subgraphs(io.StringIO(), kb, [sg])
 
     def test_malformed_dump_line_raises(self, tmp_path):

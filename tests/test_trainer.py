@@ -743,3 +743,11 @@ class TestCheckpoint:
         with pytest.raises(KBError, match="relation 'grandparent': %s" % message) as err:
             load_params(str(path), kb)
         assert str(err.value).startswith(str(path) + ": ")
+
+    def test_non_json_file_names_the_file(self, tmp_path):
+        kb, _ = family_setup()
+        path = tmp_path / "params.json"
+        path.write_text("{not json")
+        with pytest.raises(KBError, match="not JSON: Expecting property name") as err:
+            load_params(str(path), kb)
+        assert str(err.value).startswith(str(path) + ": ")
