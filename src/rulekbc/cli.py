@@ -29,8 +29,6 @@ from .kb import KBError, KnowledgeBase, load_kb, not_utf8
 if TYPE_CHECKING:
     from . import grounding
 
-logger = logging.getLogger(__name__)
-
 
 class CLIError(Exception):
     pass
@@ -192,11 +190,14 @@ def _read(parser: configparser.ConfigParser, section: str, key: str, f: Field):
 def load_config(
     path: str, seed: Optional[int] = None, output_dir: Optional[str] = None
 ) -> PipelineConfig:
-    if not os.path.exists(path):
-        raise CLIError("config file %s does not exist (see config.example)" % path)
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        parser.read(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except FileNotFoundError as exc:
+        raise CLIError("config file %s does not exist (see README: Default configuration)" % path) from exc
+    except OSError as exc:
+        raise CLIError("cannot read config file %s: %s" % (path, exc.strerror)) from exc
     except configparser.Error as exc:
         raise CLIError("cannot parse %s: %s" % (path, exc)) from exc
     except UnicodeDecodeError as exc:
@@ -471,12 +472,7 @@ def cmd_explain(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse
                     kb, _rule_by_text(learned, label, kb), head, entry.tail, limit=2
                 )
                 for p in paths:
-                    shown = " ; ".join(
-                        "(%s, %s, %s)"
-                        % (kb.entity_name(a), kb.relation_name(r), kb.entity_name(b))
-                        for a, r, b in p
-                    )
-                    print("                 via %s" % shown)
+                    print("                 via %s" % " ; ".join(map(kb.triple_text, p)))
     return 0
 
 

@@ -248,19 +248,14 @@ def _product_rows(a: SparseMatrix, b: SparseMatrix, lo: int, hi: int) -> Tuple[n
     column and their summed counts: every path a[i, k] * b[k, j] of those
     rows is expanded, then paths with the same end points are added."""
     p0, p1 = a.indptr[lo], a.indptr[hi]
-    mid = a.indices[p0:p1]
-    starts = b.indptr[mid]
-    lens = b.indptr[mid + 1] - starts
-    entry = np.arange(p1 - p0).repeat(lens)  # the entry of a each path leaves by
-    # path p, the k-th through its entry e, reads b's entry starts[e] + k
-    pos = np.arange(len(entry))
-    pos += (starts - lens.cumsum() + lens)[entry]
+    # every path: the entry of a it leaves by, and b's column and count
+    entry, column, count = b.rows(a.indices[p0:p1])
     keys = (_row_ids(a.indptr[lo : hi + 1] - p0) * a.dim)[entry]
-    keys += b.indices[pos]
+    keys += column
     vals = np.minimum(a.data[p0:p1], _HELD)[entry]
-    vals *= np.minimum(b.data[pos], _HELD)
+    vals *= np.minimum(count, _HELD)
     np.minimum(vals, _HELD, out=vals)
-    del entry, pos
+    del entry, column, count
     return _sum_keys(keys, vals)
 
 
@@ -391,6 +386,11 @@ class KnowledgeBase:
 
     def relation_name(self, ident: int) -> str:
         return self.relations.name(ident)
+
+    def triple_text(self, t: Triple) -> str:
+        """The triple in names, as "(head, relation, tail)"."""
+        names = self.entity_name(t.head), self.relation_name(t.relation), self.entity_name(t.tail)
+        return "(%s, %s, %s)" % names
 
     def train_by_relation(self, relation: int) -> List[Triple]:
         return list(self._train_by_rel.get(relation, ()))

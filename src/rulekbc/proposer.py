@@ -47,17 +47,9 @@ class ProposalRecord:
     error: Optional[str] = None
 
 
-def _triple_surface(kb: KnowledgeBase, t: Triple) -> str:
-    return "(%s, %s, %s)" % (
-        kb.entity_name(t.head),
-        kb.relation_name(t.relation),
-        kb.entity_name(t.tail),
-    )
-
-
 def build_rule_prompt(sg: Subgraph, target: Triple, kb: KnowledgeBase) -> str:
     return RULE_PROMPT_TEMPLATE.format(
-        subgraph=linearize(sg, kb), target=_triple_surface(kb, target)
+        subgraph=linearize(sg, kb), target=kb.triple_text(target)
     )
 
 

@@ -73,13 +73,7 @@ def extract_subgraph(kb: KnowledgeBase, target: Triple, cfg: ExtractorConfig) ->
 
 def linearize(sg: Subgraph, kb: KnowledgeBase) -> str:
     """One "(SUBJ, REL, OBJ)" line per triple, hop order then insertion order."""
-    lines = []
-    for t in sg.triples:
-        lines.append(
-            "(%s, %s, %s)"
-            % (kb.entity_name(t.head), kb.relation_name(t.relation), kb.entity_name(t.tail))
-        )
-    return "\n".join(lines)
+    return "\n".join(map(kb.triple_text, sg.triples))
 
 
 def save_subgraphs(fh: TextIO, kb: KnowledgeBase, subgraphs: List[Subgraph]) -> None:

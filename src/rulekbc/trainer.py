@@ -19,17 +19,16 @@ counts the scores above and tied with the gold over the whole row, less those
 at the query's other known tails (`_filtered`); no candidate mask is built.
 
 Rule evidence is kept sparse, as the nonzeros of each (heads, rules,
-entities) block, and one kernel (`_scores`) scores it for validation,
-evaluation, `rank` and `combined_score` alike. The training loss and its
-gradients need the scores only at the evidence and gold cells plus a few
-statistics per head row, so without embeddings (every row of F is zeros)
-training memory is O(nonzeros + heads x rules); with them each relation
-allocates one (chunk, entities) buffer once, which every epoch fills a chunk
-of head rows at a time, besides F itself.
+entities) block, and one kernel (`_score_chunks`) forms its scores Z, a chunk
+of head rows at a time in one (chunk, entities) buffer per block, for the
+training loss, validation, evaluation, `rank` and `combined_score` alike.
+The training loss and its gradients need the scores only at the evidence and
+gold cells plus a few statistics per head row, so without embeddings (every
+row of F is zeros) training memory is O(nonzeros + heads x rules) and no Z
+is formed; with them the buffer and F itself are what a relation holds.
 """
 
 import json
-import logging
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -42,10 +41,8 @@ from .rotate import AdamW, RotateModel, score_tails
 from .rules import format_rule
 from .settings import TrainerConfig
 
-logger = logging.getLogger(__name__)
-
-# floats of the training loss's score buffer with embeddings: it holds the
-# scores of as many head rows as fit (at least one), 2 MiB
+# floats of every score buffer (`_score_chunks`): it holds the scores of as
+# many head rows as fit (at least one), 2 MiB
 _SCORE_CHUNK = 1 << 18
 
 
@@ -144,9 +141,9 @@ class _Block:
     first cell of each head that has one and `off_cells` counts each head's
     entities that are no cell. F holds the normalized embedding rows, or is
     None without an embedding model, where every row is zeros. Z is the
-    score buffer that `_scores` and the training loss overwrite, allocated
-    on first use (see `_score_buffer`), so an epoch allocates nothing of its
-    size.
+    buffer of one chunk of scores that `_score_chunks` overwrites, allocated
+    on first use and grown only when a larger chunk is asked for, so an epoch
+    allocates nothing of its size.
     """
 
     def __init__(
@@ -210,38 +207,28 @@ def _weights(block: _Block, logits: np.ndarray, mix_logit: float):
     return W, alpha, rule_part
 
 
-def _score_buffer(block: _Block, rows: int) -> np.ndarray:
-    """The first `rows` rows of block.Z, which grows to the most rows asked
-    for: all heads for `_scores`, one chunk for the training loss."""
-    if block.Z is None or len(block.Z) < rows:
-        block.Z = np.empty((rows, block.shape[1]))
-    return block.Z[:rows]
-
-
-def _score_rows(
-    Z: np.ndarray, block: _Block, W: np.ndarray, alpha: float, lo: int, cells: np.ndarray, part: np.ndarray
-) -> np.ndarray:
-    """The combined scores of the block's heads lo .. lo + len(Z), into Z.
-    `cells` are the flat indices into Z of the cells in those rows and
-    `part` is alpha * the rule part of each."""
-    hi = lo + len(Z)
-    if block.F is None:
-        Z.fill(0.0)
-    else:
-        np.multiply(block.F[lo:hi], W[lo:hi, -1:], out=Z)
-        Z *= 1.0 - alpha
-    Z.reshape(-1)[cells] += part
-    return Z
-
-
-def _scores(block: _Block, logits: np.ndarray, mix_logit: float):
-    """Combined scores of every head of the block, into block.Z.
-
-    Returns Z and `_weights`: W, alpha and the rule part of each cell.
-    """
-    W, alpha, rule_part = _weights(block, logits, mix_logit)
-    Z = _score_buffer(block, block.shape[0])
-    return _score_rows(Z, block, W, alpha, 0, block.cells, alpha * rule_part), W, alpha, rule_part
+def _score_chunks(block: _Block, W: np.ndarray, alpha: float, rule_part: np.ndarray):
+    """The combined scores of the block's heads, a chunk of about _SCORE_CHUNK
+    floats of head rows (at least one) at a time: yields (lo, hi, Z, cells),
+    Z the scores of heads lo .. hi - 1 in block.Z, which the next chunk (and
+    so any consumer) may overwrite, and `cells` the slice of the block's
+    cells in those rows."""
+    H, E = block.shape
+    step = max(1, min(H, _SCORE_CHUNK // E))
+    if block.Z is None or len(block.Z) < step:
+        block.Z = np.empty((step, E))
+    part = alpha * rule_part
+    for lo in range(0, H, step):
+        hi = min(lo + step, H)
+        Z = block.Z[: hi - lo]
+        if block.F is None:
+            Z.fill(0.0)
+        else:
+            np.multiply(block.F[lo:hi], W[lo:hi, -1:], out=Z)
+            Z *= 1.0 - alpha
+        cells = slice(*np.searchsorted(block.cell_row, [lo, hi]))
+        Z.reshape(-1)[block.cells[cells] - lo * E] += part[cells]
+        yield lo, hi, Z, cells
 
 
 def _filtered(
@@ -249,7 +236,7 @@ def _filtered(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """What the filtered protocol removes: for each query i, the tails other
     than golds[i] known true for (heads[i], relation) in any split, as
-    (query, tail) index arrays."""
+    (query, tail) index arrays in increasing query order."""
     known = kb.true_tails
     others = [[t for t in known.get((h, relation), ()) if t != g] for h, g in zip(heads, golds)]
     query = np.repeat(np.arange(len(others)), [len(o) for o in others])
@@ -272,7 +259,8 @@ def combined_score(
     rule, tail = np.nonzero(rows)
     F = emb_row[None]
     block = _Block(np.zeros_like(rule), rule, tail, rows[rule, tail], len(rows), F.shape, F)
-    return _scores(block, params.logits, params.mix_logit)[0][0]
+    [(_, _, Z, _)] = _score_chunks(block, *_weights(block, params.logits, params.mix_logit))
+    return Z[0]
 
 
 def _golds(block: _Block, cells: np.ndarray, counts: np.ndarray):
@@ -301,9 +289,10 @@ def relation_loss_and_grads(
     exp(Z - max) * F, so no dense dZ is formed. Without embedding rows Z is
     0 off the cells and no (heads, entities) array at all: a row's max and
     normaliser come from its cells and its count of other entries. With
-    them Z is formed a chunk of about _SCORE_CHUNK floats of head rows at a
-    time in the block's buffer; each row's statistics are the same bits
-    whatever the chunk, and the sums across heads run after the loop.
+    them Z comes from `_score_chunks`, a chunk of head rows at a time, and
+    the gold cells of each chunk are found by bisection; each row's
+    statistics are the same bits whatever the chunk, and the sums across
+    heads run after the loop.
     """
     cells, weight, at = golds
     total = weight.sum()
@@ -326,28 +315,16 @@ def relation_loss_and_grads(
         gold_z = np.zeros(len(cells))
         gold_z[hit] = z[at[hit]]
     else:
-        step = min(H, max(1, _SCORE_CHUNK // E))
-        buffer = _score_buffer(block, step)
-        starts = np.arange(0, H + step, step).clip(max=H)
-        # the cells and the gold cells of each chunk of rows
-        cell_bounds = np.searchsorted(block.cell_row, starts)
-        gold_bounds = np.searchsorted(cells, starts * E)
-        part = alpha * rule_part
         zmax, norm, eF = np.empty(H), np.empty(H), np.empty(H)
         gold_z, e = np.empty(len(cells)), np.empty(len(block.cells))
-        for k, (lo, hi) in enumerate(zip(starts[:-1].tolist(), starts[1:].tolist())):
-            in_chunk, golds_in = slice(*cell_bounds[k : k + 2]), slice(*gold_bounds[k : k + 2])
-            # flat indices into the chunk; the first chunk's are the block's
-            local, gold_local = block.cells[in_chunk], cells[golds_in]
-            if lo:
-                local, gold_local = local - lo * E, gold_local - lo * E
-            Z = _score_rows(buffer[: hi - lo], block, W, alpha, lo, local, part[in_chunk])
+        for lo, hi, Z, in_chunk in _score_chunks(block, W, alpha, rule_part):
+            golds_in = slice(*np.searchsorted(cells, [lo * E, hi * E]))
             flat = Z.reshape(-1)
-            gold_z[golds_in] = flat[gold_local]
+            gold_z[golds_in] = flat[cells[golds_in] - lo * E]
             zmax[lo:hi] = Z.max(axis=1)
             ez = np.exp(np.subtract(Z, zmax[lo:hi, None], out=Z), out=Z)  # Z is no longer needed
             norm[lo:hi] = ez.sum(axis=1)
-            e[in_chunk] = flat[local]
+            e[in_chunk] = flat[block.cells[in_chunk] - lo * E]
             eF[lo:hi] = np.einsum("ij,ij->i", ez, block.F[lo:hi])
     counts = np.bincount(rows, weights=weight, minlength=H)
     logsum = np.log(norm) + zmax
@@ -391,9 +368,37 @@ def _gold_ranks(
     return greater + (ties + 1) / 2.0
 
 
+class _Queries:
+    """A block of one row per (head, relation, tail) query of one relation,
+    in the order given, with the golds and the `_filtered` tails."""
+
+    def __init__(
+        self,
+        kb: KnowledgeBase,
+        relation: int,
+        groundings: List[Grounding],
+        rotate_model: Optional[RotateModel],
+        triples: Sequence[Triple],
+    ):
+        heads = [t.head for t in triples]
+        self.block = _evidence(kb, relation, groundings, rotate_model, heads)
+        self.golds = np.array([t.tail for t in triples], dtype=np.int64)
+        self.filtered = _filtered(kb, relation, heads, self.golds)
+
+    def ranks(self, logits: np.ndarray, mix_logit: float) -> np.ndarray:
+        """The filtered rank of every query: `_gold_ranks` of each chunk of
+        rows, with that chunk's filtered pairs rebased to its first row."""
+        query, tail = self.filtered
+        ranks = np.empty(len(self.golds))
+        for lo, hi, Z, _ in _score_chunks(self.block, *_weights(self.block, logits, mix_logit)):
+            a, b = np.searchsorted(query, [lo, hi])
+            ranks[lo:hi] = _gold_ranks(Z, self.golds[lo:hi], (query[a:b] - lo, tail[a:b]))
+        return ranks
+
+
 class _RelationData:
-    """One relation's train block and gold cells, and its validation block of
-    one row per query with the golds and `_filtered` tails, built once.
+    """One relation's train block and gold cells, and its validation
+    `_Queries`, built once.
 
     The train block holds one row per head of the relation's train matrix M,
     whose nonzeros are the gold cells; a (head, tail) pair is one query
@@ -408,7 +413,6 @@ class _RelationData:
         groundings: List[Grounding],
         rotate_model: Optional[RotateModel],
     ):
-        self.relation = relation
         M = kb.matrices[relation]
         train_heads = np.flatnonzero(np.diff(M.indptr))
         self.train = _evidence(kb, relation, groundings, rotate_model, train_heads)
@@ -418,17 +422,12 @@ class _RelationData:
         sign = np.full(len(self.train.cells), -1.0)
         sign[at[at >= 0]] = multiplicity[at >= 0]
         self.train.value *= sign[self.train.cell_of]
-
-        # one block row per validation query, in split order
+        # one row per validation query, in split order
         valid = [t for t in kb.valid if t.relation == relation]
-        heads = [t.head for t in valid]
-        self.valid = _evidence(kb, relation, groundings, rotate_model, heads)
-        self.valid_golds = np.array([t.tail for t in valid], dtype=np.int64)
-        self.valid_filtered = _filtered(kb, relation, heads, self.valid_golds)
+        self.valid = _Queries(kb, relation, groundings, rotate_model, valid)
 
     def valid_mrr(self, logits: np.ndarray, mix_logit: float) -> float:
-        Z = _scores(self.valid, logits, mix_logit)[0]
-        return float(np.mean(1.0 / _gold_ranks(Z, self.valid_golds, self.valid_filtered)))
+        return float(np.mean(1.0 / self.valid.ranks(logits, mix_logit)))
 
 
 def _train_relation(
@@ -440,7 +439,7 @@ def _train_relation(
     opt_logits = AdamW(len(params.logits), cfg.weight_decay)
     opt_mix = AdamW(1, cfg.weight_decay)
     mix = np.array([params.mix_logit])
-    use_valid = len(data.valid_golds) > 0
+    use_valid = len(data.valid.golds) > 0
     best_metric = -np.inf
     best_state: Optional[RelationParams] = None
     stale = 0
@@ -539,7 +538,8 @@ def rank(
         raise ValueError("top_k must be >= 0, got %d" % top_k)
     rp = params[relation]
     block = _evidence(kb, relation, groundings.get(relation, []), rotate_model, [head])
-    Z, W, alpha, _ = _scores(block, rp.logits, rp.mix_logit)
+    W, alpha, rule_part = _weights(block, rp.logits, rp.mix_logit)
+    [(_, _, Z, _)] = _score_chunks(block, W, alpha, rule_part)
     scores, w = Z[0], W[0]
 
     if gold is None:
@@ -583,18 +583,16 @@ def gold_ranks(
 ) -> np.ndarray:
     """Filtered gold ranks of (head, relation, tail) queries, in order: the
     `gold_rank` that `rank` gives each, with every relation's queries scored
-    as one block of one row per query."""
+    as one `_Queries` block, a chunk of rows at a time."""
     ranks = np.empty(len(triples))
     by_relation: Dict[int, List[int]] = {}
     for i, t in enumerate(triples):
         by_relation.setdefault(t.relation, []).append(i)
     for relation, idx in sorted(by_relation.items()):
         rp = params[relation]
-        heads = [triples[i].head for i in idx]
-        golds = np.array([triples[i].tail for i in idx], dtype=np.int64)
-        block = _evidence(kb, relation, groundings.get(relation, []), rotate_model, heads)
-        Z = _scores(block, rp.logits, rp.mix_logit)[0]
-        ranks[idx] = _gold_ranks(Z, golds, _filtered(kb, relation, heads, golds))
+        glist = groundings.get(relation, [])
+        queries = _Queries(kb, relation, glist, rotate_model, [triples[i] for i in idx])
+        ranks[idx] = queries.ranks(rp.logits, rp.mix_logit)
     return ranks
 
 

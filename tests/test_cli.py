@@ -228,6 +228,20 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit):
             cli.main(["--config", str(path), "eval", "--split", "train"])
 
+    def test_directory_as_config_is_named(self, tmp_path, capsys):
+        code = cli.main(["--config", str(tmp_path), "extract"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: cannot read config file %s: " % tmp_path in err
+        assert "train path is required" not in err and "Traceback" not in err
+
+    def test_missing_config_points_at_the_readme(self, tmp_path, capsys):
+        code = cli.main(["--config", str(tmp_path / "nope.ini"), "extract"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "does not exist (see README: Default configuration)" in err
+        assert "config.example" not in err
+
     def test_missing_kb_file_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "cfg.ini"
         path.write_text(

@@ -23,8 +23,8 @@ from rulekbc.trainer import (
     TrainerConfig,
     _evidence,
     _gold_ranks,
+    _Queries,
     _RelationData,
-    _scores,
     check_checkpoint_rules,
     combined_score,
     gold_ranks,
@@ -38,6 +38,13 @@ from rulekbc.trainer import (
     softmax,
     train,
 )
+
+
+def _scores(block, logits, mix_logit):
+    """The block's whole score matrix Z: copies of the chunks of
+    `trainer._score_chunks`, stacked."""
+    chunks = trainer._score_chunks(block, *trainer._weights(block, logits, mix_logit))
+    return np.concatenate([Z.copy() for _, _, Z, _ in chunks])
 
 
 def _rank_of_gold(scores, gold, keep):
@@ -227,7 +234,7 @@ class TestSparseKernel:
         active = (S != 0).any(axis=2)
         block = dense_oracle.block_from_dense(S, block_F)
         want_z = dense_oracle.forward(logits, mix, S, F, active)[0]
-        np.testing.assert_allclose(_scores(block, logits, mix)[0], want_z, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_scores(block, logits, mix), want_z, rtol=0, atol=1e-12)
         want = dense_oracle.relation_loss_and_grads(logits, mix, S, F, Y, active)
         got = relation_loss_and_grads(logits, mix, block, dense_oracle.gold_cells(Y, block))
         assert got[0] == pytest.approx(want[0], rel=0, abs=1e-12)
@@ -245,7 +252,7 @@ class TestSparseKernel:
         cut_S, cut_logits = np.delete(S, dead, axis=1), np.delete(logits, dead)
         full = dense_oracle.block_from_dense(S, block_F)
         cut = dense_oracle.block_from_dense(cut_S, block_F)
-        assert _scores(full, logits, mix)[0].tobytes() == _scores(cut, cut_logits, mix)[0].tobytes()
+        assert _scores(full, logits, mix).tobytes() == _scores(cut, cut_logits, mix).tobytes()
         loss, d_logits, d_mix = relation_loss_and_grads(
             logits, mix, full, dense_oracle.gold_cells(Y, full)
         )
@@ -275,10 +282,10 @@ class TestSparseKernel:
         logits = rng.normal(size=len(groundings[rel]) + 1)
         heads = [h % kb.num_entities for h in heads]
         block = _evidence(kb, rel, groundings[rel], model, heads)
-        Z = _scores(block, logits, 0.3)[0].copy()
+        Z = _scores(block, logits, 0.3)
         for i, h in enumerate(heads):
             alone = _evidence(kb, rel, groundings[rel], model, [h])
-            assert Z[i].tobytes() == _scores(alone, logits, 0.3)[0][0].tobytes()
+            assert Z[i].tobytes() == _scores(alone, logits, 0.3)[0].tobytes()
 
 
 def _wide_target_kb(n_heads, n_entities):
@@ -358,6 +365,16 @@ class TestEmbeddingMemory:
         assert np.isfinite(loss)
         assert peak < block.F.nbytes / 4
 
+    def test_query_ranks_hold_one_chunk_of_scores(self):
+        # the whole block's scores would be as large as F, 24 MB here
+        kb, gs, model = _wide_target_kb(1500, 2000)
+        target = kb.relations.id("target")
+        queries = _Queries(kb, target, gs, model, [t for t in kb.train if t.relation == target])
+        ranks, peak = _peak_bytes(lambda: queries.ranks(np.zeros(2), 0.0))
+        assert queries.block.F.shape == (1500, 2000)
+        assert ranks.shape == (1500,) and (ranks >= 1).all()
+        assert peak < queries.block.F.nbytes / 4
+
     def test_distinct_heads_need_no_second_copy_of_F(self):
         kb, gs, model = _wide_target_kb(1500, 2000)
         heads = np.arange(1500)
@@ -386,6 +403,31 @@ class TestScoreChunks:
         for loss, d_logits, d_mix in got[:-1]:
             assert (loss, d_mix) == got[-1][0::2]
             assert d_logits.tobytes() == got[-1][1].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_query_ranks_are_bit_equal_in_any_chunk(self, data):
+        # one query per row, its gold on a cell or off, its filtered tails
+        # any others; quantized embedding rows tie often, and rows without
+        # them tie at 0 wherever there is no evidence
+        n = data.draw(st.integers(0, 6))
+        S, F, block_F, _, logits, mix = _dense_batch(data.draw, n)
+        if block_F is not None and data.draw(st.booleans()):
+            F = block_F = np.round(F * 2.0) / 2.0
+        H, E = F.shape
+        golds = np.array([data.draw(st.integers(0, E - 1)) for _ in range(H)])
+        others = [[t for t in range(E) if t != g] for g in golds]
+        excluded = [sorted(data.draw(st.sets(st.sampled_from(o)))) if o else [] for o in others]
+        query = np.repeat(np.arange(H), [len(x) for x in excluded])
+        filtered = (query, np.array([t for x in excluded for t in x], dtype=np.int64))
+        want = _gold_ranks(dense_oracle.forward(logits, mix, S, F, (S != 0).any(axis=2))[0], golds, filtered)
+        queries = object.__new__(_Queries)  # over the batch's block, not a KB's
+        queries.block = dense_oracle.block_from_dense(S, block_F)
+        queries.golds, queries.filtered = golds, filtered
+        rows = data.draw(st.integers(1, H))
+        for chunk in (E, rows * E + data.draw(st.integers(0, E - 1)), H * E):
+            with mock.patch.object(trainer, "_SCORE_CHUNK", chunk):
+                assert queries.ranks(logits, mix).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_trained_relation_is_bit_equal_in_any_chunk(self, seed):
