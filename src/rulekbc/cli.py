@@ -86,38 +86,6 @@ _STAGE_SEEDS = {
     settings.RotateConfig: ("seed", 2),
 }
 
-# "section.key" -> comment in CONFIG_EXAMPLE
-_COMMENTS = {
-    "run.seed": "master seed; per-stage seeds are derived from it",
-    "run.output_dir": "artifacts land in <output_dir>/<config-hash>/",
-    "kb.train": "required; TSV head<TAB>relation<TAB>tail",
-    "kb.valid": "optional; empty value for no validation split",
-    "kb.test": "optional",
-    "extract.max_hops": "BFS depth around each target triple",
-    "extract.max_neighbors_per_entity": "incident-triple cap per pivot entity per hop",
-    "extract.max_subgraphs_per_relation": "sampled target triples per relation",
-    "similarity.provider": "relation-name matcher for mapping raw rule text",
-    "proposer.backend": "offline-miner | remote-chat",
-    "proposer.endpoint": "chat-completions URL (remote-chat only)",
-    "proposer.model": "model name sent to the remote endpoint",
-    "proposer.request_timeout": "seconds per HTTP attempt",
-    "proposer.max_retries": "retries after the first failed attempt",
-    "proposer.retry_backoff": "seconds, multiplied by the attempt number",
-    "proposer.temperature": "sampling temperature for the remote model",
-    "proposer.api_key_env": "env var holding the bearer token",
-    "rotate.enabled": "disable to rank with rule evidence alone",
-    "rotate.dim": "complex embedding dimensions",
-    "rotate.margin": "score offset gamma",
-    "rotate.negatives": "corrupted tails per positive",
-    "trainer.weight_decay": "decoupled (AdamW style)",
-    "trainer.step_size": "epochs between learning-rate decays",
-    "trainer.step_gamma": "decay factor",
-    "trainer.patience": "early-stopping epochs on validation MRR",
-    "trainer.uniform_weights": "ablation: freeze all weights equal",
-}
-# [kb] paths have no default; the example shows these
-_EXAMPLE_PATHS = {"kb.train": "data/train.txt", "kb.valid": "data/valid.txt", "kb.test": "data/test.txt"}
-
 
 def _keys(cls, renamed: Dict[str, str]) -> List[Tuple[str, Field]]:
     """(INI key, dataclass field) for each setting of one `_SECTIONS` row."""
@@ -128,24 +96,6 @@ def _keys(cls, renamed: Dict[str, str]) -> List[Tuple[str, Field]]:
 
 # section -> its (INI key, field) pairs, in `_SECTIONS` order
 _KEYS = {section: _keys(cls, renamed) for section, cls, renamed in _SECTIONS}
-
-
-def _example() -> str:
-    lines = ["# rulekbc pipeline configuration; every value below is the default."]
-    for section, keys in _KEYS.items():
-        entries = []
-        for key, f in keys:
-            name = "%s.%s" % (section, key)
-            value = _EXAMPLE_PATHS.get(name, f.default)
-            text = "%s = %s" % (key, str(value).lower() if isinstance(value, bool) else value)
-            entries.append((text, _COMMENTS.get(name)))
-        width = max([25] + [len(text) for text, comment in entries if comment]) + 1
-        lines += ["", "[%s]" % section]
-        lines += [text.ljust(width) + "; " + comment if comment else text for text, comment in entries]
-    return "\n".join(lines) + "\n"
-
-
-CONFIG_EXAMPLE = _example()
 
 
 @dataclass
@@ -232,8 +182,6 @@ def _prepare_run_dir(cfg: PipelineConfig) -> str:
     run = cfg.run_dir()
     try:
         os.makedirs(run, exist_ok=True)
-        with open(os.path.join(run, "config.example"), "w", encoding="utf-8") as fh:
-            fh.write(CONFIG_EXAMPLE)
         with open(os.path.join(run, "config.resolved"), "w", encoding="utf-8") as fh:
             for key, value in cfg.items:
                 fh.write("%s = %s\n" % (key, value))
@@ -522,7 +470,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = load_config(args.config, seed=args.seed, output_dir=args.output_dir)
         run = _prepare_run_dir(cfg)
         return args.handler(cfg, run, _load_kb(cfg), args)
-    except (CLIError, KBError, settings.ProposerError, ValueError) as exc:
+    except (CLIError, KBError, settings.ProposerError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

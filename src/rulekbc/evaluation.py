@@ -1,7 +1,7 @@
 """Ranking metrics, rule-quality aggregates, and model evaluation."""
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class MetricsReport:
         return header + "\n" + row
 
 
-def compute_metrics(ranks: Sequence[float], hits_at: Iterable[int] = HITS_AT) -> MetricsReport:
+def compute_metrics(ranks: Sequence[float]) -> MetricsReport:
     """MR, MRR and hits@K from gold ranks; ranks may be fractional (tie means)."""
     arr = np.asarray(list(ranks), dtype=float)
     if arr.size == 0:
@@ -51,7 +51,7 @@ def compute_metrics(ranks: Sequence[float], hits_at: Iterable[int] = HITS_AT) ->
         query_count=int(arr.size),
         mr=float(arr.mean()),
         mrr=float((1.0 / arr).mean()),
-        hits={k: float((arr <= k).mean()) for k in hits_at},
+        hits={k: float((arr <= k).mean()) for k in HITS_AT},
     )
 
 

@@ -209,6 +209,13 @@ def _indptr(counts: np.ndarray) -> np.ndarray:
     return indptr
 
 
+def _changes(sorted_keys: np.ndarray) -> np.ndarray:
+    """True where a sorted array starts a run of equal values."""
+    new = np.ones(sorted_keys.size, dtype=bool)
+    new[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return new
+
+
 def _sum_keys(keys: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Distinct `keys` in increasing order with the exact int64 sums of their
     `vals`, zero sums dropped."""
@@ -216,7 +223,7 @@ def _sum_keys(keys: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarra
         return keys, vals
     order = np.argsort(keys)
     keys, vals = keys[order], vals[order]
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    first = np.flatnonzero(_changes(keys))
     sums = np.add.reduceat(vals, first)
     kept = sums != 0
     return keys[first][kept], sums[kept]

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .grounding import Grounding, support_row
-from .kb import KBError, KnowledgeBase, Triple, not_utf8
+from .kb import KBError, KnowledgeBase, Triple, _changes, not_utf8
 from .rotate import AdamW, RotateModel, score_tails
 from .rules import format_rule
 from .settings import TrainerConfig
@@ -121,13 +121,6 @@ def normalize_embedding_row(rows: np.ndarray) -> np.ndarray:
     rows -= lo
     rows /= span
     return rows
-
-
-def _changes(sorted_keys: np.ndarray) -> np.ndarray:
-    """True where a sorted array starts a run of equal values."""
-    new = np.ones(sorted_keys.size, dtype=bool)
-    new[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    return new
 
 
 class _Block:

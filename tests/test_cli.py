@@ -1,6 +1,5 @@
 """Command-line pipeline: config handling, artifacts, determinism, explain."""
 
-import configparser
 import json
 import os
 import re
@@ -8,6 +7,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_cli, write_toy_dataset
 from rulekbc import cli, rules, trainer
@@ -31,7 +32,33 @@ def minimal_config(tmp_path, extra=""):
     return path
 
 
-# every key of CONFIG_EXAMPLE, each set to a value other than its default
+def readme_default_config() -> str:
+    """README's "Default configuration" block, the one annotated default
+    config."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = re.search(r"## Default configuration\n\n```ini\n(.*?)```", fh.read(), re.S)
+    assert block is not None, "README has no Default configuration block"
+    return block.group(1)
+
+
+DEFAULT_CONFIG = readme_default_config()
+
+
+def config_sections(text):
+    """[(section header, its setting lines)] of a config, comments and blank
+    lines dropped."""
+    sections = []
+    for line in text.splitlines():
+        line = line.split(";")[0].strip()
+        if line.startswith("["):
+            sections.append((line, []))
+        elif line and not line.startswith("#"):
+            sections[-1][1].append(line)
+    return sections
+
+
+# every key of the default config, each set to a value other than its default
 NON_DEFAULT_CONFIG = """
 [run]
 seed = 7
@@ -93,7 +120,7 @@ def private_run(cli_pipeline, tmp_path):
 class TestConfig:
     def test_example_config_is_loadable(self, tmp_path):
         path = tmp_path / "example.ini"
-        path.write_text(cli.CONFIG_EXAMPLE)
+        path.write_text(DEFAULT_CONFIG)
         cfg = cli.load_config(str(path))
         assert cfg.run.seed == 0
         assert cfg.trainer.max_epochs == 500
@@ -158,7 +185,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "text, digest",
-        [(cli.CONFIG_EXAMPLE, "ddd85b4c6d85"), ("[kb]\ntrain = t.txt\n", "628f3e07b743")],
+        [(DEFAULT_CONFIG, "ddd85b4c6d85"), ("[kb]\ntrain = t.txt\n", "628f3e07b743")],
         ids=["example", "train-only"],
     )
     def test_hash_is_pinned(self, tmp_path, text, digest):
@@ -190,7 +217,7 @@ class TestConfig:
         assert "error: run.seed must be a non-negative integer, got -1" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("text", [cli.CONFIG_EXAMPLE, NON_DEFAULT_CONFIG], ids=["example", "non-default"])
+    @pytest.mark.parametrize("text", [DEFAULT_CONFIG, NON_DEFAULT_CONFIG], ids=["example", "non-default"])
     def test_items_are_the_section_settings(self, tmp_path, text):
         # one name per setting: cfg.<section>.<field> holds what
         # config.resolved and the run hash read
@@ -204,18 +231,44 @@ class TestConfig:
         for name, value in cfg.items:
             section, key = name.split(".")
             assert value == str(getattr(getattr(cfg, section), renamed.get(name, key))), name
-        defaults = dict(load(cli.CONFIG_EXAMPLE).items)
+        defaults = dict(load(DEFAULT_CONFIG).items)
         same = {name for name, value in cfg.items if defaults[name] == value}
         # the one similarity provider can only be set to its default
-        assert same == (set(defaults) if text == cli.CONFIG_EXAMPLE else {"similarity.provider"})
+        assert same == (set(defaults) if text == DEFAULT_CONFIG else {"similarity.provider"})
 
-    def test_readme_default_block_is_the_example(self):
-        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-        with open(readme, encoding="utf-8") as fh:
-            text = fh.read()
-        block = re.search(r"## Default configuration\n\n```ini\n(.*?)```", text, re.S)
-        assert block is not None
-        assert block.group(1) == cli.CONFIG_EXAMPLE
+    def test_readme_default_block_is_the_example(self, tmp_path):
+        # every setting once, in load order, at its default; [kb] paths have
+        # no default, so the block shows example paths
+        path = tmp_path / "default.ini"
+        path.write_text(DEFAULT_CONFIG)
+        cfg = cli.load_config(str(path))
+        named = [
+            "%s.%s" % (header.strip("[]"), line.split("=")[0].strip())
+            for header, lines in config_sections(DEFAULT_CONFIG)
+            for line in lines
+        ]
+        assert named == ["%s.%s" % (section, key) for section, keys in cli._KEYS.items() for key, _ in keys]
+        for section, keys in cli._KEYS.items():
+            if section != "kb":
+                for key, f in keys:
+                    assert getattr(getattr(cfg, section), f.name) == f.default, "%s.%s" % (section, key)
+        assert cfg.kb == cli._Paths("data/train.txt", "data/valid.txt", "data/test.txt")
+        assert cfg.hash() == "ddd85b4c6d85"
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_default_block_in_any_order_without_comments(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "shuffled.ini"
+        path.write_text(DEFAULT_CONFIG)
+        expected = cli.load_config(str(path))
+        shuffled = [
+            "\n".join([header] + data.draw(st.permutations(lines)))
+            for header, lines in data.draw(st.permutations(config_sections(DEFAULT_CONFIG)))
+        ]
+        path.write_text("\n".join(shuffled) + "\n")
+        cfg = cli.load_config(str(path))
+        assert cfg.items == expected.items
+        assert cfg.hash() == expected.hash()
 
 
 class TestArgumentErrors:
@@ -425,10 +478,7 @@ class TestRunner:
 class TestPipelineArtifacts:
     def test_run_dir_has_config_records(self, cli_pipeline):
         run = cli_pipeline["run_dir"]
-        example = run / "config.example"
-        assert example.read_text() == cli.CONFIG_EXAMPLE
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-        parser.read(str(example))  # the shipped example must stay parseable
+        assert not (run / "config.example").exists()
         resolved = (run / "config.resolved").read_text().splitlines()
         assert "run.seed = 7" in resolved
         assert resolved == sorted(resolved)
@@ -747,6 +797,32 @@ class TestExplainAndResume:
         assert code == 2
         err = capsys.readouterr().err
         assert "error: %s:%d: not UTF-8 text: " % (path, line) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, broken",
+        [
+            ("eval", "checkpoints/params.json"),
+            ("eval", "checkpoints/rotate.bin"),
+            ("eval", "reports"),
+            ("train", "groundings"),
+        ],
+        ids=["params-directory", "rotate-directory", "reports-file", "groundings-file"],
+    )
+    def test_broken_run_directory_exits_cleanly(self, cli_pipeline, tmp_path, capsys, command, broken):
+        # the artifact's file becomes a directory, its directory a file
+        config, run = private_run(cli_pipeline, tmp_path)
+        path = run / broken
+        if path.is_dir():
+            shutil.rmtree(str(path))
+            path.write_text("")
+        else:
+            path.unlink()
+            path.mkdir()
+        code = cli.main(["--config", str(config), command])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "'%s'" % path in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", [["eval"], ["explain", "e00", "grandparent"]], ids=["eval", "explain"])
