@@ -351,12 +351,7 @@ def cmd_train(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse.N
         raise CLIError("no classifiable rules and embeddings are disabled; nothing to train")
     rotate_model = _ensure_rotate(cfg, run, kb, train_if_missing=True)
     params_path = os.path.join(run, "checkpoints", "params.json")
-    initial = None
-    if args.resume:
-        if not os.path.exists(params_path):
-            raise CLIError("cannot resume: no checkpoint at %s" % params_path)
-        initial = trainer.load_params(params_path, kb)
-    params, traces = trainer.train(kb, groundings, rotate_model, cfg.trainer, initial=initial)
+    params, traces = trainer.train(kb, groundings, rotate_model, cfg.trainer)
     os.makedirs(os.path.dirname(params_path), exist_ok=True)
     trainer.save_params(params_path, params, kb)
     _write_json(os.path.join(run, "reports", "train_trace.json"), traces)
@@ -451,7 +446,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         ("rotate-train", cmd_rotate_train, "pretrain the frozen embedding model"),
     ):
         sub.add_parser(name, help=text).set_defaults(handler=handler)
-    sub.choices["train"].add_argument("--resume", action="store_true", help="continue from the checkpoint")
     eval_p, explain_p = sub.choices["eval"], sub.choices["explain"]
     eval_p.add_argument("--split", choices=("valid", "test"), default="test")
     eval_p.add_argument("--rules-annotations", default=None, help="path score annotations file")

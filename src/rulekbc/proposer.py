@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .kb import KnowledgeBase, Triple
-from .rules import _PATH_LETTERS, Rule, RuleParseError, format_rule, parse_rule
+from .rules import _PATH_LETTERS, Rule, RuleAtom, RuleParseError, format_rule, parse_rule
 from .settings import OFFLINE, REMOTE, ProposerBackend, ProposerError  # noqa: F401
 from .subgraph import Subgraph, linearize
 
@@ -38,7 +38,6 @@ Please generate as many of the most important logical rules based on the above k
 @dataclass
 class ProposalRecord:
     subgraph_id: str
-    relation: int
     target: Triple
     prompt: str
     raw_response: str = ""
@@ -138,9 +137,9 @@ def mine_rules_text(kb: KnowledgeBase, sg: Subgraph, target: Triple) -> str:
         for i, (tr, forward) in enumerate(path):
             a, b = _PATH_LETTERS[i], _PATH_LETTERS[i + 1]
             s, o = (a, b) if forward else (b, a)
-            atoms.append("(%s, %s, %s)" % (s, kb.relation_name(tr.relation), o))
-        head = "(A, %s, %s)" % (kb.relation_name(target.relation), _PATH_LETTERS[len(path)])
-        line = "IF %s THEN %s" % (" AND ".join(atoms), head)
+            atoms.append(RuleAtom(s, kb.relation_name(tr.relation), o))
+        head = RuleAtom("A", kb.relation_name(target.relation), _PATH_LETTERS[len(path)])
+        line = format_rule(Rule(body=tuple(atoms), head=head))
         if line not in seen:
             seen.add(line)
             lines.append(line)
@@ -172,9 +171,7 @@ def propose(backend: ProposerBackend, kb: KnowledgeBase, subgraphs: List[Subgrap
         target = sg.target
         sub_id = "%d:%d" % (target.relation, i)
         prompt = build_rule_prompt(sg, target, kb)
-        rec = ProposalRecord(
-            subgraph_id=sub_id, relation=target.relation, target=target, prompt=prompt
-        )
+        rec = ProposalRecord(subgraph_id=sub_id, target=target, prompt=prompt)
         try:
             if backend.kind == OFFLINE:
                 rec.raw_response = mine_rules_text(kb, sg, target)
@@ -204,7 +201,7 @@ def record_to_dict(rec: ProposalRecord, kb: KnowledgeBase) -> Dict:
         "prompt": rec.prompt,
         "raw_response": rec.raw_response,
         "rejected": [[line, reason] for line, reason in rec.rejected],
-        "relation": kb.relation_name(rec.relation),
+        "relation": kb.relation_name(rec.target.relation),
         "subgraph_id": rec.subgraph_id,
         "target": list(rec.target),
     }

@@ -54,15 +54,6 @@ class RelationParams:
     epochs_trained: int = 0
     stopped: bool = False
 
-    def copy(self) -> "RelationParams":
-        return RelationParams(
-            logits=self.logits.copy(),
-            mix_logit=self.mix_logit,
-            rule_keys=list(self.rule_keys),
-            epochs_trained=self.epochs_trained,
-            stopped=self.stopped,
-        )
-
 
 # the parameter block of every KB relation, by relation id
 ReasonerParams = Dict[int, RelationParams]
@@ -427,16 +418,16 @@ def _train_relation(
     data: _RelationData, params: RelationParams, cfg: TrainerConfig
 ) -> Dict[str, List[float]]:
     """Optimize one relation's block in place; returns its loss/metric trace.
-    The relation has train heads and epochs left to run (see `train`)."""
+    The relation has train heads and epochs to run (see `train`)."""
     trace = {"loss": [], "metric": []}
     opt_logits = AdamW(len(params.logits), cfg.weight_decay)
     opt_mix = AdamW(1, cfg.weight_decay)
     mix = np.array([params.mix_logit])
     use_valid = len(data.valid.golds) > 0
     best_metric = -np.inf
-    best_state: Optional[RelationParams] = None
+    best_state: Optional[Tuple[np.ndarray, float]] = None
     stale = 0
-    for epoch in range(params.epochs_trained, cfg.max_epochs):
+    for epoch in range(cfg.max_epochs):
         lr = cfg.lr * cfg.step_gamma ** (epoch // cfg.step_size)
         loss, d_logits, d_mix = relation_loss_and_grads(
             params.logits, float(mix[0]), data.train, data.golds
@@ -451,7 +442,7 @@ def _train_relation(
         trace["metric"].append(metric)
         if metric > best_metric:
             best_metric = metric
-            best_state = params.copy()
+            best_state = (params.logits.copy(), params.mix_logit)
             stale = 0
         else:
             stale += 1
@@ -459,8 +450,7 @@ def _train_relation(
                 params.stopped = True
                 break
     if best_state is not None:
-        params.logits = best_state.logits
-        params.mix_logit = best_state.mix_logit
+        params.logits, params.mix_logit = best_state
     return trace
 
 
@@ -469,25 +459,16 @@ def train(
     groundings: Dict[int, List[Grounding]],
     rotate_model: Optional[RotateModel],
     cfg: TrainerConfig,
-    initial: Optional[ReasonerParams] = None,
 ) -> Tuple[ReasonerParams, Dict[str, Dict[str, List[float]]]]:
-    """Fit every relation's parameter block; blocks are independent.
-
-    Pass `initial` (a loaded checkpoint) to resume: epoch counters continue
-    and early-stopped relations stay untouched. Deterministic given the config.
-    """
-    if initial is not None:
-        check_checkpoint_rules(initial, kb, groundings)
+    """Fit every relation's parameter block from zero logits; blocks are
+    independent. Deterministic given the config."""
     params: ReasonerParams = {}
     traces: Dict[str, Dict[str, List[float]]] = {}
     for relation in range(kb.num_relations):
         glist = groundings.get(relation, [])
-        if initial is not None:
-            rp = initial[relation].copy()
-        else:
-            keys = [format_rule(g.rule, kb) for g in glist]
-            rp = RelationParams(logits=np.zeros(len(glist) + 1), rule_keys=keys)
-        if kb.matrices[relation].nnz and not rp.stopped and rp.epochs_trained < cfg.max_epochs:
+        keys = [format_rule(g.rule, kb) for g in glist]
+        rp = RelationParams(logits=np.zeros(len(glist) + 1), rule_keys=keys)
+        if kb.matrices[relation].nnz and cfg.max_epochs:
             data = _RelationData(kb, relation, glist, rotate_model)
             traces[kb.relation_name(relation)] = _train_relation(data, rp, cfg)
         else:  # nothing to train: its evidence is not built

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_cli, write_toy_dataset
-from rulekbc import cli, rules, trainer
+from rulekbc import cli, rules
 from rulekbc.grounding import _cache_key
 from rulekbc.kb import load_kb
 
@@ -437,16 +437,6 @@ class TestArgumentErrors:
         assert "error: %s:%d: %s" % (dump, line, message) in err
         assert "Traceback" not in err
 
-    def test_resume_without_checkpoint_exits_nonzero(self, tmp_path, capsys):
-        path = minimal_config(tmp_path)
-        code, _ = run_cli(["--config", str(path), "extract"])
-        assert code == 0
-        code, _ = run_cli(["--config", str(path), "propose"])
-        assert code == 0
-        code = cli.main(["--config", str(path), "train", "--resume"])
-        assert code == 2
-        assert "cannot resume" in capsys.readouterr().err
-
 
 class TestRunner:
     @pytest.mark.parametrize(
@@ -639,8 +629,8 @@ class TestExplainAndResume:
     @pytest.mark.parametrize("relation", ["parent", "grandparent"])
     @pytest.mark.parametrize(
         "command",
-        [["eval"], ["explain", "e00", "grandparent"], ["train", "--resume"]],
-        ids=["eval", "explain", "resume"],
+        [["eval"], ["explain", "e00", "grandparent"]],
+        ids=["eval", "explain"],
     )
     def test_checkpoint_without_a_relation_block_exits_cleanly(
         self, cli_pipeline, tmp_path, capsys, command, relation
@@ -656,7 +646,7 @@ class TestExplainAndResume:
         assert "error: %s: no block for relation %r" % (params, relation) in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", [["eval"], ["train", "--resume"]], ids=["eval", "resume"])
+    @pytest.mark.parametrize("command", [["eval"]], ids=["eval"])
     def test_negative_epoch_count_in_checkpoint_exits_cleanly(self, cli_pipeline, tmp_path, capsys, command):
         config, run = private_run(cli_pipeline, tmp_path)
         params = run / "checkpoints" / "params.json"
@@ -856,23 +846,3 @@ class TestExplainAndResume:
         err = capsys.readouterr().err
         assert "error: " in err and "rules.jsonl:1: bad rule record: relation id 99" in err
         assert "Traceback" not in err
-
-    def test_resume_of_finished_run_builds_no_evidence(self, cli_pipeline, tmp_path, monkeypatch):
-        config, run = private_run(cli_pipeline, tmp_path)
-        params = run / "checkpoints" / "params.json"
-        before = params.read_bytes()
-        calls = []
-        evidence = trainer._evidence
-        monkeypatch.setattr(trainer, "_evidence", lambda *a, **k: calls.append(a) or evidence(*a, **k))
-        code, out = run_cli(["--config", str(config), "train", "--resume"])
-        assert code == 0
-        assert "trained 0 relations" in out
-        assert calls == []
-        assert params.read_bytes() == before
-
-    def test_resume_after_checkpoint_succeeds(self, cli_pipeline):
-        code, out = run_cli(
-            ["--config", str(cli_pipeline["config"]), "train", "--resume"]
-        )
-        assert code == 0
-        assert "checkpoint" in out

@@ -1,7 +1,10 @@
 """Combined scoring, masked softmax weighting, training loop, ranking."""
 
+import functools
 import hashlib
 import json
+import os
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -479,14 +482,40 @@ class TestJointCountUnread:
         assert len(calls) == 1
 
 
-def family_setup():
-    kb = synthetic.family_kb()
+def family_setup(kb=None):
+    kb = synthetic.family_kb() if kb is None else kb
     provider = TrigramSimilarity()
     rule = classify_case(
         map_relations(parse_rule(synthetic.PLANTED_RULE_TEXT), kb, provider)
     )
     groundings = ground_all(kb, [rule])
     return kb, groundings
+
+
+def _empty_relation_setup():
+    """`family_setup` plus a relation with a test triple and no train triple."""
+    return family_setup(synthetic.build_kb(
+        ["Anna", "Bob", "Charlie"],
+        ["parent", "grandparent", "sibling"],
+        [("Anna", "parent", "Bob"), ("Bob", "parent", "Charlie"), ("Anna", "grandparent", "Charlie")],
+        test=[("Bob", "sibling", "Anna")],
+    ))
+
+
+def _planted_setup():
+    kb, pool, _ = synthetic.planted_kb(0)
+    return kb, ground_all(kb, pool)
+
+
+# the KBs and groundings a property test trains, each built once
+_REPORT_SETUPS = {
+    name: functools.lru_cache(maxsize=None)(build)
+    for name, build in (
+        ("family", family_setup),
+        ("planted", _planted_setup),
+        ("empty-relation", _empty_relation_setup),
+    )
+}
 
 
 class TestTrainLoop:
@@ -728,21 +757,36 @@ class TestCheckpoint:
         save_params(str(tmp_path / "again.json"), back, kb)
         assert (tmp_path / "params.json").read_bytes() == (tmp_path / "again.json").read_bytes()
 
-    def test_resume_continues_epoch_counters(self, tmp_path):
-        kb, groundings = family_setup()
-        first = TrainerConfig(lr=0.01, max_epochs=4, patience=100)
-        params, _ = train(kb, groundings, None, first)
-        rel = kb.relations.id("grandparent")
-        assert params[rel].epochs_trained == 4
-        path = str(tmp_path / "params.json")
-        save_params(path, params, kb)
-        resumed = load_params(path, kb)
-        second = TrainerConfig(lr=0.01, max_epochs=7, patience=100)
-        params2, traces2 = train(kb, groundings, None, second, initial=resumed)
-        assert params2[rel].epochs_trained == 7
-        assert len(traces2["grandparent"]["loss"]) == 3
+    @settings(max_examples=12, deadline=None)
+    @given(
+        setup=st.sampled_from(["family", "planted", "empty-relation"]),
+        max_epochs=st.integers(0, 12),
+        patience=st.integers(1, 5),
+        lr=st.sampled_from([0.0, 0.05, 0.5]),
+    )
+    def test_params_json_reports_why_each_relation_ended(self, setup, max_epochs, patience, lr):
+        kb, groundings = _REPORT_SETUPS[setup]()
+        cfg = TrainerConfig(lr=lr, max_epochs=max_epochs, patience=patience)
+        params, traces = train(kb, groundings, None, cfg)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "params.json")
+            save_params(path, params, kb)
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        assert len(doc) == kb.num_relations
+        for relation in range(kb.num_relations):
+            name = kb.relation_name(relation)
+            block, trace = doc[name], traces[name]
+            epochs, stopped = block["epochs_trained"], block["stopped"]
+            assert epochs == len(trace["loss"]) == len(trace["metric"])
+            if not kb.matrices[relation].nnz:
+                assert (epochs, stopped, trace) == (0, False, {"loss": [], "metric": []})
+            elif stopped:
+                assert epochs == int(np.argmax(trace["metric"])) + patience + 1
+            else:
+                assert epochs == max_epochs
 
-    def test_resume_with_mismatched_rules_raises(self, tmp_path):
+    def test_mismatched_checkpoint_rules_raise(self, tmp_path):
         kb, groundings = family_setup()
         params, _ = train(kb, groundings, None, TrainerConfig(max_epochs=1, patience=1))
         path = str(tmp_path / "params.json")
@@ -755,8 +799,6 @@ class TestCheckpoint:
             )
         )
         different = ground_all(kb, [other])
-        with pytest.raises(KBError, match="do not match"):
-            train(kb, different, None, TrainerConfig(max_epochs=1, patience=1), initial=loaded)
         with pytest.raises(KBError, match="checkpoint rules for 'grandparent' do not match"):
             check_checkpoint_rules(loaded, kb, different)
         check_checkpoint_rules(loaded, kb, groundings)
