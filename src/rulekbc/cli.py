@@ -11,7 +11,6 @@ import argparse
 import configparser
 import csv
 import hashlib
-import json
 import logging
 import os
 import sys
@@ -24,7 +23,7 @@ import numpy as np
 # each command imports the stage modules it uses itself, so it loads no
 # other stage's module; every section's settings come from `settings`
 from . import rules, settings
-from .kb import KBError, KnowledgeBase, load_kb, not_utf8
+from .kb import KBError, KnowledgeBase, load_kb, not_utf8, write_json
 
 if TYPE_CHECKING:
     from . import grounding
@@ -287,16 +286,9 @@ def _ensure_rotate(cfg: PipelineConfig, run: str, kb: KnowledgeBase, train_if_mi
     model, trace = rotate.train_embeddings(kb, cfg.rotate)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     rotate.save_embeddings(path, model)
-    _write_json(os.path.join(run, "reports", "rotate_trace.json"), trace)
+    write_json(os.path.join(run, "reports", "rotate_trace.json"), trace)
     print("trained embeddings: %d epochs, final loss %.4f" % (len(trace), trace[-1] if trace else 0.0))
     return model
-
-
-def _write_json(path: str, payload) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _load_rule_file(run: str, kb: KnowledgeBase) -> List[rules.Rule]:
@@ -354,7 +346,7 @@ def cmd_train(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse.N
     params, traces = trainer.train(kb, groundings, rotate_model, cfg.trainer)
     os.makedirs(os.path.dirname(params_path), exist_ok=True)
     trainer.save_params(params_path, params, kb)
-    _write_json(os.path.join(run, "reports", "train_trace.json"), traces)
+    write_json(os.path.join(run, "reports", "train_trace.json"), traces)
     trained = sum(1 for t in traces.values() if t["loss"])
     print("trained %d relations (%d grounded rules); checkpoint: %s" % (trained, total_grounded, params_path))
     return 0
@@ -368,7 +360,7 @@ def cmd_eval(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse.Na
     learned, groundings, rotate_model, params = _load_trained(cfg, run, kb)
     report = evaluation.evaluate_model(params, kb, groundings, rotate_model, split=args.split)
     print(report.render_text())
-    _write_json(os.path.join(run, "reports", "metrics_%s.json" % args.split), report.to_dict())
+    write_json(os.path.join(run, "reports", "metrics_%s.json" % args.split), report.to_dict())
     with open(os.path.join(run, "reports", "metrics_%s.txt" % args.split), "w", encoding="utf-8") as fh:
         fh.write(report.render_text() + "\n")
     if args.emit_csv:
@@ -384,7 +376,7 @@ def cmd_eval(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse.Na
     if annotations is not None:
         quality = evaluation.compute_rule_quality(learned, annotations, kb)
         print(quality.render_text())
-        _write_json(os.path.join(run, "reports", "rule_quality.json"), quality.to_dict())
+        write_json(os.path.join(run, "reports", "rule_quality.json"), quality.to_dict())
     return 0
 
 

@@ -1,5 +1,10 @@
 """Triple store: TSV loading, id vocabularies, per-relation adjacency matrices.
 
+Each split is held as an (n, 3) int64 array of (head, relation, tail) ids;
+the Triple lists, the per-entity index, the adjacency matrices and the known
+tails are built from those arrays on first use, so a stage pays only for
+what it reads.
+
 The adjacency and grounding counts are integer CSR matrices kept as plain
 numpy arrays; the products that ground a rule are computed here, so no stage
 loads scipy.
@@ -7,8 +12,12 @@ loads scipy.
 
 import functools
 import hashlib
+import io
+import itertools
+import json
 import logging
-from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
+import os
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -40,19 +49,35 @@ def not_utf8(path: str, exc: UnicodeDecodeError) -> KBError:
     return KBError("%s: not UTF-8 text: %s" % (path, exc))
 
 
-def text_lines(path: str, what: str) -> Iterator[Tuple[int, str]]:
-    """(line number, line) of the UTF-8 text file `path`. KBError names the
-    file, as `what`, when it cannot be opened, and the file and line where
-    it is not UTF-8."""
+def read_text(path: str, what: str) -> str:
+    """The whole UTF-8 text file `path`, with universal newlines. KBError
+    names the file, as `what`, when it cannot be opened, and the file and
+    line where it is not UTF-8."""
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise KBError("cannot open %s %s: %s" % (what, path, exc)) from exc
     with fh:
         try:
-            yield from enumerate(fh, start=1)
+            return fh.read()
         except UnicodeDecodeError as exc:
             raise not_utf8(path, exc) from exc
+
+
+def write_json(path: str, payload) -> None:
+    """Write `payload` as indented JSON with sorted keys, making the
+    directory first. A value that JSON cannot hold (NaN, Infinity) raises
+    ValueError before the file is opened, so no partial file is left."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def text_lines(path: str, what: str) -> Iterator[Tuple[int, str]]:
+    """(line number, line) of `read_text(path, what)`, each line with its
+    newline, as iterating over the open file gives them."""
+    return enumerate(io.StringIO(read_text(path, what)), start=1)
 
 
 class Triple(NamedTuple):
@@ -80,6 +105,12 @@ class Vocab:
         self.names.append(name)
         self.index[name] = new_id
         return new_id
+
+    def ids(self, names: List[str]) -> np.ndarray:
+        """The ids of `names`, each new name added in order of first appearance."""
+        for name in dict.fromkeys(names):
+            self.add(name)
+        return np.fromiter(map(self.index.__getitem__, names), np.int64, len(names))
 
     def id(self, name: str) -> int:
         try:
@@ -159,16 +190,21 @@ class SparseMatrix:
         CSR arrays."""
         heads = np.asarray(heads, dtype=np.int64)
         starts = self.indptr[heads]
-        lens = self.indptr[heads + 1] - starts
-        row = np.arange(len(heads)).repeat(lens)
-        # output entry j, the k-th of row i, is stored at starts[i] + k
-        pos = np.arange(len(row)) + (starts - lens.cumsum() + lens)[row]
+        row, pos = _spans(starts, self.indptr[heads + 1] - starts)
         return row, self.indices[pos], self.data[pos]
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.dim, self.dim), dtype=np.int64)
         dense[_row_ids(self.indptr), self.indices] = self.data
         return dense
+
+
+def _spans(starts: np.ndarray, lens: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(i, position) of every position in the spans starts[i] ..
+    starts[i] + lens[i] - 1, span after span."""
+    span = np.arange(len(starts)).repeat(lens)
+    # entry j, the k-th of span i, is at starts[i] + k
+    return span, np.arange(len(span)) + (starts - lens.cumsum() + lens)[span]
 
 
 def _row_ids(indptr: np.ndarray) -> np.ndarray:
@@ -321,51 +357,91 @@ def sparse_hadamard(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
 
 
 class KnowledgeBase:
-    """Immutable triple store with id vocabularies and train adjacency matrices.
+    """Immutable triple store: id vocabularies, and each split as an (n, 3)
+    int64 array of (head, relation, tail) rows (`arrays`, read only).
 
-    Adjacency matrices are built from the train split only; relations that occur
-    solely in valid/test keep an all-zero matrix so every relation id resolves.
+    Everything derived from the splits is built on first use: the Triple
+    lists `train`, `valid` and `test`, the per-entity `incident` index that
+    subgraph sampling reads, the train adjacency `matrices` and the known
+    tails of the filtered protocol. Adjacency matrices come from the
+    train split only; relations that occur solely in valid/test keep an
+    all-zero matrix so every relation id resolves.
     """
 
-    def __init__(
-        self,
-        entities: Vocab,
-        relations: Vocab,
-        train: List[Triple],
-        valid: List[Triple],
-        test: List[Triple],
-    ):
+    def __init__(self, entities: Vocab, relations: Vocab, train, valid, test):
+        """Each split is an (n, 3) integer array or a sequence of Triples."""
         self.entities = entities
         self.relations = relations
-        self.train = train
-        self.valid = valid
-        self.test = test
-        # relation -> its train triples, in train order
-        self._train_by_rel: Dict[int, List[Triple]] = {r: [] for r in range(len(relations))}
-        for tr in train:
-            self._train_by_rel[tr.relation].append(tr)
-        # entity -> incident train triples, both directions, insertion order
-        self.incident: Dict[int, List[Triple]] = {}
-        for tr in train:
-            self.incident.setdefault(tr.head, []).append(tr)
-            if tr.tail != tr.head:
-                self.incident.setdefault(tr.tail, []).append(tr)
-        # (head, relation) -> known true tails across all splits, for filtered ranking
-        self.true_tails: Dict[Tuple[int, int], Set[int]] = {}
-        for split in (train, valid, test):
-            for h, r, t in split:
-                self.true_tails.setdefault((h, r), set()).add(t)
+        self.arrays: Dict[str, np.ndarray] = {}
+        for name, rows in (("train", train), ("valid", valid), ("test", test)):
+            rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
+            if len(rows) and (
+                rows.min() < 0 or rows[:, [0, 2]].max() >= len(entities) or rows[:, 1].max() >= len(relations)
+            ):
+                raise KBError("%s split holds ids outside the vocabularies" % name)
+            rows.flags.writeable = False
+            self.arrays[name] = rows
+        self._lists: Dict[str, List[Triple]] = {}
         self._transposed: Dict[int, SparseMatrix] = {}
+
+    train = property(lambda self: self.split("train"), doc="The train split as Triples, in file order.")
+    valid = property(lambda self: self.split("valid"), doc="The valid split as Triples, in file order.")
+    test = property(lambda self: self.split("test"), doc="The test split as Triples, in file order.")
+
+    def split(self, name: str) -> List[Triple]:
+        """A split as a list of Triples, built on first use and kept."""
+        got = self._lists.get(name)
+        if got is None:
+            if name not in self.arrays:
+                raise KBError("unknown split %r" % name)
+            got = self._lists[name] = list(map(Triple._make, self.arrays[name].tolist()))
+        return got
+
+    @functools.cached_property
+    def incident(self) -> Dict[int, List[Triple]]:
+        """entity -> its incident train triples, both directions, in train order."""
+        incident: Dict[int, List[Triple]] = {}
+        for tr in self.train:
+            incident.setdefault(tr.head, []).append(tr)
+            if tr.tail != tr.head:
+                incident.setdefault(tr.tail, []).append(tr)
+        return incident
 
     @functools.cached_property
     def matrices(self) -> Dict[int, SparseMatrix]:
-        """relation -> its train adjacency counts, built on first use: only
-        the reasoning stages read them."""
+        """relation -> its train adjacency counts, all built from one sort of
+        the train rows; a triple listed k times counts k, as `from_coords`
+        sums it."""
         n = self.num_entities
-        return {
-            r: SparseMatrix.from_coords(n, [t.head for t in triples], [t.tail for t in triples])
-            for r, triples in self._train_by_rel.items()
-        }
+        h, r, t = self.arrays["train"].T
+        keys, counts = np.unique(_keys(r, h, t, n, n), return_counts=True)
+        rows = keys // n  # relation * n + head
+        indptr = _indptr(np.bincount(rows, minlength=self.num_relations * n))
+        cols, data = keys - rows * n, _saturate(counts.astype(np.int64))
+        matrices = {}
+        for rel in range(self.num_relations):
+            lo, hi = indptr[rel * n], indptr[(rel + 1) * n]
+            matrices[rel] = SparseMatrix(indptr[rel * n : (rel + 1) * n + 1] - lo, cols[lo:hi], data[lo:hi])
+        return matrices
+
+    @functools.cached_property
+    def _known(self) -> np.ndarray:
+        """Every distinct triple of the three splits as its sorted key
+        (head * relations + relation) * entities + tail: a CSR of the known
+        tails keyed by head * relations + relation, whose row offsets are
+        found by bisection."""
+        rows = np.concatenate(list(self.arrays.values()))
+        return np.unique(_keys(rows[:, 0], rows[:, 1], rows[:, 2], self.num_relations, self.num_entities))
+
+    def known_tails(self, relation: int, heads) -> Tuple[np.ndarray, np.ndarray]:
+        """Every tail known true for (heads[i], relation) in any split, as
+        (query i, tail) index arrays: i increasing, each query's tails
+        increasing."""
+        n = self.num_entities
+        base = (np.asarray(heads, dtype=np.int64) * self.num_relations + relation) * n
+        lo = np.searchsorted(self._known, base)
+        query, pos = _spans(lo, np.searchsorted(self._known, base + n) - lo)
+        return query, self._known[pos] - base[query]
 
     @functools.cached_property
     def fingerprint(self) -> str:
@@ -400,37 +476,43 @@ class KnowledgeBase:
         return "(%s, %s, %s)" % names
 
     def train_by_relation(self, relation: int) -> List[Triple]:
-        return list(self._train_by_rel.get(relation, ()))
-
-    def split(self, name: str) -> List[Triple]:
-        try:
-            return {"train": self.train, "valid": self.valid, "test": self.test}[name]
-        except KeyError:
-            raise KBError("unknown split %r" % name) from None
+        """The relation's train triples, in train order, as a new list."""
+        train = self.train
+        return [train[i] for i in np.flatnonzero(self.arrays["train"][:, 1] == relation).tolist()]
 
 
-def _read_split(path: str, entities: Vocab, relations: Vocab) -> List[Triple]:
-    triples: List[Triple] = []
-    seen: Set[Triple] = set()
-    dups = 0
-    for lineno, raw in text_lines(path, "triple file"):
-        line = raw.rstrip("\r\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3 or not all(parts):
-            raise KBError(
-                "%s:%d: expected 3 tab-separated fields, got %d" % (path, lineno, len(parts))
-            )
-        h, r, t = parts
-        triple = Triple(entities.add(h), relations.add(r), entities.add(t))
-        if triple in seen:
-            dups += 1
-            continue
-        seen.add(triple)
-        triples.append(triple)
-    if dups:
-        logger.warning("%s: dropped %d duplicate triples", path, dups)
+def _keys(x: np.ndarray, y: np.ndarray, z: np.ndarray, ny: int, nz: int) -> np.ndarray:
+    """One int64 key per row, (x * ny + y) * nz + z, which orders the rows as
+    the tuples (x, y, z) do for y < ny and z < nz. KBError where a key could
+    overflow."""
+    if len(x) and (int(x.max()) + 1) * ny * nz > np.iinfo(np.int64).max:
+        raise KBError("%d x %d x %d triple keys overflow int64" % (int(x.max()) + 1, ny, nz))
+    return (x * ny + y) * nz + z
+
+
+def _read_split(path: str, entities: Vocab, relations: Vocab) -> np.ndarray:
+    """The distinct triples of a TSV file as (n, 3) rows in file order, the
+    first of each repeated line kept. Blank lines are skipped; any other
+    line must hold 3 nonempty tab-separated fields."""
+    lines = read_text(path, "triple file").split("\n")
+    rows = list(filter(None, lines))
+    if not rows:
+        return np.zeros((0, 3), dtype=np.int64)
+    fields = "\t".join(rows).split("\t")
+    if set(map(str.count, rows, itertools.repeat("\t"))) != {2} or "" in fields:
+        for lineno, line in enumerate(lines, start=1):
+            parts = line.split("\t")
+            if line and (len(parts) != 3 or not all(parts)):
+                raise KBError("%s:%d: expected 3 tab-separated fields, got %d" % (path, lineno, len(parts)))
+    ends = list(fields)
+    del ends[1::3]  # head, tail of each line, so entities are numbered in that order
+    triples = np.empty((len(rows), 3), dtype=np.int64)
+    triples[:, 0::2] = entities.ids(ends).reshape(-1, 2)
+    triples[:, 1] = relations.ids(fields[1::3])
+    _, first = np.unique(_keys(*triples.T, len(relations), len(entities)), return_index=True)
+    if len(first) < len(triples):
+        logger.warning("%s: dropped %d duplicate triples", path, len(triples) - len(first))
+        triples = triples[np.sort(first)]
     return triples
 
 
@@ -443,7 +525,7 @@ def load_kb(train_path: str, valid_path: Optional[str] = None, test_path: Option
     entities = Vocab("entity")
     relations = Vocab("relation")
     train = _read_split(train_path, entities, relations)
-    if not train:
+    if not len(train):
         raise KBError("train split %s contains no triples" % train_path)
     valid = _read_split(valid_path, entities, relations) if valid_path else []
     test = _read_split(test_path, entities, relations) if test_path else []
@@ -451,6 +533,10 @@ def load_kb(train_path: str, valid_path: Optional[str] = None, test_path: Option
 
 
 def kb_fingerprint(kb: KnowledgeBase) -> str:
-    """Stable hex digest of the train structure; keys the grounding cache."""
-    text = "%d|%d" % (kb.num_entities, kb.num_relations) + "".join("%d,%d,%d;" % t for t in sorted(kb.train))
+    """Stable hex digest of the train structure; keys the grounding cache.
+    The text is "entities|relations", then "head,relation,tail;" for every
+    train row, in increasing (head, relation, tail) order."""
+    train = kb.arrays["train"]
+    rows = train[np.argsort(_keys(*train.T, kb.num_relations, kb.num_entities))]
+    text = "%d|%d" % (kb.num_entities, kb.num_relations) + "%d,%d,%d;" * len(rows) % tuple(rows.ravel().tolist())
     return hashlib.sha256(text.encode()).hexdigest()

@@ -262,6 +262,20 @@ def loss_and_grad(
     return float(loss), g_entity, g_phase
 
 
+class TrainingDiverged(KBError):
+    """A training loss or parameter that is no longer finite: raised after
+    the epoch it appears in, before anything is written."""
+
+
+def check_finite(what: str, epoch: int, lower: str, *values) -> None:
+    """Raise TrainingDiverged naming `what`, the 1-based `epoch` and the
+    settings to lower unless every value is finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise TrainingDiverged(
+            "%s diverged at epoch %d: its loss or parameters are not finite; lower %s" % (what, epoch, lower)
+        )
+
+
 class AdamW:
     """Adam with decoupled weight decay; lr = 0 leaves parameters untouched.
     RotatE training uses it with weight_decay = 0, the trainer with its own."""
@@ -295,7 +309,7 @@ def train_embeddings(kb: KnowledgeBase, cfg: RotateConfig) -> Tuple[RotateModel,
     if cfg.epochs == 0:
         return model, trace
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    positives = np.asarray(kb.train, dtype=np.int64)
+    positives = kb.arrays["train"]
     n = len(positives)
     opt_e = AdamW(model.entity.shape)
     opt_p = AdamW(model.phase.shape)
@@ -314,6 +328,7 @@ def train_embeddings(kb: KnowledgeBase, cfg: RotateConfig) -> Tuple[RotateModel,
             opt_p.step(model.phase, g_phase, cfg.lr)
             epoch_losses.append(loss)
         trace.append(float(np.mean(epoch_losses)))
+        check_finite("RotatE training", len(trace), "[rotate] lr or margin", trace[-1], model.entity, model.phase)
     return model, trace
 
 

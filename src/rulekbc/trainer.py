@@ -36,8 +36,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .grounding import Grounding, support_row
-from .kb import KBError, KnowledgeBase, Triple, _changes, not_utf8
-from .rotate import AdamW, RotateModel, score_tails
+from .kb import KBError, KnowledgeBase, Triple, _changes, not_utf8, write_json
+from .rotate import AdamW, RotateModel, check_finite, score_tails
 from .rules import format_rule
 from .settings import TrainerConfig
 
@@ -221,10 +221,9 @@ def _filtered(
     """What the filtered protocol removes: for each query i, the tails other
     than golds[i] known true for (heads[i], relation) in any split, as
     (query, tail) index arrays in increasing query order."""
-    known = kb.true_tails
-    others = [[t for t in known.get((h, relation), ()) if t != g] for h, g in zip(heads, golds)]
-    query = np.repeat(np.arange(len(others)), [len(o) for o in others])
-    return query, np.array([t for o in others for t in o], dtype=np.int64)
+    query, tail = kb.known_tails(relation, heads)
+    keep = tail != np.asarray(golds, dtype=np.int64)[query]
+    return query[keep], tail[keep]
 
 
 def combined_score(
@@ -354,7 +353,8 @@ def _gold_ranks(
 
 class _Queries:
     """A block of one row per (head, relation, tail) query of one relation,
-    in the order given, with the golds and the `_filtered` tails."""
+    in the order given (Triples or (n, 3) rows), with the golds and the
+    `_filtered` tails."""
 
     def __init__(
         self,
@@ -362,11 +362,11 @@ class _Queries:
         relation: int,
         groundings: List[Grounding],
         rotate_model: Optional[RotateModel],
-        triples: Sequence[Triple],
+        triples,
     ):
-        heads = [t.head for t in triples]
+        triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        heads, self.golds = triples[:, 0], triples[:, 2]
         self.block = _evidence(kb, relation, groundings, rotate_model, heads)
-        self.golds = np.array([t.tail for t in triples], dtype=np.int64)
         self.filtered = _filtered(kb, relation, heads, self.golds)
 
     def ranks(self, logits: np.ndarray, mix_logit: float) -> np.ndarray:
@@ -407,18 +407,19 @@ class _RelationData:
         sign[at[at >= 0]] = multiplicity[at >= 0]
         self.train.value *= sign[self.train.cell_of]
         # one row per validation query, in split order
-        valid = [t for t in kb.valid if t.relation == relation]
-        self.valid = _Queries(kb, relation, groundings, rotate_model, valid)
+        valid = kb.arrays["valid"]
+        self.valid = _Queries(kb, relation, groundings, rotate_model, valid[valid[:, 1] == relation])
 
     def valid_mrr(self, logits: np.ndarray, mix_logit: float) -> float:
         return float(np.mean(1.0 / self.valid.ranks(logits, mix_logit)))
 
 
 def _train_relation(
-    data: _RelationData, params: RelationParams, cfg: TrainerConfig
+    data: _RelationData, params: RelationParams, cfg: TrainerConfig, name: str
 ) -> Dict[str, List[float]]:
     """Optimize one relation's block in place; returns its loss/metric trace.
-    The relation has train heads and epochs to run (see `train`)."""
+    The relation, called `name` in a divergence error, has train heads and
+    epochs to run (see `train`)."""
     trace = {"loss": [], "metric": []}
     opt_logits = AdamW(len(params.logits), cfg.weight_decay)
     opt_mix = AdamW(1, cfg.weight_decay)
@@ -437,6 +438,9 @@ def _train_relation(
         opt_mix.step(mix, np.array([d_mix]), lr)
         params.mix_logit = float(mix[0])
         params.epochs_trained = epoch + 1
+        check_finite(
+            "training of relation %r" % name, epoch + 1, "[trainer] lr or weight_decay", loss, params.logits, mix
+        )
         metric = data.valid_mrr(params.logits, params.mix_logit) if use_valid else -loss
         trace["loss"].append(loss)
         trace["metric"].append(metric)
@@ -470,7 +474,8 @@ def train(
         rp = RelationParams(logits=np.zeros(len(glist) + 1), rule_keys=keys)
         if kb.matrices[relation].nnz and cfg.max_epochs:
             data = _RelationData(kb, relation, glist, rotate_model)
-            traces[kb.relation_name(relation)] = _train_relation(data, rp, cfg)
+            name = kb.relation_name(relation)
+            traces[name] = _train_relation(data, rp, cfg, name)
         else:  # nothing to train: its evidence is not built
             traces[kb.relation_name(relation)] = {"loss": [], "metric": []}
         params[relation] = rp
@@ -587,9 +592,7 @@ def save_params(path: str, params: ReasonerParams, kb: KnowledgeBase) -> None:
             "stopped": rp.stopped,
             "w_emb": float(w[-1]),
         }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def _is_number(v) -> bool:

@@ -386,6 +386,32 @@ class TestArgumentErrors:
         assert "error: proposer.%s %s" % (key, message) in err
         assert "Traceback" not in err
 
+    # the four settings at which training used to write NaN or Infinity
+    # into params.json or rotate.bin and exit 0; their overflow warnings are
+    # expected on the way to the error
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ("[rotate]\nenabled = false\n[trainer]\nlr = 1e300\n", "lower [trainer] lr or weight_decay"),
+            ("[rotate]\nenabled = false\n[trainer]\nlr = 1\nweight_decay = 1e308\n", "lower [trainer] lr or weight_decay"),
+            ("[rotate]\ndim = 8\nepochs = 3\nmargin = 1e308\n", "lower [rotate] lr or margin"),
+            ("[rotate]\ndim = 8\nepochs = 3\nlr = 1e300\n", "lower [rotate] lr or margin"),
+        ],
+        ids=["trainer-lr", "trainer-weight_decay", "rotate-margin", "rotate-lr"],
+    )
+    def test_diverged_training_exits_2_and_writes_no_checkpoint(self, tmp_path, capsys, settings, message):
+        path = minimal_config(tmp_path, extra=settings)
+        for stage in ("extract", "propose"):
+            assert run_cli(["--config", str(path), stage])[0] == 0
+        code = cli.main(["--config", str(path), "train"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.search(r"error: (RotatE training|training of relation '\w+') diverged at epoch \d+: ", err), err
+        assert message in err and "Traceback" not in err
+        run = tmp_path / cli.load_config(str(path)).run_dir()
+        assert not (run / "checkpoints").exists() or not os.listdir(run / "checkpoints")
+
     def test_random_bytes_as_train_file_name_the_file(self, tmp_path, capsys):
         path = minimal_config(tmp_path)
         train = tmp_path / "data" / "train.txt"

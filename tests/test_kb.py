@@ -1,24 +1,99 @@
 """Triple store and sparse count-matrix behavior."""
 
 import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import synthetic
+from rulekbc import kb as kbmod
 from rulekbc.kb import (
     SATURATION_CAP,
     KBError,
+    KnowledgeBase,
     SparseMatrix,
     Triple,
     Vocab,
     _canonical_csr,
     kb_fingerprint,
     load_kb,
+    not_utf8,
     sparse_hadamard,
     sparse_mul,
     sparse_transpose,
 )
+from rulekbc.trainer import _filtered
+
+
+def line_by_line_read_split(path, entities, relations):
+    """The loader as it was before splits became arrays, one Triple per line:
+    the oracle of the array loader. Returns the triples and the duplicate
+    count it warned about."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            numbered = list(enumerate(fh, start=1))
+        except UnicodeDecodeError as exc:
+            raise not_utf8(path, exc) from exc
+    triples, seen, dups = [], set(), 0
+    for lineno, raw in numbered:
+        line = raw.rstrip("\r\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3 or not all(parts):
+            raise KBError("%s:%d: expected 3 tab-separated fields, got %d" % (path, lineno, len(parts)))
+        h, r, t = parts
+        triple = Triple(entities.add(h), relations.add(r), entities.add(t))
+        if triple in seen:
+            dups += 1
+            continue
+        seen.add(triple)
+        triples.append(triple)
+    return triples, dups
+
+
+def line_by_line_load(paths):
+    """(entity names, relation names, splits, warnings) or the KBError text,
+    as the line-by-line loader gives them."""
+    entities, relations = Vocab("entity"), Vocab("relation")
+    splits, warnings = [], []
+    try:
+        for path in paths:
+            triples, dups = line_by_line_read_split(path, entities, relations)
+            if dups:
+                warnings.append("%s: dropped %d duplicate triples" % (path, dups))
+            if not splits and not triples:
+                raise KBError("train split %s contains no triples" % path)
+            splits.append(triples)
+    except KBError as exc:
+        return str(exc)
+    return entities.names, relations.names, splits, warnings
+
+
+# names with non-ASCII letters, a space, and line breaks that universal
+# newlines do not split on (str.splitlines would)
+NAMES = st.sampled_from(["a", "b", "c", "é", "名前", "x y", "v\x0bw", "p\x85q", "s\u2028t"])
+GOOD_LINE = st.tuples(NAMES, st.sampled_from(["r", "s", "ü"]), NAMES).map(lambda t: "\t".join(t).encode())
+BAD_LINE = st.sampled_from([b"a\tr", b"a\tr\tb\tc", b"a\t\tb", b"\tr\tb", b"a\tr\t", b"a b c", b"a\tr\t\xe9t\xe9"])
+ENDING = st.sampled_from([b"\n", b"\r\n", b"\r"])
+
+
+@st.composite
+def triple_file(draw, bad):
+    """A TSV file's bytes: repeated and blank lines, mixed line endings, with
+    or without a final newline; with `bad`, a few malformed lines too."""
+    pool = draw(st.lists(GOOD_LINE, min_size=1, max_size=6))
+    choices = [st.sampled_from(pool), st.just(b"")] + ([BAD_LINE] if bad else [])
+    lines = draw(st.lists(st.one_of(*choices), min_size=1, max_size=14))
+    endings = draw(st.lists(ENDING, min_size=len(lines), max_size=len(lines)))
+    body = b"".join(line + end for line, end in zip(lines, endings))
+    if draw(st.booleans()):
+        body = body[: -len(endings[-1])]
+    return body
 
 
 class TestLoading:
@@ -203,6 +278,86 @@ class TestSparseOps:
         assert m.nnz == 1
 
 
+class TestArrayLoader:
+    """The array loader against the line-by-line one it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(files=st.tuples(*[st.booleans().flatmap(triple_file) for _ in range(3)]))
+    def test_matches_the_line_by_line_loader(self, files):
+        with tempfile.TemporaryDirectory() as d:
+            paths = [os.path.join(d, name + ".txt") for name in ("train", "valid", "test")]
+            for path, body in zip(paths, files):
+                with open(path, "wb") as fh:
+                    fh.write(body)
+            expected = line_by_line_load(paths)
+            with mock.patch.object(kbmod.logger, "warning") as warning:
+                try:
+                    kb = load_kb(*paths)
+                except KBError as exc:
+                    assert str(exc) == expected
+                    return
+            assert not isinstance(expected, str), expected
+            names, relations, splits, warnings = expected
+            assert kb.entities.names == names and kb.relations.names == relations
+            assert [kb.train, kb.valid, kb.test] == splits
+            assert [c.args[0] % c.args[1:] for c in warning.call_args_list] == warnings
+            for split, triples in zip(("train", "valid", "test"), splits):
+                np.testing.assert_array_equal(kb.arrays[split], np.array(triples, dtype=np.int64).reshape(-1, 3))
+
+
+@st.composite
+def small_kbs(draw):
+    """KnowledgeBases built directly from Triple lists, with triples repeated
+    within and across splits."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    triple = st.builds(Triple, st.integers(0, n - 1), st.integers(0, m - 1), st.integers(0, n - 1))
+    splits = [draw(st.lists(triple, max_size=size)) for size in (20, 8, 8)]
+    entities, relations = Vocab(), Vocab()
+    for i in range(n):
+        entities.add("e%d" % i)
+    for r in range(m):
+        relations.add("r%d" % r)
+    return KnowledgeBase(entities, relations, *splits)
+
+
+class TestDerivedIndices:
+    @settings(max_examples=40, deadline=None)
+    @given(kb=small_kbs())
+    def test_repeated_train_triples_count(self, kb):
+        n = kb.num_entities
+        for r in range(kb.num_relations):
+            dense = np.zeros((n, n), dtype=np.int64)
+            for h, rel, t in kb.train:
+                dense[h, t] += rel == r
+            m = kb.matrices[r]
+            np.testing.assert_array_equal(m.to_dense(), dense)
+            _canonical_csr(n, n, m.indptr, m.indices, m.data)
+
+    def test_a_triple_listed_twice_counts_two(self):
+        kb = synthetic.build_kb("ab", "r", [("a", "r", "b"), ("a", "r", "b"), ("b", "r", "a")])
+        assert kb.matrices[0].to_dense().tolist() == [[0, 2], [1, 0]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(kb=small_kbs(), data=st.data())
+    def test_known_tails_and_filtered_pairs(self, kb, data):
+        known = {}
+        for split in (kb.train, kb.valid, kb.test):
+            for h, r, t in split:
+                known.setdefault((h, r), set()).add(t)
+        for r in range(kb.num_relations):
+            heads = data.draw(st.lists(st.integers(0, kb.num_entities - 1), max_size=6))
+            golds = data.draw(st.lists(st.integers(0, kb.num_entities - 1), min_size=len(heads), max_size=len(heads)))
+            query, tail = kb.known_tails(r, heads)
+            assert np.all(np.diff(query) >= 0)
+            for i, h in enumerate(heads):
+                assert tail[query == i].tolist() == sorted(known.get((h, r), ()))
+            # the filtered protocol's pairs, as the dict-of-sets version built them
+            expected = {(i, t) for i, (h, g) in enumerate(zip(heads, golds)) for t in known.get((h, r), ()) if t != g}
+            query, tail = _filtered(kb, r, heads, golds)
+            assert set(zip(query.tolist(), tail.tolist())) == expected
+            assert len(query) == len(expected)
+
+
 class TestKBStructure:
     def test_incident_lists_cover_both_endpoints(self):
         kb = synthetic.family_kb()
@@ -219,8 +374,8 @@ class TestKBStructure:
         }
         paths = synthetic.write_kb_files(str(tmp_path), triples=rows)
         kb = load_kb(paths["train"], paths["valid"], paths["test"])
-        tails = kb.true_tails[(kb.entities.id("a"), kb.relations.id("r"))]
-        assert tails == {kb.entities.id(x) for x in "bcd"}
+        _, tails = kb.known_tails(kb.relations.id("r"), [kb.entities.id("a")])
+        assert set(tails.tolist()) == {kb.entities.id(x) for x in "bcd"}
 
     def test_unknown_split_raises(self):
         kb = synthetic.family_kb()

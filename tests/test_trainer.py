@@ -725,7 +725,7 @@ class TestEvaluateModel:
             # the unfiltered scores of every tail, less the other known tails,
             # sorted: the gold may sit at any place of its tie block
             res = rank(params, kb, groundings, model, h, r, top_k=kb.num_entities)
-            others = kb.true_tails[(h, r)] - {t}
+            others = set(kb.known_tails(r, [h])[1].tolist()) - {t}
             kept = sorted(-e.score for e in res.entries if e.tail not in others)
             gold = -next(e.score for e in res.entries if e.tail == t)
             places = [pos for pos, s in enumerate(kept, start=1) if s == gold]
@@ -740,6 +740,16 @@ class TestEvaluateModel:
 
 
 class TestCheckpoint:
+    def test_non_finite_weights_are_not_written(self, tmp_path):
+        # NaN and Infinity are not JSON: the checkpoint refuses them whole
+        kb, groundings = family_setup()
+        params, _ = train(kb, groundings, None, TrainerConfig(max_epochs=0))
+        params[0].logits[0] = np.nan
+        path = tmp_path / "params.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_params(str(path), params, kb)
+        assert not path.exists()
+
     def test_round_trip(self, tmp_path):
         kb, groundings = family_setup()
         cfg = TrainerConfig(lr=0.05, max_epochs=10, patience=5)
