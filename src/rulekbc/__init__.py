@@ -1,8 +1,7 @@
 """Knowledge-base completion from learned logic rules plus rotation embeddings.
 
 Each public name imports its submodule on first access (PEP 562), so a stage
-loads only what it uses: no stage loads requests unless it proposes through
-the `remote-chat` backend, and none loads scipy.
+loads only what it uses, and none loads scipy.
 """
 
 import importlib

@@ -53,7 +53,7 @@ def build_rule_prompt(sg: Subgraph, target: Triple, kb: KnowledgeBase) -> str:
 
 
 def _post_chat(backend: ProposerBackend, prompt: str) -> str:
-    import requests  # only the remote backend needs it, and it is slow to import
+    import urllib.request  # only the remote backend needs it, and it is slow to import
 
     headers = {"Content-Type": "application/json"}
     key = os.environ.get(backend.api_key_env, "")
@@ -64,15 +64,16 @@ def _post_chat(backend: ProposerBackend, prompt: str) -> str:
         "messages": [{"role": "user", "content": prompt}],
         "temperature": backend.temperature,
     }
-    resp = requests.post(
-        backend.endpoint, json=payload, headers=headers, timeout=backend.request_timeout
-    )
-    resp.raise_for_status()
-    body = resp.json()
+    request = urllib.request.Request(backend.endpoint, json.dumps(payload).encode(), headers, method="POST")
+    with urllib.request.urlopen(request, timeout=backend.request_timeout) as resp:
+        body = json.loads(resp.read())
     try:
-        return body["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ProposerError("malformed completion payload: %s" % json.dumps(body)[:200]) from exc
+        content = body["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError):
+        content = None
+    if not isinstance(content, str):
+        raise ProposerError("malformed completion payload: %s" % json.dumps(body)[:200])
+    return content
 
 
 def _complete(backend: ProposerBackend, prompt: str) -> str:
@@ -85,7 +86,7 @@ def _complete(backend: ProposerBackend, prompt: str) -> str:
             return _post_chat(backend, prompt)
         except ProposerError:
             raise
-        except Exception as exc:  # network errors, bad status, bad JSON
+        except Exception as exc:  # network errors and timeouts, bad status, bad JSON
             last = exc
             logger.warning("backend attempt %d/%d failed: %s", attempt + 1, attempts, exc)
     raise ProposerError("backend failed after %d attempts: %s" % (attempts, last))

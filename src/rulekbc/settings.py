@@ -52,8 +52,9 @@ class ProposerBackend:
     def __post_init__(self):
         if self.kind not in (OFFLINE, REMOTE):
             raise ValueError("unknown backend kind %r" % self.kind)
-        if self.kind == REMOTE and not self.endpoint:
-            raise ValueError("remote backend needs an endpoint")
+        # urllib would also open file:// and ftp:// URLs
+        if self.kind == REMOTE and not self.endpoint.lower().startswith(("http://", "https://")):
+            raise ValueError("proposer.endpoint must be an http:// or https:// URL, got %r" % self.endpoint)
         if self.max_retries < 0:
             raise ValueError("proposer.max_retries must be >= 0, got %r" % self.max_retries)
         for name in ("request_timeout", "retry_backoff", "temperature"):

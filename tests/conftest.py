@@ -10,6 +10,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import loopback  # noqa: E402
 import synthetic  # noqa: E402
 from rulekbc import cli, evaluation, grounding, trainer  # noqa: E402
 
@@ -153,3 +154,19 @@ def cli_pipeline(tmp_path_factory):
         "times": (time_a, time_b),
         "snapshots": (snap_a, snap_b),
     }
+
+
+@pytest.fixture
+def without_proxies(monkeypatch):
+    """urllib takes proxies from the environment, which would send a request
+    for 127.0.0.1 to a proxy, so a test that connects runs without them."""
+    for name in ("http_proxy", "https_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+
+@pytest.fixture
+def chat_server(without_proxies):
+    """start(*replies) serves a loopback chat endpoint until the test ends."""
+    with contextlib.ExitStack() as stack:
+        yield lambda *replies: stack.enter_context(loopback.ChatServer(replies))

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import socket
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_cli, write_toy_dataset
+from loopback import completion
 from rulekbc import cli, rules
 from rulekbc.grounding import _cache_key
 from rulekbc.kb import load_kb
@@ -115,6 +117,45 @@ def private_run(cli_pipeline, tmp_path):
     run = tmp_path / cli.load_config(str(config)).hash()
     shutil.copytree(str(cli_pipeline["run_dir"]), str(run))
     return config, run
+
+
+def remote_propose(tmp_path, capsys, endpoint):
+    """(exit code, stderr, proposal records) of `propose` with the remote
+    backend at `endpoint`, after `extract`; neither may print a traceback."""
+    path = minimal_config(
+        tmp_path, extra="[proposer]\nbackend = remote-chat\nendpoint = %s\nmax_retries = 0\n" % endpoint
+    )
+    codes = [cli.main(["--config", str(path), stage]) for stage in ("extract", "propose")]
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if codes != [0, 0]:
+        return codes[-1], err, []
+    records = os.path.join(cli.load_config(str(path)).run_dir(), "proposals", "records.jsonl")
+    with open(records, encoding="utf-8") as fh:
+        return 0, err, [json.loads(line) for line in fh]
+
+
+class TestRemoteProposer:
+    def test_content_null_is_recorded(self, tmp_path, capsys, chat_server):
+        server = chat_server(completion(None))
+        code, _, records = remote_propose(tmp_path, capsys, server.url)
+        assert code == 0 and records
+        assert all(r["error"].startswith("malformed completion payload") for r in records)
+        assert len(server.received) == len(records)
+
+    @pytest.mark.usefixtures("without_proxies")
+    def test_refused_port_is_recorded(self, tmp_path, capsys):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))  # bound, never listening: connections are refused
+            code, _, records = remote_propose(tmp_path, capsys, "http://127.0.0.1:%d/v1" % sock.getsockname()[1])
+        assert code == 0 and records
+        assert all(r["error"].startswith("backend failed after 1 attempts") for r in records)
+
+    @pytest.mark.parametrize("endpoint", ["file:///etc/hostname", "ftp://example.com/x", "localhost:8000/v1", ""])
+    def test_endpoint_that_is_not_http_exits_2(self, tmp_path, capsys, endpoint):
+        code, err, _ = remote_propose(tmp_path, capsys, endpoint)
+        assert code == 2
+        assert "error: proposer.endpoint must be an http:// or https:// URL, got %r" % endpoint in err
 
 
 class TestConfig:

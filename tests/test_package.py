@@ -39,9 +39,10 @@ class TestPublicNames:
         assert proposer.ProposerError is settings.ProposerError
 
 
-def test_no_stage_loads_scipy_or_requests(tmp_path):
+def test_offline_stages_load_no_scipy_or_http_client(tmp_path):
     """Every stage of the offline pipeline, run in one fresh process, and
-    the reasoning modules themselves load neither scipy nor requests."""
+    the reasoning modules themselves load no scipy; nor do they load the
+    HTTP client, which only the remote proposer imports, when it posts."""
     write_toy_dataset(str(tmp_path / "data"))
     config = tmp_path / "cfg.ini"
     config.write_text(TOY_CONFIG.format(out=tmp_path / "runs", data=tmp_path / "data"))
@@ -55,7 +56,7 @@ def test_no_stage_loads_scipy_or_requests(tmp_path):
             ["extract"], ["propose"], ["rotate-train"], ["train"], ["eval"], ["explain", "e00", "grandparent"]
         ):
             assert cli.main(["--config", sys.argv[1]] + stage) == 0, stage
-        print(sorted(m for m in ("scipy", "requests") if m in sys.modules))
+        print(sorted(m for m in ("scipy", "urllib.request", "http.client") if m in sys.modules))
         """
     )
     src = os.path.dirname(os.path.dirname(rulekbc.__file__))

@@ -1,12 +1,13 @@
 """Prompt construction, the offline miner, and remote-backend error handling."""
 
 import json
+import socket
 
 import numpy as np
 import pytest
-import requests
 
 import synthetic
+from loopback import PATH, Reply, completion
 from rulekbc import proposer
 from rulekbc.grounding import ground
 from rulekbc.kb import Triple
@@ -192,112 +193,108 @@ class TestProposeOffline:
         assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
 
-class FakeResponse:
-    def __init__(self, payload=None, status=200, text_body=None):
-        self._payload = payload
-        self.status_code = status
-        self._text = text_body
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise requests.HTTPError("status %d" % self.status_code)
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
+def remote_backend(url, retry_backoff=0.0, **kw):
+    return ProposerBackend(kind=REMOTE, endpoint=url, retry_backoff=retry_backoff, **kw)
 
 
-def chat_payload(content):
-    return {"choices": [{"message": {"content": content}}]}
-
-
-def remote_backend(**kw):
-    kw.setdefault("kind", REMOTE)
-    kw.setdefault("endpoint", "http://fake.test/v1/chat")
-    kw.setdefault("retry_backoff", 0.0)
-    return ProposerBackend(**kw)
+CANNED = completion("IF (A, parent, B) THEN (A, grandparent, B)")
+# the replies that are retried, with what the final error quotes of them
+RETRIED = {
+    "status 500": (Reply(status=500, body=b"{}"), "HTTP Error 500"),
+    "not JSON": (Reply(body=b"<html>busy</html>"), "Expecting value"),
+    "slower than request_timeout": (Reply(delay=5.0, body=CANNED.body), "timed out"),
+}
+MALFORMED = {
+    "no choices": Reply(body=json.dumps({"unexpected": True}).encode()),
+    "content null": completion(None),
+    "content a number": completion(42),
+}
 
 
 class TestRemoteBackend:
-    def test_success_payload_and_auth_header(self, monkeypatch):
-        calls = {}
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            calls.update(url=url, json=json, headers=headers, timeout=timeout)
-            return FakeResponse(chat_payload("IF (A, parent, B) THEN (A, grandparent, B)"))
-
-        monkeypatch.setattr(requests, "post", fake_post)
+    def test_success_payload_and_auth_header(self, chat_server, monkeypatch):
         monkeypatch.setenv("RULEKBC_API_KEY", "sekrit")
+        server = chat_server(CANNED)
         kb = synthetic.family_kb()
         sg = family_subgraph(kb)
-        records = propose(remote_backend(model_name="test-model"), kb, [sg])
-        assert records[0].parsed_rules
-        assert calls["headers"]["Authorization"] == "Bearer sekrit"
-        assert calls["json"]["model"] == "test-model"
-        assert calls["json"]["messages"][0]["content"] == records[0].prompt
-        assert calls["url"] == "http://fake.test/v1/chat"
+        backend = remote_backend(server.url, model_name="test-model", temperature=0.25)
+        (record,) = propose(backend, kb, [sg])
+        assert record.error is None
+        assert [format_rule(r) for r in record.parsed_rules] == ["IF (A, parent, B) THEN (A, grandparent, B)"]
+        (request,) = server.received
+        assert request.path == PATH  # and a POST, the one method it answers
+        assert request.headers["Content-Type"] == "application/json"
+        assert request.headers["Authorization"] == "Bearer sekrit"
+        assert json.loads(request.body) == {
+            "model": "test-model",
+            "messages": [{"role": "user", "content": record.prompt}],
+            "temperature": 0.25,
+        }
 
-    def test_retries_then_fails(self, monkeypatch):
-        attempts = []
+    def test_no_authorization_header_without_a_key(self, chat_server, monkeypatch):
+        monkeypatch.delenv("RULEKBC_API_KEY", raising=False)
+        server = chat_server(completion("done"))
+        assert proposer._complete(remote_backend(server.url), "prompt") == "done"
+        assert "Authorization" not in server.received[0].headers
 
-        def fake_post(*a, **kw):
-            attempts.append(1)
-            raise requests.ConnectionError("refused")
-
-        monkeypatch.setattr(requests, "post", fake_post)
-        backend = remote_backend(max_retries=2)
-        with pytest.raises(ProposerError, match="after 3 attempts"):
-            proposer._complete(backend, "prompt")
-        assert len(attempts) == 3
-
-    def test_retry_backoff_schedule(self, monkeypatch):
+    def test_retry_backoff_schedule(self, chat_server, monkeypatch):
+        # each retried reply once, then a completion
         sleeps = []
         monkeypatch.setattr(proposer.time, "sleep", sleeps.append)
-        monkeypatch.setattr(
-            requests, "post", lambda *a, **kw: FakeResponse(status=500)
-        )
-        backend = remote_backend(max_retries=2, retry_backoff=0.3)
-        with pytest.raises(ProposerError):
-            proposer._complete(backend, "prompt")
-        assert sleeps == pytest.approx([0.3, 0.6])
+        server = chat_server(*[reply for reply, _ in RETRIED.values()], completion("done"))
+        backend = remote_backend(server.url, max_retries=3, retry_backoff=0.3, request_timeout=0.2)
+        assert proposer._complete(backend, "prompt") == "done"
+        assert len(server.received) == 4
+        assert sleeps == pytest.approx([0.3, 0.6, 0.9])
 
-    def test_malformed_payload_fails_without_retry(self, monkeypatch):
-        attempts = []
+    def test_retries_then_fails(self, chat_server, monkeypatch):
+        for reply, message in RETRIED.values():
+            sleeps = []
+            monkeypatch.setattr(proposer.time, "sleep", sleeps.append)
+            server = chat_server(reply)
+            backend = remote_backend(server.url, max_retries=2, retry_backoff=0.3, request_timeout=0.2)
+            with pytest.raises(ProposerError, match="after 3 attempts: .*" + message):
+                proposer._complete(backend, "prompt")
+            assert len(server.received) == 3, message
+            assert sleeps == pytest.approx([0.3, 0.6])
 
-        def fake_post(*a, **kw):
-            attempts.append(1)
-            return FakeResponse({"unexpected": True})
+    def test_malformed_payload_fails_without_retry(self, chat_server):
+        # the server answers each call with the next malformed payload
+        server = chat_server(*MALFORMED.values())
+        for _ in MALFORMED:
+            with pytest.raises(ProposerError, match="malformed completion payload"):
+                proposer._complete(remote_backend(server.url, max_retries=3), "prompt")
+        assert len(server.received) == len(MALFORMED)
 
-        monkeypatch.setattr(requests, "post", fake_post)
-        with pytest.raises(ProposerError, match="malformed"):
-            proposer._complete(remote_backend(max_retries=3), "prompt")
-        assert len(attempts) == 1
-
-    def test_propose_absorbs_backend_failure(self, monkeypatch):
-        def fake_post(*a, **kw):
-            raise requests.ConnectionError("down")
-
-        monkeypatch.setattr(requests, "post", fake_post)
+    def test_propose_absorbs_backend_failure(self, chat_server):
+        server = chat_server(completion(None), RETRIED["status 500"][0])
         kb = synthetic.family_kb()
         sg = family_subgraph(kb)
-        records = propose(remote_backend(), kb, [sg])
-        assert records[0].error is not None
-        assert records[0].parsed_rules == []
+        records = propose(remote_backend(server.url, max_retries=0), kb, [sg, sg])
+        assert [rec.error.split(":")[0] for rec in records] == [
+            "malformed completion payload",
+            "backend failed after 1 attempts",
+        ]
+        assert all(rec.parsed_rules == [] and rec.rejected == [] for rec in records)
 
-    def test_arbitrary_response_text_never_raises(self, monkeypatch):
+    @pytest.mark.usefixtures("without_proxies")
+    def test_refused_connection_is_recorded(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))  # bound, never listening: connections are refused
+            url = "http://127.0.0.1:%d%s" % (sock.getsockname()[1], PATH)
+            kb = synthetic.family_kb()
+            (record,) = propose(remote_backend(url, max_retries=1), kb, [family_subgraph(kb)])
+        assert record.error.startswith("backend failed after 2 attempts")
+
+    def test_arbitrary_response_text_never_raises(self, chat_server):
         rng = np.random.default_rng(31)
-        kb = synthetic.family_kb()
-        sg = family_subgraph(kb)
         pool = "IF THEN AND OR NOT (A, p, B) ( ) , é 中 42 . - *\n\t"
-        for _ in range(40):
-            junk = "".join(
-                rng.choice(list(pool), size=int(rng.integers(0, 120)))
-            )
-            monkeypatch.setattr(
-                requests, "post", lambda *a, junk=junk, **kw: FakeResponse(chat_payload(junk))
-            )
-            records = propose(remote_backend(), kb, [sg])
-            rec = records[0]
+        junk = ["".join(rng.choice(list(pool), size=int(rng.integers(0, 120)))) for _ in range(40)]
+        server = chat_server(*map(completion, junk))
+        kb = synthetic.family_kb()
+        records = propose(remote_backend(server.url), kb, [family_subgraph(kb)] * len(junk))
+        assert len(server.received) == len(junk)
+        for text, rec in zip(junk, records):
             assert rec.error is None
-            assert len(candidate_lines(junk)) == len(rec.parsed_rules) + len(rec.rejected)
+            assert rec.raw_response == text
+            assert len(candidate_lines(text)) == len(rec.parsed_rules) + len(rec.rejected)
