@@ -35,7 +35,7 @@ _EXPORTS = {
         "map_relations",
         "parse_rule",
     ),
-    "settings": ("ExtractorConfig", "ProposerBackend", "ProposerError", "RotateConfig", "TrainerConfig"),
+    "settings": ("ExtractorConfig", "ProposerConfig", "ProposerError", "RotateConfig", "TrainerConfig"),
     "subgraph": ("Subgraph", "extract_subgraph", "sample_targets"),
     "trainer": ("ReasonerParams", "rank", "train"),
 }

@@ -1,10 +1,9 @@
 """Pipeline driver: extract, propose, train, eval, explain, rotate-train.
 
-`main` is the one runner: it reads the INI config file, resolves overrides,
-prepares the run directory <output_dir>/<config-hash>/, loads the KB and calls
-the handler of the chosen subcommand, so identical config+seed reruns are
-byte-identical and different configs never collide. No artifact embeds a
-timestamp.
+`main` is the one runner: it reads the INI config file, prepares the run
+directory <output_dir>/<config-hash>/, loads the KB and calls the handler of
+the chosen subcommand, so identical config+seed reruns are byte-identical
+and different configs never collide. No artifact embeds a timestamp.
 """
 
 import argparse
@@ -33,8 +32,8 @@ class CLIError(Exception):
     pass
 
 
-# No stage module defines settings for [run], [kb] or [similarity], so these
-# private dataclasses hold them and their defaults.
+# No stage module defines settings for [run] or [kb], so these private
+# dataclasses hold them and their defaults.
 @dataclass(frozen=True)
 class _Run:
     seed: int = 0
@@ -56,27 +55,17 @@ class _Paths:
             raise CLIError("config [kb] train path is required")
 
 
-@dataclass(frozen=True)
-class _Similarity:
-    provider: str = "trigram"
-
-    def __post_init__(self):
-        if self.provider != "trigram":
-            raise CLIError("unknown similarity provider %r (available: trigram)" % self.provider)
-
-
 # The one source of every setting and its default, one row per INI section
-# in load order: (section, its settings dataclass, {INI key: field name}
-# where the two differ). `load_config` keeps each section's instance under
-# the section's name.
+# in load order: (section, its settings dataclass), each INI key the name of
+# a field. `load_config` keeps each section's instance under the section's
+# name.
 _SECTIONS = (
-    ("run", _Run, {}),
-    ("kb", _Paths, {}),
-    ("extract", settings.ExtractorConfig, {}),
-    ("similarity", _Similarity, {}),
-    ("proposer", settings.ProposerBackend, {"backend": "kind", "model": "model_name"}),
-    ("rotate", settings.RotateConfig, {}),
-    ("trainer", settings.TrainerConfig, {}),
+    ("run", _Run),
+    ("kb", _Paths),
+    ("extract", settings.ExtractorConfig),
+    ("proposer", settings.ProposerConfig),
+    ("rotate", settings.RotateConfig),
+    ("trainer", settings.TrainerConfig),
 )
 
 # per-stage seed field and stage number; derived from [run] seed, not INI keys
@@ -86,15 +75,14 @@ _STAGE_SEEDS = {
 }
 
 
-def _keys(cls, renamed: Dict[str, str]) -> List[Tuple[str, Field]]:
+def _keys(cls) -> List[Tuple[str, Field]]:
     """(INI key, dataclass field) for each setting of one `_SECTIONS` row."""
-    key_of = {name: key for key, name in renamed.items()}
     derived = _STAGE_SEEDS.get(cls, ("",))[0]
-    return [(key_of.get(f.name, f.name), f) for f in fields(cls) if f.name != derived]
+    return [(f.name, f) for f in fields(cls) if f.name != derived]
 
 
 # section -> its (INI key, field) pairs, in `_SECTIONS` order
-_KEYS = {section: _keys(cls, renamed) for section, cls, renamed in _SECTIONS}
+_KEYS = {section: _keys(cls) for section, cls in _SECTIONS}
 
 
 @dataclass
@@ -104,8 +92,7 @@ class PipelineConfig:
     run: _Run
     kb: _Paths
     extract: settings.ExtractorConfig
-    similarity: _Similarity
-    proposer: settings.ProposerBackend
+    proposer: settings.ProposerConfig
     rotate: settings.RotateConfig
     trainer: settings.TrainerConfig
     items: List[Tuple[str, str]]  # canonical resolved settings, sorted
@@ -136,9 +123,7 @@ def _read(parser: configparser.ConfigParser, section: str, key: str, f: Field):
         raise CLIError("config %s.%s: %s" % (section, key, exc)) from exc
 
 
-def load_config(
-    path: str, seed: Optional[int] = None, output_dir: Optional[str] = None
-) -> PipelineConfig:
+def load_config(path: str) -> PipelineConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path, encoding="utf-8") as fh:
@@ -159,17 +144,14 @@ def load_config(
             if key not in known:
                 raise CLIError("unknown key %r in section [%s]" % (key, section))
 
-    overrides = {"run.seed": seed, "run.output_dir": output_dir}
     built = {}  # section -> its settings instance
     items = []
-    for section, cls, _ in _SECTIONS:
+    for section, cls in _SECTIONS:
         values = {}
         for key, f in _KEYS[section]:
-            name = "%s.%s" % (section, key)
-            value = overrides.get(name)
-            values[f.name] = _read(parser, section, key, f) if value is None else value
+            values[key] = _read(parser, section, key, f)
             # str(float) is its repr, so the resolved text round-trips
-            items.append((name, str(values[f.name])))
+            items.append(("%s.%s" % (section, key), str(values[key])))
         if cls in _STAGE_SEEDS:
             field_name, stage = _STAGE_SEEDS[cls]
             values[field_name] = settings.stage_seed(built["run"].seed, stage)
@@ -225,8 +207,8 @@ def cmd_propose(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse
     from . import proposer, subgraph
 
     provider = rules.TrigramSimilarity()
-    os.makedirs(os.path.join(run, "rules"), exist_ok=True)
     os.makedirs(os.path.join(run, "proposals"), exist_ok=True)
+    records_path = os.path.join(run, "proposals", "records.jsonl")
     all_records: List[proposer.ProposalRecord] = []
     kept: List[rules.Rule] = []
     totals: Counter = Counter()
@@ -258,8 +240,15 @@ def cmd_propose(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse
             # the last counter is printed unpadded
             shown = " ".join("%s=%-4d" % (key, stats[key]) for key in _PROPOSE_COUNTERS)
             print(("relation %-30s %s" % (target_name, shown)).rstrip())
+        # a backend that has answered no request yet stops here, not after
+        # every relation's subgraphs have failed
+        if all_records and all(rec.error for rec in all_records):
+            proposer.save_proposals(records_path, all_records, kb)
+            last = all_records[-1].error
+            raise CLIError("no subgraph got a completion from %s; last error: %s" % (cfg.proposer.endpoint, last))
     unique = rules.dedup(kept)
-    proposer.save_proposals(os.path.join(run, "proposals", "records.jsonl"), all_records, kb)
+    proposer.save_proposals(records_path, all_records, kb)
+    os.makedirs(os.path.join(run, "rules"), exist_ok=True)
     rules.save_rules(os.path.join(run, "rules", "rules.jsonl"), unique, kb)
     shown = " ".join("%s=%d" % (key, totals[key]) for key in _PROPOSE_COUNTERS)
     print("totals: %s unique=%d" % (shown, len(unique)))
@@ -424,9 +413,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Knowledge-base completion with learned logic rules and rotation embeddings.",
     )
     parser.add_argument("--config", required=True, help="path to the INI pipeline config")
-    parser.add_argument("--seed", type=int, default=None, help="override [run] seed")
-    parser.add_argument("--output-dir", default=None, help="override [run] output_dir")
-    parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
     # each subcommand carries the handler that `main` calls
     for name, handler, text in (
@@ -450,10 +436,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    level = logging.DEBUG if args.verbose else logging.INFO
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
-        cfg = load_config(args.config, seed=args.seed, output_dir=args.output_dir)
+        cfg = load_config(args.config)
         run = _prepare_run_dir(cfg)
         return args.handler(cfg, run, _load_kb(cfg), args)
     except (CLIError, KBError, settings.ProposerError, ValueError, OSError) as exc:

@@ -144,5 +144,7 @@ def evaluate_model(
 ) -> MetricsReport:
     """Filtered ranking of every (h, r, ?) -> t query in the split; each
     query's rank is the one `trainer.rank` reports for it."""
-    return compute_metrics(gold_ranks(params, kb, groundings, rotate_model, kb.split(split)))
+    if split not in kb.arrays:
+        raise KBError("unknown split %r" % split)
+    return compute_metrics(gold_ranks(params, kb, groundings, rotate_model, kb.arrays[split]))
 

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .kb import KnowledgeBase, Triple
 from .rules import _PATH_LETTERS, Rule, RuleAtom, RuleParseError, format_rule, parse_rule
-from .settings import OFFLINE, REMOTE, ProposerBackend, ProposerError  # noqa: F401
+from .settings import OFFLINE, REMOTE, ProposerConfig, ProposerError  # noqa: F401
 from .subgraph import Subgraph, linearize
 
 logger = logging.getLogger(__name__)
@@ -52,20 +52,20 @@ def build_rule_prompt(sg: Subgraph, target: Triple, kb: KnowledgeBase) -> str:
     )
 
 
-def _post_chat(backend: ProposerBackend, prompt: str) -> str:
+def _post_chat(cfg: ProposerConfig, prompt: str) -> str:
     import urllib.request  # only the remote backend needs it, and it is slow to import
 
     headers = {"Content-Type": "application/json"}
-    key = os.environ.get(backend.api_key_env, "")
+    key = os.environ.get(cfg.api_key_env, "")
     if key:
         headers["Authorization"] = "Bearer " + key
     payload = {
-        "model": backend.model_name,
+        "model": cfg.model,
         "messages": [{"role": "user", "content": prompt}],
-        "temperature": backend.temperature,
+        "temperature": cfg.temperature,
     }
-    request = urllib.request.Request(backend.endpoint, json.dumps(payload).encode(), headers, method="POST")
-    with urllib.request.urlopen(request, timeout=backend.request_timeout) as resp:
+    request = urllib.request.Request(cfg.endpoint, json.dumps(payload).encode(), headers, method="POST")
+    with urllib.request.urlopen(request, timeout=cfg.request_timeout) as resp:
         body = json.loads(resp.read())
     try:
         content = body["choices"][0]["message"]["content"]
@@ -76,14 +76,14 @@ def _post_chat(backend: ProposerBackend, prompt: str) -> str:
     return content
 
 
-def _complete(backend: ProposerBackend, prompt: str) -> str:
-    attempts = backend.max_retries + 1
+def _complete(cfg: ProposerConfig, prompt: str) -> str:
+    attempts = cfg.max_retries + 1
     last: Optional[Exception] = None
     for attempt in range(attempts):
-        if attempt and backend.retry_backoff:
-            time.sleep(backend.retry_backoff * attempt)
+        if attempt and cfg.retry_backoff:
+            time.sleep(cfg.retry_backoff * attempt)
         try:
-            return _post_chat(backend, prompt)
+            return _post_chat(cfg, prompt)
         except ProposerError:
             raise
         except Exception as exc:  # network errors and timeouts, bad status, bad JSON
@@ -159,7 +159,7 @@ def mine_rules_text(kb: KnowledgeBase, sg: Subgraph, target: Triple) -> str:
     return "\n".join(lines)
 
 
-def propose(backend: ProposerBackend, kb: KnowledgeBase, subgraphs: List[Subgraph]) -> List[ProposalRecord]:
+def propose(cfg: ProposerConfig, kb: KnowledgeBase, subgraphs: List[Subgraph]) -> List[ProposalRecord]:
     """One ProposalRecord per subgraph; backend failures never raise.
 
     Every candidate line of the raw response lands either in parsed_rules or in
@@ -174,10 +174,10 @@ def propose(backend: ProposerBackend, kb: KnowledgeBase, subgraphs: List[Subgrap
         prompt = build_rule_prompt(sg, target, kb)
         rec = ProposalRecord(subgraph_id=sub_id, target=target, prompt=prompt)
         try:
-            if backend.kind == OFFLINE:
+            if cfg.backend == OFFLINE:
                 rec.raw_response = mine_rules_text(kb, sg, target)
             else:
-                rec.raw_response = _complete(backend, prompt)
+                rec.raw_response = _complete(cfg, prompt)
         except ProposerError as exc:
             rec.error = str(exc)
             records.append(rec)
@@ -189,7 +189,7 @@ def propose(backend: ProposerBackend, kb: KnowledgeBase, subgraphs: List[Subgrap
                 rec.rejected.append((line, str(exc)))
                 continue
             rec.parsed_rules.append(
-                replace(rule, provenance=("%s/%s" % (backend.kind, sub_id),))
+                replace(rule, provenance=("%s/%s" % (cfg.backend, sub_id),))
             )
         records.append(rec)
     return records

@@ -39,10 +39,10 @@ class ProposerError(Exception):
 
 
 @dataclass(frozen=True)
-class ProposerBackend:
-    kind: str = OFFLINE
+class ProposerConfig:
+    backend: str = OFFLINE
     endpoint: str = ""
-    model_name: str = "offline"
+    model: str = "offline"
     request_timeout: float = 30.0
     max_retries: int = 2
     retry_backoff: float = 0.5
@@ -50,10 +50,10 @@ class ProposerBackend:
     api_key_env: str = "RULEKBC_API_KEY"
 
     def __post_init__(self):
-        if self.kind not in (OFFLINE, REMOTE):
-            raise ValueError("unknown backend kind %r" % self.kind)
+        if self.backend not in (OFFLINE, REMOTE):
+            raise ValueError("unknown proposer backend %r" % self.backend)
         # urllib would also open file:// and ftp:// URLs
-        if self.kind == REMOTE and not self.endpoint.lower().startswith(("http://", "https://")):
+        if self.backend == REMOTE and not self.endpoint.lower().startswith(("http://", "https://")):
             raise ValueError("proposer.endpoint must be an http:// or https:// URL, got %r" % self.endpoint)
         if self.max_retries < 0:
             raise ValueError("proposer.max_retries must be >= 0, got %r" % self.max_retries)

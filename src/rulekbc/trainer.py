@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .grounding import Grounding, support_row
-from .kb import KBError, KnowledgeBase, Triple, _changes, not_utf8, write_json
+from .kb import KBError, KnowledgeBase, _changes, read_text, write_json
 from .rotate import AdamW, RotateModel, check_finite, score_tails
 from .rules import format_rule
 from .settings import TrainerConfig
@@ -558,19 +558,17 @@ def gold_ranks(
     kb: KnowledgeBase,
     groundings: Dict[int, List[Grounding]],
     rotate_model: Optional[RotateModel],
-    triples: Sequence[Triple],
+    triples,
 ) -> np.ndarray:
-    """Filtered gold ranks of (head, relation, tail) queries, in order: the
-    `gold_rank` that `rank` gives each, with every relation's queries scored
-    as one `_Queries` block, a chunk of rows at a time."""
+    """Filtered gold ranks of (head, relation, tail) queries, any (n, 3)
+    array-like, in order: the `gold_rank` that `rank` gives each, with every
+    relation's queries scored as one `_Queries` block, a chunk at a time."""
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     ranks = np.empty(len(triples))
-    by_relation: Dict[int, List[int]] = {}
-    for i, t in enumerate(triples):
-        by_relation.setdefault(t.relation, []).append(i)
-    for relation, idx in sorted(by_relation.items()):
+    for relation in np.unique(triples[:, 1]).tolist():
+        idx = np.flatnonzero(triples[:, 1] == relation)
         rp = params[relation]
-        glist = groundings.get(relation, [])
-        queries = _Queries(kb, relation, glist, rotate_model, [triples[i] for i in idx])
+        queries = _Queries(kb, relation, groundings.get(relation, []), rotate_model, triples[idx])
         ranks[idx] = queries.ranks(rp.logits, rp.mix_logit)
     return ranks
 
@@ -638,16 +636,14 @@ def _block_problem(block) -> Optional[str]:
 
 
 def load_params(path: str, kb: KnowledgeBase) -> ReasonerParams:
-    """Read a `save_params` checkpoint. A file that is not UTF-8 or not
-    JSON, or a relation not in the KB, or a relation block with a missing
-    key, a value of the wrong type, a non-finite logit or mix_logit, or not
-    one logit per rule plus the embedding's raises KBError("<path>: ...");
-    so does, once every block has passed, a KB relation without a block."""
+    """Read a `save_params` checkpoint. A file that cannot be opened, is not
+    UTF-8 or not JSON, or a relation not in the KB, or a relation block with
+    a missing key, a value of the wrong type, a non-finite logit or
+    mix_logit, or not one logit per rule plus the embedding's raises a
+    KBError naming the file; so does, once every block has passed, a KB
+    relation without a block."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc) from exc
+        doc = json.loads(read_text(path, "parameter checkpoint"))
     except json.JSONDecodeError as exc:
         raise KBError("%s: not JSON: %s" % (path, exc)) from exc
     if not isinstance(doc, dict):

@@ -5,6 +5,7 @@ import os
 import re
 import shutil
 import socket
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -73,8 +74,6 @@ test = s.txt
 max_hops = 2
 max_neighbors_per_entity = 5
 max_subgraphs_per_relation = 4
-[similarity]
-provider = trigram
 [proposer]
 backend = remote-chat
 endpoint = http://localhost:1/v1
@@ -120,26 +119,39 @@ def private_run(cli_pipeline, tmp_path):
 
 
 def remote_propose(tmp_path, capsys, endpoint):
-    """(exit code, stderr, proposal records) of `propose` with the remote
-    backend at `endpoint`, after `extract`; neither may print a traceback."""
+    """(exit code, stderr, proposal records or None if there is no record
+    file, run directory) of `propose` with the remote backend at `endpoint`,
+    after `extract`; neither may print a traceback."""
     path = minimal_config(
         tmp_path, extra="[proposer]\nbackend = remote-chat\nendpoint = %s\nmax_retries = 0\n" % endpoint
     )
     codes = [cli.main(["--config", str(path), stage]) for stage in ("extract", "propose")]
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    if codes != [0, 0]:
-        return codes[-1], err, []
-    records = os.path.join(cli.load_config(str(path)).run_dir(), "proposals", "records.jsonl")
+    if codes[0] != 0:
+        return codes[0], err, None, None
+    run = cli.load_config(str(path)).run_dir()
+    records = os.path.join(run, "proposals", "records.jsonl")
+    if not os.path.exists(records):
+        return codes[-1], err, None, run
     with open(records, encoding="utf-8") as fh:
-        return 0, err, [json.loads(line) for line in fh]
+        return codes[-1], err, [json.loads(line) for line in fh], run
+
+
+def assert_no_completion(code, err, records, run, endpoint):
+    """`propose` stopped after the first relation, every one of whose
+    subgraphs failed: exit 2, the failures recorded, no rule file."""
+    assert code == 2 and records
+    assert {r["relation"] for r in records} == {records[0]["relation"]}
+    assert "error: no subgraph got a completion from %s; last error: %s" % (endpoint, records[-1]["error"]) in err
+    assert not os.path.exists(os.path.join(run, "rules", "rules.jsonl"))
 
 
 class TestRemoteProposer:
     def test_content_null_is_recorded(self, tmp_path, capsys, chat_server):
         server = chat_server(completion(None))
-        code, _, records = remote_propose(tmp_path, capsys, server.url)
-        assert code == 0 and records
+        code, err, records, run = remote_propose(tmp_path, capsys, server.url)
+        assert_no_completion(code, err, records, run, server.url)
         assert all(r["error"].startswith("malformed completion payload") for r in records)
         assert len(server.received) == len(records)
 
@@ -147,13 +159,22 @@ class TestRemoteProposer:
     def test_refused_port_is_recorded(self, tmp_path, capsys):
         with socket.socket() as sock:
             sock.bind(("127.0.0.1", 0))  # bound, never listening: connections are refused
-            code, _, records = remote_propose(tmp_path, capsys, "http://127.0.0.1:%d/v1" % sock.getsockname()[1])
-        assert code == 0 and records
+            endpoint = "http://127.0.0.1:%d/v1" % sock.getsockname()[1]
+            code, err, records, run = remote_propose(tmp_path, capsys, endpoint)
+        assert_no_completion(code, err, records, run, endpoint)
         assert all(r["error"].startswith("backend failed after 1 attempts") for r in records)
+
+    def test_later_failures_do_not_stop_a_run_that_got_a_completion(self, tmp_path, capsys, chat_server):
+        server = chat_server(completion(CHAIN_RULE), completion(None))  # the last reply repeats
+        code, _, records, run = remote_propose(tmp_path, capsys, server.url)
+        assert code == 0
+        assert records[0]["error"] is None and all(r["error"] for r in records[1:])
+        assert len({r["relation"] for r in records}) > 1
+        assert os.path.exists(os.path.join(run, "rules", "rules.jsonl"))
 
     @pytest.mark.parametrize("endpoint", ["file:///etc/hostname", "ftp://example.com/x", "localhost:8000/v1", ""])
     def test_endpoint_that_is_not_http_exits_2(self, tmp_path, capsys, endpoint):
-        code, err, _ = remote_propose(tmp_path, capsys, endpoint)
+        code, err, _, _ = remote_propose(tmp_path, capsys, endpoint)
         assert code == 2
         assert "error: proposer.endpoint must be an http:// or https:// URL, got %r" % endpoint in err
 
@@ -167,7 +188,7 @@ class TestConfig:
         assert cfg.trainer.max_epochs == 500
         assert cfg.rotate.dim == 64
         assert cfg.extract.max_hops == 3
-        assert cfg.proposer.kind == "offline-miner"
+        assert cfg.proposer.backend == "offline-miner"
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(cli.CLIError, match="does not exist"):
@@ -204,15 +225,20 @@ class TestConfig:
         with pytest.raises(cli.CLIError, match="train path is required"):
             cli.load_config(str(path))
 
-    def test_unknown_similarity_provider_rejected(self, tmp_path):
-        path = minimal_config(tmp_path, extra="[similarity]\nprovider = exact\n")
-        with pytest.raises(cli.CLIError, match="similarity provider"):
-            cli.load_config(str(path))
+    def test_unknown_similarity_provider_rejected(self, tmp_path, capsys):
+        # relation names are matched by trigrams, which no setting selects
+        path = minimal_config(tmp_path, extra="[similarity]\nprovider = trigram\n")
+        assert cli.main(["--config", str(path), "extract"]) == 2
+        err = capsys.readouterr().err
+        assert "error: unknown config section [similarity]" in err
+        assert "Traceback" not in err
 
     def test_seed_override_changes_run_dir(self, tmp_path):
         path = minimal_config(tmp_path)
         base = cli.load_config(str(path))
-        other = cli.load_config(str(path), seed=99)
+        path.write_text(path.read_text().replace("[run]\n", "[run]\nseed = 99\n"))
+        other = cli.load_config(str(path))
+        assert other.run.seed == 99
         assert base.hash() != other.hash()
         assert base.run_dir() != other.run_dir()
 
@@ -226,7 +252,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "text, digest",
-        [(DEFAULT_CONFIG, "ddd85b4c6d85"), ("[kb]\ntrain = t.txt\n", "628f3e07b743")],
+        [(DEFAULT_CONFIG, "b1d77c9046b0"), ("[kb]\ntrain = t.txt\n", "63427a9cd8fa")],
         ids=["example", "train-only"],
     )
     def test_hash_is_pinned(self, tmp_path, text, digest):
@@ -242,20 +268,25 @@ class TestConfig:
         cfg = cli.load_config(str(path))
         assert cfg.rotate.dim == 64  # a non-string setting keeps its default
         assert cfg.proposer.endpoint == ""
-        assert cfg.proposer.model_name == ""  # a string setting takes the empty value
+        assert cfg.proposer.model == ""  # a string setting takes the empty value
         assert cfg.kb.valid == ""
         assert ("kb.valid", "") in cfg.items and ("rotate.dim", "64") in cfg.items
 
     @pytest.mark.parametrize("route", ["config", "flag"])
     def test_negative_seed_names_the_setting(self, tmp_path, capsys, route):
+        # the seed is set in the config only: --seed is no option
         path = minimal_config(tmp_path)
-        flags = ["--seed", "-1"] if route == "flag" else []
-        if route == "config":
+        if route == "flag":
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(["--config", str(path), "extract", "--seed", "-1"])
+            code, message = exit_.value.code, "unrecognized arguments: --seed -1"
+        else:
             path.write_text(path.read_text().replace("[run]\n", "[run]\nseed = -1\n"))
-        code = cli.main(["--config", str(path)] + flags + ["extract"])
+            code = cli.main(["--config", str(path), "extract"])
+            message = "error: run.seed must be a non-negative integer, got -1"
         assert code == 2
         err = capsys.readouterr().err
-        assert "error: run.seed must be a non-negative integer, got -1" in err
+        assert message in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("text", [DEFAULT_CONFIG, NON_DEFAULT_CONFIG], ids=["example", "non-default"])
@@ -268,14 +299,18 @@ class TestConfig:
             return cli.load_config(str(path))
 
         cfg = load(text)
-        renamed = {"proposer.backend": "kind", "proposer.model": "model_name"}
         for name, value in cfg.items:
             section, key = name.split(".")
-            assert value == str(getattr(getattr(cfg, section), renamed.get(name, key))), name
+            assert value == str(getattr(getattr(cfg, section), key)), name
         defaults = dict(load(DEFAULT_CONFIG).items)
         same = {name for name, value in cfg.items if defaults[name] == value}
-        # the one similarity provider can only be set to its default
-        assert same == (set(defaults) if text == DEFAULT_CONFIG else {"similarity.provider"})
+        assert same == (set(defaults) if text == DEFAULT_CONFIG else set())
+
+    def test_each_key_is_its_field_name(self):
+        # no INI key reaches its setting under another name
+        for section, cls in cli._SECTIONS:
+            for key, f in cli._KEYS[section]:
+                assert key == f.name and f in fields(cls), "%s.%s" % (section, key)
 
     def test_readme_default_block_is_the_example(self, tmp_path):
         # every setting once, in load order, at its default; [kb] paths have
@@ -294,7 +329,7 @@ class TestConfig:
                 for key, f in keys:
                     assert getattr(getattr(cfg, section), f.name) == f.default, "%s.%s" % (section, key)
         assert cfg.kb == cli._Paths("data/train.txt", "data/valid.txt", "data/test.txt")
-        assert cfg.hash() == "ddd85b4c6d85"
+        assert cfg.hash() == "b1d77c9046b0"
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())

@@ -175,6 +175,16 @@ class TestEvaluateModel:
         assert rep == expected
         assert rep.query_count == len(kb.split("valid"))
 
+    def test_reads_the_split_arrays(self):
+        # ranking a split builds no Triple list of it; an unknown split is named
+        kb, pool, _ = synthetic.planted_kb(0)
+        groundings = ground_all(kb, pool)
+        params, _ = train(kb, groundings, None, TrainerConfig(max_epochs=2))
+        evaluate_model(params, kb, groundings, None, split="test")
+        assert kb._lists == {}
+        with pytest.raises(KBError, match="unknown split 'train2'"):
+            evaluate_model(params, kb, groundings, None, split="train2")
+
     def test_empty_split_rejected(self):
         kb = synthetic.family_kb()
         params, _ = train(kb, {}, None, TrainerConfig(max_epochs=0))

@@ -35,7 +35,7 @@ class TestPublicNames:
         assert trainer.TrainerConfig is settings.TrainerConfig
         assert rotate.RotateConfig is settings.RotateConfig
         assert subgraph.ExtractorConfig is settings.ExtractorConfig
-        assert proposer.ProposerBackend is settings.ProposerBackend
+        assert proposer.ProposerConfig is settings.ProposerConfig
         assert proposer.ProposerError is settings.ProposerError
 
 

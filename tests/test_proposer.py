@@ -14,7 +14,7 @@ from rulekbc.kb import Triple
 from rulekbc.proposer import (
     OFFLINE,
     REMOTE,
-    ProposerBackend,
+    ProposerConfig,
     ProposerError,
     build_rule_prompt,
     candidate_lines,
@@ -138,7 +138,7 @@ class TestMiner:
             ["a", "b", "c"], names, [("a", "part_of", "b"), ("b", "part of", "c"), ("a", "Part Of", "c")]
         )
         sg = Subgraph(target=kb.train[2], triples=kb.train[:2], hop_of={t: 1 for t in kb.train[:2]})
-        (record,) = propose(ProposerBackend(kind=OFFLINE), kb, [sg])
+        (record,) = propose(ProposerConfig(backend=OFFLINE), kb, [sg])
         assert [format_rule(r) for r in record.parsed_rules] == [
             "IF (A, part_of, B) AND (B, part of, C) THEN (A, Part Of, C)"
         ]
@@ -162,7 +162,7 @@ class TestProposeOffline:
     def test_records_account_for_every_line(self):
         kb = synthetic.family_kb()
         sg = family_subgraph(kb)
-        records = propose(ProposerBackend(kind=OFFLINE), kb, [sg])
+        records = propose(ProposerConfig(backend=OFFLINE), kb, [sg])
         assert len(records) == 1
         rec = records[0]
         assert rec.error is None
@@ -175,12 +175,12 @@ class TestProposeOffline:
         kb = synthetic.family_kb()
         sg = Subgraph(target=None)
         with pytest.raises(ProposerError, match="target"):
-            propose(ProposerBackend(kind=OFFLINE), kb, [sg])
+            propose(ProposerConfig(backend=OFFLINE), kb, [sg])
 
     def test_save_round_trip(self, tmp_path):
         kb = synthetic.family_kb()
         sg = family_subgraph(kb)
-        records = propose(ProposerBackend(kind=OFFLINE), kb, [sg])
+        records = propose(ProposerConfig(backend=OFFLINE), kb, [sg])
         path = tmp_path / "records.jsonl"
         save_proposals(str(path), records, kb)
         lines = path.read_text().splitlines()
@@ -194,7 +194,7 @@ class TestProposeOffline:
 
 
 def remote_backend(url, retry_backoff=0.0, **kw):
-    return ProposerBackend(kind=REMOTE, endpoint=url, retry_backoff=retry_backoff, **kw)
+    return ProposerConfig(backend=REMOTE, endpoint=url, retry_backoff=retry_backoff, **kw)
 
 
 CANNED = completion("IF (A, parent, B) THEN (A, grandparent, B)")
@@ -217,7 +217,7 @@ class TestRemoteBackend:
         server = chat_server(CANNED)
         kb = synthetic.family_kb()
         sg = family_subgraph(kb)
-        backend = remote_backend(server.url, model_name="test-model", temperature=0.25)
+        backend = remote_backend(server.url, model="test-model", temperature=0.25)
         (record,) = propose(backend, kb, [sg])
         assert record.error is None
         assert [format_rule(r) for r in record.parsed_rules] == ["IF (A, parent, B) THEN (A, grandparent, B)"]

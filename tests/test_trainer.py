@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -734,6 +735,8 @@ class TestEvaluateModel:
         queries = kb.valid + kb.test
         ranks = gold_ranks(params, kb, groundings, model, queries).tolist()
         assert ranks == per_query(queries)
+        rows = np.concatenate([kb.arrays["valid"], kb.arrays["test"]])
+        assert gold_ranks(params, kb, groundings, model, rows).tolist() == ranks
         assert ranks == [brute_force(*q) for q in queries]
         report = evaluate_model(params, kb, groundings, model, split="test")
         assert report.mrr == float(np.mean(1.0 / np.array(per_query(kb.test))))
@@ -837,6 +840,11 @@ class TestCheckpoint:
         with pytest.raises(KBError, match="relation 'grandparent': %s" % message) as err:
             load_params(str(path), kb)
         assert str(err.value).startswith(str(path) + ": ")
+
+    def test_file_that_cannot_be_opened_names_the_file(self, tmp_path):
+        kb, _ = family_setup()
+        with pytest.raises(KBError, match="^cannot open parameter checkpoint %s: " % re.escape(str(tmp_path))):
+            load_params(str(tmp_path), kb)  # a directory
 
     def test_non_json_file_names_the_file(self, tmp_path):
         kb, _ = family_setup()
