@@ -8,7 +8,7 @@ and different configs never collide. No artifact embeds a timestamp.
 
 import argparse
 import configparser
-import csv
+import contextlib
 import hashlib
 import logging
 import os
@@ -161,11 +161,18 @@ def load_config(path: str) -> PipelineConfig:
 
 def _prepare_run_dir(cfg: PipelineConfig) -> str:
     run = cfg.run_dir()
+    path = os.path.join(run, "config.resolved")
+    resolved = "".join("%s = %s\n" % item for item in cfg.items).encode()
     try:
         os.makedirs(run, exist_ok=True)
-        with open(os.path.join(run, "config.resolved"), "w", encoding="utf-8") as fh:
-            for key, value in cfg.items:
-                fh.write("%s = %s\n" % (key, value))
+        try:
+            with open(path, "rb") as fh:
+                current = fh.read()
+        except FileNotFoundError:
+            current = None
+        if current != resolved:  # a rerun leaves the file untouched
+            with open(path, "wb") as fh:
+                fh.write(resolved)
     except OSError as exc:
         raise CLIError("cannot write run directory %s: %s" % (run, exc)) from exc
     print("run artifacts: %s" % run)
@@ -209,6 +216,7 @@ def cmd_propose(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse
     provider = rules.TrigramSimilarity()
     os.makedirs(os.path.join(run, "proposals"), exist_ok=True)
     records_path = os.path.join(run, "proposals", "records.jsonl")
+    rules_path = os.path.join(run, "rules", "rules.jsonl")
     all_records: List[proposer.ProposalRecord] = []
     kept: List[rules.Rule] = []
     totals: Counter = Counter()
@@ -244,12 +252,15 @@ def cmd_propose(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse
         # every relation's subgraphs have failed
         if all_records and all(rec.error for rec in all_records):
             proposer.save_proposals(records_path, all_records, kb)
+            # a rule file of an earlier run goes too: `train` would train on it
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(rules_path)
             last = all_records[-1].error
             raise CLIError("no subgraph got a completion from %s; last error: %s" % (cfg.proposer.endpoint, last))
     unique = rules.dedup(kept)
     proposer.save_proposals(records_path, all_records, kb)
-    os.makedirs(os.path.join(run, "rules"), exist_ok=True)
-    rules.save_rules(os.path.join(run, "rules", "rules.jsonl"), unique, kb)
+    os.makedirs(os.path.dirname(rules_path), exist_ok=True)
+    rules.save_rules(rules_path, unique, kb)
     shown = " ".join("%s=%d" % (key, totals[key]) for key in _PROPOSE_COUNTERS)
     print("totals: %s unique=%d" % (shown, len(unique)))
     return 0
@@ -353,6 +364,8 @@ def cmd_eval(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse.Na
     with open(os.path.join(run, "reports", "metrics_%s.txt" % args.split), "w", encoding="utf-8") as fh:
         fh.write(report.render_text() + "\n")
     if args.emit_csv:
+        import csv
+
         csv_path = os.path.join(run, "reports", "metrics_%s.csv" % args.split)
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -407,6 +420,17 @@ def _rule_by_text(learned: List[rules.Rule], text: str, kb: KnowledgeBase) -> ru
     raise CLIError("rule %r not found in the rule file" % text)
 
 
+# (subcommand, its handler, its help)
+_COMMANDS = (
+    ("extract", cmd_extract, "sample targets and dump subgraphs per relation"),
+    ("propose", cmd_propose, "generate, filter and classify candidate rules"),
+    ("train", cmd_train, "ground rules and fit significance weights"),
+    ("eval", cmd_eval, "filtered ranking metrics on a split"),
+    ("explain", cmd_explain, "rank tails for one query with attributions"),
+    ("rotate-train", cmd_rotate_train, "pretrain the frozen embedding model"),
+)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rulekbc",
@@ -415,14 +439,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the INI pipeline config")
     sub = parser.add_subparsers(dest="command", required=True)
     # each subcommand carries the handler that `main` calls
-    for name, handler, text in (
-        ("extract", cmd_extract, "sample targets and dump subgraphs per relation"),
-        ("propose", cmd_propose, "generate, filter and classify candidate rules"),
-        ("train", cmd_train, "ground rules and fit significance weights"),
-        ("eval", cmd_eval, "filtered ranking metrics on a split"),
-        ("explain", cmd_explain, "rank tails for one query with attributions"),
-        ("rotate-train", cmd_rotate_train, "pretrain the frozen embedding model"),
-    ):
+    for name, handler, text in _COMMANDS:
         sub.add_parser(name, help=text).set_defaults(handler=handler)
     eval_p, explain_p = sub.choices["eval"], sub.choices["explain"]
     eval_p.add_argument("--split", choices=("valid", "test"), default="test")
@@ -434,8 +451,33 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_global_options(parser: argparse.ArgumentParser, argv: List[str]) -> None:
+    """Exit 2 naming the first `-`-prefixed token before the subcommand that
+    the top-level parser does not define. argparse would skip it and report
+    the token after it, the option's value, as an invalid subcommand."""
+    defined = parser._option_string_actions  # option string -> action
+    commands = {name for name, _, _ in _COMMANDS}
+    i = 0
+    while i < len(argv) and argv[i] not in commands and argv[i] != "--":
+        token = argv[i]
+        i += 1
+        if not token.startswith("-") or token == "-":
+            continue
+        name = token.split("=", 1)[0]
+        # argparse also takes a unique prefix of a long option
+        prefixed = [o for o in defined if name.startswith("--") and o.startswith(name)]
+        option = name if name in defined else prefixed[0] if len(prefixed) == 1 else None
+        if option is None:
+            parser.error("unrecognized arguments: %s" % token)
+        if defined[option].nargs != 0 and "=" not in token:
+            i += 1  # the option's value
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    parser = build_arg_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    _check_global_options(parser, argv)
+    args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
         cfg = load_config(args.config)

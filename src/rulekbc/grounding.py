@@ -19,11 +19,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .kb import (
+    SATURATION_CAP,
     KBError,
     KnowledgeBase,
     SparseMatrix,
     Triple,
-    _canonical_csr,
+    _indptr,
+    _row_ids,
     kb_fingerprint,  # noqa: F401  re-exported
     sparse_hadamard,
     sparse_mul,
@@ -109,12 +111,12 @@ def ground_all(
         logger.info("skipped %d unclassified rules during grounding", len(rules) - len(groundable))
     for rule in groundable:
         _check_groundable(rule)
-    path = None if cache_dir is None else os.path.join(cache_dir, _cache_key(kb, groundable) + ".npz")
+    path = None if cache_dir is None else os.path.join(cache_dir, _cache_key(kb, groundable) + ".npy")
     counts = None if path is None else _cache_load(path, groundable, kb.num_entities)
     if counts is None:
         counts = [ground(kb, rule).body_count for rule in groundable]
         if path is not None:
-            _cache_store(path, counts)
+            _cache_store(path, counts, kb.num_entities)
     grouped: Dict[int, List[Grounding]] = {}
     for rule, c in zip(groundable, counts):
         grouped.setdefault(rule.head.relation, []).append(Grounding(rule, c, kb.matrices[rule.head.relation]))
@@ -154,50 +156,77 @@ def witness_paths(
 
 
 def _cache_key(kb: KnowledgeBase, rules: List[Rule]) -> str:
+    """SHA-256 of the KB fingerprint, then "|case [relation ids]" of each
+    rule: all that C depends on."""
     h = hashlib.sha256(kb.fingerprint.encode())
     for rule in rules:
-        h.update(b"|" + format_rule(rule, kb).encode())
+        h.update(("|%s %s" % (rule.case, [a.relation for a in rule.body + (rule.head,)])).encode())
     return h.hexdigest()
 
 
+def _entry_counts(entry: np.ndarray, rows: int, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (row, column, count) arrays of a cache entry, a (3, nnz) int64
+    array of the stored counts of a `rows` x n matrix, after checking that
+    it is one: keys row * n + column strictly increasing, rows in
+    [0, rows), columns in [0, n) and counts in [1, SATURATION_CAP]. KBError
+    names the first check that fails."""
+    if entry.ndim != 2 or len(entry) != 3 or entry.dtype != np.int64:
+        raise KBError("cache entry is not a (3, nnz) int64 array")
+    row, col, count = entry
+    if len(row) and (row.min() < 0 or row.max() >= rows):
+        raise KBError("cache entry row outside the %d rows" % rows)
+    if len(col) and (col.min() < 0 or col.max() >= n):
+        raise KBError("cache entry column outside the %d x %d square matrix" % (n, n))
+    if len(count) and (count.min() < 1 or count.max() > SATURATION_CAP):
+        raise KBError("cache entry count outside [1, %d]" % SATURATION_CAP)
+    keys = row * n + col
+    if np.any(keys[1:] <= keys[:-1]):
+        raise KBError("cache entry keys do not strictly increase")
+    return row, col, count
+
+
 def _cache_load(path: str, rules: List[Rule], n: int) -> Optional[List[SparseMatrix]]:
-    """C of each rule, as views of a cache entry's rows (the indptr/indices/data
-    arrays of every n x n C stacked into one canonical len(rules) * n x n CSR
-    matrix), or None when there is no entry or it fails a check."""
+    """C of each rule, as views of a cache entry (the stored counts of every
+    n x n C stacked into one len(rules) * n x n matrix, whose row k * n + h
+    is row h of rule k's C), or None when there is no entry or it fails a
+    check."""
     if not os.path.exists(path):
         return None
     try:
-        with np.load(path) as z:
-            arrays = [z[name] for name in ("indptr", "indices", "data")]
-        indptr, indices, data = _canonical_csr(len(rules) * n, n, *arrays)
+        with open(path, "rb") as fh:
+            entry = np.lib.format.read_array(fh, allow_pickle=False)
+        row, col, count = _entry_counts(entry, len(rules) * n, n)
     except Exception as exc:
         logger.warning("discarding invalid cache entry %s: %r", path, exc)
         return None
+    indptr = _indptr(np.bincount(row, minlength=len(rules) * n))
     ends = indptr[::n]  # the first entry of each rule, then the entry count
     return [
-        SparseMatrix(indptr[k * n : (k + 1) * n + 1] - lo, indices[lo:hi], data[lo:hi])
+        SparseMatrix(indptr[k * n : (k + 1) * n + 1] - lo, col[lo:hi], count[lo:hi])
         for k, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]))
     ]
 
 
-def _cache_store(path: str, body_counts: List[SparseMatrix]) -> None:
+def _cache_store(path: str, body_counts: List[SparseMatrix], n: int) -> None:
     """Write the stacked entry, then remove every other entry of its
-    directory: those of other rule sets and per-rule ones of old versions."""
+    directory: those of other rule sets and the `.npz` ones of old versions."""
     cache_dir = os.path.dirname(path)
     os.makedirs(cache_dir, exist_ok=True)
-    ends = np.cumsum([0] + [c.nnz for c in body_counts])
-    stack = {k: np.concatenate([np.zeros(0, np.int64)] + [getattr(c, k) for c in body_counts]) for k in ("indices", "data")}
-    stack["indptr"] = np.concatenate([[0]] + [c.indptr[1:] + end for c, end in zip(body_counts, ends)])
+    entry = np.zeros((3, sum(c.nnz for c in body_counts)), dtype=np.int64)
+    at = 0
+    for k, c in enumerate(body_counts):
+        entry[:, at : at + c.nnz] = _row_ids(c.indptr) + k * n, c.indices, c.data
+        at += c.nnz
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **stack)
+            np.save(fh, entry)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
     for name in os.listdir(cache_dir):
-        if name.endswith(".npz") and name != os.path.basename(path):
+        if name.endswith((".npy", ".npz")) and name != os.path.basename(path):
             with contextlib.suppress(FileNotFoundError):  # another process pruned it first
                 os.unlink(os.path.join(cache_dir, name))

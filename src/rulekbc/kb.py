@@ -212,32 +212,6 @@ def _row_ids(indptr: np.ndarray) -> np.ndarray:
     return np.arange(len(indptr) - 1).repeat(np.diff(indptr))
 
 
-def _canonical_csr(rows: int, dim: int, indptr, indices, data) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The int64 CSR arrays of a `rows` x `dim` matrix, which must already be
-    canonical: row offsets from 0 to the entry count, never decreasing;
-    columns in [0, dim), strictly increasing within a row; positive counts
-    no larger than SATURATION_CAP. KBError names the first check that fails."""
-    for name, arr in (("indptr", indptr), ("indices", indices), ("data", data)):
-        if arr.ndim != 1 or arr.dtype.kind not in "iu":
-            raise KBError("CSR %s is not a 1-d integer array" % name)
-    indptr, indices, data = (arr.astype(np.int64, copy=False) for arr in (indptr, indices, data))
-    if len(indptr) != rows + 1 or indptr[0] != 0 or indptr[-1] != len(indices) or len(indices) != len(data):
-        raise KBError("CSR indptr does not span %d rows of %d entries" % (rows, len(data)))
-    if np.any(np.diff(indptr) < 0):
-        raise KBError("CSR indptr decreases")
-    if len(indices) and (indices.min() < 0 or indices.max() >= dim):
-        raise KBError("CSR column index outside the %d x %d square matrix" % (dim, dim))
-    if len(data) and data.min() < 0:
-        raise KBError("sparse count matrix cannot hold negative entries")
-    if len(data) and data.min() == 0:
-        raise KBError("CSR stores a zero count")
-    if len(data) and data.max() > SATURATION_CAP:
-        raise KBError("CSR stores a count above %d" % SATURATION_CAP)
-    if np.any(np.diff(_row_ids(indptr) * dim + indices) <= 0):
-        raise KBError("CSR columns do not strictly increase within a row")
-    return indptr, indices, data
-
-
 def _indptr(counts: np.ndarray) -> np.ndarray:
     """Row offsets from per-row entry counts."""
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -534,9 +508,11 @@ def load_kb(train_path: str, valid_path: Optional[str] = None, test_path: Option
 
 def kb_fingerprint(kb: KnowledgeBase) -> str:
     """Stable hex digest of the train structure; keys the grounding cache.
-    The text is "entities|relations", then "head,relation,tail;" for every
-    train row, in increasing (head, relation, tail) order."""
+    It hashes the entity and relation counts, then every train row in
+    increasing (head, relation, tail) order, each number as little-endian
+    int64 bytes."""
     train = kb.arrays["train"]
     rows = train[np.argsort(_keys(*train.T, kb.num_relations, kb.num_entities))]
-    text = "%d|%d" % (kb.num_entities, kb.num_relations) + "%d,%d,%d;" * len(rows) % tuple(rows.ravel().tolist())
-    return hashlib.sha256(text.encode()).hexdigest()
+    h = hashlib.sha256(np.array([kb.num_entities, kb.num_relations], dtype="<i8").tobytes())
+    h.update(np.ascontiguousarray(rows, dtype="<i8").tobytes())
+    return h.hexdigest()

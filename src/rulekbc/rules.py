@@ -308,20 +308,58 @@ def save_rules(path: str, rules: Sequence[Rule], kb: KnowledgeBase) -> None:
             fh.write("\n")
 
 
-def _record_rule(rec, kb: KnowledgeBase) -> Rule:
-    """Rebuild one `_rule_record`; raises ValueError naming what is wrong.
+def _record_extras(rec: Dict, n: int) -> Tuple[Tuple[str, ...], Optional[Tuple[float, ...]]]:
+    """The provenance and similarity of a record of `n` atoms; raises
+    ValueError naming what is wrong."""
+    similarity, provenance = rec.get("similarity"), rec.get("provenance", [])
+    if similarity is not None and not (
+        isinstance(similarity, list) and len(similarity) == n
+        and all(type(s) in (int, float) and math.isfinite(s) for s in similarity)
+    ):
+        raise ValueError("similarity must be null or %d finite numbers" % n)
+    if not isinstance(provenance, list) or not all(isinstance(p, str) for p in provenance):
+        raise ValueError("provenance must be a list of strings")
+    return tuple(provenance), None if similarity is None else tuple(map(float, similarity))
 
-    A record must be what `save_rules` writes for its text: `classify_case`
-    leaves its rule unchanged (case, body order, variable names), its
-    relation ids spell the text's relation names, and each other key that is
-    present holds what `save_rules` writes there."""
-    if not isinstance(rec, dict):
-        raise ValueError("expected a JSON object, got %s" % type(rec).__name__)
-    for key in ("text", "relations", "case"):
-        if key not in rec:
-            raise ValueError("missing key %r" % key)
-    if not isinstance(rec["text"], str):
-        raise ValueError("text must be a string")
+
+def _plain(name: str) -> bool:
+    """Whether `parse_rule` reads the relation name back as one atom argument."""
+    return bool(name.strip()) and "(" not in name and ")" not in name and "," not in name
+
+
+def _canonical_record_rule(rec: Dict, kb: KnowledgeBase) -> Optional[Rule]:
+    """The rule of a record whose text is what `save_rules` writes for its
+    case and relation ids, built from them without parsing; None for any
+    other record.
+
+    The rule is the case's path over A-D, each atom oriented by the case's
+    flags, as `classify_case` writes it. When its text is the record's and
+    every relation name is plain, the text parses back to these atoms, so
+    the derivation from the text would reach the same rule."""
+    case, rel_ids = rec["case"], rec["relations"]
+    flags = CASE_FLAGS.get(case) if isinstance(case, str) else None
+    if flags is None or not isinstance(rel_ids, list) or len(rel_ids) != len(flags) + 1:
+        return None
+    for rid in rel_ids:
+        if type(rid) is not int or not 0 <= rid < kb.num_relations or not _plain(kb.relation_name(rid)):
+            return None
+    # atom i joins path letters i and i + 1, reversed where its flag is set
+    body = tuple(
+        RuleAtom(_PATH_LETTERS[i + rev], rid, _PATH_LETTERS[i + 1 - rev])
+        for i, (rid, rev) in enumerate(zip(rel_ids, flags))
+    )
+    head = RuleAtom("A", rel_ids[-1], _PATH_LETTERS[len(flags)])
+    try:
+        rule = Rule(body, head, case, *_record_extras(rec, len(rel_ids)))
+    except ValueError:
+        return None  # the derivation names what is wrong
+    return rule if format_rule(rule, kb) == rec["text"] else None
+
+
+def _derived_record_rule(rec: Dict, kb: KnowledgeBase) -> Rule:
+    """The rule of a record derived from its parsed text: `classify_case`
+    must leave it unchanged (case, body order, variable names) and its
+    relation ids must spell the text's relation names."""
     parsed = parse_rule(rec["text"])
     rel_ids = rec["relations"]
     atoms = parsed.body + (parsed.head,)
@@ -331,16 +369,8 @@ def _record_rule(rec, kb: KnowledgeBase) -> Rule:
         if type(rid) is not int or not 0 <= rid < kb.num_relations:
             raise ValueError("relation id %r outside [0, %d)" % (rid, kb.num_relations))
     mapped = [RuleAtom(a.subject, rid, a.object) for a, rid in zip(atoms, rel_ids)]
-    similarity, provenance = rec.get("similarity"), rec.get("provenance", [])
-    if similarity is not None and not (
-        isinstance(similarity, list) and len(similarity) == len(atoms)
-        and all(type(s) in (int, float) and math.isfinite(s) for s in similarity)
-    ):
-        raise ValueError("similarity must be null or %d finite numbers" % len(atoms))
-    if not isinstance(provenance, list) or not all(isinstance(p, str) for p in provenance):
-        raise ValueError("provenance must be a list of strings")
-    similarity = None if similarity is None else tuple(map(float, similarity))
-    rule = Rule(tuple(mapped[:-1]), mapped[-1], rec["case"], tuple(provenance), similarity)
+    provenance, similarity = _record_extras(rec, len(atoms))
+    rule = Rule(tuple(mapped[:-1]), mapped[-1], rec["case"], provenance, similarity)
     derived = classify_case(rule)
     if derived != rule:
         raise ValueError(
@@ -349,7 +379,28 @@ def _record_rule(rec, kb: KnowledgeBase) -> Rule:
         )
     if format_rule(rule, kb) != rec["text"]:
         raise ValueError("relation ids %s spell %r, not the text" % (rel_ids, format_rule(rule, kb)))
-    head_name = kb.relation_name(rel_ids[-1])
+    return rule
+
+
+def _record_rule(rec, kb: KnowledgeBase) -> Rule:
+    """Rebuild one `_rule_record`; raises ValueError naming what is wrong.
+
+    A record must be what `save_rules` writes for its text, and each other
+    key that is present holds what `save_rules` writes there. A record of a
+    groundable case is checked by rebuilding its rule from the case and
+    relation ids; any record that check does not accept is derived from its
+    text, which gives the verdict and the message."""
+    if not isinstance(rec, dict):
+        raise ValueError("expected a JSON object, got %s" % type(rec).__name__)
+    for key in ("text", "relations", "case"):
+        if key not in rec:
+            raise ValueError("missing key %r" % key)
+    if not isinstance(rec["text"], str):
+        raise ValueError("text must be a string")
+    rule = _canonical_record_rule(rec, kb)
+    if rule is None:
+        rule = _derived_record_rule(rec, kb)
+    head_name = kb.relation_name(rule.head.relation)
     if rec.get("target_relation", head_name) != head_name:
         raise ValueError("target_relation %r is not the head relation %r" % (rec["target_relation"], head_name))
     return rule

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_cli, write_toy_dataset
-from loopback import completion
+from conftest import run_cli, snapshot_tree, write_toy_dataset
+from loopback import ChatServer, completion
 from rulekbc import cli, rules
-from rulekbc.grounding import _cache_key
+from rulekbc.grounding import _cache_key, ground
 from rulekbc.kb import load_kb
 
 
@@ -171,6 +171,19 @@ class TestRemoteProposer:
         assert records[0]["error"] is None and all(r["error"] for r in records[1:])
         assert len({r["relation"] for r in records}) > 1
         assert os.path.exists(os.path.join(run, "rules", "rules.jsonl"))
+
+    @pytest.mark.usefixtures("without_proxies")
+    def test_failed_propose_removes_an_earlier_rule_file(self, tmp_path, capsys):
+        with ChatServer([completion(CHAIN_RULE)]) as server:
+            code, _, _, run = remote_propose(tmp_path, capsys, server.url)
+        assert code == 0 and os.path.exists(os.path.join(run, "rules", "rules.jsonl"))
+        # the server is stopped, so its port refuses every connection
+        code, err, records, run = remote_propose(tmp_path, capsys, server.url)
+        assert_no_completion(code, err, records, run, server.url)
+        code = cli.main(["--config", str(tmp_path / "cfg.ini"), "train"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: no rule file at %s; run propose first" % os.path.join(run, "rules", "rules.jsonl") in err
 
     @pytest.mark.parametrize("endpoint", ["file:///etc/hostname", "ftp://example.com/x", "localhost:8000/v1", ""])
     def test_endpoint_that_is_not_http_exits_2(self, tmp_path, capsys, endpoint):
@@ -351,6 +364,45 @@ class TestArgumentErrors:
     def test_missing_config_flag(self):
         with pytest.raises(SystemExit):
             cli.main(["extract"])
+
+    @pytest.mark.parametrize(
+        "option, named",
+        [
+            (["--seed", "1"], "--seed"),
+            (["--seed", "-1"], "--seed"),
+            (["--seed=1"], "--seed=1"),
+            (["--output-dir", "x"], "--output-dir"),
+            (["--verbose"], "--verbose"),
+            (["-x"], "-x"),
+        ],
+        ids=["seed", "negative-seed", "seed=1", "output-dir", "verbose", "short"],
+    )
+    @pytest.mark.parametrize("where", ["before-config", "after-config", "after-command"])
+    def test_unknown_option_is_named_wherever_it_stands(self, tmp_path, capsys, option, named, where):
+        config = ["--config", str(minimal_config(tmp_path))]
+        argv = {
+            "before-config": option + config + ["extract"],
+            "after-config": config + option + ["extract"],
+            "after-command": config + ["extract"] + option,
+        }[where]
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2
+        # after the subcommand, argparse names the option and its value
+        expected = " ".join(option) if where == "after-command" else named
+        assert "error: unrecognized arguments: %s\n" % expected in err
+        assert "invalid choice" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["--config={cfg}", "extract"], ["--conf", "{cfg}", "extract"]])
+    def test_global_option_forms_are_accepted(self, tmp_path, argv):
+        cfg = str(minimal_config(tmp_path))
+        assert cli.main([a.format(cfg=cfg) for a in argv]) == 0
+
+    def test_config_value_that_names_a_subcommand(self, tmp_path, monkeypatch):
+        shutil.copy(str(minimal_config(tmp_path)), str(tmp_path / "extract"))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["--config", "extract", "extract"]) == 0
 
     def test_unknown_split_choice(self, tmp_path):
         path = minimal_config(tmp_path)
@@ -627,10 +679,11 @@ class TestPipelineArtifacts:
         assert len(groundable) == int(grounded.group(1)) > 0
         # one entry for the whole rule set: C of every rule, stacked
         entries = [p.name for p in (run / "groundings").iterdir()]
-        assert entries == [_cache_key(kb, groundable) + ".npz"]
-        with np.load(str(run / "groundings" / entries[0])) as z:
-            assert sorted(z.files) == ["data", "indices", "indptr"]
-            assert len(z["indptr"]) == len(groundable) * kb.num_entities + 1
+        assert entries == [_cache_key(kb, groundable) + ".npy"]
+        entry = np.load(str(run / "groundings" / entries[0]))
+        assert entry.dtype == np.int64
+        assert entry.shape == (3, sum(ground(kb, r).body_count.nnz for r in groundable))
+        assert entry[0].max() < len(groundable) * kb.num_entities
 
     def test_metrics_reports_written(self, cli_pipeline):
         run = cli_pipeline["run_dir"]
@@ -664,6 +717,27 @@ class TestDeterminism:
         assert keys_a == keys_b
         diffs = [k for k in keys_a if snap_a[k] != snap_b[k]]
         assert diffs == []
+
+    def test_train_rewrites_its_grounding_entry_byte_for_byte(self, cli_pipeline, tmp_path):
+        config, run = private_run(cli_pipeline, tmp_path)
+        entry = snapshot_tree(run / "groundings")
+        assert len(entry) == 1
+        shutil.rmtree(str(run / "groundings"))
+        code, _ = run_cli(["--config", str(config), "train"])
+        assert code == 0
+        assert snapshot_tree(run / "groundings") == entry
+
+    def test_config_resolved_is_rewritten_only_when_it_differs(self, tmp_path):
+        cfg = cli.load_config(str(minimal_config(tmp_path)))
+        path = os.path.join(cli._prepare_run_dir(cfg), "config.resolved")
+        want = open(path, "rb").read()
+        os.utime(path, ns=(0, 0))
+        cli._prepare_run_dir(cfg)
+        assert os.stat(path).st_mtime_ns == 0
+        with open(path, "w") as fh:
+            fh.write("stale\n")
+        cli._prepare_run_dir(cfg)
+        assert open(path, "rb").read() == want
 
     def test_stdout_identical_across_passes(self, cli_pipeline):
         outputs_a, outputs_b = cli_pipeline["outputs"]

@@ -1,7 +1,9 @@
 """Grounding against an independent binding-enumeration oracle."""
 
+import io
 import itertools
 import os
+import shutil
 import tempfile
 from dataclasses import replace
 from types import SimpleNamespace
@@ -330,21 +332,22 @@ class TestWitnesses:
         )
 
 
-def _parent_entry(g):
-    """A cache entry as written before entries held C alone: the dimension
-    and the coordinates of both C and A."""
-    c, a = g.body_count.to_dense(), g.joint_count.to_dense()
-    (c_rows, c_cols), (a_rows, a_cols) = np.nonzero(c), np.nonzero(a)
-    return dict(
-        dim=len(c), c_rows=c_rows, c_cols=c_cols, c_vals=c[c_rows, c_cols],
-        a_rows=a_rows, a_cols=a_cols, a_vals=a[a_rows, a_cols],
-    )
+def _npz_bytes(**arrays):
+    """The bytes of an `np.savez` archive of `arrays`."""
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
 
 
-def _two_in_row_0(stack, cols):
+def _in_row_0(cols):
     """An entry with counts of 1 at columns `cols` of row 0 and no other."""
-    indptr = np.array([0] + [len(cols)] * stack.rows)
-    return dict(indptr=indptr, indices=np.array(cols), data=np.ones(len(cols), dtype=np.int64))
+    return np.array([[0] * len(cols), cols, [1] * len(cols)], dtype=np.int64)
+
+
+def _npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
 
 
 # rules over family_kb with both of its relations as heads and one reversed atom
@@ -373,7 +376,7 @@ def canonical(grouped):
 
 
 def entry_name(kb, rules):
-    return _cache_key(kb, [r for r in rules if r.case != UNCLASSIFIED]) + ".npz"
+    return _cache_key(kb, [r for r in rules if r.case != UNCLASSIFIED]) + ".npy"
 
 
 class TestCache:
@@ -473,12 +476,12 @@ class TestCache:
         ground_all(kb, rules, cache_dir=cache)
         spoilt = rules[:-1] + [spoil(kb, rules[-1])]
         assert spoilt[-1].case != UNCLASSIFIED
-        # the rule text is unchanged, so the stored entry is the spoilt set's entry too
-        assert entry_name(kb, spoilt) == entry_name(kb, rules)
+        # a valid entry under the spoilt set's name does not let it through
+        shutil.copy(os.path.join(cache, entry_name(kb, rules)), os.path.join(cache, entry_name(kb, spoilt)))
         for cache_dir in (cache, None, str(tmp_path / "empty")):
             with pytest.raises(GroundingError):
                 ground_all(kb, spoilt, cache_dir=cache_dir)
-        assert os.listdir(cache) == [entry_name(kb, rules)]
+        assert sorted(os.listdir(cache)) == sorted([entry_name(kb, rules), entry_name(kb, spoilt)])
 
     @settings(max_examples=40, deadline=None)
     @given(picks=st.lists(st.integers(0, len(CASE_FLAGS)), max_size=6), **RANDOM_KB)
@@ -492,37 +495,40 @@ class TestCache:
             cold = canonical(ground_all(kb, rules, cache_dir=cache))
             warm = canonical(ground_all(kb, rules, cache_dir=cache))
             assert os.listdir(cache) == [entry_name(kb, rules)]
-            with np.load(os.path.join(cache, entry_name(kb, rules))) as z:
-                assert len(z["indptr"]) == sum(r.case != UNCLASSIFIED for r in rules) * n_entities + 1
+            entry = np.load(os.path.join(cache, entry_name(kb, rules)))
+            assert entry.shape == (3, sum(len(c[1][1]) for gs in want.values() for c in gs))
         assert cold == warm == want
 
     @pytest.mark.parametrize(
         "corrupt",
+        # e is the (3, nnz) entry of (row, column, count) arrays, s its
+        # stack; an array is written with np.save, bytes as they are
         [
-            lambda s, e: dict(e, indptr=np.append(e["indptr"], [e["indptr"][-1]] * s.rules)),  # KB of n + 1
-            lambda s, e: dict(e, indices=np.append(e["indices"][:-1], s.n)),
-            lambda s, e: dict(e, indices=np.concatenate([[-1], e["indices"][1:]])),
-            lambda s, e: dict(e, data=np.concatenate([[-1], e["data"][1:]])),
-            lambda s, e: dict(  # starts at 0 and ends at nnz, but drops after row 0
-                e, indptr=np.array([0, e["indptr"][-1]] + [0] * (s.rows - 2) + [e["indptr"][-1]])
-            ),
-            lambda s, e: _parent_entry(s.first),
-            lambda s, e: dict(e, indptr=np.concatenate([[1], e["indptr"][1:]])),
-            lambda s, e: dict(e, indptr=np.append(e["indptr"][:-1], e["indptr"][-1] + 1)),
-            lambda s, e: dict(e, data=np.append(e["data"], 1)),
-            lambda s, e: _two_in_row_0(s, [3, 1]),
-            lambda s, e: _two_in_row_0(s, [2, 2]),
-            lambda s, e: dict(e, data=np.concatenate([[0], e["data"][1:]])),
-            lambda s, e: dict(e, data=np.concatenate([[2**40], e["data"][1:]])),
-            lambda s, e: dict(e, data=e["data"].astype(float)),
-            lambda s, e: dict(e, indices=e["indices"].reshape(1, -1)),
-            # canonical, but stacks one rule more than the set has
-            lambda s, e: dict(e, indptr=np.append(e["indptr"], [e["indptr"][-1]] * s.n)),
+            lambda s, e: e.T,  # the (row, column, count) triples as rows
+            lambda s, e: np.concatenate([e[:, :-1], [[e[0, -1]], [s.n], [1]]], axis=1),
+            lambda s, e: np.concatenate([[[e[0, 0]], [-1], [1]], e[:, 1:]], axis=1),
+            lambda s, e: np.concatenate([e[:2], [np.concatenate([[-1], e[2, 1:]])]]),
+            lambda s, e: e[:, ::-1],  # rows decrease
+            lambda s, e: _npz_bytes(**s.parent_arrays),  # the stacked CSR archive of earlier versions
+            lambda s, e: np.concatenate([[[-1], [0], [1]], e], axis=1),  # a row before the stack
+            lambda s, e: np.concatenate([e[:, :-1], [[s.rows], [0], [1]]], axis=1),  # the last row past it
+            lambda s, e: e[:2],  # no counts
+            lambda s, e: _in_row_0([3, 1]),
+            lambda s, e: _in_row_0([2, 2]),
+            lambda s, e: np.concatenate([e[:2], [np.concatenate([[0], e[2, 1:]])]]),
+            lambda s, e: np.concatenate([e[:2], [np.concatenate([[2**40], e[2, 1:]])]]),
+            lambda s, e: e.astype(float),
+            lambda s, e: e.ravel(),
+            # one rule more than the set has
+            lambda s, e: np.concatenate([e, [[s.rows], [0], [1]]], axis=1),
+            lambda s, e: _npy_bytes(e)[:-8],  # truncated
+            lambda s, e: e[:, [-1] + list(range(1, e.shape[1] - 1)) + [0]],  # first and last swapped
+            lambda s, e: e.astype(np.int32),
         ],
         ids=[
             "dim", "col-past-end", "negative-col", "negative-count", "decreasing-indptr", "parent-format",
             "indptr-start", "indptr-end", "data-length", "unsorted-cols", "duplicate-cols", "zero-count", "above-cap",
-            "float-data", "2d-indices", "rows",
+            "float-data", "2d-indices", "rows", "truncated", "swapped", "int32",
         ],
     )
     def test_invalid_entry_is_regrounded_and_overwritten(self, tmp_path, caplog, corrupt):
@@ -532,15 +538,19 @@ class TestCache:
         want = ground_all(kb, rules)
         ground_all(kb, rules, cache_dir=cache)
         path = os.path.join(cache, entry_name(kb, rules))
-        with np.load(path) as z:
-            entry = {k: z[k] for k in z.files}
+        entry = np.load(path)
         n = kb.num_entities
-        stack = SimpleNamespace(n=n, rules=len(rules), rows=len(rules) * n, first=next(iter(want.values()))[0])
-        assert len(entry["indptr"]) == stack.rows + 1 and len(entry["data"]) > 0 and n > 3
-        np.savez(path, **corrupt(stack, entry))
+        rows = len(rules) * n
+        # the same counts as one rows x n CSR matrix
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(entry[0], minlength=rows))])
+        parent_arrays = dict(indptr=indptr, indices=entry[1], data=entry[2])
+        stack = SimpleNamespace(n=n, rows=rows, parent_arrays=parent_arrays)
+        assert entry.dtype == np.int64 and entry.shape[1] > 3 and n > 3
+        bad = corrupt(stack, entry)
+        with open(path, "wb") as fh:
+            fh.write(bad if isinstance(bad, bytes) else _npy_bytes(bad))
         got = ground_all(kb, rules, cache_dir=cache)
         assert canonical(got) == canonical(want)
         assert caplog.text.count("discarding invalid cache entry") == 1
         assert os.listdir(cache) == [entry_name(kb, rules)]
-        with np.load(path) as z:
-            assert {k: z[k].tolist() for k in z.files} == {k: v.tolist() for k, v in entry.items()}
+        np.testing.assert_array_equal(np.load(path), entry)

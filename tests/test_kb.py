@@ -18,7 +18,6 @@ from rulekbc.kb import (
     SparseMatrix,
     Triple,
     Vocab,
-    _canonical_csr,
     kb_fingerprint,
     load_kb,
     not_utf8,
@@ -26,6 +25,7 @@ from rulekbc.kb import (
     sparse_mul,
     sparse_transpose,
 )
+from rulekbc.grounding import _entry_counts
 from rulekbc.trainer import _filtered
 
 
@@ -159,7 +159,8 @@ class TestLoading:
         # the grounding cache is keyed by this digest: a change to it orphans
         # every cache written before
         kb = synthetic.build_kb("abc", "rs", [("a", "r", "b"), ("b", "s", "c"), ("a", "s", "c")])
-        expected = "9dd19f650a65ee9aa29ca1cadd7d3d6a11fed6aee1df259e2eb5753c25320437"
+        # sha256 of the counts 3, 2 and the rows (0, 0, 1), (0, 1, 2), (1, 1, 2), as little-endian int64
+        expected = "6077e3d3d36f0d2f375d3c972f09fc1a22fa20f057b308e0dbdfba7bb5bc8e06"
         assert kb_fingerprint(kb) == expected
         assert kb.fingerprint == expected
 
@@ -234,9 +235,9 @@ class TestSparseOps:
             SparseMatrix.from_coords(2, [0], [1], [-1])
 
     def test_rectangular_rejected(self):
-        # a 2 x 3 matrix with an entry in column 2, as CSR arrays and as coordinates
+        # a 2 x 3 matrix with an entry in column 2, as a cache entry and as coordinates
         with pytest.raises(KBError, match="square"):
-            _canonical_csr(2, 2, np.array([0, 1, 1]), np.array([2]), np.array([1]))
+            _entry_counts(np.array([[0], [2], [1]]), 2, 2)
         with pytest.raises(KBError, match="square"):
             SparseMatrix.from_coords(2, [0], [2])
 
@@ -257,11 +258,13 @@ class TestSparseOps:
         assert "saturating 1 count entries" in caplog.text.splitlines()[-1]
 
     def test_counts_above_the_cap_rejected(self):
-        indptr, indices = np.array([0, 1, 1]), np.array([1])
-        assert _canonical_csr(2, 2, indptr, indices, np.array([SATURATION_CAP]))[2].tolist() == [SATURATION_CAP]
+        def entry(count):
+            return np.array([[0], [1], [count]], dtype=np.int64)
+
+        assert _entry_counts(entry(SATURATION_CAP), 2, 2)[2].tolist() == [SATURATION_CAP]
         for count in (SATURATION_CAP + 1, 2**40):
-            with pytest.raises(KBError, match="above"):
-                _canonical_csr(2, 2, indptr, indices, np.array([count]))
+            with pytest.raises(KBError, match="count outside"):
+                _entry_counts(entry(count), 2, 2)
 
     def test_row_access_matches_dense(self):
         rng = np.random.default_rng(14)
@@ -331,7 +334,10 @@ class TestDerivedIndices:
                 dense[h, t] += rel == r
             m = kb.matrices[r]
             np.testing.assert_array_equal(m.to_dense(), dense)
-            _canonical_csr(n, n, m.indptr, m.indices, m.data)
+            # canonical: the nonzeros in row-major order, no others
+            rows, cols = np.nonzero(dense)
+            assert m.indptr.tolist() == [0] + np.cumsum(np.bincount(rows, minlength=n)).tolist()
+            assert (m.indices.tolist(), m.data.tolist()) == (cols.tolist(), dense[rows, cols].tolist())
 
     def test_a_triple_listed_twice_counts_two(self):
         kb = synthetic.build_kb("ab", "r", [("a", "r", "b"), ("a", "r", "b"), ("b", "r", "a")])

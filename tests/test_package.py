@@ -74,13 +74,14 @@ def test_offline_stages_load_no_scipy_or_http_client(tmp_path):
 def test_reasoning_modules_load_no_proposer_or_subgraph():
     """Training and evaluation read rules already on disk: importing them,
     and the CLI that runs them, in a fresh process loads neither the rule
-    proposer nor the extractor."""
+    proposer nor the extractor, nor `csv`, which only `eval --emit-csv`
+    imports."""
     code = textwrap.dedent(
         """
         import sys
         from rulekbc import cli, evaluation, grounding, rotate, trainer
 
-        print(sorted(m for m in ("rulekbc.proposer", "rulekbc.subgraph") if m in sys.modules))
+        print(sorted(m for m in ("rulekbc.proposer", "rulekbc.subgraph", "csv") if m in sys.modules))
         """
     )
     src = os.path.dirname(os.path.dirname(rulekbc.__file__))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import case_oracle
 import synthetic
+from rulekbc import rules as rules_mod
 from rulekbc.kb import KBError
 from rulekbc.rules import (
     CASE_FLAGS,
@@ -567,3 +568,145 @@ class TestPersistence:
         p.write_text(json.dumps(self.GOOD_RECORD) + "\n\n" + json.dumps(record) + "\n")
         with pytest.raises(KBError, match=re.escape("%s:3: bad rule record: " % p) + reason):
             load_rules(str(p), kb)
+
+
+def derived_record_rule(rec, kb):
+    """A rule record's rule as the loader derived it before it rebuilt
+    records from their case and relation ids: the text parsed, the ids
+    checked against it, `classify_case` required to leave the rule
+    unchanged. The oracle of `_record_rule`: its verdict, rule or error
+    message, is the loader's for every record."""
+    if not isinstance(rec, dict):
+        raise ValueError("expected a JSON object, got %s" % type(rec).__name__)
+    for key in ("text", "relations", "case"):
+        if key not in rec:
+            raise ValueError("missing key %r" % key)
+    if not isinstance(rec["text"], str):
+        raise ValueError("text must be a string")
+    parsed = parse_rule(rec["text"])
+    rel_ids = rec["relations"]
+    atoms = parsed.body + (parsed.head,)
+    if not isinstance(rel_ids, list) or len(rel_ids) != len(atoms):
+        raise ValueError("relation ids do not match rule text")
+    for rid in rel_ids:
+        if type(rid) is not int or not 0 <= rid < kb.num_relations:
+            raise ValueError("relation id %r outside [0, %d)" % (rid, kb.num_relations))
+    mapped = [RuleAtom(a.subject, rid, a.object) for a, rid in zip(atoms, rel_ids)]
+    similarity, provenance = rec.get("similarity"), rec.get("provenance", [])
+    if similarity is not None and not (
+        isinstance(similarity, list) and len(similarity) == len(atoms)
+        and all(type(s) in (int, float) and math.isfinite(s) for s in similarity)
+    ):
+        raise ValueError("similarity must be null or %d finite numbers" % len(atoms))
+    if not isinstance(provenance, list) or not all(isinstance(p, str) for p in provenance):
+        raise ValueError("provenance must be a list of strings")
+    similarity = None if similarity is None else tuple(map(float, similarity))
+    rule = Rule(tuple(mapped[:-1]), mapped[-1], rec["case"], tuple(provenance), similarity)
+    derived = classify_case(rule)
+    if derived != rule:
+        raise ValueError(
+            "not the canonical form of its text (case %r); expected case %s: %s"
+            % (rule.case, derived.case, format_rule(derived, kb))
+        )
+    if format_rule(rule, kb) != rec["text"]:
+        raise ValueError("relation ids %s spell %r, not the text" % (rel_ids, format_rule(rule, kb)))
+    head_name = kb.relation_name(rel_ids[-1])
+    if rec.get("target_relation", head_name) != head_name:
+        raise ValueError("target_relation %r is not the head relation %r" % (rec["target_relation"], head_name))
+    return rule
+
+
+# relation names `parse_rule` reads back as one atom argument, and names it
+# does not: a comma, a parenthesis, nothing but blanks
+PLAIN_NAMES = ("parent", "grand parent", "IF", "THEN", "OR", "A", "r_0", "Ünïcode")
+ODD_NAMES = ("x,y", "f(x)", "r)", " ", "(", " padded ")
+
+# rule shapes no case names, over the placeholders r0, r1 and rh
+UNCLASSIFIED_TEXTS = (
+    "IF (A, r0, B) AND (C, r1, D) THEN (A, rh, B)",
+    "IF (A, r0, B) AND (A, r1, B) THEN (A, rh, B)",
+    "IF (A, r0, C) THEN (A, rh, B)",
+    "IF (X, r0, Y) THEN (Y, rh, X)",
+)
+
+# every shape's rule over the placeholders r0, r1, r2 and rh
+SHAPES = [classify_case(make_case_rule(case)) for case in CASE_FLAGS] + [
+    classify_case(parse_rule(text)) for text in UNCLASSIFIED_TEXTS
+]
+
+
+@st.composite
+def rule_records(draw, names):
+    """(kb, rules) over a KB whose relations are drawn from `names`: rules
+    of drawn shapes, each atom's placeholder replaced by a relation id."""
+    rel_names = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))
+    kb = synthetic.build_kb(["a", "b"], rel_names, [("a", rel_names[0], "b")])
+    rel_id = st.integers(0, len(rel_names) - 1)
+    similarity = st.none() | st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=4, max_size=4)
+    out = []
+    for shape in draw(st.lists(st.sampled_from(SHAPES), min_size=1, max_size=5)):
+        atoms = [RuleAtom(a.subject, draw(rel_id), a.object) for a in shape.body + (shape.head,)]
+        sim = draw(similarity)
+        out.append(Rule(
+            tuple(atoms[:-1]), atoms[-1], shape.case,
+            tuple(draw(st.lists(st.sampled_from(["s1", "s2", "s3"]), unique=True, max_size=2))),
+            None if sim is None else tuple(sim[: len(atoms)]),
+        ))
+    return kb, dedup(out)
+
+
+def loader_verdict(load, rec, kb):
+    try:
+        return load(rec, kb)
+    except (TypeError, ValueError) as exc:  # what `load_rules` reports
+        return type(exc).__name__, str(exc)
+
+
+class TestRecordLoader:
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=rule_records(PLAIN_NAMES))
+    def test_rules_of_every_shape_round_trip(self, tmp_path_factory, drawn):
+        kb, rules = drawn
+        path = str(tmp_path_factory.mktemp("rules") / "rules.jsonl")
+        save_rules(path, rules, kb)
+        assert load_rules(path, kb) == rules
+        with open(path, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        # each record of a groundable case is rebuilt from its case and ids
+        for rec, rule in zip(records, rules):
+            rebuilt = rules_mod._canonical_record_rule(rec, kb)
+            assert rebuilt == (None if rule.case == UNCLASSIFIED else rule)
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=rule_records(PLAIN_NAMES + ODD_NAMES), data=st.data())
+    def test_edited_record_gets_the_derivations_verdict(self, drawn, data):
+        kb, rules = drawn
+        rule = data.draw(st.sampled_from(rules))
+        rec = rules_mod._rule_record(rule, kb)
+        field = data.draw(st.sampled_from(["none", "case", "relation", "text", "target_relation"]))
+        if field == "case":
+            rec["case"] = data.draw(st.sampled_from(list(CASE_FLAGS) + [UNCLASSIFIED, "9-9", 1, None, ["0-1"]]))
+        elif field == "relation":
+            i = data.draw(st.integers(0, len(rec["relations"]) - 1))
+            rec["relations"][i] = data.draw(
+                st.integers(-1, kb.num_relations) | st.sampled_from([1.0, "0", True, None])
+            )
+        elif field == "text":
+            other = data.draw(st.sampled_from(rules))
+            cut = data.draw(st.integers(0, len(rec["text"]) - 1))
+            rec["text"] = data.draw(st.sampled_from([
+                format_rule(other, kb),
+                rec["text"][:cut] + rec["text"][cut + 1 :],
+                rec["text"].translate(str.maketrans("AB", "BA")),
+                rec["text"].replace(" AND ", " and ", 1),
+                None,
+            ]))
+        elif field == "target_relation":
+            if data.draw(st.booleans()):
+                del rec["target_relation"]
+            else:
+                rec["target_relation"] = data.draw(st.sampled_from(kb.relations.names) | st.just(1))
+        want = loader_verdict(derived_record_rule, rec, kb)
+        assert loader_verdict(rules_mod._record_rule, rec, kb) == want
+        if field == "none" and all(map(rules_mod._plain, kb.relations.names)):
+            assert want == rule
