@@ -348,7 +348,10 @@ def cmd_train(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse.N
     trainer.save_params(params_path, params, kb)
     write_json(os.path.join(run, "reports", "train_trace.json"), traces)
     trained = sum(1 for t in traces.values() if t["loss"])
-    print("trained %d relations (%d grounded rules); checkpoint: %s" % (trained, total_grounded, params_path))
+    # patience >= 1, so a relation stopped after epoch 1 is a frozen one
+    frozen = sum(1 for rp in params.values() if rp.stopped and rp.epochs_trained == 1)
+    why = "; %d stopped after epoch 1: no parameter moves their stopping metric" % frozen if frozen else ""
+    print("trained %d relations (%d grounded rules%s); checkpoint: %s" % (trained, total_grounded, why, params_path))
     return 0
 
 

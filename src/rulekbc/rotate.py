@@ -15,6 +15,7 @@ and the scatter of the stack into entity rows a block of columns at a time.
 
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -263,17 +264,35 @@ def loss_and_grad(
 
 
 class TrainingDiverged(KBError):
-    """A training loss or parameter that is no longer finite: raised after
-    the epoch it appears in, before anything is written."""
+    """A training loss or parameter that is no longer finite, or a numpy
+    overflow or invalid operation on the way to one: raised in or after the
+    epoch it appears in, before anything is written."""
+
+    def __init__(self, what: str, epoch: int, lower: str):
+        super().__init__(
+            "%s diverged at epoch %d: its loss or parameters are not finite; lower %s" % (what, epoch, lower)
+        )
+
+
+@contextmanager
+def training_epoch(what: str, epoch: int, lower: str):
+    """Run one epoch of `what` (1-based `epoch`) with numpy's overflow and
+    invalid-operation warnings raised as errors. Each, and a Python float
+    overflow (a learning rate's decay factor raised to a power), is reported
+    as the TrainingDiverged that names the settings to lower, so a diverging
+    run ends with its error alone, not a RuntimeWarning or traceback."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError) as exc:
+        raise TrainingDiverged(what, epoch, lower) from exc
 
 
 def check_finite(what: str, epoch: int, lower: str, *values) -> None:
     """Raise TrainingDiverged naming `what`, the 1-based `epoch` and the
     settings to lower unless every value is finite."""
     if not all(np.isfinite(v).all() for v in values):
-        raise TrainingDiverged(
-            "%s diverged at epoch %d: its loss or parameters are not finite; lower %s" % (what, epoch, lower)
-        )
+        raise TrainingDiverged(what, epoch, lower)
 
 
 class AdamW:
@@ -317,18 +336,19 @@ def train_embeddings(kb: KnowledgeBase, cfg: RotateConfig) -> Tuple[RotateModel,
     full = min(cfg.batch_size, n)
     rows = np.empty((full * (cfg.negatives + 2), 2 * cfg.dim))
     moduli = _moduli_buffer(full, cfg.negatives, cfg.dim)
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for lo in range(0, n, cfg.batch_size):
-            batch = positives[order[lo : lo + cfg.batch_size]]
-            negs = rng.integers(0, kb.num_entities, size=(len(batch), cfg.negatives))
-            loss, g_entity, g_phase = loss_and_grad(model, batch, negs, rows, moduli)
-            opt_e.step(model.entity, g_entity, cfg.lr)
-            opt_p.step(model.phase, g_phase, cfg.lr)
-            epoch_losses.append(loss)
-        trace.append(float(np.mean(epoch_losses)))
-        check_finite("RotatE training", len(trace), "[rotate] lr or margin", trace[-1], model.entity, model.phase)
+    for epoch in range(1, cfg.epochs + 1):
+        with training_epoch("RotatE training", epoch, "[rotate] lr or margin"):
+            order = rng.permutation(n)
+            epoch_losses = []
+            for lo in range(0, n, cfg.batch_size):
+                batch = positives[order[lo : lo + cfg.batch_size]]
+                negs = rng.integers(0, kb.num_entities, size=(len(batch), cfg.negatives))
+                loss, g_entity, g_phase = loss_and_grad(model, batch, negs, rows, moduli)
+                opt_e.step(model.entity, g_entity, cfg.lr)
+                opt_p.step(model.phase, g_phase, cfg.lr)
+                epoch_losses.append(loss)
+            trace.append(float(np.mean(epoch_losses)))
+            check_finite("RotatE training", epoch, "[rotate] lr or margin", trace[-1], model.entity, model.phase)
     return model, trace
 
 

@@ -9,10 +9,17 @@ if it were absent.
 
 Training minimizes per-query softmax cross-entropy over all entities of the
 combined score, one full-batch AdamW step per epoch, with step-decay learning
-rate and early stopping on validation MRR. `_evidence` builds the rule rows
-as body-support counts C. Training signs them with the head relation's train
-matrix M (`_RelationData`): +C * M = +A where the head triple is in train,
--C wherever the body fires without it (`grounding.score`).
+rate and early stopping on validation MRR (on -loss for a relation without
+validation queries). Without embeddings, a relation whose stopping metric
+reads a block with no evidence cell stops after epoch 1: every score is 0
+whatever the weights, so the metric repeats and epoch 1's parameters are the
+ones kept. Each epoch runs with numpy overflow and invalid operations raised,
+and a diverged one is a `TrainingDiverged` error.
+
+`_evidence` builds the rule rows as body-support counts C. Training signs
+them with the head relation's train matrix M (`_RelationData`): +C * M = +A
+where the head triple is in train, -C wherever the body fires without it
+(`grounding.score`).
 
 Validation, evaluation and `rank` share one filtered rank, `_gold_ranks`: it
 counts the scores above and tied with the gold over the whole row, less those
@@ -37,7 +44,7 @@ import numpy as np
 
 from .grounding import Grounding, support_row
 from .kb import KBError, KnowledgeBase, _changes, read_text, write_json
-from .rotate import AdamW, RotateModel, check_finite, score_tails
+from .rotate import AdamW, RotateModel, check_finite, score_tails, training_epoch
 from .rules import format_rule
 from .settings import TrainerConfig
 
@@ -419,29 +426,33 @@ def _train_relation(
 ) -> Dict[str, List[float]]:
     """Optimize one relation's block in place; returns its loss/metric trace.
     The relation, called `name` in a divergence error, has train heads and
-    epochs to run (see `train`)."""
+    epochs to run (see `train`). Its metric is frozen when there is no
+    embedding model and the block the metric reads (the validation queries',
+    or the train block for -loss) has no evidence cell: every score is then
+    0, and the relation stops after epoch 1."""
     trace = {"loss": [], "metric": []}
     opt_logits = AdamW(len(params.logits), cfg.weight_decay)
     opt_mix = AdamW(1, cfg.weight_decay)
     mix = np.array([params.mix_logit])
     use_valid = len(data.valid.golds) > 0
+    frozen = data.train.F is None and not len((data.valid.block if use_valid else data.train).cells)
     best_metric = -np.inf
     best_state: Optional[Tuple[np.ndarray, float]] = None
     stale = 0
+    what, lower = "training of relation %r" % name, "[trainer] lr, weight_decay or step_gamma"
     for epoch in range(cfg.max_epochs):
-        lr = cfg.lr * cfg.step_gamma ** (epoch // cfg.step_size)
-        loss, d_logits, d_mix = relation_loss_and_grads(
-            params.logits, float(mix[0]), data.train, data.golds
-        )
-        if not cfg.uniform_weights:
-            opt_logits.step(params.logits, d_logits, lr)
-        opt_mix.step(mix, np.array([d_mix]), lr)
-        params.mix_logit = float(mix[0])
-        params.epochs_trained = epoch + 1
-        check_finite(
-            "training of relation %r" % name, epoch + 1, "[trainer] lr or weight_decay", loss, params.logits, mix
-        )
-        metric = data.valid_mrr(params.logits, params.mix_logit) if use_valid else -loss
+        with training_epoch(what, epoch + 1, lower):
+            lr = cfg.lr * cfg.step_gamma ** (epoch // cfg.step_size)
+            loss, d_logits, d_mix = relation_loss_and_grads(
+                params.logits, float(mix[0]), data.train, data.golds
+            )
+            if not cfg.uniform_weights:
+                opt_logits.step(params.logits, d_logits, lr)
+            opt_mix.step(mix, np.array([d_mix]), lr)
+            params.mix_logit = float(mix[0])
+            params.epochs_trained = epoch + 1
+            check_finite(what, epoch + 1, lower, loss, params.logits, mix)
+            metric = data.valid_mrr(params.logits, params.mix_logit) if use_valid else -loss
         trace["loss"].append(loss)
         trace["metric"].append(metric)
         if metric > best_metric:
@@ -453,6 +464,9 @@ def _train_relation(
             if stale >= cfg.patience:
                 params.stopped = True
                 break
+        if frozen:
+            params.stopped = cfg.max_epochs > 1
+            break
     if best_state is not None:
         params.logits, params.mix_logit = best_state
     return trace

@@ -5,6 +5,8 @@ import os
 import re
 import shutil
 import socket
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -514,31 +516,38 @@ class TestArgumentErrors:
         assert "error: proposer.%s %s" % (key, message) in err
         assert "Traceback" not in err
 
-    # the four settings at which training used to write NaN or Infinity
-    # into params.json or rotate.bin and exit 0; their overflow warnings are
-    # expected on the way to the error
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # the settings at which training used to write NaN or Infinity into
+    # params.json or rotate.bin and exit 0, or end in a traceback. `train`
+    # runs in a process of its own, so its stderr is what a user sees: the
+    # error line alone, no numpy overflow warning before it
     @pytest.mark.parametrize(
         "settings, message",
         [
-            ("[rotate]\nenabled = false\n[trainer]\nlr = 1e300\n", "lower [trainer] lr or weight_decay"),
-            ("[rotate]\nenabled = false\n[trainer]\nlr = 1\nweight_decay = 1e308\n", "lower [trainer] lr or weight_decay"),
+            ("[rotate]\nenabled = false\n[trainer]\nlr = 1e300\n", "lower [trainer] lr, weight_decay or step_gamma"),
+            ("[rotate]\nenabled = false\n[trainer]\nlr = 1\nweight_decay = 1e308\n", "lower [trainer] lr, weight_decay or step_gamma"),
+            # the decay factor's power is a Python float, which raises OverflowError
+            ("[rotate]\nenabled = false\n[trainer]\nstep_size = 1\nstep_gamma = 1e200\n", "lower [trainer] lr, weight_decay or step_gamma"),
             ("[rotate]\ndim = 8\nepochs = 3\nmargin = 1e308\n", "lower [rotate] lr or margin"),
             ("[rotate]\ndim = 8\nepochs = 3\nlr = 1e300\n", "lower [rotate] lr or margin"),
         ],
-        ids=["trainer-lr", "trainer-weight_decay", "rotate-margin", "rotate-lr"],
+        ids=["trainer-lr", "trainer-weight_decay", "trainer-step_gamma", "rotate-margin", "rotate-lr"],
     )
-    def test_diverged_training_exits_2_and_writes_no_checkpoint(self, tmp_path, capsys, settings, message):
+    def test_diverged_training_exits_2_and_writes_no_checkpoint(self, tmp_path, settings, message):
         path = minimal_config(tmp_path, extra=settings)
         for stage in ("extract", "propose"):
             assert run_cli(["--config", str(path), stage])[0] == 0
-        code = cli.main(["--config", str(path), "train"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert re.search(r"error: (RotatE training|training of relation '\w+') diverged at epoch \d+: ", err), err
-        assert message in err and "Traceback" not in err
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        got = subprocess.run(
+            [sys.executable, "-m", "rulekbc.cli", "--config", str(path), "train"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert got.returncode == 2
+        [line] = got.stderr.splitlines()
+        assert re.match(r"error: (RotatE training|training of relation '\w+') diverged at epoch \d+: ", line), line
+        assert line.endswith(message)
         run = tmp_path / cli.load_config(str(path)).run_dir()
         assert not (run / "checkpoints").exists() or not os.listdir(run / "checkpoints")
+        assert not (run / "reports" / "train_trace.json").exists()
 
     def test_random_bytes_as_train_file_name_the_file(self, tmp_path, capsys):
         path = minimal_config(tmp_path)
@@ -620,6 +629,31 @@ class TestRunner:
 
 
 class TestPipelineArtifacts:
+    def test_train_counts_relations_stopped_after_epoch_1(self, tmp_path, cli_pipeline):
+        # rules only: friend joins two entities no path joins, so no rule is
+        # mined for it, and it has no validation query; its -loss is the same
+        # at any weights
+        path = minimal_config(tmp_path, extra="[rotate]\nenabled = false\n[trainer]\nmax_epochs = 20\n")
+        with open(tmp_path / "data" / "train.txt", "a", encoding="utf-8") as fh:
+            fh.write("x1\tfriend\tx2\n")
+        for stage in ("extract", "propose"):
+            assert run_cli(["--config", str(path), stage])[0] == 0
+        code, out = run_cli(["--config", str(path), "train"])
+        assert code == 0
+        said = re.search(
+            r"^trained 3 relations \(\d+ grounded rules; (\d+) stopped after epoch 1: "
+            r"no parameter moves their stopping metric\); checkpoint: ",
+            out,
+            re.M,
+        )
+        assert said, out
+        run = tmp_path / cli.load_config(str(path)).run_dir()
+        params = json.loads((run / "checkpoints" / "params.json").read_text())
+        assert params["friend"]["stopped"] and params["friend"]["epochs_trained"] == 1
+        assert int(said.group(1)) == sum(b["stopped"] and b["epochs_trained"] == 1 for b in params.values())
+        # with embeddings every weight moves the metric: the line has no count
+        assert "stopped after epoch 1" not in cli_pipeline["outputs"][0]["train"]
+
     def test_run_dir_has_config_records(self, cli_pipeline):
         run = cli_pipeline["run_dir"]
         assert not (run / "config.example").exists()

@@ -519,6 +519,147 @@ _REPORT_SETUPS = {
 }
 
 
+def _frozen_metric(kb, groundings, relation, model=None):
+    """Whether no parameter can move the relation's stopping metric: there is
+    no embedding model, and the block the metric reads (the validation
+    queries', or the train block's for -loss) scores every entity 0 at equal
+    weights, where each evidence cell scores alpha * weight * value != 0."""
+    data = _RelationData(kb, relation, groundings.get(relation, []), model)
+    block = data.valid.block if len(data.valid.golds) else data.train
+    return model is None and not _scores(block, np.zeros(block.active.shape[1] + 1), 0.0).any()
+
+
+def _train_until_patience(data, cfg, n_logits):
+    """The epoch loop of `trainer._train_relation` without its frozen-metric
+    stop: a relation runs until `patience` epochs bring no better metric, or
+    for `max_epochs`. Returns the kept (logits, mix_logit), the epochs run,
+    whether patience stopped it, and its trace."""
+    logits, mix = np.zeros(n_logits), np.zeros(1)
+    opt_logits, opt_mix = rotate.AdamW(n_logits, cfg.weight_decay), rotate.AdamW(1, cfg.weight_decay)
+    use_valid = len(data.valid.golds) > 0
+    best, kept, stale, stopped = -np.inf, None, 0, False
+    trace = {"loss": [], "metric": []}
+    for epoch in range(cfg.max_epochs):
+        lr = cfg.lr * cfg.step_gamma ** (epoch // cfg.step_size)
+        loss, d_logits, d_mix = relation_loss_and_grads(logits, float(mix[0]), data.train, data.golds)
+        if not cfg.uniform_weights:
+            opt_logits.step(logits, d_logits, lr)
+        opt_mix.step(mix, np.array([d_mix]), lr)
+        metric = data.valid_mrr(logits, float(mix[0])) if use_valid else -loss
+        trace["loss"].append(loss)
+        trace["metric"].append(metric)
+        if metric > best:
+            best, kept, stale = metric, (logits.copy(), float(mix[0])), 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                stopped = True
+                break
+    return kept, epoch + 1, stopped, trace
+
+
+@st.composite
+def _small_rules_kb(draw):
+    """A KB of up to 6 entities and 3 relations with random train and valid
+    triples, and up to 2 rules of random shapes for each, grounded. Some
+    relations get no rule, some validation queries no evidence, and a
+    relation without validation queries stops on -loss."""
+    n = draw(st.integers(3, 6))
+    triple = st.tuples(st.integers(0, n - 1), st.integers(0, 2), st.integers(0, n - 1))
+    train = draw(st.lists(triple, min_size=1, max_size=30, unique=True))
+    valid = [t for t in draw(st.lists(triple, max_size=6, unique=True)) if t not in train]
+    rels = ["r0", "r1", "r2"]
+
+    def names(triples):
+        return [("e%d" % h, rels[r], "e%d" % t) for h, r, t in triples]
+
+    kb = synthetic.build_kb(["e%d" % i for i in range(n)], rels, names(train), valid=names(valid))
+    shapes = st.tuples(st.sampled_from(["0-1", "0-2", "1-1", "1-3", "2-1"]), *[st.sampled_from(rels)] * 3)
+    texts = sorted({synthetic.case_rule_text(*shape, rh=rh) for rh in rels for shape in draw(st.lists(shapes, max_size=2))})
+    return kb, ground_all(kb, [synthetic.classified_rule(kb, text) for text in texts])
+
+
+class TestFrozenMetric:
+    """Without embeddings, a relation whose stopping metric reads a block with
+    no evidence cell scores every entity 0 whatever its weights: the metric
+    repeats epoch 1's exactly, epoch 1's parameters are the ones kept, and
+    training stops there."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        setup=_small_rules_kb(),
+        max_epochs=st.integers(1, 8),
+        patience=st.integers(1, 4),
+        lr=st.sampled_from([0.05, 0.5]),
+        embedded=st.booleans(),
+    )
+    def test_only_a_frozen_metric_ends_training_after_epoch_1(self, setup, max_epochs, patience, lr, embedded):
+        kb, groundings = setup
+        model = rotate.init_model(kb.num_entities, kb.num_relations, rotate.RotateConfig(dim=4)) if embedded else None
+        cfg = TrainerConfig(lr=lr, max_epochs=max_epochs, patience=patience)
+        params, traces = train(kb, groundings, model, cfg)
+        one_epoch, _ = train(kb, groundings, model, TrainerConfig(lr=lr, max_epochs=1, patience=patience))
+        for relation in [r for r in range(kb.num_relations) if kb.matrices[r].nnz]:
+            rp, trace = params[relation], traces[kb.relation_name(relation)]
+            data = _RelationData(kb, relation, groundings.get(relation, []), model)
+            (logits, mix), epochs, stopped, want = _train_until_patience(data, cfg, len(rp.logits))
+            if _frozen_metric(kb, groundings, relation, model):
+                assert want["metric"] == want["metric"][:1] * epochs
+                assert (rp.epochs_trained, rp.stopped) == (1, max_epochs > 1)
+                assert trace == {key: values[:1] for key, values in want.items()}
+                assert rp.logits.tobytes() == one_epoch[relation].logits.tobytes()
+                assert rp.mix_logit == one_epoch[relation].mix_logit
+            else:  # as without the frozen-metric stop, embeddings on or off
+                assert (rp.epochs_trained, rp.stopped, trace) == (epochs, stopped, want)
+            assert rp.logits.tobytes() == logits.tobytes() and rp.mix_logit == mix
+
+    def test_relation_without_a_grounded_rule(self):
+        # family_kb's parent has train triples, no validation query and no
+        # rule: it stops on -loss, which is log(entities) at any weights
+        kb, groundings = family_setup()
+        parent, grandparent = kb.relations.id("parent"), kb.relations.id("grandparent")
+        assert parent not in groundings and _frozen_metric(kb, groundings, parent)
+        params, traces = train(kb, groundings, None, TrainerConfig(lr=0.5, max_epochs=6, patience=6))
+        one_epoch, _ = train(kb, groundings, None, TrainerConfig(lr=0.5, max_epochs=1, patience=6))
+        rp = params[parent]
+        assert (rp.epochs_trained, rp.stopped, len(traces["parent"]["metric"])) == (1, True, 1)
+        assert rp.logits.tobytes() == one_epoch[parent].logits.tobytes()
+        assert rp.mix_logit == one_epoch[parent].mix_logit
+        # grandparent's rule has evidence on train, so its -loss moves
+        assert (params[grandparent].epochs_trained, params[grandparent].stopped) == (6, False)
+
+    @pytest.mark.parametrize(
+        "valid, embedded, frozen",
+        [("Eve", False, True), ("Bob", False, False), ("Eve", True, False)],
+        ids=["no-evidence", "evidence", "no-evidence-embedded"],
+    )
+    def test_relation_whose_validation_queries_get_no_evidence(self, valid, embedded, frozen):
+        # Eve has no parent edge, so the rule gives her query no evidence;
+        # Bob's goes Bob -> Charlie -> Dana. Either way grandparent's train
+        # head Anna has evidence, and its weights move every epoch
+        kb = synthetic.build_kb(
+            ["Anna", "Bob", "Charlie", "Dana", "Eve"],
+            ["parent", "grandparent"],
+            [("Anna", "parent", "Bob"), ("Bob", "parent", "Charlie"), ("Charlie", "parent", "Dana"),
+             ("Anna", "grandparent", "Charlie")],
+            valid=[(valid, "grandparent", "Dana")],
+        )
+        kb, groundings = family_setup(kb)
+        model = rotate.init_model(kb.num_entities, kb.num_relations, rotate.RotateConfig(dim=4)) if embedded else None
+        rel = kb.relations.id("grandparent")
+        assert _frozen_metric(kb, groundings, rel, model) == frozen
+        params, traces = train(kb, groundings, model, TrainerConfig(lr=0.5, max_epochs=6, patience=6))
+        one_epoch, _ = train(kb, groundings, model, TrainerConfig(lr=0.5, max_epochs=1, patience=6))
+        rp, trace = params[rel], traces["grandparent"]
+        if frozen:
+            assert (rp.epochs_trained, rp.stopped, len(trace["metric"])) == (1, True, 1)
+            assert rp.logits.tobytes() == one_epoch[rel].logits.tobytes()
+            assert rp.mix_logit == one_epoch[rel].mix_logit
+        else:
+            assert (rp.epochs_trained, rp.stopped, len(trace["metric"])) == (6, False, 6)
+            assert len(set(trace["loss"])) > 1
+
+
 class TestTrainLoop:
     def test_zero_lr_leaves_parameters_unchanged(self):
         kb, groundings = family_setup()
@@ -794,6 +935,9 @@ class TestCheckpoint:
             assert epochs == len(trace["loss"]) == len(trace["metric"])
             if not kb.matrices[relation].nnz:
                 assert (epochs, stopped, trace) == (0, False, {"loss": [], "metric": []})
+            elif _frozen_metric(kb, groundings, relation) and max_epochs > 1:
+                # no parameter moves its stopping metric: it ends after epoch 1
+                assert (epochs, stopped) == (1, True)
             elif stopped:
                 assert epochs == int(np.argmax(trace["metric"])) + patience + 1
             else:
