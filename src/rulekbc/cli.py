@@ -75,14 +75,12 @@ _STAGE_SEEDS = {
 }
 
 
-def _keys(cls) -> List[Tuple[str, Field]]:
-    """(INI key, dataclass field) for each setting of one `_SECTIONS` row."""
-    derived = _STAGE_SEEDS.get(cls, ("",))[0]
-    return [(f.name, f) for f in fields(cls) if f.name != derived]
-
-
-# section -> its (INI key, field) pairs, in `_SECTIONS` order
-_KEYS = {section: _keys(cls) for section, cls in _SECTIONS}
+# section -> the fields of its settings, each named by its INI key, in
+# `_SECTIONS` order; the derived seed field is not an INI key
+_KEYS = {
+    section: [f for f in fields(cls) if f.name != _STAGE_SEEDS.get(cls, ("",))[0]]
+    for section, cls in _SECTIONS
+}
 
 
 @dataclass
@@ -107,9 +105,10 @@ class PipelineConfig:
         return os.path.join(self.run.output_dir, self.hash())
 
 
-def _read(parser: configparser.ConfigParser, section: str, key: str, f: Field):
+def _read(parser: configparser.ConfigParser, section: str, f: Field):
     """One setting cast to its field's type; absent, or empty for a
     non-string setting, keeps the default."""
+    key = f.name
     if not parser.has_option(section, key):
         return f.default
     raw = parser.get(section, key).strip()
@@ -139,7 +138,7 @@ def load_config(path: str) -> PipelineConfig:
     for section in parser.sections():
         if section not in _KEYS:
             raise CLIError("unknown config section [%s]" % section)
-        known = {key for key, _ in _KEYS[section]}
+        known = {f.name for f in _KEYS[section]}
         for key in parser[section]:
             if key not in known:
                 raise CLIError("unknown key %r in section [%s]" % (key, section))
@@ -148,10 +147,10 @@ def load_config(path: str) -> PipelineConfig:
     items = []
     for section, cls in _SECTIONS:
         values = {}
-        for key, f in _KEYS[section]:
-            values[key] = _read(parser, section, key, f)
+        for f in _KEYS[section]:
+            values[f.name] = _read(parser, section, f)
             # str(float) is its repr, so the resolved text round-trips
-            items.append(("%s.%s" % (section, key), str(values[key])))
+            items.append(("%s.%s" % (section, f.name), str(values[f.name])))
         if cls in _STAGE_SEEDS:
             field_name, stage = _STAGE_SEEDS[cls]
             values[field_name] = settings.stage_seed(built["run"].seed, stage)
@@ -486,7 +485,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = load_config(args.config)
         run = _prepare_run_dir(cfg)
         return args.handler(cfg, run, _load_kb(cfg), args)
-    except (CLIError, KBError, settings.ProposerError, ValueError, OSError) as exc:
+    except (CLIError, KBError, settings.ProposerError, ValueError, OSError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

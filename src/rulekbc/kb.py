@@ -1,9 +1,9 @@
 """Triple store: TSV loading, id vocabularies, per-relation adjacency matrices.
 
-Each split is held as an (n, 3) int64 array of (head, relation, tail) ids;
-the Triple lists, the per-entity index, the adjacency matrices and the known
-tails are built from those arrays on first use, so a stage pays only for
-what it reads.
+Each split is held once, as an (n, 3) int64 array of (head, relation, tail)
+ids; no Triple list of a split is kept. The per-entity index, the adjacency
+matrices and the known tails are built from those arrays on first use, so a
+stage pays only for what it reads.
 
 The adjacency and grounding counts are integer CSR matrices kept as plain
 numpy arrays; the products that ground a rule are computed here, so no stage
@@ -334,12 +334,12 @@ class KnowledgeBase:
     """Immutable triple store: id vocabularies, and each split as an (n, 3)
     int64 array of (head, relation, tail) rows (`arrays`, read only).
 
-    Everything derived from the splits is built on first use: the Triple
-    lists `train`, `valid` and `test`, the per-entity `incident` index that
+    No Triple list of a split is kept: `train`, `valid` and `test` build one
+    from the array on each read. The per-entity `incident` index that
     subgraph sampling reads, the train adjacency `matrices` and the known
-    tails of the filtered protocol. Adjacency matrices come from the
-    train split only; relations that occur solely in valid/test keep an
-    all-zero matrix so every relation id resolves.
+    tails of the filtered protocol are built on first use. Adjacency
+    matrices come from the train split only; relations that occur solely in
+    valid/test keep an all-zero matrix so every relation id resolves.
     """
 
     def __init__(self, entities: Vocab, relations: Vocab, train, valid, test):
@@ -355,21 +355,11 @@ class KnowledgeBase:
                 raise KBError("%s split holds ids outside the vocabularies" % name)
             rows.flags.writeable = False
             self.arrays[name] = rows
-        self._lists: Dict[str, List[Triple]] = {}
         self._transposed: Dict[int, SparseMatrix] = {}
 
-    train = property(lambda self: self.split("train"), doc="The train split as Triples, in file order.")
-    valid = property(lambda self: self.split("valid"), doc="The valid split as Triples, in file order.")
-    test = property(lambda self: self.split("test"), doc="The test split as Triples, in file order.")
-
-    def split(self, name: str) -> List[Triple]:
-        """A split as a list of Triples, built on first use and kept."""
-        got = self._lists.get(name)
-        if got is None:
-            if name not in self.arrays:
-                raise KBError("unknown split %r" % name)
-            got = self._lists[name] = list(map(Triple._make, self.arrays[name].tolist()))
-        return got
+    train = property(lambda self: _triples(self.arrays["train"]), doc="The train split as Triples, in file order.")
+    valid = property(lambda self: _triples(self.arrays["valid"]), doc="The valid split as Triples, in file order.")
+    test = property(lambda self: _triples(self.arrays["test"]), doc="The test split as Triples, in file order.")
 
     @functools.cached_property
     def incident(self) -> Dict[int, List[Triple]]:
@@ -449,10 +439,14 @@ class KnowledgeBase:
         names = self.entity_name(t.head), self.relation_name(t.relation), self.entity_name(t.tail)
         return "(%s, %s, %s)" % names
 
-    def train_by_relation(self, relation: int) -> List[Triple]:
-        """The relation's train triples, in train order, as a new list."""
-        train = self.train
-        return [train[i] for i in np.flatnonzero(self.arrays["train"][:, 1] == relation).tolist()]
+    def train_by_relation(self, relation: int) -> np.ndarray:
+        """The row ids in `arrays["train"]` of the relation's train triples,
+        increasing."""
+        return np.flatnonzero(self.arrays["train"][:, 1] == relation)
+
+
+def _triples(rows: np.ndarray) -> List[Triple]:
+    return list(map(Triple._make, rows.tolist()))
 
 
 def _keys(x: np.ndarray, y: np.ndarray, z: np.ndarray, ny: int, nz: int) -> np.ndarray:

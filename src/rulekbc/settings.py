@@ -16,6 +16,21 @@ def stage_seed(seed: int, stage: int) -> int:
     return int(SeedSequence([seed, stage]).generate_state(1)[0])
 
 
+def _check_bounds(section: str, cfg, least: dict[str, float], above: tuple[str, ...] = ()) -> None:
+    """ValueError naming `section.key` for the first setting of `cfg` in
+    `least` that is a float and not finite, or is below its least value;
+    a key in `above` must be above it, and a least value of -inf asks for
+    finiteness only. Only floats are checked for finiteness: `math.isfinite`
+    of an int too large for a float raises."""
+    for key, bound in least.items():
+        value = getattr(cfg, key)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError("%s.%s must be finite, got %r" % (section, key, value))
+        op = ">" if key in above else ">="
+        if value < bound or (op == ">" and value == bound):
+            raise ValueError("%s.%s must be %s %s, got %r" % (section, key, op, bound, value))
+
+
 @dataclass(frozen=True)
 class ExtractorConfig:
     max_hops: int = 3
@@ -24,10 +39,7 @@ class ExtractorConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_hops < 1 or self.max_neighbors_per_entity < 1:
-            raise ValueError("hop and neighbor caps must be positive")
-        if self.max_subgraphs_per_relation < 1:
-            raise ValueError("max_subgraphs_per_relation must be positive")
+        _check_bounds("extract", self, {"max_hops": 1, "max_neighbors_per_entity": 1, "max_subgraphs_per_relation": 1})
 
 
 OFFLINE = "offline-miner"
@@ -55,15 +67,8 @@ class ProposerConfig:
         # urllib would also open file:// and ftp:// URLs
         if self.backend == REMOTE and not self.endpoint.lower().startswith(("http://", "https://")):
             raise ValueError("proposer.endpoint must be an http:// or https:// URL, got %r" % self.endpoint)
-        if self.max_retries < 0:
-            raise ValueError("proposer.max_retries must be >= 0, got %r" % self.max_retries)
-        for name in ("request_timeout", "retry_backoff", "temperature"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError("proposer.%s must be finite, got %r" % (name, getattr(self, name)))
-        if self.request_timeout <= 0:
-            raise ValueError("proposer.request_timeout must be > 0, got %r" % self.request_timeout)
-        if self.retry_backoff < 0:
-            raise ValueError("proposer.retry_backoff must be >= 0, got %r" % self.retry_backoff)
+        least = {"request_timeout": 0, "max_retries": 0, "retry_backoff": 0, "temperature": -math.inf}
+        _check_bounds("proposer", self, least, above=("request_timeout",))
 
 
 @dataclass(frozen=True)
@@ -78,15 +83,8 @@ class RotateConfig:
     enabled: bool = True  # off: rank with rule evidence alone
 
     def __post_init__(self):
-        if self.dim < 1 or self.negatives < 1 or self.batch_size < 1:
-            raise ValueError("dim, negatives and batch_size must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs cannot be negative")
-        for name in ("lr", "margin"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError("rotate.%s must be finite, got %r" % (name, getattr(self, name)))
-        if self.lr < 0:
-            raise ValueError("rotate.lr must be >= 0, got %r" % self.lr)
+        least = {"dim": 1, "margin": -math.inf, "negatives": 1, "epochs": 0, "lr": 0, "batch_size": 1}
+        _check_bounds("rotate", self, least)
 
 
 @dataclass(frozen=True)
@@ -100,11 +98,5 @@ class TrainerConfig:
     uniform_weights: bool = False  # freeze logits equal; ablation mode
 
     def __post_init__(self):
-        if self.step_size < 1 or self.patience < 1 or self.max_epochs < 0:
-            raise ValueError("step_size and patience must be positive, max_epochs >= 0")
-        for name in ("lr", "weight_decay", "step_gamma"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError("trainer.%s must be finite, got %r" % (name, value))
-            if value < 0:
-                raise ValueError("trainer.%s must be >= 0, got %r" % (name, value))
+        least = {"lr": 0, "weight_decay": 0, "step_size": 1, "step_gamma": 0, "patience": 1, "max_epochs": 0}
+        _check_bounds("trainer", self, least)

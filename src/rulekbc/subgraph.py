@@ -24,12 +24,12 @@ class Subgraph:
 def sample_targets(kb: KnowledgeBase, relation: int, count: int, seed: int) -> List[Triple]:
     """Up to `count` distinct train triples of the relation, deterministic per seed."""
     pool = kb.train_by_relation(relation)
-    if len(pool) <= count:
-        return list(pool)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, relation]))
-    idx = rng.choice(len(pool), size=count, replace=False)
-    idx.sort()
-    return [pool[i] for i in idx]
+    if len(pool) > count:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, relation]))
+        idx = rng.choice(len(pool), size=count, replace=False)
+        idx.sort()
+        pool = pool[idx]
+    return list(map(Triple._make, kb.arrays["train"][pool].tolist()))
 
 
 def extract_subgraph(kb: KnowledgeBase, target: Triple, cfg: ExtractorConfig) -> Subgraph:

@@ -198,7 +198,7 @@ def write_kb_files(
         triples = {
             split: [
                 (kb.entity_name(h), kb.relation_name(r), kb.entity_name(t))
-                for h, r, t in kb.split(split)
+                for h, r, t in kb.arrays[split]
             ]
             for split in ("train", "valid", "test")
         }

@@ -49,6 +49,32 @@ def readme_default_config() -> str:
 
 DEFAULT_CONFIG = readme_default_config()
 
+# (section, key) of every bounded setting of the stages -> (its first invalid
+# value, the valid value next to it): one below an integer's least value,
+# the float next to 0 on the wrong side, and infinity for a setting that
+# must only be finite
+BOUNDS = {
+    ("extract", "max_hops"): ("0", "1"),
+    ("extract", "max_neighbors_per_entity"): ("0", "1"),
+    ("extract", "max_subgraphs_per_relation"): ("0", "1"),
+    ("proposer", "request_timeout"): ("0", "5e-324"),
+    ("proposer", "max_retries"): ("-1", "0"),
+    ("proposer", "retry_backoff"): ("-5e-324", "0"),
+    ("proposer", "temperature"): ("inf", "1e308"),
+    ("rotate", "dim"): ("0", "1"),
+    ("rotate", "margin"): ("-inf", "-1e308"),
+    ("rotate", "negatives"): ("0", "1"),
+    ("rotate", "epochs"): ("-1", "0"),
+    ("rotate", "lr"): ("-5e-324", "0"),
+    ("rotate", "batch_size"): ("0", "1"),
+    ("trainer", "lr"): ("-5e-324", "0"),
+    ("trainer", "weight_decay"): ("-5e-324", "0"),
+    ("trainer", "step_size"): ("0", "1"),
+    ("trainer", "step_gamma"): ("-5e-324", "0"),
+    ("trainer", "patience"): ("0", "1"),
+    ("trainer", "max_epochs"): ("-1", "0"),
+}
+
 
 def config_sections(text):
     """[(section header, its setting lines)] of a config, comments and blank
@@ -322,10 +348,10 @@ class TestConfig:
         assert same == (set(defaults) if text == DEFAULT_CONFIG else set())
 
     def test_each_key_is_its_field_name(self):
-        # no INI key reaches its setting under another name
+        # a section's INI keys are its settings' fields, less the derived seed
         for section, cls in cli._SECTIONS:
-            for key, f in cli._KEYS[section]:
-                assert key == f.name and f in fields(cls), "%s.%s" % (section, key)
+            derived = [cli._STAGE_SEEDS[cls][0]] if cls in cli._STAGE_SEEDS else []
+            assert [f.name for f in fields(cls) if f not in cli._KEYS[section]] == derived, section
 
     def test_readme_default_block_is_the_example(self, tmp_path):
         # every setting once, in load order, at its default; [kb] paths have
@@ -338,11 +364,11 @@ class TestConfig:
             for header, lines in config_sections(DEFAULT_CONFIG)
             for line in lines
         ]
-        assert named == ["%s.%s" % (section, key) for section, keys in cli._KEYS.items() for key, _ in keys]
+        assert named == ["%s.%s" % (section, f.name) for section, keys in cli._KEYS.items() for f in keys]
         for section, keys in cli._KEYS.items():
             if section != "kb":
-                for key, f in keys:
-                    assert getattr(getattr(cfg, section), f.name) == f.default, "%s.%s" % (section, key)
+                for f in keys:
+                    assert getattr(getattr(cfg, section), f.name) == f.default, "%s.%s" % (section, f.name)
         assert cfg.kb == cli._Paths("data/train.txt", "data/valid.txt", "data/test.txt")
         assert cfg.hash() == "b1d77c9046b0"
 
@@ -515,6 +541,41 @@ class TestArgumentErrors:
         err = capsys.readouterr().err
         assert "error: proposer.%s %s" % (key, message) in err
         assert "Traceback" not in err
+
+    def test_every_numeric_stage_setting_is_bounded(self):
+        numeric = {
+            (section, f.name)
+            for section, keys in cli._KEYS.items()
+            for f in keys
+            if f.type in (int, float) and section != "run"  # run.seed is checked above
+        }
+        assert set(BOUNDS) == numeric
+
+    @pytest.mark.parametrize("section, key", sorted(BOUNDS), ids=["%s.%s" % k for k in sorted(BOUNDS)])
+    def test_setting_at_its_first_invalid_value_exits_2(self, tmp_path, capsys, section, key):
+        invalid, valid = BOUNDS[section, key]
+        path = minimal_config(tmp_path, extra="[%s]\n%s = %s\n" % (section, key, invalid))
+        assert cli.main(["--config", str(path), "extract"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: %s.%s must be " % (section, key)), line
+        path = minimal_config(tmp_path, extra="[%s]\n%s = %s\n" % (section, key, valid))
+        assert getattr(getattr(cli.load_config(str(path)), section), key) == float(valid)
+
+    # numpy refuses an array of petabytes or more before it touches memory,
+    # so these runs allocate nothing; `train` trains the embeddings when
+    # none exist. With dim = 64, the negatives' buffer would be too big to
+    # size at all, which numpy reports as a ValueError instead
+    @pytest.mark.parametrize("key", ["dim", "negatives"])
+    @pytest.mark.parametrize("command", ["rotate-train", "train"])
+    def test_allocation_that_cannot_succeed_exits_2(self, tmp_path, capsys, key, command):
+        rotate = {"dim": "8", "epochs": "1", key: "1000000000000000"}
+        path = minimal_config(tmp_path, extra="[rotate]\n" + "".join("%s = %s\n" % kv for kv in rotate.items()))
+        for stage in ("extract", "propose"):
+            assert run_cli(["--config", str(path), stage])[0] == 0
+        capsys.readouterr()
+        assert cli.main(["--config", str(path), command]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: Unable to allocate "), line
 
     # the settings at which training used to write NaN or Infinity into
     # params.json or rotate.bin and exit 0, or end in a traceback. `train`

@@ -1,5 +1,7 @@
 """Ranking metrics, rule-quality aggregates and model evaluation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from rulekbc.evaluation import (
     rule_quality_from_counts,
 )
 from rulekbc.grounding import ground_all
-from rulekbc.kb import KBError
+from rulekbc.kb import KBError, KnowledgeBase
 from rulekbc.rules import format_rule
 from rulekbc.trainer import TrainerConfig, rank, train
 
@@ -168,20 +170,25 @@ class TestEvaluateModel:
         params, _ = train(kb, groundings, None, cfg)
         rep = evaluate_model(params, kb, groundings, None, split="valid")
         manual = []
-        for t in kb.split("valid"):
+        for t in kb.valid:
             res = rank(params, kb, groundings, None, t.head, t.relation, gold=t.tail, top_k=0)
             manual.append(res.gold_rank)
         expected = compute_metrics(manual)
         assert rep == expected
-        assert rep.query_count == len(kb.split("valid"))
+        assert rep.query_count == len(kb.arrays["valid"])
 
     def test_reads_the_split_arrays(self):
         # ranking a split builds no Triple list of it; an unknown split is named
         kb, pool, _ = synthetic.planted_kb(0)
         groundings = ground_all(kb, pool)
         params, _ = train(kb, groundings, None, TrainerConfig(max_epochs=2))
-        evaluate_model(params, kb, groundings, None, split="test")
-        assert kb._lists == {}
+
+        def no_list(_):
+            raise AssertionError("evaluate_model built a Triple list of a split")
+
+        lists = {name: property(no_list) for name in ("train", "valid", "test")}
+        with mock.patch.multiple(KnowledgeBase, **lists):
+            evaluate_model(params, kb, groundings, None, split="test")
         with pytest.raises(KBError, match="unknown split 'train2'"):
             evaluate_model(params, kb, groundings, None, split="train2")
 

@@ -181,7 +181,7 @@ class TestScoreAccess:
         kb, case_rules = kb_and_case_rules(n_entities, edges, rel_picks)
         rel = case_rules[0].head.relation
         if twice:  # one head triple listed twice: M and A read 2 at its pair
-            train = kb.train + kb.train_by_relation(rel)[:1]
+            train = np.concatenate([kb.arrays["train"], kb.arrays["train"][kb.train_by_relation(rel)[:1]]])
             kb = KnowledgeBase(kb.entities, kb.relations, train, [], [])
         gs = [ground(kb, rule) for rule in case_rules]
         heads = [h for h in heads if h < n_entities]

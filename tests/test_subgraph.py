@@ -28,7 +28,7 @@ class TestSampleTargets:
     def test_small_pool_returned_whole(self):
         kb = synthetic.family_kb()
         rel = kb.relations.id("parent")
-        assert sample_targets(kb, rel, 10, seed=0) == kb.train_by_relation(rel)
+        assert sample_targets(kb, rel, 10, seed=0) == [t for t in kb.train if t.relation == rel]
 
     def test_deterministic_and_distinct(self):
         kb = random_kb(3)
