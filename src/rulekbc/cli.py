@@ -3,7 +3,9 @@
 `main` is the one runner: it reads the INI config file, prepares the run
 directory <output_dir>/<config-hash>/, loads the KB and calls the handler of
 the chosen subcommand, so identical config+seed reruns are byte-identical
-and different configs never collide. No artifact embeds a timestamp.
+and different configs never collide. No artifact embeds a timestamp. Every
+config section and its settings are declared in `settings`; this module
+only reads them, one section per field of `PipelineConfig`.
 """
 
 import argparse
@@ -32,63 +34,13 @@ class CLIError(Exception):
     pass
 
 
-# No stage module defines settings for [run] or [kb], so these private
-# dataclasses hold them and their defaults.
-@dataclass(frozen=True)
-class _Run:
-    seed: int = 0
-    output_dir: str = "runs"
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise CLIError("run.seed must be a non-negative integer, got %d" % self.seed)
-
-
-@dataclass(frozen=True)
-class _Paths:
-    train: str = ""
-    valid: str = ""  # empty: no such split
-    test: str = ""
-
-    def __post_init__(self):
-        if not self.train:
-            raise CLIError("config [kb] train path is required")
-
-
-# The one source of every setting and its default, one row per INI section
-# in load order: (section, its settings dataclass), each INI key the name of
-# a field. `load_config` keeps each section's instance under the section's
-# name.
-_SECTIONS = (
-    ("run", _Run),
-    ("kb", _Paths),
-    ("extract", settings.ExtractorConfig),
-    ("proposer", settings.ProposerConfig),
-    ("rotate", settings.RotateConfig),
-    ("trainer", settings.TrainerConfig),
-)
-
-# per-stage seed field and stage number; derived from [run] seed, not INI keys
-_STAGE_SEEDS = {
-    settings.ExtractorConfig: ("rng_seed", 1),
-    settings.RotateConfig: ("seed", 2),
-}
-
-
-# section -> the fields of its settings, each named by its INI key, in
-# `_SECTIONS` order; the derived seed field is not an INI key
-_KEYS = {
-    section: [f for f in fields(cls) if f.name != _STAGE_SEEDS.get(cls, ("",))[0]]
-    for section, cls in _SECTIONS
-}
-
-
 @dataclass
 class PipelineConfig:
-    """Each INI section's settings under the section's name."""
+    """Each INI section's settings under the section's name. These fields,
+    less `items`, are the one table of sections, in load order."""
 
-    run: _Run
-    kb: _Paths
+    run: settings.RunConfig
+    kb: settings.KBConfig
     extract: settings.ExtractorConfig
     proposer: settings.ProposerConfig
     rotate: settings.RotateConfig
@@ -103,6 +55,16 @@ class PipelineConfig:
 
     def run_dir(self) -> str:
         return os.path.join(self.run.output_dir, self.hash())
+
+
+# section -> the fields of its settings that are INI keys, each named by
+# its key, in load order; a stage seed, marked by its field's metadata, is
+# derived from [run] seed and is no INI key
+_KEYS = {
+    section.name: [f for f in fields(section.type) if "stage" not in f.metadata]
+    for section in fields(PipelineConfig)
+    if section.name != "items"
+}
 
 
 def _read(parser: configparser.ConfigParser, section: str, f: Field):
@@ -145,16 +107,16 @@ def load_config(path: str) -> PipelineConfig:
 
     built = {}  # section -> its settings instance
     items = []
-    for section, cls in _SECTIONS:
-        values = {}
-        for f in _KEYS[section]:
-            values[f.name] = _read(parser, section, f)
-            # str(float) is its repr, so the resolved text round-trips
-            items.append(("%s.%s" % (section, f.name), str(values[f.name])))
-        if cls in _STAGE_SEEDS:
-            field_name, stage = _STAGE_SEEDS[cls]
-            values[field_name] = settings.stage_seed(built["run"].seed, stage)
-        built[section] = cls(**values)
+    for section in fields(PipelineConfig):
+        if section.name == "items":
+            continue
+        values = {f.name: _read(parser, section.name, f) for f in _KEYS[section.name]}
+        # str(float) is its repr, so the resolved text round-trips
+        items += [("%s.%s" % (section.name, key), str(value)) for key, value in values.items()]
+        for f in fields(section.type):
+            if "stage" in f.metadata:
+                values[f.name] = settings.stage_seed(built["run"].seed, f.metadata["stage"])
+        built[section.name] = section.type(**values)
     return PipelineConfig(items=sorted(items), **built)
 
 

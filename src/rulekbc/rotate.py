@@ -317,25 +317,35 @@ class AdamW:
         param -= lr * update
 
 
+# how numpy's ValueError starts when it refuses a shape too large to size
+_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded")
+
+
 def train_embeddings(kb: KnowledgeBase, cfg: RotateConfig) -> Tuple[RotateModel, List[float]]:
     """Pretrain embeddings on the train split; deterministic for a given seed.
 
     epochs=0 returns the seeded initialization untouched. The returned trace
-    holds one mean batch loss per epoch.
+    holds one mean batch loss per epoch. A model or work buffer that cannot
+    be allocated raises KBError naming the [rotate] settings to lower.
     """
-    model = init_model(kb.num_entities, kb.num_relations, cfg)
     trace: List[float] = []
-    if cfg.epochs == 0:
-        return model, trace
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     positives = kb.arrays["train"]
     n = len(positives)
-    opt_e = AdamW(model.entity.shape)
-    opt_p = AdamW(model.phase.shape)
-    # loss_and_grad's work buffers, sized for a full batch
-    full = min(cfg.batch_size, n)
-    rows = np.empty((full * (cfg.negatives + 2), 2 * cfg.dim))
-    moduli = _moduli_buffer(full, cfg.negatives, cfg.dim)
+    try:
+        model = init_model(kb.num_entities, kb.num_relations, cfg)
+        if cfg.epochs == 0:
+            return model, trace
+        opt_e = AdamW(model.entity.shape)
+        opt_p = AdamW(model.phase.shape)
+        # loss_and_grad's work buffers, sized for a full batch
+        full = min(cfg.batch_size, n)
+        rows = np.empty((full * (cfg.negatives + 2), 2 * cfg.dim))
+        moduli = _moduli_buffer(full, cfg.negatives, cfg.dim)
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(_TOO_BIG):
+            raise
+        raise KBError("%s; lower [rotate] dim, negatives or batch_size" % str(exc).rstrip(".")) from exc
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     for epoch in range(1, cfg.epochs + 1):
         with training_epoch("RotatE training", epoch, "[rotate] lr or margin"):
             order = rng.permutation(n)

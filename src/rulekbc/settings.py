@@ -1,12 +1,16 @@
-"""Settings of each pipeline stage, and the proposer backend's error.
+"""Settings of every INI section, [run], [kb] and each pipeline stage's,
+and the proposer backend's error.
 
-They live apart from the stage modules, so the CLI can read and hash a
-config, and report a stage's errors, without loading the stages; each
-command loads only the stages it runs.
+Every section is declared here, apart from the stage modules, so the CLI
+can read and hash a config, and report a stage's errors, without loading
+the stages; each command loads only the stages it runs. A field whose
+metadata holds a `stage` number is that stage's seed: the CLI derives it
+from [run] seed, and it is no INI key.
 """
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 from numpy.random import SeedSequence
 
@@ -32,11 +36,31 @@ def _check_bounds(section: str, cfg, least: dict[str, float], above: tuple[str, 
 
 
 @dataclass(frozen=True)
+class RunConfig:
+    seed: int = 0
+    output_dir: str = "runs"
+
+    def __post_init__(self):
+        _check_bounds("run", self, {"seed": 0})
+
+
+@dataclass(frozen=True)
+class KBConfig:
+    train: str = ""
+    valid: str = ""  # empty: no such split
+    test: str = ""
+
+    def __post_init__(self):
+        if not self.train:
+            raise ValueError("config [kb] train path is required")
+
+
+@dataclass(frozen=True)
 class ExtractorConfig:
     max_hops: int = 3
     max_neighbors_per_entity: int = 3
     max_subgraphs_per_relation: int = 30
-    rng_seed: int = 0
+    rng_seed: int = field(default=0, metadata={"stage": 1})
 
     def __post_init__(self):
         _check_bounds("extract", self, {"max_hops": 1, "max_neighbors_per_entity": 1, "max_subgraphs_per_relation": 1})
@@ -63,12 +87,21 @@ class ProposerConfig:
 
     def __post_init__(self):
         if self.backend not in (OFFLINE, REMOTE):
-            raise ValueError("unknown proposer backend %r" % self.backend)
+            raise ValueError("proposer.backend must be %r or %r, got %r" % (OFFLINE, REMOTE, self.backend))
         # urllib would also open file:// and ftp:// URLs
         if self.backend == REMOTE and not self.endpoint.lower().startswith(("http://", "https://")):
             raise ValueError("proposer.endpoint must be an http:// or https:// URL, got %r" % self.endpoint)
         least = {"request_timeout": 0, "max_retries": 0, "retry_backoff": 0, "temperature": -math.inf}
         _check_bounds("proposer", self, least, above=("request_timeout",))
+        # sockets and time.sleep take waits of at most TIMEOUT_MAX seconds;
+        # the last retry's sleep is compared by division, as the product
+        # overflows a float for a max_retries too large for one
+        most = threading.TIMEOUT_MAX
+        if self.request_timeout > most:
+            raise ValueError("proposer.request_timeout must be <= %r, got %r" % (most, self.request_timeout))
+        if self.retry_backoff and self.max_retries > most / self.retry_backoff:
+            message = "proposer.retry_backoff * max_retries must be <= %r, got %r * %d"
+            raise ValueError(message % (most, self.retry_backoff, self.max_retries))
 
 
 @dataclass(frozen=True)
@@ -79,7 +112,7 @@ class RotateConfig:
     epochs: int = 100
     lr: float = 1e-3
     batch_size: int = 256
-    seed: int = 0
+    seed: int = field(default=0, metadata={"stage": 2})
     enabled: bool = True  # off: rank with rule evidence alone
 
     def __post_init__(self):

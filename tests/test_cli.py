@@ -19,6 +19,7 @@ from loopback import ChatServer, completion
 from rulekbc import cli, rules
 from rulekbc.grounding import _cache_key, ground
 from rulekbc.kb import load_kb
+from rulekbc.settings import KBConfig
 
 
 def minimal_config(tmp_path, extra=""):
@@ -37,6 +38,17 @@ def minimal_config(tmp_path, extra=""):
     return path
 
 
+def config_with(tmp_path, section, key, value):
+    """A minimal config with one setting added to its section, which may be
+    one the minimal config has already."""
+    path = minimal_config(tmp_path)
+    header = "[%s]\n" % section
+    text = path.read_text()
+    text = text if header in text else text + header
+    path.write_text(text.replace(header, "%s%s = %s\n" % (header, key, value), 1))
+    return path
+
+
 def readme_default_config() -> str:
     """README's "Default configuration" block, the one annotated default
     config."""
@@ -49,11 +61,12 @@ def readme_default_config() -> str:
 
 DEFAULT_CONFIG = readme_default_config()
 
-# (section, key) of every bounded setting of the stages -> (its first invalid
+# (section, key) of every bounded numeric setting -> (its first invalid
 # value, the valid value next to it): one below an integer's least value,
 # the float next to 0 on the wrong side, and infinity for a setting that
 # must only be finite
 BOUNDS = {
+    ("run", "seed"): ("-1", "0"),
     ("extract", "max_hops"): ("0", "1"),
     ("extract", "max_neighbors_per_entity"): ("0", "1"),
     ("extract", "max_subgraphs_per_relation"): ("0", "1"),
@@ -245,6 +258,14 @@ class TestConfig:
         assert "error: %s:%d: not UTF-8 text: " % (path, line) in err
         assert "Traceback" not in err
 
+    def test_config_that_cannot_be_parsed_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.ini"
+        path.write_text("seed = 1\n[run]\n")  # a key before any section
+        assert cli.main(["--config", str(path), "extract"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse %s: File contains no section headers." % path), err
+        assert "line: 1" in err and "Traceback" not in err
+
     def test_unknown_section_rejected(self, tmp_path):
         path = minimal_config(tmp_path, extra="[bogus]\nx = 1\n")
         with pytest.raises(cli.CLIError, match=r"unknown config section \[bogus\]"):
@@ -263,7 +284,7 @@ class TestConfig:
     def test_train_path_required(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text("[run]\nseed = 1\n")
-        with pytest.raises(cli.CLIError, match="train path is required"):
+        with pytest.raises(ValueError, match=r"^config \[kb\] train path is required$"):
             cli.load_config(str(path))
 
     def test_unknown_similarity_provider_rejected(self, tmp_path, capsys):
@@ -313,21 +334,15 @@ class TestConfig:
         assert cfg.kb.valid == ""
         assert ("kb.valid", "") in cfg.items and ("rotate.dim", "64") in cfg.items
 
-    @pytest.mark.parametrize("route", ["config", "flag"])
-    def test_negative_seed_names_the_setting(self, tmp_path, capsys, route):
-        # the seed is set in the config only: --seed is no option
+    def test_negative_seed_names_the_setting(self, tmp_path, capsys):
+        # the seed is set in the config only, where BOUNDS covers run.seed:
+        # --seed is no option
         path = minimal_config(tmp_path)
-        if route == "flag":
-            with pytest.raises(SystemExit) as exit_:
-                cli.main(["--config", str(path), "extract", "--seed", "-1"])
-            code, message = exit_.value.code, "unrecognized arguments: --seed -1"
-        else:
-            path.write_text(path.read_text().replace("[run]\n", "[run]\nseed = -1\n"))
-            code = cli.main(["--config", str(path), "extract"])
-            message = "error: run.seed must be a non-negative integer, got -1"
-        assert code == 2
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["--config", str(path), "extract", "--seed", "-1"])
+        assert exit_.value.code == 2
         err = capsys.readouterr().err
-        assert message in err
+        assert "unrecognized arguments: --seed -1" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("text", [DEFAULT_CONFIG, NON_DEFAULT_CONFIG], ids=["example", "non-default"])
@@ -348,10 +363,21 @@ class TestConfig:
         assert same == (set(defaults) if text == DEFAULT_CONFIG else set())
 
     def test_each_key_is_its_field_name(self):
-        # a section's INI keys are its settings' fields, less the derived seed
-        for section, cls in cli._SECTIONS:
-            derived = [cli._STAGE_SEEDS[cls][0]] if cls in cli._STAGE_SEEDS else []
-            assert [f.name for f in fields(cls) if f not in cli._KEYS[section]] == derived, section
+        # the sections are PipelineConfig's fields less `items`; a section's
+        # INI keys are its settings' fields, less the stage seed that its
+        # field's metadata marks
+        sections = [s for s in fields(cli.PipelineConfig) if s.name != "items"]
+        assert list(cli._KEYS) == [s.name for s in sections]
+        stages = {}
+        for section in sections:
+            for f in fields(section.type):
+                if "stage" in f.metadata:
+                    stages["%s.%s" % (section.name, f.name)] = f.metadata["stage"]
+                else:
+                    assert f in cli._KEYS[section.name], (section.name, f.name)
+        # each stage number picks a seed of the artifacts: changing one
+        # would change every run's subgraphs or embeddings
+        assert stages == {"extract.rng_seed": 1, "rotate.seed": 2}
 
     def test_readme_default_block_is_the_example(self, tmp_path):
         # every setting once, in load order, at its default; [kb] paths have
@@ -369,7 +395,7 @@ class TestConfig:
             if section != "kb":
                 for f in keys:
                     assert getattr(getattr(cfg, section), f.name) == f.default, "%s.%s" % (section, f.name)
-        assert cfg.kb == cli._Paths("data/train.txt", "data/valid.txt", "data/test.txt")
+        assert cfg.kb == KBConfig("data/train.txt", "data/valid.txt", "data/test.txt")
         assert cfg.hash() == "b1d77c9046b0"
 
     @settings(max_examples=50, deadline=None)
@@ -532,6 +558,10 @@ class TestArgumentErrors:
             ("retry_backoff", "-0.5", "must be >= 0, got -0.5"),
             ("retry_backoff", "nan", "must be finite, got nan"),
             ("temperature", "-inf", "must be finite, got -inf"),
+            # the longest waits that sockets and time.sleep take
+            ("request_timeout", "1e10", "must be <= 9223372036.0, got 10000000000.0"),
+            ("retry_backoff", "1e10", "* max_retries must be <= 9223372036.0, got 10000000000.0 * 2"),
+            ("backend", "bogus", "must be 'offline-miner' or 'remote-chat', got 'bogus'"),
         ],
     )
     def test_invalid_proposer_setting_exits_nonzero(self, tmp_path, capsys, key, value, message):
@@ -542,40 +572,61 @@ class TestArgumentErrors:
         assert "error: proposer.%s %s" % (key, message) in err
         assert "Traceback" not in err
 
+    def test_longest_wait_that_python_accepts_loads(self, tmp_path):
+        # threading.TIMEOUT_MAX bounds both waits: a socket takes it as its
+        # timeout, and refuses a little more, as time.sleep does
+        extra = "[proposer]\nrequest_timeout = 9223372036.0\nmax_retries = 2\nretry_backoff = 4611686018.0\n"
+        cfg = cli.load_config(str(minimal_config(tmp_path, extra=extra)))
+        with socket.socket() as sock:
+            sock.settimeout(cfg.proposer.request_timeout)
+            with pytest.raises(OverflowError):
+                sock.settimeout(cfg.proposer.request_timeout * 1.001)
+
     def test_every_numeric_stage_setting_is_bounded(self):
         numeric = {
             (section, f.name)
             for section, keys in cli._KEYS.items()
             for f in keys
-            if f.type in (int, float) and section != "run"  # run.seed is checked above
+            if f.type in (int, float)
         }
         assert set(BOUNDS) == numeric
 
     @pytest.mark.parametrize("section, key", sorted(BOUNDS), ids=["%s.%s" % k for k in sorted(BOUNDS)])
     def test_setting_at_its_first_invalid_value_exits_2(self, tmp_path, capsys, section, key):
         invalid, valid = BOUNDS[section, key]
-        path = minimal_config(tmp_path, extra="[%s]\n%s = %s\n" % (section, key, invalid))
+        path = config_with(tmp_path, section, key, invalid)
         assert cli.main(["--config", str(path), "extract"]) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: %s.%s must be " % (section, key)), line
-        path = minimal_config(tmp_path, extra="[%s]\n%s = %s\n" % (section, key, valid))
+        path = config_with(tmp_path, section, key, valid)
         assert getattr(getattr(cli.load_config(str(path)), section), key) == float(valid)
 
     # numpy refuses an array of petabytes or more before it touches memory,
     # so these runs allocate nothing; `train` trains the embeddings when
-    # none exist. With dim = 64, the negatives' buffer would be too big to
-    # size at all, which numpy reports as a ValueError instead
-    @pytest.mark.parametrize("key", ["dim", "negatives"])
+    # none exist. An array too big to size at all, as the negatives' buffer
+    # at dim = 64, or a dimension beyond numpy's, is a ValueError instead
+    @pytest.mark.parametrize(
+        "rotate, numpy_text",
+        [
+            ({"dim": "1000000000000000"}, "Unable to allocate "),
+            ({"negatives": "1000000000000000"}, "Unable to allocate "),
+            ({"dim": "64", "negatives": "1000000000000000"}, "array is too big; "),
+            ({"dim": "100000000000000000000"}, "Maximum allowed dimension exceeded"),
+            ({"negatives": "100000000000000000000"}, "Maximum allowed dimension exceeded"),
+        ],
+        ids=["dim", "negatives", "negatives-at-dim-64", "dim-1e20", "negatives-1e20"],
+    )
     @pytest.mark.parametrize("command", ["rotate-train", "train"])
-    def test_allocation_that_cannot_succeed_exits_2(self, tmp_path, capsys, key, command):
-        rotate = {"dim": "8", "epochs": "1", key: "1000000000000000"}
+    def test_allocation_that_cannot_succeed_exits_2(self, tmp_path, capsys, command, rotate, numpy_text):
+        rotate = {"dim": "8", "epochs": "1", **rotate}
         path = minimal_config(tmp_path, extra="[rotate]\n" + "".join("%s = %s\n" % kv for kv in rotate.items()))
         for stage in ("extract", "propose"):
             assert run_cli(["--config", str(path), stage])[0] == 0
         capsys.readouterr()
         assert cli.main(["--config", str(path), command]) == 2
         [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: Unable to allocate "), line
+        assert line.startswith("error: " + numpy_text), line
+        assert line.endswith("; lower [rotate] dim, negatives or batch_size"), line
 
     # the settings at which training used to write NaN or Infinity into
     # params.json or rotate.bin and exit 0, or end in a traceback. `train`

@@ -372,26 +372,36 @@ class TestCheckpoint:
         path = str(tmp_path / "emb.bin")
         save_embeddings(path, model)
         data = open(path, "rb").read()
-        with open(path, "wb") as fh:
-            fh.write(data[:-16])
-        with pytest.raises(KBError):
-            load_embeddings(path)
+        # the arrays cut short, then the 32-byte header after the magic
+        for end in (len(data) - 16, 4 + 31):
+            with open(path, "wb") as fh:
+                fh.write(data[:end])
+            with pytest.raises(KBError, match="is truncated$"):
+                load_embeddings(path)
 
     @pytest.mark.parametrize(
-        "dim, entities, relations",
-        [(2**40, 2**20, 1), (2**62, 2**62, 1), (2**20, 2**20, 2**20)],
-        ids=["overflow", "int64-overflow", "huge"],
+        "dim, entities, relations, message",
+        [
+            (2**40, 2**20, 1, "is truncated"),
+            (2**62, 2**62, 1, "is truncated"),
+            (2**20, 2**20, 2**20, "is truncated"),
+            (0, 15, 3, "has an invalid header"),
+            (4, 0, 3, "has an invalid header"),
+            (4, 15, -1, "has an invalid header"),
+        ],
+        ids=["overflow", "int64-overflow", "huge", "zero-dim", "zero-entities", "negative-relations"],
     )
-    def test_corrupt_header_rejected_without_allocating(self, tmp_path, dim, entities, relations):
+    def test_corrupt_header_rejected_without_allocating(self, tmp_path, dim, entities, relations, message):
         # a header's implied size is checked against the file's before any
-        # read; reading these sizes would overflow or exhaust memory
+        # read; reading these sizes would overflow or exhaust memory, and a
+        # count below 1 is refused before its size is computed
         model = random_model(15)
         path = tmp_path / "emb.bin"
         save_embeddings(str(path), model)
         data = bytearray(path.read_bytes())
         data[4:28] = struct.pack("<qqq", dim, entities, relations)
         path.write_bytes(bytes(data))
-        with pytest.raises(KBError, match="is truncated"):
+        with pytest.raises(KBError, match="%s$" % message):
             load_embeddings(str(path))
 
     @pytest.mark.parametrize("field", ["margin", "entity", "phase"])

@@ -985,6 +985,18 @@ class TestCheckpoint:
             load_params(str(path), kb)
         assert str(err.value).startswith(str(path) + ": ")
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [([], "not an object of relation blocks"), ({"grandparent": [1]}, "relation 'grandparent': block is not an object")],
+        ids=["list", "list-block"],
+    )
+    def test_checkpoint_that_is_not_objects_names_the_file(self, tmp_path, doc, message):
+        kb, _ = family_setup()
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(KBError, match="^%s: %s$" % (re.escape(str(path)), message)):
+            load_params(str(path), kb)
+
     def test_file_that_cannot_be_opened_names_the_file(self, tmp_path):
         kb, _ = family_setup()
         with pytest.raises(KBError, match="^cannot open parameter checkpoint %s: " % re.escape(str(tmp_path))):
