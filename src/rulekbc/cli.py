@@ -93,8 +93,9 @@ def load_config(path: str) -> PipelineConfig:
         raise CLIError("config file %s does not exist (see README: Default configuration)" % path) from exc
     except OSError as exc:
         raise CLIError("cannot read config file %s: %s" % (path, exc.strerror)) from exc
-    except configparser.Error as exc:
-        raise CLIError("cannot parse %s: %s" % (path, exc)) from exc
+    except configparser.Error as exc:  # its message may run over several lines
+        reason = " ".join(part.strip() for part in str(exc).splitlines())
+        raise CLIError("cannot parse %s: %s" % (path, reason)) from exc
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc) from exc
     for section in parser.sections():

@@ -126,10 +126,12 @@ def ground_all(
 def witness_paths(
     kb: KnowledgeBase, rule: Rule, head: int, tail: int, limit: int = 3
 ) -> List[List[Triple]]:
-    """Up to `limit` concrete body instantiations for (head, tail), as train
-    triples in body-atom order. Presentation helper for explanations."""
+    """Up to `limit` (>= 0) concrete body instantiations for (head, tail), as
+    train triples in body-atom order. Presentation helper for explanations."""
+    if limit < 0:
+        raise ValueError("limit must be >= 0, got %d" % limit)
     flags = CASE_FLAGS.get(rule.case)
-    if flags is None:
+    if flags is None or limit == 0:
         return []
     factors = _oriented_factors(kb, rule, flags)
     last = len(factors) - 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .kb import KnowledgeBase, Triple
-from .rules import _PATH_LETTERS, Rule, RuleAtom, RuleParseError, format_rule, parse_rule
+from .rules import Rule, RuleParseError, format_rule, parse_rule, path_atoms
 from .settings import OFFLINE, REMOTE, ProposerConfig, ProposerError  # noqa: F401
 from .subgraph import Subgraph, linearize
 
@@ -134,13 +134,9 @@ def mine_rules_text(kb: KnowledgeBase, sg: Subgraph, target: Triple) -> str:
         return ""
 
     def emit(path: List[Tuple[Triple, bool]]) -> None:
-        atoms = []
-        for i, (tr, forward) in enumerate(path):
-            a, b = _PATH_LETTERS[i], _PATH_LETTERS[i + 1]
-            s, o = (a, b) if forward else (b, a)
-            atoms.append(RuleAtom(s, kb.relation_name(tr.relation), o))
-        head = RuleAtom("A", kb.relation_name(target.relation), _PATH_LETTERS[len(path)])
-        line = format_rule(Rule(body=tuple(atoms), head=head))
+        flags = [not forward for _, forward in path]
+        names = [kb.relation_name(tr.relation) for tr, _ in path] + [kb.relation_name(target.relation)]
+        line = format_rule(Rule(*path_atoms(flags, names)))
         if line not in seen:
             seen.add(line)
             lines.append(line)
@@ -167,8 +163,6 @@ def propose(cfg: ProposerConfig, kb: KnowledgeBase, subgraphs: List[Subgraph]) -
     """
     records: List[ProposalRecord] = []
     for i, sg in enumerate(subgraphs):
-        if sg.target is None:
-            raise ProposerError("rule proposing needs target-centered subgraphs")
         target = sg.target
         sub_id = "%d:%d" % (target.relation, i)
         prompt = build_rule_prompt(sg, target, kb)

@@ -225,6 +225,17 @@ def map_relations(rule: Rule, kb: KnowledgeBase, provider: TrigramSimilarity) ->
 _CASE_OF = {flags: case for case, flags in CASE_FLAGS.items()}
 
 
+def path_atoms(flags: Sequence[bool], relations: Sequence) -> Tuple[Tuple[RuleAtom, ...], RuleAtom]:
+    """(body, head) of the path rule over A-D: body atom i joins letters i
+    and i + 1 with relations[i], reversed where flags[i] is set, and the
+    head joins A to the last letter with relations[-1]."""
+    body = tuple(
+        RuleAtom(_PATH_LETTERS[i + rev], rel, _PATH_LETTERS[i + 1 - rev])
+        for i, (rel, rev) in enumerate(zip(relations, flags))
+    )
+    return body, RuleAtom("A", relations[-1], _PATH_LETTERS[len(flags)])
+
+
 def classify_case(rule: Rule) -> Rule:
     """Assign one of the 14 groundable path shapes, or UNCLASSIFIED.
 
@@ -232,11 +243,11 @@ def classify_case(rule: Rule) -> Rule:
     atom that holds the current variable and moves to its other variable. The
     walk must use every atom, visit each variable once and end on the head
     object; the atoms' directions along it, looked up in CASE_FLAGS, name the
-    case. On a match the body is reordered along the path and variables are
-    renamed to A (head subject) through B/C/D, so structurally equal rules
-    share one canonical form.
+    case. On a match the rule is rewritten as `path_atoms` of those flags and
+    the relations in path order, variables A (head subject) through B/C/D,
+    so structurally equal rules share one canonical form.
     """
-    path, flags, order, rest = [rule.head.subject], [], [], list(rule.body)
+    path, flags, relations, rest = [rule.head.subject], [], [], list(rule.body)
     while rest:
         here = [i for i, a in enumerate(rest) if path[-1] in (a.subject, a.object)]
         if len(here) != 1:
@@ -244,13 +255,11 @@ def classify_case(rule: Rule) -> Rule:
         atom = rest.pop(here[0])
         flags.append(atom.object == path[-1])
         path.append(atom.subject if flags[-1] else atom.object)
-        order.append(atom)
+        relations.append(atom.relation)
     case = _CASE_OF.get(tuple(flags))
     if rest or case is None or path[-1] != rule.head.object or len(set(path)) != len(path):
         return replace(rule, case=UNCLASSIFIED)
-    name = dict(zip(path, _PATH_LETTERS))
-    body = tuple(RuleAtom(name[a.subject], a.relation, name[a.object]) for a in order)
-    head = RuleAtom("A", rule.head.relation, name[rule.head.object])
+    body, head = path_atoms(flags, relations + [rule.head.relation])
     return Rule(body, head, case, rule.provenance, rule.similarity)
 
 
@@ -308,9 +317,34 @@ def save_rules(path: str, rules: Sequence[Rule], kb: KnowledgeBase) -> None:
             fh.write("\n")
 
 
-def _record_extras(rec: Dict, n: int) -> Tuple[Tuple[str, ...], Optional[Tuple[float, ...]]]:
-    """The provenance and similarity of a record of `n` atoms; raises
-    ValueError naming what is wrong."""
+def _record_rule(rec, kb: KnowledgeBase) -> Rule:
+    """Rebuild one `_rule_record`; raises ValueError naming what is wrong.
+
+    A record of one of the 14 cases is its case and relation ids: its rule
+    is the case's path over A-D (`path_atoms`), and its text must be that
+    rule's rendering. An UNCLASSIFIED record is its parsed text with the ids
+    in place of the names, which `classify_case` must leave unclassified.
+    Each other key that is present holds what `save_rules` writes there."""
+    if not isinstance(rec, dict):
+        raise ValueError("expected a JSON object, got %s" % type(rec).__name__)
+    for key in ("text", "relations", "case"):
+        if key not in rec:
+            raise ValueError("missing key %r" % key)
+    case, rel_ids, text = rec["case"], rec["relations"], rec["text"]
+    if not isinstance(text, str):
+        raise ValueError("text must be a string")
+    if case == UNCLASSIFIED:
+        parsed = parse_rule(text)
+        n = len(parsed.body) + 1
+    elif isinstance(case, str) and case in CASE_FLAGS:
+        n = len(CASE_FLAGS[case]) + 1
+    else:
+        raise ValueError("unknown case %r" % (case,))
+    if not isinstance(rel_ids, list) or len(rel_ids) != n:
+        raise ValueError("case %s takes %d relation ids, got %r" % (case, n, rel_ids))
+    for rid in rel_ids:
+        if type(rid) is not int or not 0 <= rid < kb.num_relations:
+            raise ValueError("relation id %r outside [0, %d)" % (rid, kb.num_relations))
     similarity, provenance = rec.get("similarity"), rec.get("provenance", [])
     if similarity is not None and not (
         isinstance(similarity, list) and len(similarity) == n
@@ -319,87 +353,18 @@ def _record_extras(rec: Dict, n: int) -> Tuple[Tuple[str, ...], Optional[Tuple[f
         raise ValueError("similarity must be null or %d finite numbers" % n)
     if not isinstance(provenance, list) or not all(isinstance(p, str) for p in provenance):
         raise ValueError("provenance must be a list of strings")
-    return tuple(provenance), None if similarity is None else tuple(map(float, similarity))
-
-
-def _plain(name: str) -> bool:
-    """Whether `parse_rule` reads the relation name back as one atom argument."""
-    return bool(name.strip()) and "(" not in name and ")" not in name and "," not in name
-
-
-def _canonical_record_rule(rec: Dict, kb: KnowledgeBase) -> Optional[Rule]:
-    """The rule of a record whose text is what `save_rules` writes for its
-    case and relation ids, built from them without parsing; None for any
-    other record.
-
-    The rule is the case's path over A-D, each atom oriented by the case's
-    flags, as `classify_case` writes it. When its text is the record's and
-    every relation name is plain, the text parses back to these atoms, so
-    the derivation from the text would reach the same rule."""
-    case, rel_ids = rec["case"], rec["relations"]
-    flags = CASE_FLAGS.get(case) if isinstance(case, str) else None
-    if flags is None or not isinstance(rel_ids, list) or len(rel_ids) != len(flags) + 1:
-        return None
-    for rid in rel_ids:
-        if type(rid) is not int or not 0 <= rid < kb.num_relations or not _plain(kb.relation_name(rid)):
-            return None
-    # atom i joins path letters i and i + 1, reversed where its flag is set
-    body = tuple(
-        RuleAtom(_PATH_LETTERS[i + rev], rid, _PATH_LETTERS[i + 1 - rev])
-        for i, (rid, rev) in enumerate(zip(rel_ids, flags))
-    )
-    head = RuleAtom("A", rel_ids[-1], _PATH_LETTERS[len(flags)])
-    try:
-        rule = Rule(body, head, case, *_record_extras(rec, len(rel_ids)))
-    except ValueError:
-        return None  # the derivation names what is wrong
-    return rule if format_rule(rule, kb) == rec["text"] else None
-
-
-def _derived_record_rule(rec: Dict, kb: KnowledgeBase) -> Rule:
-    """The rule of a record derived from its parsed text: `classify_case`
-    must leave it unchanged (case, body order, variable names) and its
-    relation ids must spell the text's relation names."""
-    parsed = parse_rule(rec["text"])
-    rel_ids = rec["relations"]
-    atoms = parsed.body + (parsed.head,)
-    if not isinstance(rel_ids, list) or len(rel_ids) != len(atoms):
-        raise ValueError("relation ids do not match rule text")
-    for rid in rel_ids:
-        if type(rid) is not int or not 0 <= rid < kb.num_relations:
-            raise ValueError("relation id %r outside [0, %d)" % (rid, kb.num_relations))
-    mapped = [RuleAtom(a.subject, rid, a.object) for a, rid in zip(atoms, rel_ids)]
-    provenance, similarity = _record_extras(rec, len(atoms))
-    rule = Rule(tuple(mapped[:-1]), mapped[-1], rec["case"], provenance, similarity)
-    derived = classify_case(rule)
-    if derived != rule:
-        raise ValueError(
-            "not the canonical form of its text (case %r); expected case %s: %s"
-            % (rule.case, derived.case, format_rule(derived, kb))
-        )
-    if format_rule(rule, kb) != rec["text"]:
-        raise ValueError("relation ids %s spell %r, not the text" % (rel_ids, format_rule(rule, kb)))
-    return rule
-
-
-def _record_rule(rec, kb: KnowledgeBase) -> Rule:
-    """Rebuild one `_rule_record`; raises ValueError naming what is wrong.
-
-    A record must be what `save_rules` writes for its text, and each other
-    key that is present holds what `save_rules` writes there. A record of a
-    groundable case is checked by rebuilding its rule from the case and
-    relation ids; any record that check does not accept is derived from its
-    text, which gives the verdict and the message."""
-    if not isinstance(rec, dict):
-        raise ValueError("expected a JSON object, got %s" % type(rec).__name__)
-    for key in ("text", "relations", "case"):
-        if key not in rec:
-            raise ValueError("missing key %r" % key)
-    if not isinstance(rec["text"], str):
-        raise ValueError("text must be a string")
-    rule = _canonical_record_rule(rec, kb)
-    if rule is None:
-        rule = _derived_record_rule(rec, kb)
+    extras = tuple(provenance), None if similarity is None else tuple(map(float, similarity))
+    if case == UNCLASSIFIED:
+        atoms = [RuleAtom(a.subject, rid, a.object) for a, rid in zip(parsed.body + (parsed.head,), rel_ids)]
+        rule = Rule(tuple(atoms[:-1]), atoms[-1], case, *extras)
+        derived = classify_case(rule).case
+        if derived != UNCLASSIFIED:
+            raise ValueError("the text is a rule of case %s, not UNCLASSIFIED" % derived)
+    else:
+        rule = Rule(*path_atoms(CASE_FLAGS[case], rel_ids), case, *extras)
+    rendered = format_rule(rule, kb)
+    if rendered != text:
+        raise ValueError("case %s over relation ids %s reads %r, not the text" % (case, rel_ids, rendered))
     head_name = kb.relation_name(rule.head.relation)
     if rec.get("target_relation", head_name) != head_name:
         raise ValueError("target_relation %r is not the head relation %r" % (rec["target_relation"], head_name))

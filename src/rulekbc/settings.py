@@ -71,7 +71,7 @@ REMOTE = "remote-chat"
 
 
 class ProposerError(Exception):
-    """Backend failure after retries, or a subgraph without a target to propose for."""
+    """Backend failure after retries, or a malformed completion payload."""
 
 
 @dataclass(frozen=True)

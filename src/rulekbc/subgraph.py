@@ -13,7 +13,7 @@ from .settings import ExtractorConfig
 class Subgraph:
     """Triples collected around a target, tagged with the hop that found them."""
 
-    target: Optional[Triple]
+    target: Triple
     triples: List[Triple] = field(default_factory=list)
     hop_of: Dict[Triple, int] = field(default_factory=dict)
 
@@ -79,8 +79,6 @@ def linearize(sg: Subgraph, kb: KnowledgeBase) -> str:
 def save_subgraphs(fh: TextIO, kb: KnowledgeBase, subgraphs: List[Subgraph]) -> None:
     """Structured text dump: a target line then hop-tagged triple lines per record."""
     for sg in subgraphs:
-        if sg.target is None:
-            raise KBError("cannot dump a subgraph without a target")
         h, r, t = sg.target
         fh.write(
             "target\t%s\t%s\t%s\n"

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import synthetic
 from conftest import run_cli, snapshot_tree, write_toy_dataset
 from loopback import ChatServer, completion
 from rulekbc import cli, rules
@@ -22,8 +23,13 @@ from rulekbc.kb import load_kb
 from rulekbc.settings import KBConfig
 
 
-def minimal_config(tmp_path, extra=""):
-    write_toy_dataset(str(tmp_path / "data"))
+def minimal_config(tmp_path, extra="", triples=None):
+    """A config over the toy KB, or over the KB of `triples` (split -> name
+    triples) when given, with `extra` appended."""
+    if triples is None:
+        write_toy_dataset(str(tmp_path / "data"))
+    else:
+        synthetic.write_kb_files(str(tmp_path / "data"), triples=triples)
     path = tmp_path / "cfg.ini"
     path.write_text(
         "[run]\noutput_dir = %s\n[kb]\ntrain = %s\nvalid = %s\ntest = %s\n%s"
@@ -213,6 +219,26 @@ class TestRemoteProposer:
         assert len({r["relation"] for r in records}) > 1
         assert os.path.exists(os.path.join(run, "rules", "rules.jsonl"))
 
+    def test_rule_over_a_relation_named_with_parentheses_loads(self, tmp_path, capsys, chat_server):
+        # the reply's "located in" maps onto `located in (country)`, so the
+        # rule's text cannot be parsed back; its record is read from its case
+        # and relation ids
+        located = [("x%d" % i, "located in (country)", "c%d" % i) for i in range(6)]
+        capital = [("x%d" % i, "capital of", "c%d" % i) for i in range(6)]
+        server = chat_server(completion("IF (A, located in, B) THEN (A, capital of, B)"))
+        path = minimal_config(
+            tmp_path,
+            extra="[rotate]\nenabled = false\n[proposer]\nbackend = remote-chat\nendpoint = %s\nmax_retries = 0\n"
+            % server.url,
+            triples={"train": located + capital[:4], "valid": capital[4:5], "test": capital[5:]},
+        )
+        for stage in ("extract", "propose", "train", "eval"):
+            assert cli.main(["--config", str(path), stage]) == 0, capsys.readouterr().err
+        rule_file = os.path.join(cli.load_config(str(path)).run_dir(), "rules", "rules.jsonl")
+        with open(rule_file, encoding="utf-8") as fh:
+            texts = [json.loads(line)["text"] for line in fh]
+        assert texts == ["IF (A, located in (country), B) THEN (A, capital of, B)"]
+
     @pytest.mark.usefixtures("without_proxies")
     def test_failed_propose_removes_an_earlier_rule_file(self, tmp_path, capsys):
         with ChatServer([completion(CHAIN_RULE)]) as server:
@@ -264,7 +290,12 @@ class TestConfig:
         assert cli.main(["--config", str(path), "extract"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot parse %s: File contains no section headers." % path), err
-        assert "line: 1" in err and "Traceback" not in err
+        assert err.count("\n") == 1 and "line: 1" in err and "Traceback" not in err
+        path.write_text("[run]\nnot a key\n")
+        assert cli.main(["--config", str(path), "extract"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse %s: Source contains parsing errors" % path), err
+        assert err.count("\n") == 1 and "[line  2]: 'not a key" in err and "Traceback" not in err
 
     def test_unknown_section_rejected(self, tmp_path):
         path = minimal_config(tmp_path, extra="[bogus]\nx = 1\n")
@@ -1039,12 +1070,13 @@ class TestExplainAndResume:
         "edit, message",
         [
             (lambda rec: [dict(rec, case="1-4")],
-             "not the canonical form of its text (case '1-4'); expected case 1-1: " + CHAIN_RULE),
+             "case 1-4 over relation ids [0, 0, 1] reads "
+             "'IF (B, parent, A) AND (C, parent, B) THEN (A, grandparent, C)', not the text"),
             (lambda rec: [dict(rec, text="IF (B, parent, C) AND (A, parent, B) THEN (A, grandparent, C)")],
-             "not the canonical form of its text (case '1-1'); expected case 1-1: " + CHAIN_RULE),
+             "case 1-1 over relation ids [0, 0, 1] reads %r, not the text" % CHAIN_RULE),
             (lambda rec: [dict(rec, relations=[0, 1, 1])],
-             "relation ids [0, 1, 1] spell 'IF (A, parent, B) AND (B, grandparent, C) THEN (A, grandparent, C)', "
-             "not the text"),
+             "case 1-1 over relation ids [0, 1, 1] reads "
+             "'IF (A, parent, B) AND (B, grandparent, C) THEN (A, grandparent, C)', not the text"),
             (lambda rec: [dict(rec, target_relation="parent")],
              "target_relation 'parent' is not the head relation 'grandparent'"),
             (lambda rec: [dict(rec, similarity="abc")], "similarity must be null or 3 finite numbers"),
@@ -1055,8 +1087,8 @@ class TestExplainAndResume:
              "repeated"],
     )
     def test_tampered_rule_record_is_named(self, cli_pipeline, tmp_path, capsys, edit, message):
-        # every record is re-derived from its text on load, so a warm
-        # grounding cache cannot hide an edited field or a second copy
+        # every record is rebuilt and checked against its text on load, so a
+        # warm grounding cache cannot hide an edited field or a second copy
         config, run = private_run(cli_pipeline, tmp_path)
         path = run / "rules" / "rules.jsonl"
         records = [json.loads(line) for line in path.read_text().splitlines()]

@@ -300,6 +300,16 @@ class TestWitnesses:
         assert len(paths) == 2
         assert witness_paths(kb, rule, 0, 3, limit=1) == paths[:1]
 
+    def test_limit_zero_gives_no_path_and_a_negative_one_is_refused(self):
+        kb = synthetic.family_kb()
+        rule = classified(kb, synthetic.PLANTED_RULE_TEXT)
+        rows, cols = np.nonzero(ground(kb, rule).body_count.to_dense())
+        h, t = int(rows[0]), int(cols[0])
+        assert witness_paths(kb, rule, h, t, limit=0) == []
+        assert len(witness_paths(kb, rule, h, t, limit=1)) == 1
+        with pytest.raises(ValueError, match="limit must be >= 0, got -1"):
+            witness_paths(kb, rule, h, t, limit=-1)
+
     @settings(max_examples=60, deadline=None)
     @given(**RANDOM_KB)
     def test_paths_enumerate_every_body_binding(self, n_entities, edges, rel_picks):

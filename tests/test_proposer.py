@@ -171,12 +171,6 @@ class TestProposeOffline:
         assert rec.parsed_rules
         assert all(r.provenance == ("offline-miner/1:0",) for r in rec.parsed_rules)
 
-    def test_target_free_subgraph_rejected(self):
-        kb = synthetic.family_kb()
-        sg = Subgraph(target=None)
-        with pytest.raises(ProposerError, match="target"):
-            propose(ProposerConfig(backend=OFFLINE), kb, [sg])
-
     def test_save_round_trip(self, tmp_path):
         kb = synthetic.family_kb()
         sg = family_subgraph(kb)

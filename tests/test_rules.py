@@ -536,9 +536,6 @@ class TestPersistence:
             load_rules(str(p), kb)
 
     GOOD_RECORD = {"text": "IF (A, r, B) THEN (A, r, B)", "relations": [0, 0], "case": "0-1"}
-    NOT_CANONICAL = re.escape(
-        "not the canonical form of its text (case '%s'); expected case 0-1: IF (A, r, B) THEN (A, r, B)"
-    )
 
     @pytest.mark.parametrize(
         "record, reason",
@@ -548,8 +545,8 @@ class TestPersistence:
             ({k: v for k, v in GOOD_RECORD.items() if k != "text"}, "missing key 'text'"),
             ({k: v for k, v in GOOD_RECORD.items() if k != "case"}, "missing key 'case'"),
             (list(GOOD_RECORD.items()), "expected a JSON object, got list"),
-            (dict(GOOD_RECORD, case="9-9"), NOT_CANONICAL % "9-9"),
-            (dict(GOOD_RECORD, case="1-1"), NOT_CANONICAL % "1-1"),
+            (dict(GOOD_RECORD, case="9-9"), "unknown case '9-9'"),
+            (dict(GOOD_RECORD, case="1-1"), re.escape("case 1-1 takes 3 relation ids, got [0, 0]")),
             (dict(GOOD_RECORD, target_relation="s"), "target_relation 's' is not the head relation 'r'"),
             (dict(GOOD_RECORD, similarity="abc"), "similarity must be null or 2 finite numbers"),
             (dict(GOOD_RECORD, similarity=[1.0]), "similarity must be null or 2 finite numbers"),
@@ -574,8 +571,9 @@ def derived_record_rule(rec, kb):
     """A rule record's rule as the loader derived it before it rebuilt
     records from their case and relation ids: the text parsed, the ids
     checked against it, `classify_case` required to leave the rule
-    unchanged. The oracle of `_record_rule`: its verdict, rule or error
-    message, is the loader's for every record."""
+    unchanged. The oracle of `_record_rule`: it accepts the same records
+    with the same rules, except records of the 14 cases over names
+    `parse_rule` cannot read back, which only the loader accepts."""
     if not isinstance(rec, dict):
         raise ValueError("expected a JSON object, got %s" % type(rec).__name__)
     for key in ("text", "relations", "case"):
@@ -629,22 +627,22 @@ UNCLASSIFIED_TEXTS = (
     "IF (X, r0, Y) THEN (Y, rh, X)",
 )
 
-# every shape's rule over the placeholders r0, r1, r2 and rh
-SHAPES = [classify_case(make_case_rule(case)) for case in CASE_FLAGS] + [
-    classify_case(parse_rule(text)) for text in UNCLASSIFIED_TEXTS
-]
+# every shape's rule over the placeholders r0, r1, r2 and rh, the 14 cases first
+CASE_SHAPES = [classify_case(make_case_rule(case)) for case in CASE_FLAGS]
+SHAPES = CASE_SHAPES + [classify_case(parse_rule(text)) for text in UNCLASSIFIED_TEXTS]
 
 
 @st.composite
-def rule_records(draw, names):
+def rule_records(draw, names, shapes=SHAPES):
     """(kb, rules) over a KB whose relations are drawn from `names`: rules
-    of drawn shapes, each atom's placeholder replaced by a relation id."""
+    of shapes drawn from `shapes`, each atom's placeholder replaced by a
+    relation id."""
     rel_names = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))
     kb = synthetic.build_kb(["a", "b"], rel_names, [("a", rel_names[0], "b")])
     rel_id = st.integers(0, len(rel_names) - 1)
     similarity = st.none() | st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=4, max_size=4)
     out = []
-    for shape in draw(st.lists(st.sampled_from(SHAPES), min_size=1, max_size=5)):
+    for shape in draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=5)):
         atoms = [RuleAtom(a.subject, draw(rel_id), a.object) for a in shape.body + (shape.head,)]
         sim = draw(similarity)
         out.append(Rule(
@@ -663,19 +661,18 @@ def loader_verdict(load, rec, kb):
 
 
 class TestRecordLoader:
+    # a rule file of the 14 cases loads whatever its relation names; one with
+    # UNCLASSIFIED records needs names that `parse_rule` reads back
     @settings(max_examples=60, deadline=None)
-    @given(drawn=rule_records(PLAIN_NAMES))
+    @given(drawn=rule_records(PLAIN_NAMES) | rule_records(PLAIN_NAMES + ODD_NAMES, CASE_SHAPES))
     def test_rules_of_every_shape_round_trip(self, tmp_path_factory, drawn):
         kb, rules = drawn
-        path = str(tmp_path_factory.mktemp("rules") / "rules.jsonl")
-        save_rules(path, rules, kb)
-        assert load_rules(path, kb) == rules
-        with open(path, encoding="utf-8") as fh:
-            records = [json.loads(line) for line in fh]
-        # each record of a groundable case is rebuilt from its case and ids
-        for rec, rule in zip(records, rules):
-            rebuilt = rules_mod._canonical_record_rule(rec, kb)
-            assert rebuilt == (None if rule.case == UNCLASSIFIED else rule)
+        first, second = (str(tmp_path_factory.mktemp("rules") / "rules.jsonl") for _ in range(2))
+        save_rules(first, rules, kb)
+        assert load_rules(first, kb) == rules
+        save_rules(second, load_rules(first, kb), kb)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
 
     @settings(max_examples=150, deadline=None)
     @given(drawn=rule_records(PLAIN_NAMES + ODD_NAMES), data=st.data())
@@ -707,6 +704,16 @@ class TestRecordLoader:
             else:
                 rec["target_relation"] = data.draw(st.sampled_from(kb.relations.names) | st.just(1))
         want = loader_verdict(derived_record_rule, rec, kb)
-        assert loader_verdict(rules_mod._record_rule, rec, kb) == want
-        if field == "none" and all(map(rules_mod._plain, kb.relations.names)):
-            assert want == rule
+        got = loader_verdict(rules_mod._record_rule, rec, kb)
+        if isinstance(got, Rule) and not isinstance(want, Rule):
+            # only a record of the 14 cases over a name `parse_rule` cannot
+            # read back: the rule of its case and ids, which saves back to it
+            assert got.case != UNCLASSIFIED
+            assert any(kb.relation_name(a.relation) in ODD_NAMES for a in got.body + (got.head,))
+            saved = rules_mod._rule_record(got, kb)
+            assert saved == dict(rec, target_relation=saved["target_relation"])
+        else:
+            assert isinstance(got, Rule) == isinstance(want, Rule)
+            assert got == want or not isinstance(want, Rule)
+        if field == "none" and (rule.case != UNCLASSIFIED or not set(kb.relations.names) & set(ODD_NAMES)):
+            assert got == rule

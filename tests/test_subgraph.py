@@ -10,7 +10,6 @@ import synthetic
 from rulekbc.kb import KBError, Triple
 from rulekbc.subgraph import (
     ExtractorConfig,
-    Subgraph,
     extract_subgraph,
     linearize,
     load_subgraphs,
@@ -177,12 +176,6 @@ class TestSerialization:
             assert back.target == orig.target
             assert back.triples == orig.triples
             assert back.hop_of == orig.hop_of
-
-    def test_dump_without_target_rejected(self):
-        kb = synthetic.family_kb()
-        sg = Subgraph(target=None)
-        with pytest.raises(KBError, match="without a target"):
-            save_subgraphs(io.StringIO(), kb, [sg])
 
     def test_malformed_dump_line_raises(self, tmp_path):
         kb = synthetic.family_kb()
