@@ -97,6 +97,7 @@ _VALID_PATH_SCORES = (0.0, 0.5, 1.0)
 def load_annotations(path: str) -> Dict[str, List[float]]:
     """Annotation file: one line per rule, canonical text TAB comma-joined scores."""
     out: Dict[str, List[float]] = {}
+    first_line: Dict[str, int] = {}
     for lineno, raw in text_lines(path, "annotation file"):
         line = raw.rstrip("\r\n")
         if not line:
@@ -104,6 +105,9 @@ def load_annotations(path: str) -> Dict[str, List[float]]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise KBError("%s:%d: expected <rule>TAB<scores>" % (path, lineno))
+        if parts[0] in first_line:
+            raise KBError("%s:%d: rule annotated again (first on line %d)" % (path, lineno, first_line[parts[0]]))
+        first_line[parts[0]] = lineno
         try:
             scores = [float(s) for s in parts[1].split(",") if s.strip()]
         except ValueError as exc:

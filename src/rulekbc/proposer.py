@@ -123,6 +123,8 @@ def mine_rules_text(kb: KnowledgeBase, sg: Subgraph, target: Triple) -> str:
     one rule line each with the target relation as head; the witnessing path
     guarantees the body co-occurs with the target at least once in train.
     """
+    if target.head == target.tail:
+        return ""
     adj: Dict[int, List[Tuple[int, Triple, bool]]] = {}
     for tr in sg.triples:
         adj.setdefault(tr.head, []).append((tr.tail, tr, True))
@@ -130,10 +132,10 @@ def mine_rules_text(kb: KnowledgeBase, sg: Subgraph, target: Triple) -> str:
             adj.setdefault(tr.tail, []).append((tr.head, tr, False))
     lines: List[str] = []
     seen = set()
-    if target.head == target.tail:
-        return ""
 
-    def emit(path: List[Tuple[Triple, bool]]) -> None:
+    # the nested functions are unannotated: an annotation would be rebuilt on
+    # every call of the miner
+    def emit(path):
         flags = [not forward for _, forward in path]
         names = [kb.relation_name(tr.relation) for tr, _ in path] + [kb.relation_name(target.relation)]
         line = format_rule(Rule(*path_atoms(flags, names)))
@@ -141,7 +143,7 @@ def mine_rules_text(kb: KnowledgeBase, sg: Subgraph, target: Triple) -> str:
             seen.add(line)
             lines.append(line)
 
-    def walk(node: int, visited: Tuple[int, ...], path: List[Tuple[Triple, bool]]) -> None:
+    def walk(node, visited, path):
         if len(path) == 3:
             return
         for nxt, tr, forward in adj.get(node, ()):

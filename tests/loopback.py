@@ -2,18 +2,10 @@
 
 Standard library only. In a test, `ChatServer` records every request and
 answers with its replies in turn, repeating the last one; `with` serves it
-from a thread. It answers POST only: any other method gets 501. As a script it
-answers every POST with one fixed completion, for a pipeline run against it:
-
-    python tests/loopback.py REPLY_FILE PORT_FILE
-
-It writes the port it listens on to PORT_FILE, then serves until it is
-stopped; the endpoint is http://127.0.0.1:PORT/v1/chat/completions.
+from a thread. It answers POST only: any other method gets 501.
 """
 
 import json
-import os
-import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, NamedTuple, Sequence
@@ -85,18 +77,3 @@ class ChatServer:
         self._httpd.shutdown()
         self._httpd.server_close()
 
-
-def main(argv: List[str]) -> None:
-    reply_file, port_file = argv
-    with open(reply_file, encoding="utf-8") as fh:
-        reply = completion(fh.read())
-    server = ChatServer([reply])
-    # written whole, so a reader never sees a partial port
-    with open(port_file + ".tmp", "w") as fh:
-        fh.write("%d\n" % server.port)
-    os.replace(port_file + ".tmp", port_file)
-    server._httpd.serve_forever()
-
-
-if __name__ == "__main__":
-    main(sys.argv[1:])

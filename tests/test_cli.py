@@ -166,23 +166,23 @@ def private_run(cli_pipeline, tmp_path):
 
 
 def remote_propose(tmp_path, capsys, endpoint):
-    """(exit code, stderr, proposal records or None if there is no record
-    file, run directory) of `propose` with the remote backend at `endpoint`,
-    after `extract`; neither may print a traceback."""
+    """(exit code, stdout, stderr, proposal records or None if there is no
+    record file, run directory) of `propose` with the remote backend at
+    `endpoint`, after `extract`; neither may print a traceback."""
     path = minimal_config(
         tmp_path, extra="[proposer]\nbackend = remote-chat\nendpoint = %s\nmax_retries = 0\n" % endpoint
     )
     codes = [cli.main(["--config", str(path), stage]) for stage in ("extract", "propose")]
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "Traceback" not in err
     if codes[0] != 0:
-        return codes[0], err, None, None
+        return codes[0], out, err, None, None
     run = cli.load_config(str(path)).run_dir()
     records = os.path.join(run, "proposals", "records.jsonl")
     if not os.path.exists(records):
-        return codes[-1], err, None, run
+        return codes[-1], out, err, None, run
     with open(records, encoding="utf-8") as fh:
-        return codes[-1], err, [json.loads(line) for line in fh], run
+        return codes[-1], out, err, [json.loads(line) for line in fh], run
 
 
 def assert_no_completion(code, err, records, run, endpoint):
@@ -197,7 +197,7 @@ def assert_no_completion(code, err, records, run, endpoint):
 class TestRemoteProposer:
     def test_content_null_is_recorded(self, tmp_path, capsys, chat_server):
         server = chat_server(completion(None))
-        code, err, records, run = remote_propose(tmp_path, capsys, server.url)
+        code, _, err, records, run = remote_propose(tmp_path, capsys, server.url)
         assert_no_completion(code, err, records, run, server.url)
         assert all(r["error"].startswith("malformed completion payload") for r in records)
         assert len(server.received) == len(records)
@@ -207,14 +207,22 @@ class TestRemoteProposer:
         with socket.socket() as sock:
             sock.bind(("127.0.0.1", 0))  # bound, never listening: connections are refused
             endpoint = "http://127.0.0.1:%d/v1" % sock.getsockname()[1]
-            code, err, records, run = remote_propose(tmp_path, capsys, endpoint)
+            code, _, err, records, run = remote_propose(tmp_path, capsys, endpoint)
         assert_no_completion(code, err, records, run, endpoint)
         assert all(r["error"].startswith("backend failed after 1 attempts") for r in records)
 
     def test_later_failures_do_not_stop_a_run_that_got_a_completion(self, tmp_path, capsys, chat_server):
-        server = chat_server(completion(CHAIN_RULE), completion(None))  # the last reply repeats
-        code, _, records, run = remote_propose(tmp_path, capsys, server.url)
+        # the first reply, to a `parent` target, holds a rule for it, two lines
+        # that do not parse, and a rule for another relation; the last reply
+        # repeats
+        reply = "\n".join(
+            ["1. IF (A, parent, B) AND (B, parent, C) THEN (A, parent, C)",
+             "IF (A, parent, B THEN (A, grandparent, B)", "Here are the rules:", "- " + CHAIN_RULE]
+        )
+        server = chat_server(completion(reply), completion(None))
+        code, out, _, records, run = remote_propose(tmp_path, capsys, server.url)
         assert code == 0
+        assert "totals: lines=4 parse_rejected=2 stage1_rejected=1 mapped=1 unclassified=0 unique=1\n" in out
         assert records[0]["error"] is None and all(r["error"] for r in records[1:])
         assert len({r["relation"] for r in records}) > 1
         assert os.path.exists(os.path.join(run, "rules", "rules.jsonl"))
@@ -232,20 +240,25 @@ class TestRemoteProposer:
             % server.url,
             triples={"train": located + capital[:4], "valid": capital[4:5], "test": capital[5:]},
         )
-        for stage in ("extract", "propose", "train", "eval"):
-            assert cli.main(["--config", str(path), stage]) == 0, capsys.readouterr().err
+        for stage in (["extract"], ["propose"], ["train"], ["eval"], ["explain", "x0", "capital of"]):
+            assert cli.main(["--config", str(path)] + stage) == 0, capsys.readouterr().err
         rule_file = os.path.join(cli.load_config(str(path)).run_dir(), "rules", "rules.jsonl")
         with open(rule_file, encoding="utf-8") as fh:
             texts = [json.loads(line)["text"] for line in fh]
         assert texts == ["IF (A, located in (country), B) THEN (A, capital of, B)"]
+        # explain finds the rule by its text for its witness path; embeddings
+        # are off, so no term is theirs
+        explained = capsys.readouterr().out.split("query: (x0, capital of, ?)\n")[1]
+        assert "  %s\n                 via (x0, located in (country), c0)\n" % texts[0] in explained
+        assert "embedding" not in explained
 
     @pytest.mark.usefixtures("without_proxies")
     def test_failed_propose_removes_an_earlier_rule_file(self, tmp_path, capsys):
         with ChatServer([completion(CHAIN_RULE)]) as server:
-            code, _, _, run = remote_propose(tmp_path, capsys, server.url)
+            code, _, _, _, run = remote_propose(tmp_path, capsys, server.url)
         assert code == 0 and os.path.exists(os.path.join(run, "rules", "rules.jsonl"))
         # the server is stopped, so its port refuses every connection
-        code, err, records, run = remote_propose(tmp_path, capsys, server.url)
+        code, _, err, records, run = remote_propose(tmp_path, capsys, server.url)
         assert_no_completion(code, err, records, run, server.url)
         code = cli.main(["--config", str(tmp_path / "cfg.ini"), "train"])
         err = capsys.readouterr().err
@@ -254,7 +267,7 @@ class TestRemoteProposer:
 
     @pytest.mark.parametrize("endpoint", ["file:///etc/hostname", "ftp://example.com/x", "localhost:8000/v1", ""])
     def test_endpoint_that_is_not_http_exits_2(self, tmp_path, capsys, endpoint):
-        code, err, _, _ = remote_propose(tmp_path, capsys, endpoint)
+        code, _, err, _, _ = remote_propose(tmp_path, capsys, endpoint)
         assert code == 2
         assert "error: proposer.endpoint must be an http:// or https:// URL, got %r" % endpoint in err
 
@@ -459,8 +472,9 @@ class TestArgumentErrors:
             (["--output-dir", "x"], "--output-dir"),
             (["--verbose"], "--verbose"),
             (["-x"], "-x"),
+            (["--resume"], "--resume"),  # training always starts afresh
         ],
-        ids=["seed", "negative-seed", "seed=1", "output-dir", "verbose", "short"],
+        ids=["seed", "negative-seed", "seed=1", "output-dir", "verbose", "short", "resume"],
     )
     @pytest.mark.parametrize("where", ["before-config", "after-config", "after-command"])
     def test_unknown_option_is_named_wherever_it_stands(self, tmp_path, capsys, option, named, where):

@@ -125,23 +125,24 @@ class TestAnnotations:
         assert ann["IF (A, parent, B) THEN (A, grandparent, B)"] == [1.0, 0.5, 0.0]
         assert ann["other rule"] == [1.0]
 
-    def test_missing_tab_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",  # message: the line number and what is wrong with it
+        [
+            ("rule without scores\n", "1: expected <rule>TAB<scores>"),
+            ("rule\t1,x\n", "1: bad score list"),
+            ("rule\t0.3\n", "1: path score 0.3 not in {0, 0.5, 1}"),
+            # one line per rule: a second line for it is refused, not last-wins
+            ("IF (A, r, B) THEN (A, s, B)\t1,0.5\n\nIF (A, r, B) THEN (A, s, B)\t0\n",
+             "3: rule annotated again (first on line 1)"),
+        ],
+        ids=["missing-tab", "non-numeric-score", "out-of-scale-score", "repeated-rule"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text, message):
         path = tmp_path / "ann.tsv"
-        path.write_text("rule without scores\n")
-        with pytest.raises(KBError, match="TAB"):
+        path.write_text(text)
+        with pytest.raises(KBError) as exc:
             load_annotations(str(path))
-
-    def test_non_numeric_score_rejected(self, tmp_path):
-        path = tmp_path / "ann.tsv"
-        path.write_text("rule\t1,x\n")
-        with pytest.raises(KBError, match="bad score"):
-            load_annotations(str(path))
-
-    def test_out_of_scale_score_rejected(self, tmp_path):
-        path = tmp_path / "ann.tsv"
-        path.write_text("rule\t0.3\n")
-        with pytest.raises(KBError, match="not in"):
-            load_annotations(str(path))
+        assert str(exc.value) == "%s:%s" % (path, message)
 
     def test_quality_from_annotations(self, tmp_path):
         kb = synthetic.family_kb()

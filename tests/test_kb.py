@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synthetic
@@ -284,6 +284,8 @@ class TestArrayLoader:
 
     @settings(max_examples=60, deadline=None)
     @given(files=st.tuples(*[st.booleans().flatmap(triple_file) for _ in range(3)]))
+    # a \r\n train file with a repeated line loads, with one duplicate dropped
+    @example(files=(b"a\tr\tb\r\nb\tr\tc\r\na\tr\tb\r\n", b"", b""))
     def test_matches_the_line_by_line_loader(self, files):
         with tempfile.TemporaryDirectory() as d:
             paths = [os.path.join(d, name + ".txt") for name in ("train", "valid", "test")]
