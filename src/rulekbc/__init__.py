@@ -32,6 +32,7 @@ _EXPORTS = {
         "dedup",
         "filter_stage1",
         "format_rule",
+        "load_rules",
         "map_relations",
         "parse_rule",
     ),

@@ -288,11 +288,11 @@ def training_epoch(what: str, epoch: int, lower: str):
         raise TrainingDiverged(what, epoch, lower) from exc
 
 
-def check_finite(what: str, epoch: int, lower: str, *values) -> None:
-    """Raise TrainingDiverged naming `what`, the 1-based `epoch` and the
-    settings to lower unless every value is finite."""
+def check_finite(*values) -> None:
+    """Raise FloatingPointError unless every value is finite; inside
+    `training_epoch` it ends the run as TrainingDiverged."""
     if not all(np.isfinite(v).all() for v in values):
-        raise TrainingDiverged(what, epoch, lower)
+        raise FloatingPointError("a loss or parameter is not finite")
 
 
 class AdamW:
@@ -358,7 +358,7 @@ def train_embeddings(kb: KnowledgeBase, cfg: RotateConfig) -> Tuple[RotateModel,
                 opt_p.step(model.phase, g_phase, cfg.lr)
                 epoch_losses.append(loss)
             trace.append(float(np.mean(epoch_losses)))
-            check_finite("RotatE training", epoch, "[rotate] lr or margin", trace[-1], model.entity, model.phase)
+            check_finite(trace[-1], model.entity, model.phase)
     return model, trace
 
 

@@ -421,43 +421,50 @@ class _RelationData:
         return float(np.mean(1.0 / self.valid.ranks(logits, mix_logit)))
 
 
-def _train_relation(
-    data: _RelationData, params: RelationParams, cfg: TrainerConfig, name: str
-) -> Dict[str, List[float]]:
-    """Optimize one relation's block in place; returns its loss/metric trace.
-    The relation, called `name` in a divergence error, has train heads and
-    epochs to run (see `train`). Its metric is frozen when there is no
-    embedding model and the block the metric reads (the validation queries',
-    or the train block for -loss) has no evidence cell: every score is then
-    0, and the relation stops after epoch 1."""
-    trace = {"loss": [], "metric": []}
-    opt_logits = AdamW(len(params.logits), cfg.weight_decay)
-    opt_mix = AdamW(1, cfg.weight_decay)
-    mix = np.array([params.mix_logit])
+def _fit_relation(
+    kb: KnowledgeBase,
+    relation: int,
+    groundings: List[Grounding],
+    rotate_model: Optional[RotateModel],
+    cfg: TrainerConfig,
+) -> Tuple[RelationParams, Dict[str, List[float]]]:
+    """Fit one relation's block from zero logits: its kept parameters and
+    its loss/metric trace, empty (and the evidence not built) when it has no
+    train triple or no epoch to run. One AdamW steps the logits and then the
+    mixing logit as one vector; under `uniform_weights` the logits' gradient
+    is zeroed, which leaves them at exactly 0. The metric is frozen when
+    there is no embedding model and the block the metric reads (the
+    validation queries', or the train block for -loss) has no evidence cell:
+    every score is then 0, and the relation stops after epoch 1."""
+    params = RelationParams(
+        logits=np.zeros(len(groundings) + 1), rule_keys=[format_rule(g.rule, kb) for g in groundings]
+    )
+    trace: Dict[str, List[float]] = {"loss": [], "metric": []}
+    if not (kb.matrices[relation].nnz and cfg.max_epochs):
+        return params, trace
+    data = _RelationData(kb, relation, groundings, rotate_model)
+    theta = np.zeros(len(groundings) + 2)  # the logits, then mix_logit
+    opt = AdamW(len(theta), cfg.weight_decay)
     use_valid = len(data.valid.golds) > 0
     frozen = data.train.F is None and not len((data.valid.block if use_valid else data.train).cells)
-    best_metric = -np.inf
-    best_state: Optional[Tuple[np.ndarray, float]] = None
+    best_metric, best = -np.inf, theta  # epoch 1's finite metric replaces it
     stale = 0
-    what, lower = "training of relation %r" % name, "[trainer] lr, weight_decay or step_gamma"
+    what = "training of relation %r" % kb.relation_name(relation)
     for epoch in range(cfg.max_epochs):
-        with training_epoch(what, epoch + 1, lower):
+        with training_epoch(what, epoch + 1, "[trainer] lr, weight_decay or step_gamma"):
             lr = cfg.lr * cfg.step_gamma ** (epoch // cfg.step_size)
-            loss, d_logits, d_mix = relation_loss_and_grads(
-                params.logits, float(mix[0]), data.train, data.golds
-            )
-            if not cfg.uniform_weights:
-                opt_logits.step(params.logits, d_logits, lr)
-            opt_mix.step(mix, np.array([d_mix]), lr)
-            params.mix_logit = float(mix[0])
-            params.epochs_trained = epoch + 1
-            check_finite(what, epoch + 1, lower, loss, params.logits, mix)
-            metric = data.valid_mrr(params.logits, params.mix_logit) if use_valid else -loss
+            loss, d_logits, d_mix = relation_loss_and_grads(theta[:-1], float(theta[-1]), data.train, data.golds)
+            grad = np.append(d_logits, d_mix)
+            if cfg.uniform_weights:
+                grad[:-1] = 0.0
+            opt.step(theta, grad, lr)
+            check_finite(loss, theta)
+            metric = data.valid_mrr(theta[:-1], float(theta[-1])) if use_valid else -loss
+        params.epochs_trained = epoch + 1
         trace["loss"].append(loss)
         trace["metric"].append(metric)
         if metric > best_metric:
-            best_metric = metric
-            best_state = (params.logits.copy(), params.mix_logit)
+            best_metric, best = metric, theta.copy()
             stale = 0
         else:
             stale += 1
@@ -467,9 +474,8 @@ def _train_relation(
         if frozen:
             params.stopped = cfg.max_epochs > 1
             break
-    if best_state is not None:
-        params.logits, params.mix_logit = best_state
-    return trace
+    params.logits, params.mix_logit = best[:-1], float(best[-1])
+    return params, trace
 
 
 def train(
@@ -478,22 +484,10 @@ def train(
     rotate_model: Optional[RotateModel],
     cfg: TrainerConfig,
 ) -> Tuple[ReasonerParams, Dict[str, Dict[str, List[float]]]]:
-    """Fit every relation's parameter block from zero logits; blocks are
+    """Fit every relation's parameter block (`_fit_relation`); blocks are
     independent. Deterministic given the config."""
-    params: ReasonerParams = {}
-    traces: Dict[str, Dict[str, List[float]]] = {}
-    for relation in range(kb.num_relations):
-        glist = groundings.get(relation, [])
-        keys = [format_rule(g.rule, kb) for g in glist]
-        rp = RelationParams(logits=np.zeros(len(glist) + 1), rule_keys=keys)
-        if kb.matrices[relation].nnz and cfg.max_epochs:
-            data = _RelationData(kb, relation, glist, rotate_model)
-            name = kb.relation_name(relation)
-            traces[name] = _train_relation(data, rp, cfg, name)
-        else:  # nothing to train: its evidence is not built
-            traces[kb.relation_name(relation)] = {"loss": [], "metric": []}
-        params[relation] = rp
-    return params, traces
+    fits = {r: _fit_relation(kb, r, groundings.get(r, []), rotate_model, cfg) for r in range(kb.num_relations)}
+    return {r: p for r, (p, _) in fits.items()}, {kb.relation_name(r): t for r, (_, t) in fits.items()}
 
 
 def check_checkpoint_rules(

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -22,10 +23,17 @@ class TestPublicNames:
             assert getattr(rulekbc, name) is getattr(home, name), name
 
     def test_readme_import_line(self):
-        from rulekbc import TrainerConfig, ground_all, load_kb, rank, train  # noqa: F401
-
-        assert TrainerConfig is trainer.TrainerConfig
-        assert rank is trainer.rank
+        # the `from rulekbc import (...)` statement of README's library snippet
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            block = re.search(r"## Library use\n\n```python\n(from rulekbc import \(.*?\))", fh.read(), re.S)
+        assert block is not None, "README's library snippet has no rulekbc import"
+        names = {}
+        exec(block.group(1), names)
+        del names["__builtins__"]
+        assert {"TrainerConfig", "load_rules", "rank"} <= set(names)
+        for name, value in names.items():
+            assert value is getattr(rulekbc, name), name
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

@@ -1,5 +1,6 @@
 """Combined scoring, masked softmax weighting, training loop, ranking."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -450,17 +451,30 @@ class TestScoreChunks:
             assert (loss, d_mix) == got[-1][0::2]
             assert d_logits.tobytes() == got[-1][1].tobytes()
 
-    def test_pinned_params_digest(self, tmp_path):
-        # embeddings and params.json trained on planted_kb(0); the digest was
-        # taken when the loss formed every relation's whole score block
+    @pytest.mark.parametrize(
+        "trainer_cfg, want",
+        [
+            (TrainerConfig(max_epochs=20), "3fde6b1f252c1535020eabbe876c75df9ce1df472180bdef284348a3d703fc0b"),
+            (TrainerConfig(), "ad7250de40c0a05e8d5abadedeff2b6f55f96b9683823bc7c13c089de2acc4ca"),
+            (TrainerConfig(uniform_weights=True), "d534da6a272a14e59859956e64689e2dac0a32bc69b32f55bf3b3caee2af6f79"),
+        ],
+        ids=["20-epochs", "defaults", "uniform-weights"],
+    )
+    def test_pinned_params_digest(self, tmp_path, trainer_cfg, want):
+        # embeddings and params.json trained on planted_kb(0). The 20-epoch
+        # digest was taken when the loss formed every relation's whole score
+        # block; at the defaults the 4 base relations run all 500 epochs, so
+        # the learning rate decays at epochs 100 .. 400 and weight decay acts
+        # throughout, and those digests were taken when the logits and
+        # mix_logit had an AdamW each
         kb, pool, _ = synthetic.planted_kb(0)
         cfg = rotate.RotateConfig(dim=16, negatives=64, epochs=3, batch_size=100, seed=3)
         model = rotate.train_embeddings(kb, cfg)[0]
-        params, _ = train(kb, ground_all(kb, pool), model, TrainerConfig(max_epochs=20))
+        params, _ = train(kb, ground_all(kb, pool), model, trainer_cfg)
         path = tmp_path / "params.json"
         save_params(str(path), params, kb)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "3fde6b1f252c1535020eabbe876c75df9ce1df472180bdef284348a3d703fc0b"
+        assert digest == want
 
 
 class TestJointCountUnread:
@@ -530,10 +544,11 @@ def _frozen_metric(kb, groundings, relation, model=None):
 
 
 def _train_until_patience(data, cfg, n_logits):
-    """The epoch loop of `trainer._train_relation` without its frozen-metric
-    stop: a relation runs until `patience` epochs bring no better metric, or
-    for `max_epochs`. Returns the kept (logits, mix_logit), the epochs run,
-    whether patience stopped it, and its trace."""
+    """The epoch loop of `trainer._fit_relation` without its frozen-metric
+    stop, and with one AdamW for the logits and one for mix_logit where it
+    steps both as one vector: a relation runs until `patience` epochs bring
+    no better metric, or for `max_epochs`. Returns the kept (logits,
+    mix_logit), the epochs run, whether patience stopped it, and its trace."""
     logits, mix = np.zeros(n_logits), np.zeros(1)
     opt_logits, opt_mix = rotate.AdamW(n_logits, cfg.weight_decay), rotate.AdamW(1, cfg.weight_decay)
     use_valid = len(data.valid.golds) > 0
@@ -592,13 +607,26 @@ class TestFrozenMetric:
         patience=st.integers(1, 4),
         lr=st.sampled_from([0.05, 0.5]),
         embedded=st.booleans(),
+        uniform=st.booleans(),
+        step_size=st.integers(1, 3),
+        weight_decay=st.sampled_from([0.0, 0.1]),
     )
-    def test_only_a_frozen_metric_ends_training_after_epoch_1(self, setup, max_epochs, patience, lr, embedded):
+    def test_only_a_frozen_metric_ends_training_after_epoch_1(
+        self, setup, max_epochs, patience, lr, embedded, uniform, step_size, weight_decay
+    ):
         kb, groundings = setup
         model = rotate.init_model(kb.num_entities, kb.num_relations, rotate.RotateConfig(dim=4)) if embedded else None
-        cfg = TrainerConfig(lr=lr, max_epochs=max_epochs, patience=patience)
+        cfg = TrainerConfig(
+            lr=lr,
+            max_epochs=max_epochs,
+            patience=patience,
+            uniform_weights=uniform,
+            step_size=step_size,
+            step_gamma=0.5,
+            weight_decay=weight_decay,
+        )
         params, traces = train(kb, groundings, model, cfg)
-        one_epoch, _ = train(kb, groundings, model, TrainerConfig(lr=lr, max_epochs=1, patience=patience))
+        one_epoch, _ = train(kb, groundings, model, dataclasses.replace(cfg, max_epochs=1))
         for relation in [r for r in range(kb.num_relations) if kb.matrices[r].nnz]:
             rp, trace = params[relation], traces[kb.relation_name(relation)]
             data = _RelationData(kb, relation, groundings.get(relation, []), model)
