@@ -517,7 +517,7 @@ def rank(
     With a gold tail the filtered protocol applies: other tails known true in
     any split are removed before ranking and the gold's mean-of-ties rank is
     reported. Without a gold nothing is filtered (exploratory queries).
-    `top_k` entries are returned; evaluation asks for none (top_k=0). An
+    `top_k` entries are returned; top_k=0 returns the gold's rank alone. An
     entry's contributions are its nonzero rule terms, labelled by rule text,
     then the embedding's term if there is an embedding model.
     """

@@ -14,7 +14,7 @@ from rulekbc.evaluation import compute_metrics, rule_quality_from_counts
 from rulekbc.grounding import ground, score
 from rulekbc.rules import CASE_FLAGS
 from rulekbc.trainer import RelationParams, combined_score, softmax
-from test_grounding import classified, oracle_ground
+from test_grounding import oracle_ground
 
 
 def verdict(ok: bool, line: str) -> None:
@@ -37,7 +37,7 @@ def test_criterion_1_grounding_matches_enumeration_oracle():
             )
             rels = [kb.relation_name(int(rng.integers(3))) for _ in range(3)]
             rh = kb.relation_name(int(rng.integers(3)))
-            rule = classified(kb, synthetic.case_rule_text(case, *rels, rh=rh))
+            rule = synthetic.classified_rule(kb, synthetic.case_rule_text(case, *rels, rh=rh))
             g = ground(kb, rule)
             c_exp, a_exp = oracle_ground(kb, rule)
             if not (
@@ -57,12 +57,12 @@ def test_criterion_1_grounding_matches_enumeration_oracle():
 
 def test_criterion_2_family_toy_signed_evidence():
     kb = synthetic.family_kb(with_head=True)
-    g = ground(kb, classified(kb, synthetic.PLANTED_RULE_TEXT))
+    g = ground(kb, synthetic.classified_rule(kb, synthetic.PLANTED_RULE_TEXT))
     anna, bob, charlie = (kb.entities.id(n) for n in ("Anna", "Bob", "Charlie"))
     bridged = score(g, anna, charlie)
     unrelated = score(g, bob, anna)
     kb2 = synthetic.family_kb(with_head=False)
-    g2 = ground(kb2, classified(kb2, synthetic.PLANTED_RULE_TEXT))
+    g2 = ground(kb2, synthetic.classified_rule(kb2, synthetic.PLANTED_RULE_TEXT))
     contradicted = score(g2, kb2.entities.id("Anna"), kb2.entities.id("Charlie"))
     verdict(
         bridged == 1 and contradicted == -1 and unrelated == 0,

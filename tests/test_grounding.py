@@ -20,21 +20,14 @@ from rulekbc import grounding
 from rulekbc.grounding import (
     GroundingError,
     _cache_key,
+    _entry_counts,
     ground,
     ground_all,
     score,
     witness_paths,
 )
-from rulekbc.kb import KnowledgeBase, Triple
-from rulekbc.rules import (
-    CASE_FLAGS,
-    UNCLASSIFIED,
-    TrigramSimilarity,
-    classify_case,
-    format_rule,
-    map_relations,
-    parse_rule,
-)
+from rulekbc.kb import SATURATION_CAP, KBError, KnowledgeBase
+from rulekbc.rules import CASE_FLAGS, UNCLASSIFIED, format_rule, parse_rule
 from rulekbc.trainer import _evidence, _RelationData
 
 
@@ -71,11 +64,6 @@ def oracle_ground(kb, rule):
     return c, c * head_adj
 
 
-def classified(kb, text):
-    rule = map_relations(parse_rule(text), kb, TrigramSimilarity())
-    return classify_case(rule)
-
-
 # a small random KB over three relations, and four relation picks
 RANDOM_KB = dict(
     n_entities=st.integers(2, 6),
@@ -93,13 +81,13 @@ def kb_and_case_rules(n_entities, edges, rel_picks):
     kb = synthetic.build_kb(names, rels, train)
     body_rels = [rels[i] for i in rel_picks[:3]]
     texts = [synthetic.case_rule_text(case, *body_rels, rh=rels[rel_picks[3]]) for case in CASE_FLAGS]
-    return kb, [classified(kb, text) for text in texts]
+    return kb, [synthetic.classified_rule(kb, text) for text in texts]
 
 
 class TestFamilyToy:
     def test_bridged_pair_with_direct_edge(self):
         kb = synthetic.family_kb(with_head=True)
-        rule = classified(kb, synthetic.PLANTED_RULE_TEXT)
+        rule = synthetic.classified_rule(kb, synthetic.PLANTED_RULE_TEXT)
         g = ground(kb, rule)
         anna, charlie = kb.entities.id("Anna"), kb.entities.id("Charlie")
         assert g.joint_count.get(anna, charlie) == 1
@@ -108,7 +96,7 @@ class TestFamilyToy:
 
     def test_bridged_pair_without_direct_edge_scores_negative(self):
         kb = synthetic.family_kb(with_head=False)
-        rule = classified(kb, synthetic.PLANTED_RULE_TEXT)
+        rule = synthetic.classified_rule(kb, synthetic.PLANTED_RULE_TEXT)
         g = ground(kb, rule)
         anna, charlie = kb.entities.id("Anna"), kb.entities.id("Charlie")
         assert g.joint_count.get(anna, charlie) == 0
@@ -117,7 +105,7 @@ class TestFamilyToy:
 
     def test_unsupported_pair_scores_zero(self):
         kb = synthetic.family_kb(with_head=True)
-        rule = classified(kb, synthetic.PLANTED_RULE_TEXT)
+        rule = synthetic.classified_rule(kb, synthetic.PLANTED_RULE_TEXT)
         g = ground(kb, rule)
         assert score(g, kb.entities.id("Bob"), kb.entities.id("Anna")) == 0
 
@@ -136,7 +124,7 @@ class TestOracleFuzz:
                 )
                 rels = [kb.relation_name(int(rng.integers(3))) for _ in range(3)]
                 rh = kb.relation_name(int(rng.integers(3)))
-                rule = classified(kb, synthetic.case_rule_text(case, *rels, rh=rh))
+                rule = synthetic.classified_rule(kb, synthetic.case_rule_text(case, *rels, rh=rh))
                 assert rule.case == case
                 g = ground(kb, rule)
                 c_exp, a_exp = oracle_ground(kb, rule)
@@ -152,7 +140,7 @@ class TestOracleFuzz:
             kb = synthetic.random_kb(rng, n_entities=12, n_relations=3, n_triples=50)
             case = cases[int(rng.integers(len(cases)))]
             rels = [kb.relation_name(int(rng.integers(3))) for _ in range(3)]
-            rule = classified(kb, synthetic.case_rule_text(case, *rels, rh=rels[0]))
+            rule = synthetic.classified_rule(kb, synthetic.case_rule_text(case, *rels, rh=rels[0]))
             g = ground(kb, rule)
             a = g.joint_count.to_dense()
             c = g.body_count.to_dense()
@@ -166,7 +154,7 @@ class TestScoreAccess:
     def setup_method(self):
         rng = np.random.default_rng(13)
         self.kb = synthetic.random_kb(rng, n_entities=15, n_relations=3, n_triples=70)
-        self.rule = classified(
+        self.rule = synthetic.classified_rule(
             self.kb, synthetic.case_rule_text("1-1", "r0", "r1", rh="r2")
         )
         self.g = ground(self.kb, self.rule)
@@ -221,16 +209,16 @@ class TestScoreAccess:
 class TestGroundAll:
     def test_unclassified_rules_skipped(self):
         kb = synthetic.family_kb()
-        good = classified(kb, synthetic.PLANTED_RULE_TEXT)
-        bad = classified(kb, "IF (A, parent, B) AND (C, parent, D) THEN (A, grandparent, B)")
+        good = synthetic.classified_rule(kb, synthetic.PLANTED_RULE_TEXT)
+        bad = synthetic.classified_rule(kb, "IF (A, parent, B) AND (C, parent, D) THEN (A, grandparent, B)")
         out = ground_all(kb, [good, bad])
         rel = kb.relations.id("grandparent")
         assert len(out[rel]) == 1
 
     def test_grouped_by_head_relation(self):
         kb = synthetic.family_kb()
-        g1 = classified(kb, "IF (A, parent, B) THEN (A, grandparent, B)")
-        g2 = classified(kb, "IF (A, grandparent, B) THEN (A, parent, B)")
+        g1 = synthetic.classified_rule(kb, "IF (A, parent, B) THEN (A, grandparent, B)")
+        g2 = synthetic.classified_rule(kb, "IF (A, grandparent, B) THEN (A, parent, B)")
         out = ground_all(kb, [g1, g2])
         assert {r for r in out} == {0, 1}
 
@@ -241,7 +229,7 @@ class TestGroundAll:
 
     def test_unclassified_single_rule_raises(self):
         kb = synthetic.family_kb()
-        rule = classified(kb, "IF (A, parent, B) AND (C, parent, D) THEN (A, grandparent, B)")
+        rule = synthetic.classified_rule(kb, "IF (A, parent, B) AND (C, parent, D) THEN (A, grandparent, B)")
         with pytest.raises(GroundingError):
             ground(kb, rule)
 
@@ -264,7 +252,7 @@ class TestWitnesses:
             kb = synthetic.random_kb(rng, n_entities=10, n_relations=3, n_triples=45)
             case = cases[int(rng.integers(len(cases)))]
             rels = [kb.relation_name(int(rng.integers(3))) for _ in range(3)]
-            rule = classified(kb, synthetic.case_rule_text(case, *rels, rh=rels[0]))
+            rule = synthetic.classified_rule(kb, synthetic.case_rule_text(case, *rels, rh=rels[0]))
             g = ground(kb, rule)
             rows, cols = np.nonzero(g.body_count.to_dense())
             for h, t in list(zip(rows, cols))[:5]:
@@ -277,7 +265,7 @@ class TestWitnesses:
 
     def test_no_support_means_no_paths(self):
         kb = synthetic.family_kb()
-        rule = classified(kb, synthetic.PLANTED_RULE_TEXT)
+        rule = synthetic.classified_rule(kb, synthetic.PLANTED_RULE_TEXT)
         assert witness_paths(kb, rule, kb.entities.id("Charlie"), kb.entities.id("Anna")) == []
 
     def test_limit_respected_and_count_matches_support(self):
@@ -293,7 +281,7 @@ class TestWitnesses:
                 ("a", "jump", "c"),
             ],
         )
-        rule = classified(kb, "IF (A, step, B) AND (B, step, C) THEN (A, jump, C)")
+        rule = synthetic.classified_rule(kb, "IF (A, step, B) AND (B, step, C) THEN (A, jump, C)")
         g = ground(kb, rule)
         assert g.body_count.get(0, 3) == 2
         paths = witness_paths(kb, rule, 0, 3, limit=10)
@@ -302,7 +290,7 @@ class TestWitnesses:
 
     def test_limit_zero_gives_no_path_and_a_negative_one_is_refused(self):
         kb = synthetic.family_kb()
-        rule = classified(kb, synthetic.PLANTED_RULE_TEXT)
+        rule = synthetic.classified_rule(kb, synthetic.PLANTED_RULE_TEXT)
         rows, cols = np.nonzero(ground(kb, rule).body_count.to_dense())
         h, t = int(rows[0]), int(cols[0])
         assert witness_paths(kb, rule, h, t, limit=0) == []
@@ -334,7 +322,7 @@ class TestWitnesses:
 
     def test_reversed_atoms_reuse_one_transpose(self):
         kb = synthetic.family_kb()
-        rule = classified(kb, "IF (B, parent, A) THEN (A, grandparent, B)")
+        rule = synthetic.classified_rule(kb, "IF (B, parent, A) THEN (A, grandparent, B)")
         assert kb.transposed(rule.body[0].relation) is kb.transposed(rule.body[0].relation)
         g = ground(kb, rule)
         np.testing.assert_array_equal(
@@ -370,7 +358,7 @@ FAMILY_RULES = (
 
 
 def family_rules(kb):
-    return [classified(kb, text) for text in FAMILY_RULES]
+    return [synthetic.classified_rule(kb, text) for text in FAMILY_RULES]
 
 
 def canonical(grouped):
@@ -493,11 +481,25 @@ class TestCache:
                 ground_all(kb, spoilt, cache_dir=cache_dir)
         assert sorted(os.listdir(cache)) == sorted([entry_name(kb, rules), entry_name(kb, spoilt)])
 
+    def test_out_of_square_entry_rejected(self):
+        # an entry of a 2 x 3 matrix: a count in column 2
+        with pytest.raises(KBError, match="square"):
+            _entry_counts(np.array([[0], [2], [1]]), 2, 2)
+
+    def test_counts_above_the_cap_rejected(self):
+        def entry(count):
+            return np.array([[0], [1], [count]], dtype=np.int64)
+
+        assert _entry_counts(entry(SATURATION_CAP), 2, 2)[2].tolist() == [SATURATION_CAP]
+        for count in (SATURATION_CAP + 1, 2**40):
+            with pytest.raises(KBError, match="count outside"):
+                _entry_counts(entry(count), 2, 2)
+
     @settings(max_examples=40, deadline=None)
     @given(picks=st.lists(st.integers(0, len(CASE_FLAGS)), max_size=6), **RANDOM_KB)
     def test_cached_groundings_equal_uncached(self, n_entities, edges, rel_picks, picks):
         kb, case_rules = kb_and_case_rules(n_entities, edges, rel_picks)
-        unclassified = classified(kb, "IF (A, r0, B) AND (C, r1, D) THEN (A, r2, B)")
+        unclassified = synthetic.classified_rule(kb, "IF (A, r0, B) AND (C, r1, D) THEN (A, r2, B)")
         assert unclassified.case == UNCLASSIFIED
         rules = [(case_rules + [unclassified])[i] for i in picks]
         want = canonical(ground_all(kb, rules))

@@ -1,4 +1,4 @@
-"""Triple store and sparse count-matrix behavior."""
+"""Triple store: loading, fingerprints and the indices derived from train."""
 
 import os
 import tempfile
@@ -12,20 +12,14 @@ from hypothesis import strategies as st
 import synthetic
 from rulekbc import kb as kbmod
 from rulekbc.kb import (
-    SATURATION_CAP,
     KBError,
     KnowledgeBase,
-    SparseMatrix,
     Triple,
     Vocab,
     kb_fingerprint,
     load_kb,
     not_utf8,
-    sparse_hadamard,
-    sparse_mul,
-    sparse_transpose,
 )
-from rulekbc.grounding import _entry_counts
 from rulekbc.trainer import _filtered
 
 
@@ -181,102 +175,6 @@ class TestLoading:
             kb.entities.id("z")
         with pytest.raises(KBError, match="unknown name 'z'"):
             Vocab().id("z")
-
-
-def random_sparse(rng, dim, density=0.3, max_val=3):
-    mask = rng.random((dim, dim)) < density
-    dense = rng.integers(1, max_val + 1, size=(dim, dim)) * mask
-    rows, cols = np.nonzero(dense)
-    return SparseMatrix.from_coords(dim, rows, cols, dense[rows, cols]), dense.astype(np.int64)
-
-
-class TestSparseOps:
-    def test_product_matches_dense_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            dim = int(rng.integers(2, 20))
-            a, da = random_sparse(rng, dim)
-            b, db = random_sparse(rng, dim)
-            np.testing.assert_array_equal(sparse_mul(a, b).to_dense(), da @ db)
-
-    def test_transpose_and_hadamard_match_dense(self):
-        rng = np.random.default_rng(12)
-        for _ in range(30):
-            dim = int(rng.integers(2, 20))
-            a, da = random_sparse(rng, dim)
-            b, db = random_sparse(rng, dim)
-            np.testing.assert_array_equal(sparse_transpose(a).to_dense(), da.T)
-            np.testing.assert_array_equal(sparse_hadamard(a, b).to_dense(), da * db)
-
-    def test_product_associative(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            dim = int(rng.integers(2, 20))
-            a, _ = random_sparse(rng, dim)
-            b, _ = random_sparse(rng, dim)
-            c, _ = random_sparse(rng, dim)
-            left = sparse_mul(sparse_mul(a, b), c)
-            right = sparse_mul(a, sparse_mul(b, c))
-            for k in ("indptr", "indices", "data"):
-                np.testing.assert_array_equal(getattr(left, k), getattr(right, k))
-
-    def test_dimension_mismatch_raises(self):
-        a = SparseMatrix.from_coords(3, [], [])
-        b = SparseMatrix.from_coords(4, [], [])
-        with pytest.raises(KBError, match="mismatch"):
-            sparse_mul(a, b)
-        with pytest.raises(KBError, match="mismatch"):
-            sparse_hadamard(a, b)
-
-    def test_negative_entries_rejected(self):
-        with pytest.raises(KBError, match="negative"):
-            SparseMatrix.from_coords(2, [0], [1], [-1])
-
-    def test_rectangular_rejected(self):
-        # a 2 x 3 matrix with an entry in column 2, as a cache entry and as coordinates
-        with pytest.raises(KBError, match="square"):
-            _entry_counts(np.array([[0], [2], [1]]), 2, 2)
-        with pytest.raises(KBError, match="square"):
-            SparseMatrix.from_coords(2, [0], [2])
-
-    def test_saturation_clips_instead_of_wrapping(self):
-        big = SATURATION_CAP
-        a = SparseMatrix.from_coords(2, [0], [0], [big])
-        b = SparseMatrix.from_coords(2, [0], [0], [4])
-        prod = sparse_mul(a, b)
-        assert prod.get(0, 0) == SATURATION_CAP
-
-    def test_coordinate_sums_saturate(self, caplog):
-        m = SparseMatrix.from_coords(1, [0], [0], [3 * 2**30])
-        assert m.data.tolist() == [SATURATION_CAP]
-        assert "saturating 1 count entries" in caplog.text
-        # terms above the cap are held before adding, so no sum wraps int64
-        m = SparseMatrix.from_coords(2, [0] * 4 + [1], [1] * 4 + [0], [2**62] * 4 + [SATURATION_CAP])
-        assert (m.get(0, 1), m.get(1, 0)) == (SATURATION_CAP, SATURATION_CAP)
-        assert "saturating 1 count entries" in caplog.text.splitlines()[-1]
-
-    def test_counts_above_the_cap_rejected(self):
-        def entry(count):
-            return np.array([[0], [1], [count]], dtype=np.int64)
-
-        assert _entry_counts(entry(SATURATION_CAP), 2, 2)[2].tolist() == [SATURATION_CAP]
-        for count in (SATURATION_CAP + 1, 2**40):
-            with pytest.raises(KBError, match="count outside"):
-                _entry_counts(entry(count), 2, 2)
-
-    def test_row_access_matches_dense(self):
-        rng = np.random.default_rng(14)
-        a, da = random_sparse(rng, 9)
-        for i in range(9):
-            cols, vals = a.row(i)
-            dense_row = np.zeros(9, dtype=np.int64)
-            dense_row[cols] = vals
-            np.testing.assert_array_equal(dense_row, da[i])
-
-    def test_duplicate_coords_summed(self):
-        m = SparseMatrix.from_coords(3, [1, 1], [2, 2], [2, 5])
-        assert m.get(1, 2) == 7
-        assert m.nnz == 1
 
 
 class TestArrayLoader:

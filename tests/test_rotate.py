@@ -1,7 +1,11 @@
 """Rotation-embedding scorer: scores, gradients, training, checkpoints."""
 
 import hashlib
+import os
 import struct
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 import gradcheck
 import rotate_oracle
 import synthetic
+import rulekbc
 from rulekbc import rotate
 from rulekbc.kb import KBError
 from rulekbc.rotate import (
@@ -340,6 +345,45 @@ class TestTraining:
             RotateConfig(epochs=-1)
         with pytest.raises(ValueError):
             RotateConfig(negatives=0)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    def test_peak_rss_within_24_mb_of_extract(self, tmp_path):
+        """rotate-train's peak RSS above extract's, at the `dense`
+        benchmark's [rotate] settings. The bound lies between about 18 MB,
+        with a batch's negative moduli and gradient scatter taken in
+        fixed-size blocks, and about 32 MB, with them as whole-batch
+        temporaries. A launcher that imports no numpy runs each stage as
+        its child, because Linux carries a parent's peak RSS into its
+        child's ru_maxrss."""
+        kb = synthetic.random_kb(np.random.default_rng(0), n_entities=400, n_relations=14, n_triples=6000)
+        data = synthetic.write_kb_files(str(tmp_path / "data"), kb)
+        config = tmp_path / "cfg.ini"
+        config.write_text(
+            "[run]\noutput_dir = %s\n\n[kb]\ntrain = %s\nvalid = %s\ntest = %s\n\n"
+            "[rotate]\ndim = 32\nnegatives = 32\nepochs = 3\nbatch_size = 512\n"
+            % (tmp_path / "runs", data["train"], data["valid"], data["test"])
+        )
+        launcher = textwrap.dedent(
+            """
+            import os, subprocess, sys
+            assert "numpy" not in sys.modules
+            for stage in ("extract", "rotate-train"):
+                cmd = [sys.executable, "-m", "rulekbc.cli", "--config", sys.argv[1], stage]
+                proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL)
+                _, status, usage = os.wait4(proc.pid, 0)
+                print(stage, os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(rulekbc.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        got = subprocess.run(
+            [sys.executable, "-c", launcher, str(config)], env=env, capture_output=True, text=True, timeout=120
+        )
+        rows = [line.split() for line in got.stdout.splitlines()]
+        assert [row[:2] for row in rows] == [["extract", "0"], ["rotate-train", "0"]], got.stderr
+        extract_kib, train_kib = (int(row[2]) for row in rows)
+        gap_mb = (train_kib - extract_kib) / 1024.0
+        assert gap_mb <= 24.0, "rotate-train peaks %.1f MB above extract" % gap_mb
 
 
 class TestCheckpoint:

@@ -1,12 +1,11 @@
-"""The numpy CSR count kernels against scipy.sparse, used here as an oracle
-only, and the RotatE gradient scatter against np.add.at."""
+"""The numpy CSR count kernels against exact dense arithmetic on Python
+integers, and the RotatE gradient scatter against np.add.at."""
 
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -18,77 +17,93 @@ from rulekbc.kb import SATURATION_CAP, KBError, SparseMatrix, sparse_hadamard, s
 
 @st.composite
 def coords(draw, dim, max_value=3, min_value=1):
-    """Coordinate entries of a dim x dim matrix, repeats allowed, and the
-    scipy CSR matrix they sum to."""
+    """Coordinate entries of a dim x dim matrix, repeats allowed, and their
+    exact sums as a dense matrix of Python integers."""
     cells = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1), st.integers(min_value, max_value))
     entries = draw(st.lists(cells, max_size=3 * dim * dim))
     rows, cols, vals = (np.array([e[i] for e in entries], dtype=np.int64) for i in range(3))
-    oracle = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=np.int64)
-    oracle.sum_duplicates()
-    oracle.eliminate_zeros()
-    return rows, cols, vals, oracle
+    exact = np.zeros((dim, dim), dtype=object)
+    for i, j, v in entries:
+        exact[i, j] += v
+    return rows, cols, vals, exact
 
 
 @st.composite
 def matrices(draw, dim, max_value=3):
-    """A SparseMatrix and its scipy twin; empty rows and columns are common."""
-    rows, cols, vals, oracle = draw(coords(dim, max_value=max_value))
-    return SparseMatrix.from_coords(dim, rows, cols, vals), oracle
+    """A SparseMatrix and the dense Python-int matrix it holds; empty rows
+    and columns are common."""
+    rows, cols, vals, exact = draw(coords(dim, max_value=max_value))
+    return SparseMatrix.from_coords(dim, rows, cols, vals), np.minimum(exact, SATURATION_CAP)
 
 
-def assert_same(m: SparseMatrix, oracle: sp.csr_matrix):
-    assert m.dim == oracle.shape[0]
+def assert_same(m: SparseMatrix, dense: np.ndarray):
+    """m is the canonical CSR of the dense matrix: its nonzeros row by row,
+    columns increasing within a row."""
+    rows, cols = np.nonzero(dense)
+    assert m.dim == len(dense)
     for arr in (m.indptr, m.indices, m.data):
         assert arr.dtype == np.int64
-    np.testing.assert_array_equal(m.indptr, oracle.indptr)
-    np.testing.assert_array_equal(m.indices, oracle.indices)
-    np.testing.assert_array_equal(m.data, oracle.data)
-
-
-def oracle_product(x: sp.csr_matrix, y: sp.csr_matrix) -> sp.csr_matrix:
-    out = (x @ y).tocsr()
-    out.sum_duplicates()
-    out.eliminate_zeros()
-    out.data = np.minimum(out.data, SATURATION_CAP)
-    return out
+    np.testing.assert_array_equal(m.indptr, np.searchsorted(rows, np.arange(len(dense) + 1)))
+    np.testing.assert_array_equal(m.indices, cols)
+    assert m.data.tolist() == dense[rows, cols].tolist()
 
 
 class TestFromCoords:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 6))
     def test_duplicates_add_and_zero_sums_are_dropped(self, data, dim):
-        rows, cols, vals, oracle = data.draw(coords(dim, min_value=-3))
-        if oracle.nnz and oracle.data.min() < 0:
+        rows, cols, vals, exact = data.draw(coords(dim, min_value=-3))
+        if (exact < 0).any():
             with pytest.raises(KBError, match="negative"):
                 SparseMatrix.from_coords(dim, rows, cols, vals)
         else:
-            assert_same(SparseMatrix.from_coords(dim, rows, cols, vals), oracle)
+            assert_same(SparseMatrix.from_coords(dim, rows, cols, vals), exact)
+
+    def test_out_of_square_coordinates_rejected(self):
+        with pytest.raises(KBError, match="square"):
+            SparseMatrix.from_coords(2, [0], [2])
+
+    def test_coordinate_sums_saturate(self, caplog):
+        m = SparseMatrix.from_coords(1, [0], [0], [3 * 2**30])
+        assert m.data.tolist() == [SATURATION_CAP]
+        assert "saturating 1 count entries" in caplog.text
+        # terms above the cap are held before adding, so no sum wraps int64
+        m = SparseMatrix.from_coords(2, [0] * 4 + [1], [1] * 4 + [0], [2**62] * 4 + [SATURATION_CAP])
+        assert (m.get(0, 1), m.get(1, 0)) == (SATURATION_CAP, SATURATION_CAP)
+        assert "saturating 1 count entries" in caplog.text.splitlines()[-1]
 
 
 class TestProduct:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 7), chunk=st.integers(1, 40))
-    def test_matches_scipy_in_any_chunking(self, data, dim, chunk):
+    def test_matches_the_exact_product_in_any_chunking(self, data, dim, chunk):
         # dims from 1, empty rows and empty operands, products over many chunks
-        a, sa = data.draw(matrices(dim))
-        b, sb = data.draw(matrices(dim))
+        a, da = data.draw(matrices(dim))
+        b, db = data.draw(matrices(dim))
         with mock.patch.object(kbmod, "_PRODUCT_CHUNK", chunk):
             got = sparse_mul(a, b)
-        assert_same(got, oracle_product(sa, sb))
+        assert_same(got, da @ db)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 5), chunk=st.integers(1, 30))
     def test_saturates_at_the_cap(self, data, dim, chunk):
-        # a cell drawn more than once sums past 2^31, so int64 products and
-        # their sums can wrap; the oracle multiplies Python integers, which
-        # never do
-        a, sa = data.draw(matrices(dim, max_value=2**30))
-        b, sb = data.draw(matrices(dim, max_value=2**30))
-        exact = sa.toarray().astype(object) @ sb.toarray().astype(object)
+        # counts up to the cap: int64 products and their sums can wrap; the
+        # oracle multiplies Python integers, which never do
+        a, da = data.draw(matrices(dim, max_value=2**30))
+        b, db = data.draw(matrices(dim, max_value=2**30))
+        exact = da @ db
         with mock.patch.object(kbmod, "_PRODUCT_CHUNK", chunk), mock.patch.object(kbmod.logger, "warning") as warn:
             got = sparse_mul(a, b)
-        assert_same(got, sp.csr_matrix(np.minimum(exact, SATURATION_CAP).astype(np.int64)))
+        assert_same(got, np.minimum(exact, SATURATION_CAP))
         assert warn.call_count == int((exact > SATURATION_CAP).any())
+
+    def test_dimension_mismatch_raises(self):
+        a = SparseMatrix.from_coords(3, [], [])
+        b = SparseMatrix.from_coords(4, [], [])
+        with pytest.raises(KBError, match="mismatch"):
+            sparse_mul(a, b)
+        with pytest.raises(KBError, match="mismatch"):
+            sparse_hadamard(a, b)
 
     def test_factor_above_the_cap_saturates(self):
         m = SparseMatrix.from_coords(1, [0], [0], [3 * 2**30])
@@ -125,16 +140,12 @@ class TestProduct:
 class TestTransposeHadamardAccess:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 7))
-    def test_match_scipy(self, data, dim):
-        a, sa = data.draw(matrices(dim))
-        b, sb = data.draw(matrices(dim))
-        assert_same(sparse_transpose(a), sa.transpose().tocsr())
-        hadamard = sa.multiply(sb).tocsr()
-        hadamard.sum_duplicates()
-        hadamard.eliminate_zeros()
-        assert_same(sparse_hadamard(a, b), hadamard)
+    def test_match_exact_dense(self, data, dim):
+        a, dense = data.draw(matrices(dim))
+        b, db = data.draw(matrices(dim))
+        assert_same(sparse_transpose(a), dense.T)
+        assert_same(sparse_hadamard(a, b), dense * db)
 
-        dense = sa.toarray()
         np.testing.assert_array_equal(a.to_dense(), dense)
         for i in range(dim):
             cols, vals = a.row(i)
