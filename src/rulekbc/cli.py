@@ -176,7 +176,6 @@ def cmd_propose(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse
     from . import proposer, subgraph
 
     provider = rules.TrigramSimilarity()
-    os.makedirs(os.path.join(run, "proposals"), exist_ok=True)
     records_path = os.path.join(run, "proposals", "records.jsonl")
     rules_path = os.path.join(run, "rules", "rules.jsonl")
     all_records: List[proposer.ProposalRecord] = []
@@ -221,7 +220,6 @@ def cmd_propose(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse
             raise CLIError("no subgraph got a completion from %s; last error: %s" % (cfg.proposer.endpoint, last))
     unique = rules.dedup(kept)
     proposer.save_proposals(records_path, all_records, kb)
-    os.makedirs(os.path.dirname(rules_path), exist_ok=True)
     rules.save_rules(rules_path, unique, kb)
     shown = " ".join("%s=%d" % (key, totals[key]) for key in _PROPOSE_COUNTERS)
     print("totals: %s unique=%d" % (shown, len(unique)))

@@ -24,7 +24,7 @@ from .kb import (
     KnowledgeBase,
     SparseMatrix,
     Triple,
-    _indptr,
+    _from_keys,
     _row_ids,
     kb_fingerprint,  # noqa: F401  re-exported
     sparse_hadamard,
@@ -201,12 +201,7 @@ def _cache_load(path: str, rules: List[Rule], n: int) -> Optional[List[SparseMat
     except Exception as exc:
         logger.warning("discarding invalid cache entry %s: %r", path, exc)
         return None
-    indptr = _indptr(np.bincount(row, minlength=len(rules) * n))
-    ends = indptr[::n]  # the first entry of each rule, then the entry count
-    return [
-        SparseMatrix(indptr[k * n : (k + 1) * n + 1] - lo, col[lo:hi], count[lo:hi])
-        for k, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]))
-    ]
+    return _from_keys(len(rules), n, row, col, count)
 
 
 def _cache_store(path: str, body_counts: List[SparseMatrix], n: int) -> None:

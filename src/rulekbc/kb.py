@@ -25,10 +25,9 @@ logger = logging.getLogger(__name__)
 
 # Counts saturate here instead of wrapping; large enough for any desk-scale KB.
 SATURATION_CAP = 2**31 - 1
-# `from_coords` and the product kernels hold every count, factor and path
-# count above the cap at this value before adding, so a sum of fewer than
-# 2^32 terms cannot wrap int64 and `_saturate` still sees every entry whose
-# exact count is above the cap.
+# The product kernels hold every factor and path count above the cap at this
+# value before adding, so a sum of fewer than 2^32 terms cannot wrap int64
+# and `_saturate` still sees every entry whose exact count is above the cap.
 _HELD = SATURATION_CAP + 1
 
 
@@ -69,6 +68,16 @@ def write_json(path: str, payload) -> None:
     directory first. A value that JSON cannot hold (NaN, Infinity) raises
     ValueError before the file is opened, so no partial file is left."""
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def write_jsonl(path: str, records) -> None:
+    """Write each record as one line of JSON with sorted keys, making the
+    directory first. The whole text is built before the file is opened, so
+    a record that fails to encode leaves no file."""
+    text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -140,9 +149,9 @@ class SparseMatrix:
     `indptr` (dim + 1 row offsets), `indices` (columns) and `data` (counts)
     are int64 arrays; each row's columns strictly increase and no stored
     count is zero. The arrays are read only and shared, never copied: the
-    constructor takes them as they are, so only `from_coords`, the product
-    kernels and a checked cache load build them. Every operation returns a
-    new matrix and saturates entries at SATURATION_CAP instead of
+    constructor takes them as they are, so only `sparse_mul`,
+    `sparse_transpose` and `_from_keys` build them. Every operation returns
+    a new matrix and saturates entries at SATURATION_CAP instead of
     overflowing.
     """
 
@@ -150,21 +159,6 @@ class SparseMatrix:
         self.indptr = indptr
         self.indices = indices
         self.data = data
-
-    @classmethod
-    def from_coords(cls, dim: int, rows, cols, vals=None) -> "SparseMatrix":
-        """Counts `vals` (default 1) at (rows, cols); repeated coordinates add
-        up, each count held at `_HELD` first, a sum above SATURATION_CAP
-        saturates and a zero sum stores nothing."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.ones(len(rows), dtype=np.int64) if vals is None else np.asarray(vals, dtype=np.int64)
-        if not len(rows) == len(cols) == len(vals):
-            raise KBError("coordinate arrays differ in length")
-        if len(rows) and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= dim):
-            raise KBError("coordinates must lie in the %d x %d square matrix" % (dim, dim))
-        keys, sums = _sum_keys(rows * dim + cols, np.minimum(vals, _HELD))
-        return _from_keys(dim, keys, _saturate(sums))
 
     @property
     def dim(self) -> int:
@@ -239,11 +233,17 @@ def _sum_keys(keys: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     return keys[first][kept], sums[kept]
 
 
-def _from_keys(dim: int, keys: np.ndarray, vals: np.ndarray) -> SparseMatrix:
-    """The matrix of distinct increasing keys row * dim + column and their
-    nonzero counts."""
-    rows = keys // dim
-    return _checked(SparseMatrix(_indptr(np.bincount(rows, minlength=dim)), keys - rows * dim, vals))
+def _from_keys(count: int, dim: int, rows: np.ndarray, cols: np.ndarray, counts: np.ndarray) -> List[SparseMatrix]:
+    """The `count` dim x dim matrices of a stack, from its stored entries in
+    strictly increasing (row key, column) order: row key matrix * dim + row,
+    column and nonzero count. The matrices' columns and counts are views of
+    the stack's."""
+    indptr = _indptr(np.bincount(rows, minlength=count * dim))
+    ends = indptr[::dim]  # the first entry of each matrix, then the entry count
+    return [
+        SparseMatrix(indptr[k * dim : (k + 1) * dim + 1] - lo, cols[lo:hi], counts[lo:hi])
+        for k, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]))
+    ]
 
 
 def _checked(m: SparseMatrix) -> SparseMatrix:
@@ -320,14 +320,15 @@ def sparse_hadamard(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     if a.dim != b.dim:
         raise KBError("dimension mismatch in sparse_hadamard: %d vs %d" % (a.dim, b.dim))
     n = a.dim
-    a_keys = _row_ids(a.indptr) * n + a.indices
+    a_rows = _row_ids(a.indptr)
+    a_keys = a_rows * n + a.indices
     b_keys = _row_ids(b.indptr) * n + b.indices
     # both key lists increase, so a's keys are looked up in b's by bisection
     at = np.minimum(np.searchsorted(b_keys, a_keys), max(b.nnz - 1, 0))
     hit = b_keys[at] == a_keys if b.nnz else np.zeros(a.nnz, dtype=bool)
     vals = np.minimum(a.data[hit], _HELD) * np.minimum(b.data[at[hit]], _HELD)
     kept = vals != 0
-    return _from_keys(n, a_keys[hit][kept], _saturate(vals[kept]))
+    return _checked(_from_keys(1, n, a_rows[hit][kept], a.indices[hit][kept], _saturate(vals[kept]))[0])
 
 
 class KnowledgeBase:
@@ -374,19 +375,12 @@ class KnowledgeBase:
     @functools.cached_property
     def matrices(self) -> Dict[int, SparseMatrix]:
         """relation -> its train adjacency counts, all built from one sort of
-        the train rows; a triple listed k times counts k, as `from_coords`
-        sums it."""
+        the train rows; a triple listed k times counts k."""
         n = self.num_entities
         h, r, t = self.arrays["train"].T
         keys, counts = np.unique(_keys(r, h, t, n, n), return_counts=True)
         rows = keys // n  # relation * n + head
-        indptr = _indptr(np.bincount(rows, minlength=self.num_relations * n))
-        cols, data = keys - rows * n, _saturate(counts.astype(np.int64))
-        matrices = {}
-        for rel in range(self.num_relations):
-            lo, hi = indptr[rel * n], indptr[(rel + 1) * n]
-            matrices[rel] = SparseMatrix(indptr[rel * n : (rel + 1) * n + 1] - lo, cols[lo:hi], data[lo:hi])
-        return matrices
+        return dict(enumerate(_from_keys(self.num_relations, n, rows, keys - rows * n, _saturate(counts))))
 
     @functools.cached_property
     def _known(self) -> np.ndarray:

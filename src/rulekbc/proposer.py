@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from .kb import KnowledgeBase, Triple
+from .kb import KnowledgeBase, Triple, write_jsonl
 from .rules import Rule, RuleParseError, format_rule, parse_rule, path_atoms
 from .settings import OFFLINE, REMOTE, ProposerConfig, ProposerError  # noqa: F401
 from .subgraph import Subgraph, linearize
@@ -205,7 +205,4 @@ def record_to_dict(rec: ProposalRecord, kb: KnowledgeBase) -> Dict:
 
 
 def save_proposals(path: str, records: List[ProposalRecord], kb: KnowledgeBase) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(record_to_dict(rec, kb), sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, [record_to_dict(rec, kb) for rec in records])

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .kb import KBError, KnowledgeBase, text_lines
+from .kb import KBError, KnowledgeBase, text_lines, write_jsonl
 
 UNCLASSIFIED = "UNCLASSIFIED"
 
@@ -311,10 +311,7 @@ def _rule_record(rule: Rule, kb: KnowledgeBase) -> Dict:
 
 def save_rules(path: str, rules: Sequence[Rule], kb: KnowledgeBase) -> None:
     """One JSON object per line, sorted keys; load/save round-trips byte-exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in rules:
-            fh.write(json.dumps(_rule_record(r, kb), sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, [_rule_record(r, kb) for r in rules])
 
 
 def _record_rule(rec, kb: KnowledgeBase) -> Rule:

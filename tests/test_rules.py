@@ -527,6 +527,7 @@ class TestPersistence:
         kb = synthetic.family_kb()
         with pytest.raises(KBError, match="mapped"):
             save_rules(str(tmp_path / "r.jsonl"), [parse_rule("IF (A, p, B) THEN (A, h, B)")], kb)
+        assert not (tmp_path / "r.jsonl").exists()
 
     def test_bad_json_line_raises(self, tmp_path):
         kb = synthetic.family_kb()

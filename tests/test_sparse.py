@@ -15,62 +15,53 @@ from rulekbc import rotate
 from rulekbc.kb import SATURATION_CAP, KBError, SparseMatrix, sparse_hadamard, sparse_mul, sparse_transpose
 
 
-@st.composite
-def coords(draw, dim, max_value=3, min_value=1):
-    """Coordinate entries of a dim x dim matrix, repeats allowed, and their
-    exact sums as a dense matrix of Python integers."""
-    cells = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1), st.integers(min_value, max_value))
-    entries = draw(st.lists(cells, max_size=3 * dim * dim))
-    rows, cols, vals = (np.array([e[i] for e in entries], dtype=np.int64) for i in range(3))
-    exact = np.zeros((dim, dim), dtype=object)
-    for i, j, v in entries:
-        exact[i, j] += v
-    return rows, cols, vals, exact
+def csr_of(dense) -> SparseMatrix:
+    """The canonical CSR of a dense matrix: its nonzeros row by row, columns
+    increasing within a row, each stored as it is, above the cap too."""
+    dense = np.asarray(dense)
+    rows, cols = np.nonzero(dense)
+    indptr = np.searchsorted(rows, np.arange(len(dense) + 1))
+    return SparseMatrix(*(arr.astype(np.int64) for arr in (indptr, cols, dense[rows, cols])))
 
 
 @st.composite
 def matrices(draw, dim, max_value=3):
-    """A SparseMatrix and the dense Python-int matrix it holds; empty rows
-    and columns are common."""
-    rows, cols, vals, exact = draw(coords(dim, max_value=max_value))
-    return SparseMatrix.from_coords(dim, rows, cols, vals), np.minimum(exact, SATURATION_CAP)
+    """A SparseMatrix and the dense Python-int matrix it holds: the sums of
+    repeated cells, capped at SATURATION_CAP. Empty rows and columns are
+    common."""
+    cells = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1), st.integers(1, max_value))
+    dense = np.zeros((dim, dim), dtype=object)
+    for i, j, v in draw(st.lists(cells, max_size=3 * dim * dim)):
+        dense[i, j] += v
+    dense = np.minimum(dense, SATURATION_CAP)
+    return csr_of(dense), dense
 
 
 def assert_same(m: SparseMatrix, dense: np.ndarray):
-    """m is the canonical CSR of the dense matrix: its nonzeros row by row,
-    columns increasing within a row."""
-    rows, cols = np.nonzero(dense)
+    """m holds the canonical CSR arrays of the dense matrix, as int64."""
+    want = csr_of(dense)
     assert m.dim == len(dense)
-    for arr in (m.indptr, m.indices, m.data):
-        assert arr.dtype == np.int64
-    np.testing.assert_array_equal(m.indptr, np.searchsorted(rows, np.arange(len(dense) + 1)))
-    np.testing.assert_array_equal(m.indices, cols)
-    assert m.data.tolist() == dense[rows, cols].tolist()
+    for got, exp in zip((m.indptr, m.indices, m.data), (want.indptr, want.indices, want.data)):
+        assert got.dtype == np.int64
+        assert got.tolist() == exp.tolist()
 
 
-class TestFromCoords:
+class TestFromKeys:
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), dim=st.integers(1, 6))
-    def test_duplicates_add_and_zero_sums_are_dropped(self, data, dim):
-        rows, cols, vals, exact = data.draw(coords(dim, min_value=-3))
-        if (exact < 0).any():
-            with pytest.raises(KBError, match="negative"):
-                SparseMatrix.from_coords(dim, rows, cols, vals)
-        else:
-            assert_same(SparseMatrix.from_coords(dim, rows, cols, vals), exact)
-
-    def test_out_of_square_coordinates_rejected(self):
-        with pytest.raises(KBError, match="square"):
-            SparseMatrix.from_coords(2, [0], [2])
-
-    def test_coordinate_sums_saturate(self, caplog):
-        m = SparseMatrix.from_coords(1, [0], [0], [3 * 2**30])
-        assert m.data.tolist() == [SATURATION_CAP]
-        assert "saturating 1 count entries" in caplog.text
-        # terms above the cap are held before adding, so no sum wraps int64
-        m = SparseMatrix.from_coords(2, [0] * 4 + [1], [1] * 4 + [0], [2**62] * 4 + [SATURATION_CAP])
-        assert (m.get(0, 1), m.get(1, 0)) == (SATURATION_CAP, SATURATION_CAP)
-        assert "saturating 1 count entries" in caplog.text.splitlines()[-1]
+    @given(data=st.data(), count=st.integers(0, 4), dim=st.integers(1, 5))
+    def test_each_piece_is_its_block_of_the_stack(self, data, count, dim):
+        # any block may be empty, the first and the last too; count 0 is an
+        # empty stack
+        blocks = [
+            data.draw(matrices(dim))[1] if data.draw(st.booleans()) else np.zeros((dim, dim), dtype=object)
+            for _ in range(count)
+        ]
+        stack = np.concatenate(blocks) if blocks else np.zeros((0, dim), dtype=object)
+        rows, cols = np.nonzero(stack)  # row k * dim + h is row h of block k
+        got = kbmod._from_keys(count, dim, rows, cols, stack[rows, cols].astype(np.int64))
+        assert len(got) == count
+        for m, block in zip(got, blocks):
+            assert_same(m, block)
 
 
 class TestProduct:
@@ -98,21 +89,24 @@ class TestProduct:
         assert warn.call_count == int((exact > SATURATION_CAP).any())
 
     def test_dimension_mismatch_raises(self):
-        a = SparseMatrix.from_coords(3, [], [])
-        b = SparseMatrix.from_coords(4, [], [])
+        a = csr_of(np.zeros((3, 3), dtype=np.int64))
+        b = csr_of(np.zeros((4, 4), dtype=np.int64))
         with pytest.raises(KBError, match="mismatch"):
             sparse_mul(a, b)
         with pytest.raises(KBError, match="mismatch"):
             sparse_hadamard(a, b)
 
     def test_factor_above_the_cap_saturates(self):
-        m = SparseMatrix.from_coords(1, [0], [0], [3 * 2**30])
+        m = csr_of([[3 * 2**30]])
+        assert m.data.tolist() == [3 * 2**30]
         assert sparse_mul(m, m).data.tolist() == [SATURATION_CAP]
         assert sparse_hadamard(m, m).data.tolist() == [SATURATION_CAP]
 
     def test_paths_summing_past_int64_saturate(self):
         # four paths of 2^62 each: their int64 sum wraps to 0
-        a = SparseMatrix.from_coords(5, [0] * 4, [1, 2, 3, 4], [2**31] * 4)
+        dense = np.zeros((5, 5), dtype=np.int64)
+        dense[0, 1:] = 2**31
+        a = csr_of(dense)
         got = sparse_mul(a, sparse_transpose(a))
         assert got.nnz == 1 and got.get(0, 0) == SATURATION_CAP
 
@@ -122,8 +116,10 @@ class TestProduct:
         # int64 arrays of k * k entries on top of the output.
         k = 800
         n = 2 * k + 1
-        into = SparseMatrix.from_coords(n, np.arange(1, k + 1), np.zeros(k, dtype=np.int64))
-        out_of = SparseMatrix.from_coords(n, np.zeros(k, dtype=np.int64), np.arange(k + 1, n))
+        into, out_of = np.zeros((2, n, n), dtype=np.int64)
+        into[1 : k + 1, 0] = 1
+        out_of[0, k + 1 :] = 1
+        into, out_of = csr_of(into), csr_of(out_of)
         tracemalloc.start()
         try:
             got = sparse_mul(into, out_of)
