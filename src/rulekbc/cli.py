@@ -304,7 +304,6 @@ def cmd_train(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse.N
     rotate_model = _ensure_rotate(cfg, run, kb, train_if_missing=True)
     params_path = os.path.join(run, "checkpoints", "params.json")
     params, traces = trainer.train(kb, groundings, rotate_model, cfg.trainer)
-    os.makedirs(os.path.dirname(params_path), exist_ok=True)
     trainer.save_params(params_path, params, kb)
     write_json(os.path.join(run, "reports", "train_trace.json"), traces)
     trained = sum(1 for t in traces.values() if t["loss"])
@@ -318,9 +317,10 @@ def cmd_train(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse.N
 def cmd_eval(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse.Namespace) -> int:
     from . import evaluation
 
-    # read before evaluating, so a bad path fails before any report is written
+    # assessed first, so a bad path or an empty rule set fails before any report is written
     annotations = evaluation.load_annotations(args.rules_annotations) if args.rules_annotations else None
     learned, groundings, rotate_model, params = _load_trained(cfg, run, kb)
+    quality = evaluation.compute_rule_quality(learned, annotations, kb) if annotations is not None else None
     report = evaluation.evaluate_model(params, kb, groundings, rotate_model, split=args.split)
     print(report.render_text())
     write_json(os.path.join(run, "reports", "metrics_%s.json" % args.split), report.to_dict())
@@ -338,8 +338,7 @@ def cmd_eval(cfg: PipelineConfig, run: str, kb: KnowledgeBase, args: argparse.Na
             writer.writerow(["mrr", "%.6f" % report.mrr])
             for k in sorted(report.hits):
                 writer.writerow(["hits@%d" % k, "%.6f" % report.hits[k]])
-    if annotations is not None:
-        quality = evaluation.compute_rule_quality(learned, annotations, kb)
+    if quality is not None:
         print(quality.render_text())
         write_json(os.path.join(run, "reports", "rule_quality.json"), quality.to_dict())
     return 0

@@ -147,12 +147,14 @@ class SparseMatrix:
     """Square nonnegative integer count matrix in canonical CSR form.
 
     `indptr` (dim + 1 row offsets), `indices` (columns) and `data` (counts)
-    are int64 arrays; each row's columns strictly increase and no stored
-    count is zero. The arrays are read only and shared, never copied: the
-    constructor takes them as they are, so only `sparse_mul`,
-    `sparse_transpose` and `_from_keys` build them. Every operation returns
-    a new matrix and saturates entries at SATURATION_CAP instead of
-    overflowing.
+    are int64 arrays; each row's columns strictly increase. The arrays are
+    read only and shared, never copied: the constructor takes them as they
+    are, so only `sparse_mul`, `sparse_transpose` and `_from_keys` build
+    them, and every stored count lies in [1, SATURATION_CAP] by
+    construction: the train counts of `KnowledgeBase.matrices`, cache
+    entries that `grounding._entry_counts` accepts, and products and sums
+    of such counts. Every operation returns a new matrix and saturates
+    entries at SATURATION_CAP instead of overflowing.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray):
@@ -222,15 +224,13 @@ def _changes(sorted_keys: np.ndarray) -> np.ndarray:
 
 def _sum_keys(keys: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Distinct `keys` in increasing order with the exact int64 sums of their
-    `vals`, zero sums dropped."""
+    `vals`."""
     if not len(keys):
         return keys, vals
     order = np.argsort(keys)
     keys, vals = keys[order], vals[order]
     first = np.flatnonzero(_changes(keys))
-    sums = np.add.reduceat(vals, first)
-    kept = sums != 0
-    return keys[first][kept], sums[kept]
+    return keys[first], np.add.reduceat(vals, first)
 
 
 def _from_keys(count: int, dim: int, rows: np.ndarray, cols: np.ndarray, counts: np.ndarray) -> List[SparseMatrix]:
@@ -244,12 +244,6 @@ def _from_keys(count: int, dim: int, rows: np.ndarray, cols: np.ndarray, counts:
         SparseMatrix(indptr[k * dim : (k + 1) * dim + 1] - lo, cols[lo:hi], counts[lo:hi])
         for k, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]))
     ]
-
-
-def _checked(m: SparseMatrix) -> SparseMatrix:
-    if m.nnz and m.data.min() < 0:
-        raise KBError("sparse count matrix cannot hold negative entries")
-    return m
 
 
 def _saturate(data: np.ndarray) -> np.ndarray:
@@ -305,7 +299,7 @@ def sparse_mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
         np.subtract(keys, rows * n, out=indices[at:])
         data[at:] = vals
         lo = hi
-    return _checked(SparseMatrix(_indptr(counts), indices, _saturate(data)))
+    return SparseMatrix(_indptr(counts), indices, _saturate(data))
 
 
 def sparse_transpose(a: SparseMatrix) -> SparseMatrix:
@@ -327,8 +321,7 @@ def sparse_hadamard(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     at = np.minimum(np.searchsorted(b_keys, a_keys), max(b.nnz - 1, 0))
     hit = b_keys[at] == a_keys if b.nnz else np.zeros(a.nnz, dtype=bool)
     vals = np.minimum(a.data[hit], _HELD) * np.minimum(b.data[at[hit]], _HELD)
-    kept = vals != 0
-    return _checked(_from_keys(1, n, a_rows[hit][kept], a.indices[hit][kept], _saturate(vals[kept]))[0])
+    return _from_keys(1, n, a_rows[hit], a.indices[hit], _saturate(vals))[0]
 
 
 class KnowledgeBase:

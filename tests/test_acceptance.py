@@ -150,9 +150,10 @@ def test_criterion_9_weighting_softmax_invariants():
     for _ in range(1000):
         size = int(rng.integers(1, 12))
         scale = 10.0 ** rng.integers(-3, 7)
-        p = softmax(rng.normal(scale=scale, size=size))
+        x = rng.normal(scale=scale, size=size)
+        p = softmax(x)
         worst_sum = max(worst_sum, abs(float(p.sum()) - 1.0))
-        if (p < 0).any() or not np.isfinite(p).all():
+        if (p < 0).any() or not np.isfinite(p).all() or np.argmax(p) != np.argmax(x):
             worst_sum = np.inf
     exact_removals = 0
     trials = 50

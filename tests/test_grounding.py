@@ -84,72 +84,6 @@ def kb_and_case_rules(n_entities, edges, rel_picks):
     return kb, [synthetic.classified_rule(kb, text) for text in texts]
 
 
-class TestFamilyToy:
-    def test_bridged_pair_with_direct_edge(self):
-        kb = synthetic.family_kb(with_head=True)
-        rule = synthetic.classified_rule(kb, synthetic.PLANTED_RULE_TEXT)
-        g = ground(kb, rule)
-        anna, charlie = kb.entities.id("Anna"), kb.entities.id("Charlie")
-        assert g.joint_count.get(anna, charlie) == 1
-        assert g.body_count.get(anna, charlie) == 1
-        assert score(g, anna, charlie) == 1
-
-    def test_bridged_pair_without_direct_edge_scores_negative(self):
-        kb = synthetic.family_kb(with_head=False)
-        rule = synthetic.classified_rule(kb, synthetic.PLANTED_RULE_TEXT)
-        g = ground(kb, rule)
-        anna, charlie = kb.entities.id("Anna"), kb.entities.id("Charlie")
-        assert g.joint_count.get(anna, charlie) == 0
-        assert g.body_count.get(anna, charlie) == 1
-        assert score(g, anna, charlie) == -1
-
-    def test_unsupported_pair_scores_zero(self):
-        kb = synthetic.family_kb(with_head=True)
-        rule = synthetic.classified_rule(kb, synthetic.PLANTED_RULE_TEXT)
-        g = ground(kb, rule)
-        assert score(g, kb.entities.id("Bob"), kb.entities.id("Anna")) == 0
-
-
-class TestOracleFuzz:
-    def test_all_cases_match_enumeration_oracle(self):
-        rng = np.random.default_rng(99)
-        instances = 0
-        for case in CASE_FLAGS:
-            for trial in range(15):
-                kb = synthetic.random_kb(
-                    rng,
-                    n_entities=int(rng.integers(6, 10)),
-                    n_relations=3,
-                    n_triples=int(rng.integers(15, 35)),
-                )
-                rels = [kb.relation_name(int(rng.integers(3))) for _ in range(3)]
-                rh = kb.relation_name(int(rng.integers(3)))
-                rule = synthetic.classified_rule(kb, synthetic.case_rule_text(case, *rels, rh=rh))
-                assert rule.case == case
-                g = ground(kb, rule)
-                c_exp, a_exp = oracle_ground(kb, rule)
-                np.testing.assert_array_equal(g.body_count.to_dense(), c_exp)
-                np.testing.assert_array_equal(g.joint_count.to_dense(), a_exp)
-                instances += 1
-        assert instances == 14 * 15
-
-    def test_joint_invariants(self):
-        rng = np.random.default_rng(7)
-        cases = list(CASE_FLAGS)
-        for _ in range(30):
-            kb = synthetic.random_kb(rng, n_entities=12, n_relations=3, n_triples=50)
-            case = cases[int(rng.integers(len(cases)))]
-            rels = [kb.relation_name(int(rng.integers(3))) for _ in range(3)]
-            rule = synthetic.classified_rule(kb, synthetic.case_rule_text(case, *rels, rh=rels[0]))
-            g = ground(kb, rule)
-            a = g.joint_count.to_dense()
-            c = g.body_count.to_dense()
-            head = kb.matrices[rule.head.relation].to_dense()
-            assert (a <= c).all()
-            assert (a[head == 0] == 0).all()
-            np.testing.assert_array_equal(a, c * head)
-
-
 class TestScoreAccess:
     def setup_method(self):
         rng = np.random.default_rng(13)
@@ -538,9 +472,9 @@ class TestCache:
             lambda s, e: e.astype(np.int32),
         ],
         ids=[
-            "dim", "col-past-end", "negative-col", "negative-count", "decreasing-indptr", "parent-format",
-            "indptr-start", "indptr-end", "data-length", "unsorted-cols", "duplicate-cols", "zero-count", "above-cap",
-            "float-data", "2d-indices", "rows", "truncated", "swapped", "int32",
+            "transposed", "col-past-end", "negative-col", "negative-count", "decreasing-rows", "parent-format",
+            "row-before-stack", "row-past-stack", "no-counts", "unsorted-cols", "duplicate-cols", "zero-count",
+            "above-cap", "float-data", "flat", "rows", "truncated", "swapped", "int32",
         ],
     )
     def test_invalid_entry_is_regrounded_and_overwritten(self, tmp_path, caplog, corrupt):

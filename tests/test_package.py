@@ -22,18 +22,21 @@ class TestPublicNames:
             home = importlib.import_module("rulekbc." + rulekbc._MODULE_OF[name])
             assert getattr(rulekbc, name) is getattr(home, name), name
 
-    def test_readme_import_line(self):
-        # the `from rulekbc import (...)` statement of README's library snippet
+    def test_readme_library_snippet_runs(self, cli_pipeline, monkeypatch, capsys):
+        # README's library snippet, whole, on the pipeline's run, from the
+        # directory that holds its data/
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
         with open(readme, encoding="utf-8") as fh:
-            block = re.search(r"## Library use\n\n```python\n(from rulekbc import \(.*?\))", fh.read(), re.S)
+            block = re.search(r"## Library use\n\n```python\n(from rulekbc import \((.*?)\).*?)```", fh.read(), re.S)
         assert block is not None, "README's library snippet has no rulekbc import"
+        monkeypatch.chdir(cli_pipeline["base"])
         names = {}
-        exec(block.group(1), names)
-        del names["__builtins__"]
-        assert {"TrainerConfig", "load_rules", "rank"} <= set(names)
-        for name, value in names.items():
-            assert value is getattr(rulekbc, name), name
+        exec(block.group(1).replace("<run>", str(cli_pipeline["run_dir"])), names)
+        assert capsys.readouterr().out
+        imported = block.group(2).replace(",", " ").split()
+        assert {"TrainerConfig", "load_rules", "rank"} <= set(imported)
+        for name in imported:
+            assert names[name] is getattr(rulekbc, name), name
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gradcheck
 import rotate_oracle
 import synthetic
 import rulekbc
@@ -142,10 +141,6 @@ class TestScoreTailsBlocks:
 
 
 class TestGradients:
-    def test_matches_central_differences(self):
-        for seed in range(3):
-            assert gradcheck.rotate_fd_check(seed) < 1e-4
-
     def test_loss_decomposition_on_degenerate_batch(self):
         # a single positive with one negative equal to the positive tail makes
         # the two loss terms softplus(-s) and softplus(s) of the same score
